@@ -122,5 +122,4 @@ __all__ = [
     "simulate_bundle",
     "simulate_driver",
     "solve_gheat",
-    "g_value",
 ]

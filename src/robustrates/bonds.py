@@ -27,13 +27,14 @@ from .band import VolBand
 from .errors import ValidationError
 from .mc import (
     McConfig,
-    ScenarioStat,
-    _chunk_sizes,
+    _chunk_bundles,
     _dedupe_ids,
     _mean_se,
+    _pair_means,
+    _sublinear,
     scenario_functional_values,
 )
-from .paths import RateParams, TimeGrid, _simulate
+from .paths import RateParams, TimeGrid
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
@@ -237,33 +238,26 @@ def noarb_gap(
     ids, values = scenario_functional_values(
         discount_factor, band, scenarios, cfg, params=params, dynamics="original"
     )
-    stats = []
-    for sid, vals in zip(ids, values):
-        mean, se = _mean_se(vals)
-        stats.append(ScenarioStat(sid, mean, se, vals.size))
-    means = np.array([s.mean for s in stats])
-    i_up = int(np.argmax(means))
-    i_lo = int(np.argmin(means))
+    est = _sublinear(ids, values)
+    i_up = ids.index(est.argmax_scenario)
+    i_lo = ids.index(est.argmin_scenario)
     # scenarios share draws, so the gap's error comes from paired differences
-    if i_up == i_lo:
-        gap_se = 0.0
-    else:
-        _, gap_se = _mean_se(values[i_up] - values[i_lo])
+    gap_se = 0.0 if i_up == i_lo else float(_mean_se(values[i_up] - values[i_lo])[1])
     cf_up = price_classical_hw(params, band.sigma_hi, 0.0, maturity, params.r0).price
     cf_lo = price_classical_hw(params, band.sigma_lo, 0.0, maturity, params.r0).price
     return GapReport(
-        upper=stats[i_up].mean,
-        lower=stats[i_lo].mean,
-        gap=stats[i_up].mean - stats[i_lo].mean,
+        upper=est.upper,
+        lower=est.lower,
+        gap=est.spread,
         gap_se=gap_se,
-        upper_se=stats[i_up].se,
-        lower_se=stats[i_lo].se,
+        upper_se=est.upper_se,
+        lower_se=est.lower_se,
         closed_form_upper=cf_up,
         closed_form_lower=cf_lo,
         closed_form_gap=cf_up - cf_lo,
-        argmax_scenario=stats[i_up].scenario_id,
-        argmin_scenario=stats[i_lo].scenario_id,
-        per_scenario=tuple(stats),
+        argmax_scenario=est.argmax_scenario,
+        argmin_scenario=est.argmin_scenario,
+        per_scenario=est.per_scenario,
     )
 
 
@@ -315,55 +309,32 @@ def martingale_check(
     a_vec = np.array([a_robust(params, float(t), maturity) for t in times])
     p0 = float(np.exp(a_vec[0] - b_vec[0] * params.r0))  # lam_0 = 0, D_0 = 1
 
-    ids = _dedupe_ids(scenarios)
     reports = []
-    for spec, sid in zip(scenarios, ids):
-        spec.validate(band)
-        sum_inc = np.zeros(grid.n_steps)
-        cp_sum = np.zeros(len(cp_idx))
-        cp_sumsq = np.zeros(len(cp_idx))
+    for spec, sid in zip(scenarios, _dedupe_ids(scenarios)):
+        cp_vals = []
+        path_sums = np.zeros(grid.n_steps + 1)
         terminal_err = 0.0
-        n_paths_done = 0
-        n_samples = 0
-        for ci, m in enumerate(_chunk_sizes(cfg.n_paths)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.base_seed, spawn_key=(ci,))
-            )
-            bundle = _simulate(
-                spec, band, grid, rng, m,
-                params=params, dynamics=dynamics,
-                antithetic=cfg.antithetic, switch_key=ci,
-            )
-            log_disc = (
-                a_vec[None, :]
-                - b_vec[None, :] * bundle.r
-                - 0.5 * b_vec[None, :] ** 2 * bundle.lam
-                - np.log(bundle.d)
-            )
-            p_tilde = np.exp(log_disc)
-            cp_vals = p_tilde[:, cp_idx]
-            if cfg.antithetic:
-                # checkpoint error bars over antithetic pair means
-                cp_vals = 0.5 * (cp_vals[: m // 2] + cp_vals[m // 2 :])
-            sum_inc += np.diff(p_tilde, axis=1).sum(axis=0)
-            cp_sum += cp_vals.sum(axis=0)
-            cp_sumsq += (cp_vals * cp_vals).sum(axis=0)
+        for bundle in _chunk_bundles(spec, band, grid, cfg, params, dynamics):
+            p_tilde = np.exp(a_vec - b_vec * bundle.r - 0.5 * b_vec**2 * bundle.lam - np.log(bundle.d))
+            # centred on p0: sums of the small deviations keep their digits,
+            # and the t = 0 column, equal to p0 on every path, stays exactly 0
+            p_tilde -= p0
+            # checkpoint error bars over antithetic pair means
+            cp_vals.append(_pair_means(p_tilde[:, cp_idx], cfg.antithetic))
+            path_sums += p_tilde.sum(axis=0)
             # driftless representation: d(log ptilde) = -B dB - B^2 dqv / 2
             db = np.diff(bundle.b, axis=1)
             dqv = np.diff(bundle.qv, axis=1)
-            dlog = -b_vec[None, :-1] * db - 0.5 * b_vec[None, :-1] ** 2 * dqv
+            dlog = -b_vec[:-1] * db - 0.5 * b_vec[:-1] ** 2 * dqv
             p_sde = p0 * np.exp(np.sum(dlog, axis=1))
             terminal_err = max(terminal_err, float(np.max(np.abs(p_sde * bundle.d[:, -1] - 1.0))))
-            n_paths_done += m
-            n_samples += cp_vals.shape[0]
 
-        rows = []
-        for j, t_cp in enumerate(cp):
-            mean = cp_sum[j] / n_samples
-            var = max(cp_sumsq[j] / n_samples - mean**2, 0.0)
-            se = float(np.sqrt(var / max(n_samples - 1, 1)))
-            rows.append(CheckpointStat(t=t_cp, mean=float(mean), se=se, reference=p0))
-        mean_inc = sum_inc / n_paths_done
+        means, ses = _mean_se(np.concatenate(cp_vals))
+        rows = [
+            CheckpointStat(t=t_cp, mean=p0 + float(mean), se=float(se), reference=p0)
+            for t_cp, mean, se in zip(cp, means, ses)
+        ]
+        mean_inc = np.diff(path_sums) / cfg.n_paths
         slope, slope_se, intercept, intercept_se = _ols_with_se(grid.step_times, mean_inc)
         reports.append(
             MartingaleReport(

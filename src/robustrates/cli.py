@@ -15,19 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .band import VolBand
-from .bonds import (
-    a_classical,
-    a_robust,
-    martingale_check,
-    noarb_gap,
-    price_classical_hw,
-    price_robust,
-)
+from .bonds import a_classical, a_robust, martingale_check, noarb_gap, price_robust
 from .calibration import (
     calibrate,
     fitted_price,
@@ -35,7 +29,7 @@ from .calibration import (
     initial_curve_roundtrip,
 )
 from .errors import NumericalError, ValidationError
-from .gheat import Grid1D, gexpectation_terminal, solve_gheat
+from .gheat import _terminal_grid, solve_gheat
 from .mc import McConfig
 from .paths import RateParams, TimeGrid, simulate_bundle
 from .scenarios import Constant, default_scenario_family, family_from_json
@@ -50,10 +44,24 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _out_stream(path: Optional[str]):
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _to_bool(value) -> bool:
+    """Flag or config boolean: true/false, 1/0 or yes/no, any case."""
+    try:
+        return _BOOLEANS[str(value).strip().lower()]
+    except KeyError:
+        raise ValidationError(f"expected true/false, 1/0 or yes/no, got {value!r}") from None
+
+
+@contextmanager
+def _output(path: Optional[str]):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 class _Config:
@@ -108,7 +116,7 @@ class _Config:
             n_steps=int(self.get("steps", 512)),
             horizon=horizon,
             base_seed=int(self.get("seed", 0)),
-            antithetic=bool(self.get("antithetic", True)),
+            antithetic=_to_bool(self.get("antithetic", True)),
         )
 
     def scenarios(self, band: VolBand, horizon: float, n_constant: int, n_switching: int):
@@ -148,12 +156,8 @@ def cmd_simulate(cfg: _Config) -> int:
         n_paths=int(cfg.get("paths", 1)),
         dynamics=str(cfg.get("dynamics", "shifted")),
     )
-    fh, close = _out_stream(cfg.get("out"))
-    try:
+    with _output(cfg.get("out")) as fh:
         bundle.write_csv(fh, path_index=int(cfg.get("path_index", 0)))
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -164,26 +168,20 @@ def cmd_price(cfg: _Config) -> int:
     band = cfg.band()
     params, model = cfg.rate_params()
     maturities = _parse_maturities(cfg)
-    fh, close = _out_stream(cfg.get("out"))
-    try:
+    with _output(cfg.get("out")) as fh:
         fh.write("T,price_lower,price_robust,price_upper\n")
         for T in maturities:
             if model is not None:
                 robust = fitted_price(model, 0.0, T, model.r0, 0.0)
-                # classical intercept = fitted intercept + sigma^2/2 * int B^2
-                base = a_robust(params, 0.0, T)
-                convex_lo = a_classical(params, band.sigma_lo, 0.0, T) - base
-                convex_hi = a_classical(params, band.sigma_hi, 0.0, T) - base
-                lower = robust * float(np.exp(convex_lo))
-                upper = robust * float(np.exp(convex_hi))
             else:
                 robust = price_robust(params, 0.0, T, params.r0, 0.0).price
-                lower = price_classical_hw(params, band.sigma_lo, 0.0, T, params.r0).price
-                upper = price_classical_hw(params, band.sigma_hi, 0.0, T, params.r0).price
+            # classical intercept = robust intercept + sigma^2/2 * int B^2
+            base = a_robust(params, 0.0, T)
+            lower, upper = (
+                robust * float(np.exp(a_classical(params, sigma, 0.0, T) - base))
+                for sigma in (band.sigma_lo, band.sigma_hi)
+            )
             fh.write(f"{_fmt(T)},{_fmt(lower)},{_fmt(robust)},{_fmt(upper)}\n")
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -213,13 +211,9 @@ def cmd_gap(cfg: _Config) -> int:
             for s in report.per_scenario
         ],
     }
-    fh, close = _out_stream(cfg.get("out"))
-    try:
+    with _output(cfg.get("out")) as fh:
         json.dump(payload, fh, indent=2, default=float)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
     # verification: a non-degenerate band must show a significant gap that
     # agrees with the closed form; a degenerate band must show none
     ok_agree = abs(report.gap - report.closed_form_gap) <= 3.0 * max(report.gap_se, 1e-300)
@@ -243,9 +237,8 @@ def cmd_verify(cfg: _Config) -> int:
     family = cfg.scenarios(band, T, n_constant=3, n_switching=0)
     dynamics = str(cfg.get("dynamics", "shifted"))
     reports = martingale_check(params, band, family, T, checkpoints, mc, dynamics=dynamics)
-    fh, close = _out_stream(cfg.get("out"))
     any_fail = False
-    try:
+    with _output(cfg.get("out")) as fh:
         fh.write("scenario,t,mean,se,ref,pass\n")
         for rep in reports:
             for row in rep.checkpoints:
@@ -255,9 +248,6 @@ def cmd_verify(cfg: _Config) -> int:
                     f"{rep.scenario_id},{_fmt(row.t)},{_fmt(row.mean)},"
                     f"{_fmt(row.se)},{_fmt(row.reference)},{str(ok).lower()}\n"
                 )
-    finally:
-        if close:
-            fh.close()
     return EXIT_VERIFICATION if any_fail else EXIT_OK
 
 
@@ -268,17 +258,13 @@ def cmd_calibrate(cfg: _Config) -> int:
     model = calibrate(ingest_forward_curve(curve_path), float(cfg.get("alpha", 1.0)))
     maturities = _parse_maturities(cfg)
     report = initial_curve_roundtrip(model, maturities)
-    fh, close = _out_stream(cfg.get("out"))
-    try:
+    with _output(cfg.get("out")) as fh:
         fh.write("T,P_model,P_curve,abs_error\n")
         for row in report.rows:
             fh.write(
                 f"{_fmt(row.maturity)},{_fmt(row.p_model)},"
                 f"{_fmt(row.p_curve)},{_fmt(row.abs_error)}\n"
             )
-    finally:
-        if close:
-            fh.close()
     print(f"max abs error: {report.max_abs_error:.3e}", file=sys.stderr)
     return EXIT_OK
 
@@ -311,25 +297,18 @@ def cmd_gheat(cfg: _Config) -> int:
     band = cfg.band()
     t = float(cfg.get("horizon", 1.0))
     phi = _payoff(str(cfg.get("phi", "square")))
-    value = gexpectation_terminal(
-        phi, band, t,
+    grid = _terminal_grid(
+        band, t, 0.0,
         nodes_per_width=int(cfg.get("nodes_per_width", 100)),
         pad_widths=float(cfg.get("pad_widths", 8.0)),
     )
     out = cfg.get("out")
+    # one solve: with --out it also keeps eight slices for the dump
+    sol = solve_gheat(phi, band, grid, store_every=max(1, grid.nt // 8) if out else None)
     if out:
-        width = band.sigma_hi * np.sqrt(t)
-        half = float(cfg.get("pad_widths", 8.0)) * width
-        nx = 2 * int(round(float(cfg.get("pad_widths", 8.0)) * int(cfg.get("nodes_per_width", 100))))
-        grid = Grid1D.with_cfl(band, -half, half, nx, t)
-        sol = solve_gheat(phi, band, grid, store_every=max(1, grid.nt // 8))
-        fh, close = _out_stream(out)
-        try:
+        with _output(out) as fh:
             sol.write_csv(fh)
-        finally:
-            if close:
-                fh.close()
-    print(f"u({_fmt(t)}, 0) = {_fmt(value)}")
+    print(f"u({_fmt(t)}, 0) = {_fmt(sol.value_at(0.0))}")
     return EXIT_OK
 
 
@@ -362,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--curve", help="forward-curve CSV/JSON file (replaces r0/mu)")
         p.add_argument("--horizon", type=float, help="simulation horizon in years")
         p.add_argument("--scenarios", help="scenario-family JSON file")
-        p.add_argument("--antithetic", type=lambda s: s.lower() in ("1", "true", "yes"),
-                       help="antithetic path pairing (default true)")
+        p.add_argument("--antithetic", type=_to_bool,
+                       help="antithetic path pairing: true/false, 1/0 or yes/no (default true)")
 
     p = sub.add_parser("simulate", help="simulate one scenario and dump a path CSV")
     common(p)

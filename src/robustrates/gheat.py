@@ -163,6 +163,19 @@ def solve_gheat(
     return Solution1D(grid=grid, times=np.asarray(stored_times), u=np.vstack(stored))
 
 
+def _terminal_grid(
+    band: VolBand, t: float, center: float, nodes_per_width: int, pad_widths: float, cfl: float = 0.5
+) -> Grid1D:
+    """Grid spanning ``center +- pad_widths * sigma_hi * sqrt(t)`` with
+    ``nodes_per_width`` nodes per diffusion width; the node count is kept
+    even so the read-out at ``center`` interpolates between cell centers."""
+    if not (t > 0):
+        raise ValidationError("t must be > 0")
+    half = pad_widths * (band.sigma_hi * sqrt(t))
+    nx = 2 * int(round(pad_widths * nodes_per_width))
+    return Grid1D.with_cfl(band, center - half, center + half, nx, t, cfl=cfl)
+
+
 def gexpectation_terminal(
     phi: Callable[[np.ndarray], np.ndarray],
     band: VolBand,
@@ -172,17 +185,7 @@ def gexpectation_terminal(
     pad_widths: float = 8.0,
     cfl: float = 0.5,
 ) -> float:
-    """Upper expectation of ``phi`` of the driver at time ``t`` via the PDE.
-
-    The grid spans ``center +- pad_widths * sigma_hi * sqrt(t)`` with
-    ``nodes_per_width`` nodes per diffusion width; the node count is kept
-    even so the read-out at ``center`` interpolates between cell centers.
-    """
-    if not (t > 0):
-        raise ValidationError("t must be > 0")
-    width = band.sigma_hi * sqrt(t)
-    half = pad_widths * width
-    nx = 2 * int(round(pad_widths * nodes_per_width))
-    grid = Grid1D.with_cfl(band, center - half, center + half, nx, t, cfl=cfl)
-    sol = solve_gheat(phi, band, grid)
-    return sol.value_at(center)
+    """Upper expectation of ``phi(B_t)`` via the PDE, on the grid of
+    :func:`_terminal_grid`."""
+    grid = _terminal_grid(band, t, center, nodes_per_width, pad_widths, cfl)
+    return solve_gheat(phi, band, grid).value_at(center)

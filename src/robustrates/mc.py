@@ -15,7 +15,7 @@ scenarios are ordered or parallelized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -78,13 +78,6 @@ class SublinearEstimate:
         return self.upper - self.lower
 
 
-def _chunk_sizes(n_paths: int) -> list[int]:
-    sizes = [CHUNK_PATHS] * (n_paths // CHUNK_PATHS)
-    if n_paths % CHUNK_PATHS:
-        sizes.append(n_paths % CHUNK_PATHS)
-    return sizes
-
-
 def _dedupe_ids(scenarios: Sequence[ScenarioSpec]) -> list[str]:
     seen: dict[str, int] = {}
     ids = []
@@ -97,6 +90,36 @@ def _dedupe_ids(scenarios: Sequence[ScenarioSpec]) -> list[str]:
             seen[base] = 0
             ids.append(base)
     return ids
+
+
+def _chunk_bundles(
+    spec: ScenarioSpec, band: VolBand, grid: TimeGrid, cfg: McConfig,
+    params: Optional[RateParams], dynamics: str,
+) -> Iterator[PathBundle]:
+    """Validate ``spec``, then yield its simulated bundle chunk by chunk.
+
+    This is the one seeding rule: chunk ``c`` holds up to ``CHUNK_PATHS``
+    paths, draws from ``SeedSequence(base_seed, spawn_key=(c,))`` and keys
+    the scenario's own switching noise with ``c``."""
+    spec.validate(band)
+    for ci, start in enumerate(range(0, cfg.n_paths, CHUNK_PATHS)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.base_seed, spawn_key=(ci,))
+        )
+        yield _simulate(
+            spec, band, grid, rng, min(CHUNK_PATHS, cfg.n_paths - start),
+            params=params, dynamics=dynamics,
+            antithetic=cfg.antithetic, switch_key=ci,
+        )
+
+
+def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
+    """Average each path with its antithetic mate (rows ``i`` and
+    ``i + m/2``) so the samples stay independent."""
+    if not antithetic:
+        return x
+    half = x.shape[0] // 2
+    return 0.5 * (x[:half] + x[half:])
 
 
 def scenario_functional_values(
@@ -114,22 +137,12 @@ def scenario_functional_values(
     if not family:
         raise ValidationError("scenario family is empty")
     ids = _dedupe_ids(family)
-    grid = cfg.grid
-    sizes = _chunk_sizes(cfg.n_paths)
     out: list[np.ndarray] = []
     for spec, sid in zip(family, ids):
-        spec.validate(band)
         pieces = []
         offset = 0
-        for ci, m in enumerate(sizes):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.base_seed, spawn_key=(ci,))
-            )
-            bundle = _simulate(
-                spec, band, grid, rng, m,
-                params=params, dynamics=dynamics,
-                antithetic=cfg.antithetic, switch_key=ci,
-            )
+        for bundle in _chunk_bundles(spec, band, cfg.grid, cfg, params, dynamics):
+            m = bundle.n_paths
             vals = np.asarray(functional(bundle), dtype=float)
             if vals.shape != (m,):
                 raise ValidationError(
@@ -143,19 +156,38 @@ def scenario_functional_values(
                     f"non-finite functional value in scenario '{sid}' "
                     f"at path {offset + idx}"
                 )
-            if cfg.antithetic:
-                vals = 0.5 * (vals[: m // 2] + vals[m // 2 :])
-            pieces.append(vals)
+            pieces.append(_pair_means(vals, cfg.antithetic))
             offset += m
         out.append(np.concatenate(pieces))
     return ids, out
 
 
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    n = vals.size
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+def _mean_se(vals: np.ndarray):
+    """Mean and standard error along axis 0, the variance by two passes."""
+    n = vals.shape[0]
+    mean = np.mean(vals, axis=0)
+    se = np.std(vals, axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
     return mean, se
+
+
+def _sublinear(ids: Sequence[str], values: Sequence[np.ndarray]) -> SublinearEstimate:
+    """Per-scenario statistics and the scenarios attaining the extremes."""
+    stats = []
+    for sid, vals in zip(ids, values):
+        mean, se = _mean_se(vals)
+        stats.append(ScenarioStat(sid, float(mean), float(se), vals.size))
+    means = np.array([s.mean for s in stats])
+    up = stats[int(np.argmax(means))]
+    lo = stats[int(np.argmin(means))]
+    return SublinearEstimate(
+        upper=up.mean,
+        lower=lo.mean,
+        upper_se=up.se,
+        lower_se=lo.se,
+        argmax_scenario=up.scenario_id,
+        argmin_scenario=lo.scenario_id,
+        per_scenario=tuple(stats),
+    )
 
 
 def estimate_sublinear(
@@ -172,20 +204,6 @@ def estimate_sublinear(
     ``d`` populated) so rate-dependent functionals can be estimated under
     either ``original`` or ``shifted`` dynamics.
     """
-    ids, values = scenario_functional_values(functional, band, family, cfg, params, dynamics)
-    stats = []
-    for sid, vals in zip(ids, values):
-        mean, se = _mean_se(vals)
-        stats.append(ScenarioStat(sid, mean, se, vals.size))
-    means = np.array([s.mean for s in stats])
-    i_up = int(np.argmax(means))
-    i_lo = int(np.argmin(means))
-    return SublinearEstimate(
-        upper=stats[i_up].mean,
-        lower=stats[i_lo].mean,
-        upper_se=stats[i_up].se,
-        lower_se=stats[i_lo].se,
-        argmax_scenario=stats[i_up].scenario_id,
-        argmin_scenario=stats[i_lo].scenario_id,
-        per_scenario=tuple(stats),
+    return _sublinear(
+        *scenario_functional_values(functional, band, family, cfg, params, dynamics)
     )

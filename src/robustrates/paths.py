@@ -164,6 +164,35 @@ def _mu_step_integrals(params: RateParams, grid: TimeGrid) -> np.ndarray:
     return 0.5 * dt * (w1 * params.mu_at(s1) + w2 * params.mu_at(s2))
 
 
+def _lam_decay(alpha: float, dt: float) -> float:
+    """One-step decay ``exp(-2 alpha dt)`` of ``lam``."""
+    return np.exp(-2.0 * alpha * dt)
+
+
+def _lam_step(lam_k, dqv_k, e2):
+    """``lam[k+1]`` from ``lam[k]`` and the step's quadratic variation."""
+    return e2 * lam_k + dqv_k
+
+
+def _rate_factors(params: RateParams, grid: TimeGrid) -> tuple:
+    """Coefficients of the ``r`` recursion on ``grid``: the propagator
+    ``exp(-alpha dt)``, the midpoint noise weight ``exp(-alpha dt / 2)``,
+    the drift weight of ``lam`` ``(1 - exp(-alpha dt)) / alpha`` and the
+    per-step ``mu`` integrals."""
+    a, dt = params.alpha, grid.dt
+    m_det = _mu_step_integrals(params, grid)
+    return np.exp(-a * dt), np.exp(-a * dt / 2.0), -np.expm1(-a * dt) / a, m_det
+
+
+def _r_step(k: int, r_k, db_k, lam_k, factors: tuple):
+    """``r[k+1]`` from ``r[k]`` and the step's noise increment ``dB``; ``lam_k``
+    (the shift, taken at the left point) is None under the original
+    dynamics."""
+    ea, eh, w_lam, m_det = factors
+    drift = m_det[k] + (w_lam * lam_k if lam_k is not None else 0.0)
+    return ea * r_k + drift + eh * db_k
+
+
 def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithetic: bool) -> np.ndarray:
     if not antithetic:
         return rng.standard_normal((n_paths, n_steps))
@@ -214,11 +243,8 @@ def _simulate(
         lam = np.zeros((n_paths, n + 1))
         r = np.empty((n_paths, n + 1))
         r[:, 0] = params.r0
-        ea = np.exp(-params.alpha * dt)
-        eh = np.exp(-params.alpha * dt / 2.0)
-        e2 = np.exp(-2.0 * params.alpha * dt)
-        w_lam = -np.expm1(-params.alpha * dt) / params.alpha
-        m_det = _mu_step_integrals(params, grid)
+        e2 = _lam_decay(params.alpha, dt)
+        factors = _rate_factors(params, grid)
         shifted = dynamics == "shifted"
 
     times = grid.times
@@ -253,9 +279,8 @@ def _simulate(
         dqv = sig_k**2 * dt
         qv[:, k + 1] = qv[:, k] + dqv
         if with_rate:
-            lam[:, k + 1] = e2 * lam[:, k] + dqv
-            drift = m_det[k] + (w_lam * lam[:, k] if shifted else 0.0)
-            r[:, k + 1] = ea * r[:, k] + drift + eh * db
+            lam[:, k + 1] = _lam_step(lam[:, k], dqv, e2)
+            r[:, k + 1] = _r_step(k, r[:, k], db, lam[:, k] if shifted else None, factors)
 
     bundle = PathBundle(grid, scenario.scenario_id, sigma, b, qv, lam=lam, r=r)
     if with_rate:
@@ -307,27 +332,20 @@ def lambda_path(qv: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     dqv = np.diff(qv2, axis=-1)
     if np.any(dqv < -1e-15):
         raise ValidationError("quadratic variation path must be nondecreasing")
-    e2 = np.exp(-2.0 * alpha * dt)
+    e2 = _lam_decay(alpha, dt)
     lam = np.zeros_like(qv2)
     for k in range(dqv.shape[-1]):
-        lam[:, k + 1] = e2 * lam[:, k] + dqv[:, k]
+        lam[:, k + 1] = _lam_step(lam[:, k], dqv[:, k], e2)
     return lam[0] if squeeze else lam
 
 
 def _rate_recursion(bundle: PathBundle, params: RateParams, lam: Optional[np.ndarray]) -> np.ndarray:
-    grid = bundle.grid
-    n = grid.n_steps
-    dt = grid.dt
-    ea = np.exp(-params.alpha * dt)
-    eh = np.exp(-params.alpha * dt / 2.0)
-    m_det = _mu_step_integrals(params, grid)
-    w_lam = -np.expm1(-params.alpha * dt) / params.alpha
+    factors = _rate_factors(params, bundle.grid)
     db = np.diff(bundle.b, axis=1)
     r = np.empty_like(bundle.b)
     r[:, 0] = params.r0
-    for k in range(n):
-        drift = m_det[k] + (w_lam * lam[:, k] if lam is not None else 0.0)
-        r[:, k + 1] = ea * r[:, k] + drift + eh * db[:, k]
+    for k in range(bundle.grid.n_steps):
+        r[:, k + 1] = _r_step(k, r[:, k], db[:, k], None if lam is None else lam[:, k], factors)
     return r
 
 

@@ -275,19 +275,27 @@ def family_from_json(doc: dict) -> tuple[VolBand, list[ScenarioSpec]]:
         band = VolBand(float(doc["band"]["lo"]), float(doc["band"]["hi"]))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed scenario document: {exc}") from exc
+    entries = doc.get("scenarios", [])
+    if not isinstance(entries, list):
+        raise ValidationError("malformed scenario document: 'scenarios' must be a list")
     scenarios: list[ScenarioSpec] = []
-    for entry in doc.get("scenarios", []):
-        kind = entry.get("kind")
-        if kind == "constant":
-            spec: ScenarioSpec = Constant(float(entry["value"]))
-        elif kind == "piecewise":
-            spec = PiecewiseConstant(tuple(entry["times"]), tuple(entry["values"]))
-        elif kind == "switching":
-            spec = RandomSwitching(float(entry["intensity"]), int(entry["seed"]))
-        elif kind == "feedback":
-            spec = AdaptedFeedback(entry["rule"], dict(entry.get("params", {})))
-        else:
-            raise ValidationError(f"unknown scenario kind '{kind}'")
+    for i, entry in enumerate(entries):
+        try:
+            kind = entry.get("kind")
+            if kind == "constant":
+                spec: ScenarioSpec = Constant(float(entry["value"]))
+            elif kind == "piecewise":
+                spec = PiecewiseConstant(tuple(entry["times"]), tuple(entry["values"]))
+            elif kind == "switching":
+                spec = RandomSwitching(float(entry["intensity"]), int(entry["seed"]))
+            elif kind == "feedback":
+                spec = AdaptedFeedback(entry["rule"], dict(entry.get("params", {})))
+            else:
+                raise ValidationError(f"unknown scenario kind '{kind}'")
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(
+                f"malformed scenario entry {i}: {type(exc).__name__}: {exc}"
+            ) from exc
         spec.validate(band)
         scenarios.append(spec)
     return band, scenarios

@@ -13,11 +13,13 @@ from robustrates import (
     a_robust,
     b_factor,
     bang_bang,
+    estimate_sublinear,
     martingale_check,
     noarb_gap,
     price_classical_hw,
     price_robust,
 )
+from robustrates.bonds import _b_factor_vec
 
 BAND = VolBand(0.005, 0.02)
 PARAMS = RateParams(r0=0.02, alpha=1.0, mu=0.0)
@@ -200,6 +202,17 @@ class TestMartingale:
         assert row0.se <= 1e-8
         assert row0.passed
 
+    @pytest.mark.parametrize("n_paths", [2_000, 2_002, 100_000])
+    def test_time_zero_row_is_p0_with_zero_se(self, n_paths):
+        """Every path starts at p0, so the t = 0 row is p0 with se 0 at any
+        sample count.  Summed uncentred, a mean of many equal values drifts
+        by a few ulp, and a two-pass se of ~0 then fails the row."""
+        cfg = McConfig(n_paths=n_paths, n_steps=16, horizon=1.0, base_seed=3, antithetic=True)
+        checkpoints = [0.0, 0.25, 0.5, 0.75, 1.0]
+        row = martingale_check(PARAMS, BAND, [Constant(0.02)], 1.0, checkpoints, cfg)[0].checkpoints[0]
+        assert (row.mean, row.se) == (row.reference, 0.0)
+        assert row.passed
+
     def test_degenerate_band_classical_martingale(self):
         band = VolBand(0.01, 0.01)
         reports = martingale_check(PARAMS, band, [Constant(0.01)], 1.0, [0.25, 0.5, 1.0], self.CFG)
@@ -218,3 +231,27 @@ class TestMartingale:
     def test_off_grid_checkpoint_rejected(self):
         with pytest.raises(ValidationError):
             martingale_check(PARAMS, BAND, self.SCEN, 1.0, [0.3], self.CFG)
+
+    def test_checkpoint_se_is_two_pass_on_tiny_band(self):
+        """Pair-mean discounted prices spread by about 1e-8 around 0.98 at
+        sigma = 5e-4, where a one-pass ``E[x^2] - E[x]^2`` variance loses
+        most of its digits.  The checkpoint se must equal the estimator's
+        two-pass se on the same samples."""
+        sigma = 5e-4
+        band = VolBand(sigma, sigma)
+        cfg = McConfig(n_paths=16_384, n_steps=128, horizon=1.0, base_seed=0, antithetic=True)
+        times = cfg.grid.times
+        k = cfg.grid.index_of(0.5)
+        b_vec = _b_factor_vec(PARAMS.alpha, times, 1.0)
+        a_vec = np.array([a_robust(PARAMS, float(t), 1.0) for t in times])
+
+        def discounted_price(bundle):
+            # the expression martingale_check evaluates, column k
+            log_p = a_vec - b_vec * bundle.r - 0.5 * b_vec**2 * bundle.lam - np.log(bundle.d)
+            return np.exp(log_p)[:, k]
+
+        row = martingale_check(PARAMS, band, [Constant(sigma)], 1.0, [0.5], cfg)[0].checkpoints[0]
+        est = estimate_sublinear(
+            discounted_price, band, [Constant(sigma)], cfg, params=PARAMS, dynamics="shifted"
+        )
+        assert row.se == pytest.approx(est.upper_se, rel=1e-9, abs=0.0)

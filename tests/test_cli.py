@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from robustrates.cli import main
+import robustrates.cli
+import robustrates.gheat
+from robustrates.cli import _Config, build_parser, main
 
 
 def run_cli(*argv):
@@ -151,6 +153,29 @@ class TestGheatCmd:
     def test_unknown_payoff_rejected(self):
         assert run_cli("gheat", "--phi", "wiggle") == 1
 
+    def test_dump_and_value_come_from_one_solve(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        solve = robustrates.gheat.solve_gheat
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        # gexpectation_terminal looks the solver up in robustrates.gheat
+        monkeypatch.setattr(robustrates.gheat, "solve_gheat", counting_solve)
+        monkeypatch.setattr(robustrates.cli, "solve_gheat", counting_solve)
+        out = tmp_path / "f.csv"
+        code = run_cli("gheat", "--phi", "relu", "--nodes-per-width", "40", "--out", str(out))
+        assert code == 0
+        assert len(calls) == 1
+        printed = float(capsys.readouterr().out.split("=")[1])
+        rows = read_csv(out)
+        t_last = max(float(r["t"]) for r in rows)
+        last = [r for r in rows if float(r["t"]) == t_last]
+        x = np.array([float(r["x"]) for r in last])
+        u = np.array([float(r["u"]) for r in last])
+        assert printed == float(np.interp(0.0, x, u))
+
 
 class TestErrors:
     def test_bad_band_is_validation_error(self):
@@ -168,6 +193,42 @@ class TestErrors:
 
     def test_missing_config_file(self):
         assert run_cli("price", "--config", "/nonexistent/cfg.json") == 1
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [("false", False), ("No", False), ("0", False), (False, False), (0, False),
+         ("true", True), ("YES", True), ("1", True), (True, True)],
+    )
+    def test_config_boolean_parsed(self, tmp_path, raw, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"antithetic": raw}))
+        args = build_parser().parse_args(["gap", "--config", str(cfg)])
+        assert _Config(args).mc_config(1.0).antithetic is expected
+
+    @pytest.mark.parametrize("raw", ["maybe", "2", "", None, 0.5])
+    def test_bad_boolean_exits_1(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"antithetic": raw}))
+        assert run_cli("gap", "--config", str(cfg), "--paths", "64", "--steps", "4") == 1
+        assert "error:" in capsys.readouterr().err
+        if isinstance(raw, str):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("gap", "--antithetic", raw, "--paths", "64", "--steps", "4")
+            assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"kind": "constant"}, {"kind": "piecewise", "values": [0.01]},
+         {"kind": "switching", "intensity": 1.0}, ["constant", 0.01], "constant"],
+    )
+    def test_malformed_scenario_file_exits_1(self, tmp_path, capsys, entry):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({
+            "band": {"lo": 0.005, "hi": 0.02},
+            "scenarios": [{"kind": "constant", "value": 0.01}, entry],
+        }))
+        assert run_cli("gap", "--scenarios", str(fam), "--paths", "64", "--steps", "4") == 1
+        assert "error: malformed scenario entry 1" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

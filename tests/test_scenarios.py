@@ -163,3 +163,20 @@ def test_json_round_trip():
 def test_json_rejects_unknown_kind():
     with pytest.raises(ValidationError):
         family_from_json({"band": {"lo": 0.01, "hi": 0.02}, "scenarios": [{"kind": "mystery"}]})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"kind": "constant"}, {"kind": "piecewise", "times": []}, {"kind": "feedback"},
+     {"kind": "constant", "value": None}, ["constant", 0.01]],
+)
+def test_family_from_json_malformed_entry_names_index(entry):
+    doc = {"band": {"lo": 0.005, "hi": 0.02}, "scenarios": [{"kind": "constant", "value": 0.01}, entry]}
+    with pytest.raises(ValidationError, match="entry 1"):
+        family_from_json(doc)
+
+
+@pytest.mark.parametrize("entries", [5, {"kind": "constant", "value": 0.01}, "constant"])
+def test_family_from_json_rejects_non_list_scenarios(entries):
+    with pytest.raises(ValidationError, match="must be a list"):
+        family_from_json({"band": {"lo": 0.005, "hi": 0.02}, "scenarios": entries})
