@@ -120,18 +120,16 @@ def _curve_from_rows(rows: Iterable[Sequence[str]]) -> ForwardCurve:
 
 
 def ingest_forward_curve(source: Union[str, os.PathLike, TextIO, dict]) -> ForwardCurve:
-    """Load and validate a curve from CSV (header ``T,f``), from a JSON
-    document ``{"knots": [[T, f], ...]}``, or from dict/stream equivalents."""
+    """Load and validate a CSV (header ``T,f``) or JSON ``{"knots": [[T, f], ...]}``
+    curve from a file path (any ``str``), a stream, or the equivalent dict."""
     if isinstance(source, dict):
         doc = source
     else:
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+        if isinstance(source, (str, os.PathLike)):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        elif hasattr(source, "read"):
-            text = source.read()
         else:
-            text = str(source)
+            text = source.read()
         stripped = text.lstrip()
         if stripped.startswith("{"):
             try:

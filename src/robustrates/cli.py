@@ -64,62 +64,131 @@ def _output(path: Optional[str]):
             yield fh
 
 
+def _to_int(value) -> int:
+    """Integer from a flag or a JSON number; booleans and fractions
+    (``12.9``, ``"2.5"``) are errors, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _to_float(value) -> float:
+    """Number from a flag or a JSON number; booleans are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValidationError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _to_floats(value) -> list[float]:
+    """Numbers from ``'1,2,5'`` or a JSON list; an empty field is an error."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list) or not items:
+        raise ValidationError(f"expected a comma-separated list of numbers, got {value!r}")
+    return [_to_float(v) for v in items]
+
+
+def _to_band(value) -> tuple[float, float]:
+    """Band edges from ``'lo,hi'``, ``[lo, hi]`` or ``{"lo": .., "hi": ..}``;
+    the edges themselves are checked by ``VolBand`` when a command runs."""
+    if isinstance(value, dict):
+        value = [value.get("lo"), value.get("hi")]
+    edges = _to_floats(value)
+    if len(edges) != 2:
+        raise ValidationError(f"band expects 'lo,hi', got {value!r}")
+    return edges[0], edges[1]
+
+
+#: every option: name -> (converter of a flag or config value, default, help);
+#: ``_COMMANDS`` says which command accepts which, ``_COMMAND_DEFAULTS`` where
+#: a command's default differs
+_OPTIONS = {
+    "config": (str, None, "JSON config file; flags override its values"),
+    "out": (str, None, "output path ('-' for stdout)"),
+    "band": (_to_band, "0.005,0.02", "volatility band as 'lo,hi'"),
+    "curve": (str, None, "forward-curve CSV/JSON file (replaces r0/mu)"),
+    "alpha": (_to_float, 1.0, "mean-reversion speed"),
+    "r0": (_to_float, 0.02, "initial short rate"),
+    "mu": (_to_float, 0.0, "constant reversion level"),
+    "seed": (_to_int, 0, "base RNG seed"),
+    "paths": (_to_int, 100_000, "Monte Carlo paths"),
+    "steps": (_to_int, 512, "time steps"),
+    "antithetic": (_to_bool, "true", "antithetic path pairing: true/false, 1/0 or yes/no"),
+    "horizon": (_to_float, 1.0, "horizon in years"),
+    "maturity": (_to_float, 1.0, "bond maturity"),
+    "maturities": (_to_floats, "1,2,3,4,5,6,7,8,9,10", "comma-separated maturities"),
+    "checkpoints": (_to_floats, "0.25,0.5,0.75,1.0", "comma-separated checkpoint times"),
+    "scenarios": (str, None, "scenario-family JSON file (replaces the default family)"),
+    # gap's 20-member default family: constant grid, bang-bang pair, switching
+    "n_constant": (_to_int, 12, "constant scenarios in the default family"),
+    "n_switching": (_to_int, 6, "random-switching scenarios in the default family"),
+    "sigma": (_to_float, None, "constant scenario volatility (default band top)"),
+    "dynamics": (str, "shifted", "shifted, or original (the adversarial power fixture)"),
+    "path_index": (_to_int, 0, "index of the path written"),
+    "phi": (str, "square", "payoff: square|negsquare|relu|abs|identity|call:K|const:c"),
+    "nodes_per_width": (_to_int, 100, "PDE grid nodes per band width"),
+    "pad_widths": (_to_float, 8.0, "PDE grid padding in band widths"),
+}
+
+
 class _Config:
-    """Merged view of config-file values and CLI flags (flags win)."""
+    """The options of one command, each resolved once: the flag if given,
+    else the config-file value through the flag's converter, else the
+    default.  A config key that no command accepts is an error; one that
+    belongs to another command is ignored, so one file serves them all."""
 
     def __init__(self, args: argparse.Namespace):
         doc = {}
-        if getattr(args, "config", None):
+        if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             if not isinstance(doc, dict):
                 raise ValidationError("config file must hold a JSON object")
-        self._doc = doc
-        self._args = args
+        unknown = sorted(set(doc) - set(_OPTIONS))
+        if unknown:
+            raise ValidationError(f"unknown config keys {unknown}")
+        _, _, names = _COMMANDS[args.command]
+        defaults = _COMMAND_DEFAULTS.get(args.command, {})
+        self._values = {}
+        for name in names:
+            convert, default, _ = _OPTIONS[name]
+            value = getattr(args, name)  # a given flag is already converted
+            if value is None:
+                value = doc[name] if name in doc else defaults.get(name, default)
+                if value is None and name in doc:
+                    raise ValidationError(f"config key '{name}' is null")
+                try:
+                    value = None if value is None else convert(value)
+                except ValueError as exc:
+                    raise ValidationError(f"config key '{name}': {exc}") from None
+            self._values[name] = value
 
-    def get(self, key: str, default=None):
-        flag = getattr(self._args, key, None)
-        if flag is not None:
-            return flag
-        return self._doc.get(key, default)
+    def get(self, key: str):
+        return self._values[key]
 
     def band(self) -> VolBand:
-        raw = self.get("band", "0.005,0.02")
-        if isinstance(raw, str):
-            parts = raw.split(",")
-            if len(parts) != 2:
-                raise ValidationError("--band expects 'lo,hi'")
-            lo, hi = (float(p) for p in parts)
-        elif isinstance(raw, dict):
-            lo, hi = float(raw["lo"]), float(raw["hi"])
-        else:
-            lo, hi = (float(v) for v in raw)
-        return VolBand(lo, hi)
+        return VolBand(*self.get("band"))
 
     def rate_params(self):
         """Either explicit (mu, r0) parameters or a calibrated curve."""
         curve_path = self.get("curve")
-        alpha = float(self.get("alpha", 1.0))
-        if curve_path:
+        alpha = self.get("alpha")
+        if curve_path is not None:
             model = calibrate(ingest_forward_curve(curve_path), alpha)
             return model.rate_params(), model
-        params = RateParams(
-            r0=float(self.get("r0", 0.02)),
-            alpha=alpha,
-            mu=float(self.get("mu", 0.0)),
-        )
-        return params, None
+        return RateParams(r0=self.get("r0"), alpha=alpha, mu=self.get("mu")), None
 
     def mc_config(self, horizon: float) -> McConfig:
         return McConfig(
-            n_paths=int(self.get("paths", 100_000)),
-            n_steps=int(self.get("steps", 512)),
+            n_paths=self.get("paths"),
+            n_steps=self.get("steps"),
             horizon=horizon,
-            base_seed=int(self.get("seed", 0)),
-            antithetic=_to_bool(self.get("antithetic", True)),
+            base_seed=self.get("seed"),
+            antithetic=self.get("antithetic"),
         )
 
-    def scenarios(self, band: VolBand, horizon: float, n_constant: int, n_switching: int):
+    def scenarios(self, band: VolBand, horizon: float):
         fam_path = self.get("scenarios")
         if fam_path:
             with open(fam_path, "r", encoding="utf-8") as fh:
@@ -129,35 +198,27 @@ class _Config:
             return family
         return default_scenario_family(
             band,
-            n_constant=int(self.get("n_constant", n_constant)),
-            n_switching=int(self.get("n_switching", n_switching)),
-            seed=int(self.get("seed", 0)),
+            n_constant=self.get("n_constant"),
+            n_switching=self.get("n_switching"),
+            seed=self.get("seed"),
             horizon=horizon,
         )
-
-
-def _parse_maturities(cfg: _Config) -> list[float]:
-    raw = cfg.get("maturities", "1,2,3,4,5,6,7,8,9,10")
-    if isinstance(raw, str):
-        return [float(p) for p in raw.split(",") if p.strip()]
-    return [float(v) for v in raw]
 
 
 def cmd_simulate(cfg: _Config) -> int:
     band = cfg.band()
     params, _ = cfg.rate_params()
-    horizon = float(cfg.get("horizon", 1.0))
-    grid = TimeGrid(horizon, int(cfg.get("steps", 512)))
-    scen_value = cfg.get("sigma")
-    scenario = Constant(float(scen_value)) if scen_value is not None else Constant(band.sigma_hi)
+    grid = TimeGrid(cfg.get("horizon"), cfg.get("steps"))
+    sigma = cfg.get("sigma")
+    scenario = Constant(band.sigma_hi if sigma is None else sigma)
     bundle = simulate_bundle(
         scenario, band, grid, params,
-        seed=int(cfg.get("seed", 0)),
-        n_paths=int(cfg.get("paths", 1)),
-        dynamics=str(cfg.get("dynamics", "shifted")),
+        seed=cfg.get("seed"),
+        n_paths=cfg.get("paths"),
+        dynamics=cfg.get("dynamics"),
     )
     with _output(cfg.get("out")) as fh:
-        bundle.write_csv(fh, path_index=int(cfg.get("path_index", 0)))
+        bundle.write_csv(fh, path_index=cfg.get("path_index"))
     return EXIT_OK
 
 
@@ -167,10 +228,9 @@ def cmd_price(cfg: _Config) -> int:
     the lower price and the top the upper)."""
     band = cfg.band()
     params, model = cfg.rate_params()
-    maturities = _parse_maturities(cfg)
     with _output(cfg.get("out")) as fh:
         fh.write("T,price_lower,price_robust,price_upper\n")
-        for T in maturities:
+        for T in cfg.get("maturities"):
             if model is not None:
                 robust = fitted_price(model, 0.0, T, model.r0, 0.0)
             else:
@@ -188,10 +248,9 @@ def cmd_price(cfg: _Config) -> int:
 def cmd_gap(cfg: _Config) -> int:
     band = cfg.band()
     params, _ = cfg.rate_params()
-    T = float(cfg.get("maturity", 1.0))
+    T = cfg.get("maturity")
     mc = cfg.mc_config(T)
-    # 20-member default family: constant grid, bang-bang pair, switching
-    family = cfg.scenarios(band, T, n_constant=12, n_switching=6)
+    family = cfg.scenarios(band, T)
     report = noarb_gap(params, band, T, family, mc)
     payload = {
         "upper": report.upper,
@@ -227,16 +286,12 @@ def cmd_gap(cfg: _Config) -> int:
 def cmd_verify(cfg: _Config) -> int:
     band = cfg.band()
     params, _ = cfg.rate_params()
-    T = float(cfg.get("maturity", 1.0))
+    T = cfg.get("maturity")
     mc = cfg.mc_config(T)
-    raw = cfg.get("checkpoints", "0.25,0.5,0.75,1.0")
-    checkpoints = (
-        [float(p) for p in raw.split(",")] if isinstance(raw, str) else [float(v) for v in raw]
+    family = cfg.scenarios(band, T)
+    reports = martingale_check(
+        params, band, family, T, cfg.get("checkpoints"), mc, dynamics=cfg.get("dynamics")
     )
-    # 5-member default family: both edges, the midpoint, two bang-bang
-    family = cfg.scenarios(band, T, n_constant=3, n_switching=0)
-    dynamics = str(cfg.get("dynamics", "shifted"))
-    reports = martingale_check(params, band, family, T, checkpoints, mc, dynamics=dynamics)
     any_fail = False
     with _output(cfg.get("out")) as fh:
         fh.write("scenario,t,mean,se,ref,pass\n")
@@ -255,9 +310,8 @@ def cmd_calibrate(cfg: _Config) -> int:
     curve_path = cfg.get("curve")
     if not curve_path:
         raise ValidationError("calibrate needs --curve <file>")
-    model = calibrate(ingest_forward_curve(curve_path), float(cfg.get("alpha", 1.0)))
-    maturities = _parse_maturities(cfg)
-    report = initial_curve_roundtrip(model, maturities)
+    model = calibrate(ingest_forward_curve(curve_path), cfg.get("alpha"))
+    report = initial_curve_roundtrip(model, cfg.get("maturities"))
     with _output(cfg.get("out")) as fh:
         fh.write("T,P_model,P_curve,abs_error\n")
         for row in report.rows:
@@ -295,12 +349,12 @@ def _payoff(name: str):
 
 def cmd_gheat(cfg: _Config) -> int:
     band = cfg.band()
-    t = float(cfg.get("horizon", 1.0))
-    phi = _payoff(str(cfg.get("phi", "square")))
+    t = cfg.get("horizon")
+    phi = _payoff(cfg.get("phi"))
     grid = _terminal_grid(
         band, t, 0.0,
-        nodes_per_width=int(cfg.get("nodes_per_width", 100)),
-        pad_widths=float(cfg.get("pad_widths", 8.0)),
+        nodes_per_width=cfg.get("nodes_per_width"),
+        pad_widths=cfg.get("pad_widths"),
     )
     out = cfg.get("out")
     # one solve: with --out it also keeps eight slices for the dump
@@ -328,78 +382,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-        p.add_argument("--out", help="output path ('-' for stdout)")
-        p.add_argument("--band", help="volatility band as 'lo,hi' (default 0.005,0.02)")
-        p.add_argument("--alpha", type=float, help="mean-reversion speed (default 1.0)")
-        p.add_argument("--paths", type=int, help="Monte Carlo paths (default 100000)")
-        p.add_argument("--steps", type=int, help="time steps (default 512)")
-        p.add_argument("--r0", type=float, help="initial short rate (default 0.02)")
-        p.add_argument("--mu", type=float, help="constant reversion level (default 0)")
-        p.add_argument("--curve", help="forward-curve CSV/JSON file (replaces r0/mu)")
-        p.add_argument("--horizon", type=float, help="simulation horizon in years")
-        p.add_argument("--scenarios", help="scenario-family JSON file")
-        p.add_argument("--antithetic", type=_to_bool,
-                       help="antithetic path pairing: true/false, 1/0 or yes/no (default true)")
-
-    p = sub.add_parser("simulate", help="simulate one scenario and dump a path CSV")
-    common(p)
-    p.add_argument("--sigma", type=float, help="constant scenario volatility (default band top)")
-    p.add_argument("--dynamics", choices=["original", "shifted"])
-    p.add_argument("--path-index", dest="path_index", type=int)
-
-    p = sub.add_parser("price", help="term structure with uncertainty band")
-    common(p)
-    p.add_argument("--maturities", help="comma-separated maturities (default 1..10)")
-
-    p = sub.add_parser("gap", help="no-arbitrage gap report (JSON)")
-    common(p)
-    p.add_argument("--maturity", type=float, help="bond maturity (default 1.0)")
-    p.add_argument("--n-constant", dest="n_constant", type=int)
-    p.add_argument("--n-switching", dest="n_switching", type=int)
-
-    p = sub.add_parser("verify", help="martingale verification report (CSV)")
-    common(p)
-    p.add_argument("--maturity", type=float, help="bond maturity (default 1.0)")
-    p.add_argument("--checkpoints", help="comma-separated checkpoint times")
-    p.add_argument("--dynamics", choices=["original", "shifted"],
-                   help="'original' is the adversarial power fixture")
-    p.add_argument("--n-constant", dest="n_constant", type=int)
-    p.add_argument("--n-switching", dest="n_switching", type=int)
-
-    p = sub.add_parser("calibrate", help="fit to a forward curve and report the round trip")
-    common(p)
-    p.add_argument("--maturities", help="comma-separated report maturities")
-
-    p = sub.add_parser("gheat", help="solve the nonlinear band heat equation")
-    common(p)
-    p.add_argument("--phi", help="payoff: square|negsquare|relu|abs|identity|call:K|const:c")
-    p.add_argument("--nodes-per-width", dest="nodes_per_width", type=int)
-    p.add_argument("--pad-widths", dest="pad_widths", type=float)
-
+    for command, (_, text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, (convert, default, help_text) in _OPTIONS.items():
+            if name in names:
+                default = _COMMAND_DEFAULTS.get(command, {}).get(name, default)
+                if default is not None:
+                    help_text = f"{help_text} (default {default})"
+                p.add_argument("--" + name.replace("_", "-"), dest=name, type=convert,
+                               help=help_text)
     return parser
 
 
+_IO = ("config", "out")
+_RATES = _IO + ("band", "curve", "alpha", "r0", "mu")
+_MC = ("maturity", "paths", "steps", "seed", "antithetic", "scenarios", "n_constant", "n_switching")
+
+#: command -> (function, help, the options it reads)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "price": cmd_price,
-    "gap": cmd_gap,
-    "verify": cmd_verify,
-    "calibrate": cmd_calibrate,
-    "gheat": cmd_gheat,
+    "simulate": (cmd_simulate, "simulate one scenario and dump a path CSV",
+                 _RATES + ("horizon", "steps", "seed", "paths", "sigma", "dynamics", "path_index")),
+    "price": (cmd_price, "term structure with uncertainty band", _RATES + ("maturities",)),
+    "gap": (cmd_gap, "no-arbitrage gap report (JSON)", _RATES + _MC),
+    "verify": (cmd_verify, "martingale verification report (CSV)",
+               _RATES + _MC + ("checkpoints", "dynamics")),
+    "calibrate": (cmd_calibrate, "fit to a forward curve and report the round trip",
+                  _IO + ("curve", "alpha", "maturities")),
+    "gheat": (cmd_gheat, "solve the nonlinear band heat equation",
+              _IO + ("band", "horizon", "phi", "nodes_per_width", "pad_widths")),
 }
+
+#: the defaults that differ from _OPTIONS by command; verify's 5-member
+#: default family holds both edges, the midpoint and two bang-bang scenarios
+_COMMAND_DEFAULTS = {"simulate": {"paths": 1}, "verify": {"n_constant": 3, "n_switching": 0}}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _Config(args)
-        return _COMMANDS[args.command](cfg)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        # ValidationError subclasses ValueError; bare ValueError also covers
-        # malformed numeric fields in config files
+        return _COMMANDS[args.command][0](_Config(args))
+    except (ValueError, OSError) as exc:
+        # ValidationError, JSONDecodeError and a bad call:K strike are all
+        # ValueErrors; OSError is a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

@@ -41,10 +41,7 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
-        if self.n_steps < 1:
-            raise ValidationError("n_steps must be >= 1")
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise ValidationError("horizon must be finite and > 0")
+        TimeGrid(self.horizon, self.n_steps)  # validates horizon and n_steps
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling needs an even n_paths")
 
@@ -96,12 +93,11 @@ def _chunk_bundles(
     spec: ScenarioSpec, band: VolBand, grid: TimeGrid, cfg: McConfig,
     params: Optional[RateParams], dynamics: str,
 ) -> Iterator[PathBundle]:
-    """Validate ``spec``, then yield its simulated bundle chunk by chunk.
+    """Yield the bundle of ``spec`` chunk by chunk; ``_simulate`` validates it.
 
     This is the one seeding rule: chunk ``c`` holds up to ``CHUNK_PATHS``
     paths, draws from ``SeedSequence(base_seed, spawn_key=(c,))`` and keys
     the scenario's own switching noise with ``c``."""
-    spec.validate(band)
     for ci, start in enumerate(range(0, cfg.n_paths, CHUNK_PATHS)):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.base_seed, spawn_key=(ci,))

@@ -45,6 +45,15 @@ class TestIngest:
         curve = ingest_forward_curve(io.StringIO(json.dumps({"knots": [[0, 0.01], [5, 0.02]]})))
         assert curve.value(0.0) == 0.01
 
+    def test_string_is_always_a_path(self, tmp_path):
+        text = "T,f\n0,0.02\n10,0.02\n"
+        with pytest.raises(FileNotFoundError):
+            ingest_forward_curve(text)
+        path = tmp_path / "flat.csv"
+        path.write_text(text)
+        assert ingest_forward_curve(str(path)).value(1.0) == 0.02
+        assert ingest_forward_curve(path).value(1.0) == 0.02
+
     def test_duplicate_maturity_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             ingest_forward_curve(io.StringIO("T,f\n0,0.01\n5,0.02\n5,0.03\n"))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -128,6 +129,13 @@ class TestCalibrateCmd:
     def test_missing_curve_is_validation_error(self):
         assert run_cli("calibrate") == 1
 
+    @pytest.mark.parametrize("command", ["price", "calibrate"])
+    def test_missing_curve_file_is_named(self, tmp_path, capsys, command):
+        missing = tmp_path / "no_such.csv"
+        assert run_cli(command, "--curve", str(missing)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file" in err and str(missing) in err
+
 
 class TestSimulate:
     def test_bit_identical_reruns(self, tmp_path):
@@ -229,6 +237,100 @@ class TestErrors:
         }))
         assert run_cli("gap", "--scenarios", str(fam), "--paths", "64", "--steps", "4") == 1
         assert "error: malformed scenario entry 1" in capsys.readouterr().err
+
+
+# options that each command accepted at one time but never read
+NOT_READ = {
+    "simulate": ["--antithetic", "--scenarios"],
+    "price": ["--seed", "--paths", "--steps", "--horizon", "--scenarios", "--antithetic"],
+    "gap": ["--horizon"],
+    "verify": ["--horizon"],
+    "calibrate": ["--seed", "--band", "--paths", "--steps", "--r0", "--mu", "--horizon",
+                  "--scenarios", "--antithetic"],
+    "gheat": ["--seed", "--alpha", "--paths", "--steps", "--r0", "--mu", "--curve",
+              "--scenarios", "--antithetic"],
+}
+
+# keeps a run short wherever these flags are accepted
+SMALL = {"gap": ["--paths", "64", "--steps", "4"], "verify": ["--paths", "64", "--steps", "4"]}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, flag, "1", *SMALL.get(command, [])]
+         for command, flags in NOT_READ.items() for flag in flags]
+        + [["price", "--maturities", "1,,2"], ["calibrate", "--maturities", ",1"],
+           ["verify", "--checkpoints", "0.5,,1"], ["verify", "--checkpoints", ""]],
+    )
+    def test_rejected_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("simulate", ["--steps", "4"]), ("price", []), ("gap", SMALL["gap"]),
+         ("verify", SMALL["verify"]), ("calibrate", ["--curve", "{curve}"]),
+         ("gheat", ["--nodes-per-width", "20"])],
+    )
+    def test_every_accepted_option_is_read(self, tmp_path, monkeypatch, flat_curve,
+                                           command, extra):
+        read = set()
+        get = _Config.get
+
+        def recording_get(self, key):
+            read.add(key)
+            return get(self, key)
+
+        monkeypatch.setattr(_Config, "get", recording_get)
+        extra = [arg.format(curve=flat_curve) for arg in extra]
+        assert run_cli(command, "--out", str(tmp_path / "out"), *extra) in (0, 3)
+        accepted = set(vars(build_parser().parse_args([command]))) - {"command"}
+        # --config is opened before any option is resolved, not through get
+        assert read == accepted - {"config"}
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [("gap", {"paths": True, "antithetic": False, "steps": 4}, "paths"),
+         ("gap", {"steps": 12.9, "paths": 64}, "steps"),
+         ("gap", {"n_constant": 2.5, "paths": 64, "steps": 4}, "n_constant"),
+         ("gap", {"alpha": True, "paths": 64, "steps": 4}, "alpha"),
+         ("price", {"maturities": "1,,2"}, "maturities"),
+         ("price", {"maturities": [1, "", 2]}, "maturities"),
+         ("verify", {"checkpoints": "0.5,,1", "paths": 64, "steps": 4}, "checkpoints"),
+         ("verify", {"checkpoints": [0.5, None], "paths": 64, "steps": 4}, "checkpoints"),
+         ("price", {"out": None}, "out"),
+         ("gap", {"pathz": 64, "paths": 64, "steps": 4}, "pathz")],
+    )
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, command, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(command, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
+
+    def test_config_keys_of_other_commands_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phi": "relu", "paths": 64, "maturities": [1.0, 1e1]}))
+        assert run_cli("price", "--config", str(cfg)) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["1", "10"]
+
+    @pytest.mark.parametrize(
+        "command, flag, default",
+        [("simulate", "--paths", "1"), ("gap", "--n-constant", "12"),
+         ("verify", "--n-constant", "3"), ("verify", "--n-switching", "0")],
+    )
+    def test_help_shows_the_command_default(self, capsys, command, flag, default):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        # the option's own entry, not its "[--flag METAVAR]" in the usage line
+        shown = re.search(rf"(?<!\[){flag} [A-Z_]+ [^(]*\(default ([^)]*)\)", text)
+        assert shown and shown.group(1) == default
 
 
 def test_console_entry_point_runs():
