@@ -34,7 +34,7 @@ from .mc import (
     _sublinear,
     scenario_functional_values,
 )
-from .paths import RateParams, TimeGrid
+from .paths import RateParams
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
@@ -106,14 +106,14 @@ class GapReport:
         return self.gap > 3.0 * self.gap_se
 
 
-def _check_interval(t: float, maturity: float) -> None:
-    if not (0.0 <= t <= maturity):
+def _check_interval(t, maturity: float) -> None:
+    if not (0.0 <= np.min(t) and np.max(t) <= maturity):
         raise ValidationError(f"need 0 <= t <= T, got t={t}, T={maturity}")
 
 
-def b_factor(alpha: float, t: float, maturity: float):
-    """Affine loading ``(1 - exp(-alpha (T-t))) / alpha``; series expansion
-    below ``alpha = 1e-8`` so the ``alpha -> 0`` limit ``T - t`` is exact."""
+def b_factor(alpha: float, t, maturity: float):
+    """Affine loading ``(1 - exp(-alpha (T-t))) / alpha`` at a time or an array of
+    times; series expansion below ``alpha = 1e-8`` so the limit ``T - t`` is exact."""
     _check_interval(t, maturity)
     if alpha <= 0:
         raise ValidationError("alpha must be > 0")
@@ -124,11 +124,12 @@ def b_factor(alpha: float, t: float, maturity: float):
     return -np.expm1(-alpha * delta) / alpha
 
 
-def _b_factor_vec(alpha: float, s: np.ndarray, maturity: float) -> np.ndarray:
-    return -np.expm1(-alpha * (maturity - s)) / alpha
+def _log_price(a, b, r, lam):
+    """The affine form ``A - B r - B^2 lam / 2`` of every log bond price."""
+    return a - b * r - 0.5 * b * b * lam
 
 
-def _simpson_segmented(f, t: float, maturity: float, breaks, panels: int) -> float:
+def _simpson_segmented(f, t: float, maturity: float, breaks, panels: int = DEFAULT_PANELS) -> float:
     """Composite Simpson over ``[t, T]``, with panels split at interior
     breakpoints so kinks of the integrand sit on segment boundaries."""
     cuts = sorted({t, maturity} | {float(c) for c in breaks if t < c < maturity})
@@ -146,67 +147,52 @@ def _simpson_segmented(f, t: float, maturity: float, breaks, panels: int) -> flo
     return out
 
 
-def a_robust(params: RateParams, t: float, maturity: float, panels: int = DEFAULT_PANELS) -> float:
+def a_robust(params: RateParams, t: float, maturity: float) -> float:
     """``-int_t^T mu(s) B(s,T) ds`` by composite Simpson."""
     _check_interval(t, maturity)
-    if t == maturity:
-        return 0.0
 
     def f(s):
-        return params.mu_at(s) * _b_factor_vec(params.alpha, s, maturity)
+        return -params.mu_at(s) * b_factor(params.alpha, s, maturity)
 
-    return -_simpson_segmented(f, t, maturity, params.mu_breakpoints, panels)
+    return _simpson_segmented(f, t, maturity, params.mu_breakpoints)
 
 
-def a_classical(
-    params: RateParams, sigma: float, t: float, maturity: float, panels: int = DEFAULT_PANELS
-) -> float:
-    """``int_t^T (sigma^2 B(s,T)^2 / 2 - mu(s) B(s,T)) ds`` by composite
-    Simpson; ``sigma = 0`` reduces it to :func:`a_robust`."""
-    _check_interval(t, maturity)
+def _b_squared_integral(params: RateParams, t: float, maturity: float) -> float:
+    """``V(t,T) = int_t^T B(s,T)^2 ds`` on the panels of :func:`a_robust`."""
+    return _simpson_segmented(
+        lambda s: b_factor(params.alpha, s, maturity) ** 2, t, maturity, params.mu_breakpoints
+    )
+
+
+def a_classical(params: RateParams, sigma: float, t: float, maturity: float) -> float:
+    """``int_t^T (sigma^2 B(s,T)^2 / 2 - mu(s) B(s,T)) ds``, built as
+    ``a_robust + sigma^2 V(t,T) / 2``; ``sigma = 0`` gives :func:`a_robust`."""
     if sigma < 0:
         raise ValidationError("sigma must be >= 0")
-    if t == maturity:
-        return 0.0
-
-    def f(s):
-        b = _b_factor_vec(params.alpha, s, maturity)
-        return 0.5 * sigma**2 * b**2 - params.mu_at(s) * b
-
-    return float(_simpson_segmented(f, t, maturity, params.mu_breakpoints, panels))
+    return a_robust(params, t, maturity) + 0.5 * sigma**2 * _b_squared_integral(params, t, maturity)
 
 
 def price_robust(
-    params: RateParams,
-    t: float,
-    maturity: float,
-    r_t: float,
-    lambda_t: float,
-    panels: int = DEFAULT_PANELS,
+    params: RateParams, t: float, maturity: float, r_t: float, lambda_t: float
 ) -> BondQuote:
     """Robust bond price; strictly decreasing in both ``r_t`` and
     ``lambda_t`` for ``t < T`` and exactly 1 at ``t = T``."""
-    _check_interval(t, maturity)
     if lambda_t < 0:
         raise ValidationError("lambda_t must be >= 0")
+    a = a_robust(params, t, maturity)
     b = b_factor(params.alpha, t, maturity)
-    a = a_robust(params, t, maturity, panels)
-    price = float(np.exp(a - b * r_t - 0.5 * b * b * lambda_t))
+    price = float(np.exp(_log_price(a, b, r_t, lambda_t)))
     return BondQuote(t=t, maturity=maturity, price=price)
 
 
 def price_classical_hw(
-    params: RateParams,
-    sigma: float,
-    t: float,
-    maturity: float,
-    r_t: float,
-    panels: int = DEFAULT_PANELS,
+    params: RateParams, sigma: float, t: float, maturity: float, r_t: float
 ) -> BondQuote:
     """Constant-volatility bond price ``exp(A_sigma - B r_t)``."""
+    a = a_classical(params, sigma, t, maturity)
     b = b_factor(params.alpha, t, maturity)
-    a = a_classical(params, sigma, t, maturity, panels)
-    return BondQuote(t=t, maturity=maturity, price=float(np.exp(a - b * r_t)))
+    price = float(np.exp(_log_price(a, b, r_t, 0.0)))
+    return BondQuote(t=t, maturity=maturity, price=price)
 
 
 def _ensure_extremes(band: VolBand, family: Sequence[ScenarioSpec]) -> list[ScenarioSpec]:
@@ -298,24 +284,24 @@ def martingale_check(
     non-degenerate band the edge scenarios must fail, which is the power
     check for this test.
     """
-    grid = TimeGrid(maturity, cfg.n_steps)
+    cfg = replace(cfg, horizon=maturity)
+    grid = cfg.grid
     cp = sorted(float(t) for t in checkpoints)
     cp_idx = [grid.index_of(t) for t in cp]  # rejects off-grid checkpoints
 
     times = grid.times
-    dt = grid.dt
     # affine coefficients along the grid (A is a quadrature per grid time)
-    b_vec = _b_factor_vec(params.alpha, times, maturity)
+    b_vec = b_factor(params.alpha, times, maturity)
     a_vec = np.array([a_robust(params, float(t), maturity) for t in times])
-    p0 = float(np.exp(a_vec[0] - b_vec[0] * params.r0))  # lam_0 = 0, D_0 = 1
+    p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))  # lam_0 = 0, D_0 = 1
 
     reports = []
     for spec, sid in zip(scenarios, _dedupe_ids(scenarios)):
         cp_vals = []
         path_sums = np.zeros(grid.n_steps + 1)
         terminal_err = 0.0
-        for bundle in _chunk_bundles(spec, band, grid, cfg, params, dynamics):
-            p_tilde = np.exp(a_vec - b_vec * bundle.r - 0.5 * b_vec**2 * bundle.lam - np.log(bundle.d))
+        for bundle in _chunk_bundles(spec, band, cfg, params, dynamics):
+            p_tilde = np.exp(_log_price(a_vec, b_vec, bundle.r, bundle.lam) - np.log(bundle.d))
             # centred on p0: sums of the small deviations keep their digits,
             # and the t = 0 column, equal to p0 on every path, stays exactly 0
             p_tilde -= p0
@@ -346,7 +332,7 @@ def martingale_check(
                 drift_intercept=intercept,
                 drift_intercept_se=intercept_se,
                 terminal_max_abs_error=terminal_err,
-                dt=dt,
+                dt=grid.dt,
             )
         )
     return reports

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .bonds import b_factor
+from .bonds import _log_price, b_factor
 from .errors import ValidationError
 from .paths import RateParams
 
@@ -202,7 +202,7 @@ def fitted_price(model: CalibratedModel, t: float, maturity: float, r_t: float, 
     if lambda_t < 0:
         raise ValidationError("lambda_t must be >= 0")
     b = b_factor(model.alpha, t, maturity)
-    return float(np.exp(a_fitted(model, t, maturity) - b * r_t - 0.5 * b * b * lambda_t))
+    return float(np.exp(_log_price(a_fitted(model, t, maturity), b, r_t, lambda_t)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .band import VolBand
-from .bonds import a_classical, a_robust, martingale_check, noarb_gap, price_robust
+from .bonds import _b_squared_integral, martingale_check, noarb_gap, price_robust
 from .calibration import (
     calibrate,
     fitted_price,
@@ -64,6 +64,13 @@ def _output(path: Optional[str]):
             yield fh
 
 
+def _to_str(value) -> str:
+    """Text from a flag or a JSON string; other JSON types are errors."""
+    if not isinstance(value, str):
+        raise ValidationError(f"expected a string, got {value!r}")
+    return value
+
+
 def _to_int(value) -> int:
     """Integer from a flag or a JSON number; booleans and fractions
     (``12.9``, ``"2.5"``) are errors, never truncated."""
@@ -104,10 +111,10 @@ def _to_band(value) -> tuple[float, float]:
 #: ``_COMMANDS`` says which command accepts which, ``_COMMAND_DEFAULTS`` where
 #: a command's default differs
 _OPTIONS = {
-    "config": (str, None, "JSON config file; flags override its values"),
-    "out": (str, None, "output path ('-' for stdout)"),
+    "config": (_to_str, None, "JSON config file; flags override its values"),
+    "out": (_to_str, None, "output path ('-' for stdout)"),
     "band": (_to_band, "0.005,0.02", "volatility band as 'lo,hi'"),
-    "curve": (str, None, "forward-curve CSV/JSON file (replaces r0/mu)"),
+    "curve": (_to_str, None, "forward-curve CSV/JSON file (replaces r0/mu)"),
     "alpha": (_to_float, 1.0, "mean-reversion speed"),
     "r0": (_to_float, 0.02, "initial short rate"),
     "mu": (_to_float, 0.0, "constant reversion level"),
@@ -119,14 +126,14 @@ _OPTIONS = {
     "maturity": (_to_float, 1.0, "bond maturity"),
     "maturities": (_to_floats, "1,2,3,4,5,6,7,8,9,10", "comma-separated maturities"),
     "checkpoints": (_to_floats, "0.25,0.5,0.75,1.0", "comma-separated checkpoint times"),
-    "scenarios": (str, None, "scenario-family JSON file (replaces the default family)"),
+    "scenarios": (_to_str, None, "scenario-family JSON file (replaces the default family)"),
     # gap's 20-member default family: constant grid, bang-bang pair, switching
     "n_constant": (_to_int, 12, "constant scenarios in the default family"),
     "n_switching": (_to_int, 6, "random-switching scenarios in the default family"),
     "sigma": (_to_float, None, "constant scenario volatility (default band top)"),
-    "dynamics": (str, "shifted", "shifted, or original (the adversarial power fixture)"),
+    "dynamics": (_to_str, "shifted", "shifted, or original (the adversarial power fixture)"),
     "path_index": (_to_int, 0, "index of the path written"),
-    "phi": (str, "square", "payoff: square|negsquare|relu|abs|identity|call:K|const:c"),
+    "phi": (_to_str, "square", "payoff: square|negsquare|relu|abs|identity|call:K|const:c"),
     "nodes_per_width": (_to_int, 100, "PDE grid nodes per band width"),
     "pad_widths": (_to_float, 8.0, "PDE grid padding in band widths"),
 }
@@ -154,14 +161,13 @@ class _Config:
         for name in names:
             convert, default, _ = _OPTIONS[name]
             value = getattr(args, name)  # a given flag is already converted
-            if value is None:
-                value = doc[name] if name in doc else defaults.get(name, default)
-                if value is None and name in doc:
-                    raise ValidationError(f"config key '{name}' is null")
+            if value is None and name in doc:
                 try:
-                    value = None if value is None else convert(value)
+                    value = convert(doc[name])  # every converter rejects null
                 except ValueError as exc:
                     raise ValidationError(f"config key '{name}': {exc}") from None
+            elif value is None and default is not None:
+                value = convert(defaults.get(name, default))
             self._values[name] = value
 
     def get(self, key: str):
@@ -236,11 +242,9 @@ def cmd_price(cfg: _Config) -> int:
             else:
                 robust = price_robust(params, 0.0, T, params.r0, 0.0).price
             # classical intercept = robust intercept + sigma^2/2 * int B^2
-            base = a_robust(params, 0.0, T)
-            lower, upper = (
-                robust * float(np.exp(a_classical(params, sigma, 0.0, T) - base))
-                for sigma in (band.sigma_lo, band.sigma_hi)
-            )
+            v = _b_squared_integral(params, 0.0, T)
+            lower = robust * float(np.exp(0.5 * band.sigma_lo**2 * v))
+            upper = robust * float(np.exp(0.5 * band.sigma_hi**2 * v))
             fh.write(f"{_fmt(T)},{_fmt(lower)},{_fmt(robust)},{_fmt(upper)}\n")
     return EXIT_OK
 
@@ -389,9 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
                 default = _COMMAND_DEFAULTS.get(command, {}).get(name, default)
                 if default is not None:
                     help_text = f"{help_text} (default {default})"
-                p.add_argument("--" + name.replace("_", "-"), dest=name, type=convert,
-                               help=help_text)
+                p.add_argument("--" + name.replace("_", "-"), dest=name,
+                               type=_flag_type(convert), help=help_text)
     return parser
+
+
+def _flag_type(convert):
+    """The converter as an argparse ``type`` that reports its own message."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 _IO = ("config", "out")

@@ -20,7 +20,7 @@ evaluation point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, sqrt
 from typing import Callable, Optional, TextIO, Union
 
@@ -80,9 +80,9 @@ class Grid1D:
         """Grid with ``nt`` raised until ``sigma_hi^2 dt / dx^2 <= cfl``."""
         if not (0 < cfl <= 1.0):
             raise ValidationError("cfl must be in (0, 1]")
-        dx = (x_max - x_min) / (nx - 1)
-        nt_min = ceil(band.sigma_hi**2 * t_final / (cfl * dx**2))
-        return cls(x_min, x_max, nx, t_final, max(nt, nt_min, 1))
+        grid = cls(x_min, x_max, nx, t_final, max(nt, 1))
+        nt_min = ceil(band.sigma_hi**2 * t_final / (cfl * grid.dx**2))
+        return replace(grid, nt=max(grid.nt, nt_min))
 
 
 @dataclass

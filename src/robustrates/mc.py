@@ -76,6 +76,8 @@ class SublinearEstimate:
 
 
 def _dedupe_ids(scenarios: Sequence[ScenarioSpec]) -> list[str]:
+    if not scenarios:
+        raise ValidationError("scenario family is empty")
     seen: dict[str, int] = {}
     ids = []
     for s in scenarios:
@@ -90,7 +92,7 @@ def _dedupe_ids(scenarios: Sequence[ScenarioSpec]) -> list[str]:
 
 
 def _chunk_bundles(
-    spec: ScenarioSpec, band: VolBand, grid: TimeGrid, cfg: McConfig,
+    spec: ScenarioSpec, band: VolBand, cfg: McConfig,
     params: Optional[RateParams], dynamics: str,
 ) -> Iterator[PathBundle]:
     """Yield the bundle of ``spec`` chunk by chunk; ``_simulate`` validates it.
@@ -103,7 +105,7 @@ def _chunk_bundles(
             np.random.SeedSequence(entropy=cfg.base_seed, spawn_key=(ci,))
         )
         yield _simulate(
-            spec, band, grid, rng, min(CHUNK_PATHS, cfg.n_paths - start),
+            spec, band, cfg.grid, rng, min(CHUNK_PATHS, cfg.n_paths - start),
             params=params, dynamics=dynamics,
             antithetic=cfg.antithetic, switch_key=ci,
         )
@@ -130,14 +132,12 @@ def scenario_functional_values(
     random numbers.  With ``cfg.antithetic`` each returned entry is the
     average over one antithetic pair (so entries stay independent and the
     usual ``std/sqrt(n)`` error applies)."""
-    if not family:
-        raise ValidationError("scenario family is empty")
     ids = _dedupe_ids(family)
     out: list[np.ndarray] = []
     for spec, sid in zip(family, ids):
         pieces = []
         offset = 0
-        for bundle in _chunk_bundles(spec, band, cfg.grid, cfg, params, dynamics):
+        for bundle in _chunk_bundles(spec, band, cfg, params, dynamics):
             m = bundle.n_paths
             vals = np.asarray(functional(bundle), dtype=float)
             if vals.shape != (m,):

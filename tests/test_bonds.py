@@ -19,7 +19,7 @@ from robustrates import (
     price_classical_hw,
     price_robust,
 )
-from robustrates.bonds import _b_factor_vec
+from robustrates.bonds import _simpson_segmented
 
 BAND = VolBand(0.005, 0.02)
 PARAMS = RateParams(r0=0.02, alpha=1.0, mu=0.0)
@@ -65,6 +65,17 @@ class TestBFactor:
         if dt > 1e-6:
             assert b_factor(alpha, t + dt / 2, T) <= b + 1e-15
 
+    @pytest.mark.parametrize("alpha", [1e-12, 0.3, 1.0])
+    def test_array_matches_scalar_calls(self, alpha):
+        times = np.linspace(0.0, 2.0, 17)
+        expected = [b_factor(alpha, float(t), 2.0) for t in times]
+        assert b_factor(alpha, times, 2.0).tolist() == expected
+
+    @pytest.mark.parametrize("bad", [-1e-3, 2.0 + 1e-9, np.nan])
+    def test_array_with_a_time_outside_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            b_factor(1.0, np.array([0.0, bad, 1.0]), 2.0)
+
 
 class TestIntercepts:
     def test_a_robust_zero_mu(self):
@@ -80,7 +91,8 @@ class TestIntercepts:
         params = RateParams(r0=0.0, alpha=2.0, mu=lambda s: 0.01 * np.cos(2.0 * s))
         ref, _ = quad(lambda s: 0.01 * np.cos(2 * s) * (1 - np.exp(-2 * (3.0 - s))) / 2.0, 0.5, 3.0)
         assert a_robust(params, 0.5, 3.0) == pytest.approx(-ref, abs=5e-11)
-        assert a_robust(params, 0.5, 3.0, panels=512) == pytest.approx(-ref, abs=1e-13)
+        f = lambda s: params.mu_at(s) * b_factor(params.alpha, s, 3.0)
+        assert -_simpson_segmented(f, 0.5, 3.0, (), 512) == pytest.approx(-ref, abs=1e-13)
 
     def test_a_classical_reduces_at_zero_sigma(self):
         params = RateParams(r0=0.02, alpha=1.0, mu=0.017)
@@ -228,6 +240,10 @@ class TestMartingale:
         for rep in reports:
             assert not rep.all_pass, rep.scenario_id
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValidationError, match="scenario family is empty"):
+            martingale_check(PARAMS, BAND, [], 1.0, [0.5], self.CFG)
+
     def test_off_grid_checkpoint_rejected(self):
         with pytest.raises(ValidationError):
             martingale_check(PARAMS, BAND, self.SCEN, 1.0, [0.3], self.CFG)
@@ -242,7 +258,7 @@ class TestMartingale:
         cfg = McConfig(n_paths=16_384, n_steps=128, horizon=1.0, base_seed=0, antithetic=True)
         times = cfg.grid.times
         k = cfg.grid.index_of(0.5)
-        b_vec = _b_factor_vec(PARAMS.alpha, times, 1.0)
+        b_vec = b_factor(PARAMS.alpha, times, 1.0)
         a_vec = np.array([a_robust(PARAMS, float(t), 1.0) for t in times])
 
         def discounted_price(bundle):

@@ -9,6 +9,7 @@ import pytest
 
 import robustrates.cli
 import robustrates.gheat
+from robustrates import RateParams, price_classical_hw
 from robustrates.cli import _Config, build_parser, main
 
 
@@ -51,6 +52,16 @@ class TestPrice:
         assert run_cli("price", "--band", "0.01,0.01", "--maturities", "1,5", "--out", str(out)) == 0
         for row in read_csv(out):
             assert row["price_lower"] == row["price_upper"]
+
+    def test_edges_are_the_classical_prices(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run_cli("price", "--mu", "0.03", "--alpha", "0.3", "--out", str(out)) == 0
+        params = RateParams(r0=0.02, alpha=0.3, mu=0.03)
+        for row in read_csv(out):
+            T = float(row["T"])
+            for column, sigma in (("price_lower", 0.005), ("price_upper", 0.02)):
+                expected = price_classical_hw(params, sigma, 0.0, T, 0.02).price
+                assert abs(float(row[column]) - expected) <= 4 * np.spacing(expected)
 
     def test_output_round_trips_17_digits(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -238,6 +249,16 @@ class TestErrors:
         assert run_cli("gap", "--scenarios", str(fam), "--paths", "64", "--steps", "4") == 1
         assert "error: malformed scenario entry 1" in capsys.readouterr().err
 
+    def test_empty_scenario_file_exits_1(self, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"band": {"lo": 0.005, "hi": 0.02}, "scenarios": []}))
+        assert run_cli("verify", "--scenarios", str(fam), "--paths", "64", "--steps", "4") == 1
+        assert "error: scenario family is empty" in capsys.readouterr().err
+
+    def test_degenerate_pde_grid_exits_1(self, capsys):
+        assert run_cli("gheat", "--pad-widths", "0") == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 # options that each command accepted at one time but never read
 NOT_READ = {
@@ -261,7 +282,8 @@ class TestOptionTable:
         [[command, flag, "1", *SMALL.get(command, [])]
          for command, flags in NOT_READ.items() for flag in flags]
         + [["price", "--maturities", "1,,2"], ["calibrate", "--maturities", ",1"],
-           ["verify", "--checkpoints", "0.5,,1"], ["verify", "--checkpoints", ""]],
+           ["verify", "--checkpoints", "0.5,,1"], ["verify", "--checkpoints", ""],
+           ["gap", "--paths", "2.5"], ["gap", "--band", "1"], ["gap", "--antithetic", "maybe"]],
     )
     def test_rejected_by_the_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -302,7 +324,9 @@ class TestOptionTable:
          ("verify", {"checkpoints": "0.5,,1", "paths": 64, "steps": 4}, "checkpoints"),
          ("verify", {"checkpoints": [0.5, None], "paths": 64, "steps": 4}, "checkpoints"),
          ("price", {"out": None}, "out"),
-         ("gap", {"pathz": 64, "paths": 64, "steps": 4}, "pathz")],
+         ("gap", {"pathz": 64, "paths": 64, "steps": 4}, "pathz"),
+         ("price", {"out": 5}, "out"),
+         ("gheat", {"phi": 1}, "phi")],
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, command, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -310,6 +334,27 @@ class TestOptionTable:
         assert run_cli(command, "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}'" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["price", "--maturities", "1,,2"], "could not convert string to float: ''"),
+         (["gap", "--paths", "2.5"], "invalid literal for int() with base 10: '2.5'"),
+         (["gap", "--band", "1"], "band expects 'lo,hi', got '1'"),
+         (["gap", "--antithetic", "maybe"], "expected true/false, 1/0 or yes/no, got 'maybe'")],
+        ids=["maturities", "paths", "band", "antithetic"],
+    )
+    def test_rejected_flag_shows_the_converter_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit):
+            run_cli(*argv)
+        flag = argv[1]
+        assert f"error: argument {flag}: {message}\n" in capsys.readouterr().err
+
+    def test_config_text_option_must_be_a_string(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": 5}))
+        assert run_cli("price", "--config", "cfg.json") == 1
+        assert "error: config key 'out': expected a string, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "5").exists()
 
     def test_config_keys_of_other_commands_are_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -123,6 +123,11 @@ class TestGridAndFailures:
         assert grid.cfl_number(BAND) <= 0.5 + 1e-12
         assert grid.nt > 1
 
+    @pytest.mark.parametrize("x_max, nx", [(0.0, 4), (1.0, 1)])
+    def test_with_cfl_validates_before_dividing(self, x_max, nx):
+        with pytest.raises(ValidationError):
+            Grid1D.with_cfl(BAND, 0.0, x_max, nx, 1.0)
+
     def test_bypassed_cfl_aborts(self):
         grid = Grid1D(-0.1, 0.1, 201, 1.0, nt=10)  # wildly unstable on purpose
         assert grid.cfl_number(BAND) > 1.0
