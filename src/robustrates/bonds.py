@@ -28,13 +28,15 @@ from .errors import ValidationError
 from .mc import (
     McConfig,
     _chunk_bundles,
+    _chunks,
     _dedupe_ids,
     _mean_se,
+    _non_finite,
     _pair_means,
     _sublinear,
     scenario_functional_values,
 )
-from .paths import RateParams
+from .paths import RateParams, _check_interval, _discount_factors, b_factor
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
@@ -104,24 +106,6 @@ class GapReport:
     @property
     def significant(self) -> bool:
         return self.gap > 3.0 * self.gap_se
-
-
-def _check_interval(t, maturity: float) -> None:
-    if not (0.0 <= np.min(t) and np.max(t) <= maturity):
-        raise ValidationError(f"need 0 <= t <= T, got t={t}, T={maturity}")
-
-
-def b_factor(alpha: float, t, maturity: float):
-    """Affine loading ``(1 - exp(-alpha (T-t))) / alpha`` at a time or an array of
-    times; series expansion below ``alpha = 1e-8`` so the limit ``T - t`` is exact."""
-    _check_interval(t, maturity)
-    if alpha <= 0:
-        raise ValidationError("alpha must be > 0")
-    delta = maturity - t
-    if alpha < 1e-8:
-        x = alpha * delta
-        return delta * (1.0 - x / 2.0 + x * x / 6.0)
-    return -np.expm1(-alpha * delta) / alpha
 
 
 def _log_price(a, b, r, lam):
@@ -208,6 +192,23 @@ def discount_factor(bundle) -> np.ndarray:
     return 1.0 / bundle.d[:, -1]
 
 
+def _streamed_discounts(params, band, scenarios, ids, cfg) -> list:
+    """``scenario_functional_values(discount_factor, ...)`` of non-adaptive
+    members under the original dynamics, bit for bit, with all of them
+    stepped together on each chunk's one shared draw and no stored paths."""
+    pieces = [[] for _ in scenarios]
+    offset = 0
+    for ci, rng, m in _chunks(cfg):
+        disc = _discount_factors(scenarios, band, cfg.grid, rng, m, params, cfg.antithetic, ci)
+        for sid, vals, out in zip(ids, disc, pieces):
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                raise _non_finite(sid, offset + int(np.argmax(bad)))
+            out.append(_pair_means(vals, cfg.antithetic))
+        offset += m
+    return [np.concatenate(p) for p in pieces]
+
+
 def noarb_gap(
     params: RateParams,
     band: VolBand,
@@ -221,9 +222,17 @@ def noarb_gap(
     included regardless of the supplied family."""
     cfg = replace(cfg, horizon=maturity)
     scenarios = _ensure_extremes(band, family)
-    ids, values = scenario_functional_values(
-        discount_factor, band, scenarios, cfg, params=params, dynamics="original"
+    ids = _dedupe_ids(scenarios)
+    for spec in scenarios:
+        spec.validate(band)  # before anything is drawn
+    tabled = [(s, sid) for s, sid in zip(scenarios, ids) if not s.is_adaptive]
+    streamed = iter(_streamed_discounts(params, band, *zip(*tabled), cfg))
+    # feedback rules read the path history, so they keep their bundles
+    ruled = [s for s in scenarios if s.is_adaptive]
+    ruled_values = iter(
+        scenario_functional_values(discount_factor, band, ruled, cfg, params)[1] if ruled else []
     )
+    values = [next(ruled_values if s.is_adaptive else streamed) for s in scenarios]
     est = _sublinear(ids, values)
     i_up = ids.index(est.argmax_scenario)
     i_lo = ids.index(est.argmin_scenario)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,16 +76,18 @@ def _to_int(value) -> int:
     (``12.9``, ``"2.5"``) are errors, never truncated."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValidationError(f"expected an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        with suppress(ValueError):
+            return int(value)
+    raise ValidationError(f"expected an integer, got {value!r}")
 
 
 def _to_float(value) -> float:
     """Number from a flag or a JSON number; booleans are errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValidationError(f"expected a number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        with suppress(ValueError, OverflowError):  # "x", 10**400
+            return float(value)
+    raise ValidationError(f"expected a number, got {value!r}")
 
 
 def _to_floats(value) -> list[float]:

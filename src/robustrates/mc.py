@@ -9,7 +9,9 @@ estimate to a single classical mean exactly.
 Seeding: paths are simulated in fixed-size chunks; the Gaussian stream of
 chunk ``c`` is derived from ``SeedSequence(base_seed, spawn_key=(c,))``.
 Results are therefore bit-identical across runs and independent of how
-scenarios are ordered or parallelized.
+scenarios are ordered or parallelized.  Every scenario draws the same
+normals on a chunk, so one draw may serve them all: ``noarb_gap`` steps its
+table-driven members together on each chunk's single draw.
 """
 
 from __future__ import annotations
@@ -91,24 +93,32 @@ def _dedupe_ids(scenarios: Sequence[ScenarioSpec]) -> list[str]:
     return ids
 
 
-def _chunk_bundles(
-    spec: ScenarioSpec, band: VolBand, cfg: McConfig,
-    params: Optional[RateParams], dynamics: str,
-) -> Iterator[PathBundle]:
-    """Yield the bundle of ``spec`` chunk by chunk; ``_simulate`` validates it.
-
-    This is the one seeding rule: chunk ``c`` holds up to ``CHUNK_PATHS``
-    paths, draws from ``SeedSequence(base_seed, spawn_key=(c,))`` and keys
-    the scenario's own switching noise with ``c``."""
+def _chunks(cfg: McConfig) -> Iterator[tuple[int, np.random.Generator, int]]:
+    """The one seeding rule, as ``(chunk index, generator, paths in chunk)``:
+    chunk ``c`` holds up to ``CHUNK_PATHS`` paths, draws from
+    ``SeedSequence(base_seed, spawn_key=(c,))`` and keys the scenarios' own
+    switching noise with ``c``."""
     for ci, start in enumerate(range(0, cfg.n_paths, CHUNK_PATHS)):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.base_seed, spawn_key=(ci,))
         )
+        yield ci, rng, min(CHUNK_PATHS, cfg.n_paths - start)
+
+
+def _chunk_bundles(
+    spec: ScenarioSpec, band: VolBand, cfg: McConfig,
+    params: Optional[RateParams], dynamics: str,
+) -> Iterator[PathBundle]:
+    """Yield the bundle of ``spec`` chunk by chunk; ``_simulate`` validates it."""
+    for ci, rng, m in _chunks(cfg):
         yield _simulate(
-            spec, band, cfg.grid, rng, min(CHUNK_PATHS, cfg.n_paths - start),
-            params=params, dynamics=dynamics,
+            spec, band, cfg.grid, rng, m, params=params, dynamics=dynamics,
             antithetic=cfg.antithetic, switch_key=ci,
         )
+
+
+def _non_finite(sid: str, path: int) -> NumericalError:
+    return NumericalError(f"non-finite functional value in scenario '{sid}' at path {path}")
 
 
 def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -147,11 +157,7 @@ def scenario_functional_values(
                 )
             bad = ~np.isfinite(vals)
             if bad.any():
-                idx = int(np.argmax(bad))
-                raise NumericalError(
-                    f"non-finite functional value in scenario '{sid}' "
-                    f"at path {offset + idx}"
-                )
+                raise _non_finite(sid, offset + int(np.argmax(bad)))
             pieces.append(_pair_means(vals, cfg.antithetic))
             offset += m
         out.append(np.concatenate(pieces))

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, TextIO, Union
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .band import VolBand
 from .errors import ValidationError
@@ -150,6 +149,24 @@ class PathBundle:
             )
 
 
+def _check_interval(t, maturity: float) -> None:
+    if not (0.0 <= np.min(t) and np.max(t) <= maturity):
+        raise ValidationError(f"need 0 <= t <= T, got t={t}, T={maturity}")
+
+
+def b_factor(alpha: float, t, maturity: float):
+    """Affine loading ``(1 - exp(-alpha (T-t))) / alpha`` at a time or an array of
+    times; series expansion below ``alpha = 1e-8`` so the limit ``T - t`` is exact."""
+    _check_interval(t, maturity)
+    if alpha <= 0:
+        raise ValidationError("alpha must be > 0")
+    delta = maturity - t
+    if alpha < 1e-8:
+        x = alpha * delta
+        return delta * (1.0 - x / 2.0 + x * x / 6.0)
+    return -np.expm1(-alpha * delta) / alpha
+
+
 def _mu_step_integrals(params: RateParams, grid: TimeGrid) -> np.ndarray:
     """Per-step ``int_{t_k}^{t_{k+1}} exp(-alpha (t_{k+1}-s)) mu(s) ds`` by
     two-point Gauss-Legendre."""
@@ -177,11 +194,10 @@ def _lam_step(lam_k, dqv_k, e2):
 def _rate_factors(params: RateParams, grid: TimeGrid) -> tuple:
     """Coefficients of the ``r`` recursion on ``grid``: the propagator
     ``exp(-alpha dt)``, the midpoint noise weight ``exp(-alpha dt / 2)``,
-    the drift weight of ``lam`` ``(1 - exp(-alpha dt)) / alpha`` and the
-    per-step ``mu`` integrals."""
+    the drift weight ``B(0, dt)`` of ``lam`` and the per-step ``mu`` integrals."""
     a, dt = params.alpha, grid.dt
     m_det = _mu_step_integrals(params, grid)
-    return np.exp(-a * dt), np.exp(-a * dt / 2.0), -np.expm1(-a * dt) / a, m_det
+    return np.exp(-a * dt), np.exp(-a * dt / 2.0), b_factor(a, 0.0, dt), m_det
 
 
 def _r_step(k: int, r_k, db_k, lam_k, factors: tuple):
@@ -193,6 +209,11 @@ def _r_step(k: int, r_k, db_k, lam_k, factors: tuple):
     return ea * r_k + drift + eh * db_k
 
 
+def _trapezoid(r_k, r_next, dt: float):
+    """One step's trapezoid increment of ``int r``."""
+    return dt * (r_next + r_k) / 2.0
+
+
 def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithetic: bool) -> np.ndarray:
     if not antithetic:
         return rng.standard_normal((n_paths, n_steps))
@@ -200,6 +221,15 @@ def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithet
         raise ValidationError("antithetic sampling needs an even number of paths")
     half = rng.standard_normal((n_paths // 2, n_steps))
     return np.vstack([half, -half])
+
+
+def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key) -> np.ndarray:
+    """The scenario's volatility table for one chunk, time-major, so step ``k``
+    reads the contiguous ``tab[k]``: ``(n_steps,)`` or ``(n_steps, n_paths)``.
+    An antithetic mate shares its partner's volatility path."""
+    n_draw = n_paths // 2 if antithetic else n_paths
+    tab = scenario.sigma_table(band, grid.step_times, grid.dt, n_draw, switch_key).T
+    return np.hstack([tab, tab]) if tab.ndim == 2 and antithetic else np.ascontiguousarray(tab)
 
 
 def _simulate(
@@ -225,13 +255,8 @@ def _simulate(
     sq = np.sqrt(dt)
     z = _draw_normals(rng, n_paths, n, antithetic)
 
-    sigma_tab = None
     if not scenario.is_adaptive:
-        n_draw = n_paths // 2 if antithetic else n_paths
-        tab = scenario.sigma_table(band, grid.step_times, dt, n_draw, switch_key)
-        if tab.ndim == 2 and antithetic:
-            tab = np.vstack([tab, tab])  # antithetic mate shares the volatility path
-        sigma_tab = tab
+        sigma_tab = _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key)
 
     sigma = np.empty((n_paths, n))
     b = np.zeros((n_paths, n + 1))
@@ -271,7 +296,7 @@ def _simulate(
                     f"(scenario {scenario.scenario_id})"
                 )
         else:
-            sig_k = sigma_tab[k] if sigma_tab.ndim == 1 else sigma_tab[:, k]
+            sig_k = sigma_tab[k]
 
         sigma[:, k] = sig_k
         db = sig_k * sq * z[:, k]
@@ -286,6 +311,27 @@ def _simulate(
     if with_rate:
         bundle.d = money_market(r, grid)
     return bundle
+
+
+def _discount_factors(scenarios, band, grid, rng, n_paths, params, antithetic, switch_key):
+    """``1 / D_T`` under the original dynamics of each non-adaptive scenario, all
+    on one shared draw; row ``i`` is ``_simulate``'s for ``scenarios[i]`` alone,
+    bit for bit.  The ``(scenarios, paths)`` state steps in time-major order and
+    keeps no history: ``r`` needs no ``b``, ``qv`` or ``lam``."""
+    sq = np.sqrt(grid.dt)
+    z = _draw_normals(rng, n_paths, grid.n_steps, antithetic).T.copy()  # time-major
+    tables = [_sigma_table(s, band, grid, n_paths, antithetic, switch_key) for s in scenarios]
+    factors = _rate_factors(params, grid)
+    sigma = np.empty((len(scenarios), n_paths))
+    r = np.full_like(sigma, params.r0)
+    integral = np.zeros_like(sigma)
+    for k in range(grid.n_steps):
+        for row, tab in zip(sigma, tables):
+            row[:] = tab[k]
+        r_next = _r_step(k, r, sigma * sq * z[k], None, factors)
+        integral += _trapezoid(r, r_next, grid.dt)
+        r = r_next
+    return 1.0 / np.exp(integral)
 
 
 def simulate_driver(
@@ -365,5 +411,6 @@ def short_rate_shifted(bundle: PathBundle, params: RateParams) -> np.ndarray:
 def money_market(r: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Account value ``exp(trapezoidal integral of r)``; starts at 1."""
     r = np.asarray(r, dtype=float)
-    integral = cumulative_trapezoid(r, dx=grid.dt, axis=-1, initial=0.0)
-    return np.exp(integral)
+    integral = np.zeros(r.shape)
+    np.cumsum(_trapezoid(r[..., :-1], r[..., 1:], grid.dt), axis=-1, out=integral[..., 1:])
+    return np.exp(integral, out=integral)

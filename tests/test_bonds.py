@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from robustrates import (
+    AdaptedFeedback,
     Constant,
     McConfig,
+    NumericalError,
+    PiecewiseConstant,
+    RandomSwitching,
     RateParams,
     ValidationError,
     VolBand,
@@ -13,13 +19,15 @@ from robustrates import (
     a_robust,
     b_factor,
     bang_bang,
+    discount_factor,
     estimate_sublinear,
     martingale_check,
     noarb_gap,
     price_classical_hw,
     price_robust,
 )
-from robustrates.bonds import _simpson_segmented
+from robustrates.bonds import _ensure_extremes, _simpson_segmented
+from robustrates.mc import CHUNK_PATHS, _mean_se, _sublinear, scenario_functional_values
 
 BAND = VolBand(0.005, 0.02)
 PARAMS = RateParams(r0=0.02, alpha=1.0, mu=0.0)
@@ -193,6 +201,76 @@ class TestNoArbGap:
         assert wider.closed_form_gap == pytest.approx(CF_GAP_WIDE, rel=1e-12)
         assert wider.closed_form_gap > narrow.closed_form_gap
         assert wider.gap > narrow.gap
+
+
+_MEMBERS = st.one_of(
+    st.sampled_from([0.005, 0.0125, 0.02]).map(Constant),
+    st.builds(
+        lambda t, v0, v1: PiecewiseConstant((t,), (v0, v1)),
+        st.floats(0.05, 0.95), st.sampled_from([0.005, 0.02]), st.sampled_from([0.01, 0.02]),
+    ),
+    st.builds(RandomSwitching, st.floats(0.0, 8.0), st.integers(0, 3)),
+    st.sampled_from(["driver_sign", "qv_chase"]).map(AdaptedFeedback),
+)
+
+
+class TestNoArbGapStreaming:
+    """``noarb_gap`` steps its table-driven members together on one shared
+    draw; its statistics must be those of the one-scenario-at-a-time bundles."""
+
+    @staticmethod
+    def reference(params, maturity, family, cfg):
+        cfg = replace(cfg, horizon=maturity)
+        ids, values = scenario_functional_values(
+            discount_factor, BAND, _ensure_extremes(BAND, family), cfg, params
+        )
+        est = _sublinear(ids, values)
+        up, lo = ids.index(est.argmax_scenario), ids.index(est.argmin_scenario)
+        gap_se = 0.0 if up == lo else float(_mean_se(values[up] - values[lo])[1])
+        return est.per_scenario, gap_se
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.lists(_MEMBERS, min_size=1, max_size=5),
+        n_dup=st.integers(0, 2),
+        antithetic=st.booleans(),
+        size=st.sampled_from(["two", "below", "above"]),
+        n_steps=st.integers(1, 6),
+        callable_mu=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_bundle_values(
+        self, family, n_dup, antithetic, size, n_steps, callable_mu, seed
+    ):
+        family = family + family[:n_dup]  # duplicates get deduplicated ids
+        delta = 2 if antithetic else 1
+        n_paths = {"two": 2, "below": CHUNK_PATHS - delta, "above": CHUNK_PATHS + delta}[size]
+        params = RateParams(r0=0.02, alpha=0.7, mu=(lambda s: 0.01 + 0.02 * s) if callable_mu else 0.03)
+        cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=seed, antithetic=antithetic)
+        rep = noarb_gap(params, BAND, 1.5, family, cfg)
+        per_scenario, gap_se = self.reference(params, 1.5, family, cfg)
+        assert rep.per_scenario == per_scenario
+        assert rep.gap_se == gap_se
+
+    def test_permuted_family_permutes_per_scenario(self):
+        family = [
+            Constant(0.005), Constant(0.02), Constant(0.0125), bang_bang(BAND, 1.0, 2),
+            RandomSwitching(3.0, 1), AdaptedFeedback("driver_sign"),
+        ]
+        cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=16, horizon=1.0, base_seed=8, antithetic=True)
+        order = [4, 2, 5, 0, 3, 1]
+        rep = noarb_gap(PARAMS, BAND, 1.0, family, cfg)
+        perm = noarb_gap(PARAMS, BAND, 1.0, [family[i] for i in order], cfg)
+        assert perm.per_scenario == tuple(rep.per_scenario[i] for i in order)
+        assert replace(perm, per_scenario=()) == replace(rep, per_scenario=())
+
+    def test_non_finite_discount_names_scenario_and_path(self):
+        params = RateParams(r0=-2000.0, alpha=1.0)
+        cfg = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=0)
+        with np.errstate(divide="ignore", over="ignore"), pytest.raises(
+            NumericalError, match=r"^non-finite functional value in scenario 'const\[0.01\]' at path 0$"
+        ):
+            noarb_gap(params, BAND, 1.0, [Constant(0.01)], cfg)
 
 
 class TestMartingale:

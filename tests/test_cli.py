@@ -10,7 +10,7 @@ import pytest
 import robustrates.cli
 import robustrates.gheat
 from robustrates import RateParams, price_classical_hw
-from robustrates.cli import _Config, build_parser, main
+from robustrates.cli import _OPTIONS, _Config, build_parser, main
 
 
 def run_cli(*argv):
@@ -326,7 +326,11 @@ class TestOptionTable:
          ("price", {"out": None}, "out"),
          ("gap", {"pathz": 64, "paths": 64, "steps": 4}, "pathz"),
          ("price", {"out": 5}, "out"),
-         ("gheat", {"phi": 1}, "phi")],
+         ("gheat", {"phi": 1}, "phi"),
+         ("gap", {"paths": "2.5", "steps": 4}, "paths"),
+         ("gap", {"paths": 2.5, "steps": 4}, "paths"),
+         ("gap", {"alpha": "x", "paths": 64, "steps": 4}, "alpha"),
+         ("gap", {"alpha": 10**400, "paths": 64, "steps": 4}, "alpha")],
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, command, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -334,14 +338,20 @@ class TestOptionTable:
         assert run_cli(command, "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}'" in err
+        if key in _OPTIONS:
+            # the flag's own converter message, e.g. "expected an integer, got '2.5'"
+            with pytest.raises(ValueError) as exc:
+                _OPTIONS[key][0](doc[key])
+            assert err == f"error: config key '{key}': {exc.value}\n"
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(["price", "--maturities", "1,,2"], "could not convert string to float: ''"),
-         (["gap", "--paths", "2.5"], "invalid literal for int() with base 10: '2.5'"),
+        [(["price", "--maturities", "1,,2"], "expected a number, got ''"),
+         (["gap", "--paths", "2.5"], "expected an integer, got '2.5'"),
          (["gap", "--band", "1"], "band expects 'lo,hi', got '1'"),
-         (["gap", "--antithetic", "maybe"], "expected true/false, 1/0 or yes/no, got 'maybe'")],
-        ids=["maturities", "paths", "band", "antithetic"],
+         (["gap", "--antithetic", "maybe"], "expected true/false, 1/0 or yes/no, got 'maybe'"),
+         (["gap", "--alpha", "x"], "expected a number, got 'x'")],
+        ids=["maturities", "paths", "band", "antithetic", "alpha"],
     )
     def test_rejected_flag_shows_the_converter_message(self, capsys, argv, message):
         with pytest.raises(SystemExit):

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 from robustrates import (
     Constant,
@@ -253,6 +253,13 @@ class TestMoneyMarket:
         rng = np.random.default_rng(0)
         r = rng.normal(0.02, 0.05, size=(20, 33))
         assert np.all(money_market(r, grid) > 0)
+
+    @pytest.mark.parametrize("shape", [(3, 17), (17,), (2048, 513)])
+    def test_bitwise_equal_to_scipy_trapezoid(self, shape):
+        grid = TimeGrid(1.3, shape[-1] - 1)
+        r = np.random.default_rng(1).normal(0.02, 0.05, size=shape)
+        expected = np.exp(cumulative_trapezoid(r, dx=grid.dt, axis=-1, initial=0.0))
+        assert money_market(r, grid).tobytes() == expected.tobytes()
 
 
 class TestBundleCsv:
