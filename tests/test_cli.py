@@ -343,6 +343,7 @@ class TestOptionTable:
             with pytest.raises(ValueError) as exc:
                 _OPTIONS[key][0](doc[key])
             assert err == f"error: config key '{key}': {exc.value}\n"
+            assert "invalid literal" not in err and "could not convert" not in err
 
     @pytest.mark.parametrize(
         "argv, message",
