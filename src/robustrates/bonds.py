@@ -31,8 +31,8 @@ from .mc import (
     _chunks,
     _dedupe_ids,
     _mean_se,
-    _non_finite,
     _pair_means,
+    _samples,
     _sublinear,
     scenario_functional_values,
 )
@@ -192,23 +192,6 @@ def discount_factor(bundle) -> np.ndarray:
     return 1.0 / bundle.d[:, -1]
 
 
-def _streamed_discounts(params, band, scenarios, ids, cfg) -> list:
-    """``scenario_functional_values(discount_factor, ...)`` of non-adaptive
-    members under the original dynamics, bit for bit, with all of them
-    stepped together on each chunk's one shared draw and no stored paths."""
-    pieces = [[] for _ in scenarios]
-    offset = 0
-    for ci, rng, m in _chunks(cfg):
-        disc = _discount_factors(scenarios, band, cfg.grid, rng, m, params, cfg.antithetic, ci)
-        for sid, vals, out in zip(ids, disc, pieces):
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                raise _non_finite(sid, offset + int(np.argmax(bad)))
-            out.append(_pair_means(vals, cfg.antithetic))
-        offset += m
-    return [np.concatenate(p) for p in pieces]
-
-
 def noarb_gap(
     params: RateParams,
     band: VolBand,
@@ -225,8 +208,13 @@ def noarb_gap(
     ids = _dedupe_ids(scenarios)
     for spec in scenarios:
         spec.validate(band)  # before anything is drawn
-    tabled = [(s, sid) for s, sid in zip(scenarios, ids) if not s.is_adaptive]
-    streamed = iter(_streamed_discounts(params, band, *zip(*tabled), cfg))
+    # table-driven members step together on each chunk's one shared draw
+    tabled, tabled_ids = zip(*[(s, sid) for s, sid in zip(scenarios, ids) if not s.is_adaptive])
+    discounts = (
+        _discount_factors(tabled, band, cfg.grid, rng, m, params, cfg.antithetic, ci)
+        for ci, rng, m in _chunks(cfg)
+    )
+    streamed = iter(_samples(tabled_ids, discounts, cfg.antithetic))
     # feedback rules read the path history, so they keep their bundles
     ruled = [s for s in scenarios if s.is_adaptive]
     ruled_values = iter(

@@ -117,10 +117,6 @@ def _chunk_bundles(
         )
 
 
-def _non_finite(sid: str, path: int) -> NumericalError:
-    return NumericalError(f"non-finite functional value in scenario '{sid}' at path {path}")
-
-
 def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
     """Average each path with its antithetic mate (rows ``i`` and
     ``i + m/2``) so the samples stay independent."""
@@ -128,6 +124,25 @@ def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
         return x
     half = x.shape[0] // 2
     return 0.5 * (x[:half] + x[half:])
+
+
+def _samples(ids: Sequence[str], chunk_values, antithetic: bool) -> list[np.ndarray]:
+    """Per-scenario samples from ``chunk_values``, one ``(len(ids), paths in
+    chunk)`` array per chunk, each averaged over antithetic pairs; a
+    non-finite value names its scenario and its path counted across chunks."""
+    pieces = [[] for _ in ids]
+    offset = 0
+    for values in chunk_values:
+        for sid, vals, out in zip(ids, values, pieces):
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                raise NumericalError(
+                    f"non-finite functional value in scenario '{sid}' "
+                    f"at path {offset + int(np.argmax(bad))}"
+                )
+            out.append(_pair_means(vals, antithetic))
+        offset += values.shape[1]
+    return [np.concatenate(p) for p in pieces]
 
 
 def scenario_functional_values(
@@ -142,25 +157,19 @@ def scenario_functional_values(
     random numbers.  With ``cfg.antithetic`` each returned entry is the
     average over one antithetic pair (so entries stay independent and the
     usual ``std/sqrt(n)`` error applies)."""
-    ids = _dedupe_ids(family)
-    out: list[np.ndarray] = []
-    for spec, sid in zip(family, ids):
-        pieces = []
-        offset = 0
+
+    def chunk_values(spec):
         for bundle in _chunk_bundles(spec, band, cfg, params, dynamics):
-            m = bundle.n_paths
             vals = np.asarray(functional(bundle), dtype=float)
-            if vals.shape != (m,):
+            if vals.shape != (bundle.n_paths,):
                 raise ValidationError(
                     f"functional must return one value per path; "
-                    f"got shape {vals.shape} for {m} paths"
+                    f"got shape {vals.shape} for {bundle.n_paths} paths"
                 )
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                raise _non_finite(sid, offset + int(np.argmax(bad)))
-            pieces.append(_pair_means(vals, cfg.antithetic))
-            offset += m
-        out.append(np.concatenate(pieces))
+            yield vals[None]
+
+    ids = _dedupe_ids(family)
+    out = [_samples([sid], chunk_values(spec), cfg.antithetic)[0] for spec, sid in zip(family, ids)]
     return ids, out
 
 
