@@ -7,11 +7,10 @@ scenario comparisons are paired and a degenerate band collapses the
 estimate to a single classical mean exactly.
 
 Seeding: paths are simulated in fixed-size chunks; the Gaussian stream of
-chunk ``c`` is derived from ``SeedSequence(base_seed, spawn_key=(c,))``.
-Results are therefore bit-identical across runs and independent of how
-scenarios are ordered or parallelized.  Every scenario draws the same
-normals on a chunk, so one draw may serve them all: ``noarb_gap`` steps its
-table-driven members together on each chunk's single draw.
+chunk ``c`` is derived from ``SeedSequence(base_seed, spawn_key=(c,))`` and
+is the same for every scenario, so one draw may serve them all.  Results are
+therefore bit-identical across runs and independent of how scenarios are
+ordered or parallelized.
 """
 
 from __future__ import annotations
@@ -130,19 +129,17 @@ def _samples(ids: Sequence[str], chunk_values, antithetic: bool) -> list[np.ndar
     """Per-scenario samples from ``chunk_values``, one ``(len(ids), paths in
     chunk)`` array per chunk, each averaged over antithetic pairs; a
     non-finite value names its scenario and its path counted across chunks."""
-    pieces = [[] for _ in ids]
-    offset = 0
+    pieces, offset = [], 0
     for values in chunk_values:
-        for sid, vals, out in zip(ids, values, pieces):
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                raise NumericalError(
-                    f"non-finite functional value in scenario '{sid}' "
-                    f"at path {offset + int(np.argmax(bad))}"
-                )
-            out.append(_pair_means(vals, antithetic))
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            raise NumericalError(
+                f"non-finite functional value in scenario '{ids[bad[0, 0]]}' "
+                f"at path {offset + int(bad[0, 1])}"
+            )
+        pieces.append(_pair_means(values.T, antithetic).T)
         offset += values.shape[1]
-    return [np.concatenate(p) for p in pieces]
+    return list(np.ascontiguousarray(np.hstack(pieces)))
 
 
 def scenario_functional_values(

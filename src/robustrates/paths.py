@@ -121,32 +121,13 @@ class PathBundle:
         are left empty.  The last sigma row repeats the final step value."""
         if not (0 <= path_index < self.n_paths):
             raise ValidationError(f"path_index {path_index} out of range")
-        times = self.grid.times
         n = self.grid.n_steps
-
-        def fmt(x):
-            return f"{x:.17g}"
-
-        def col(arr, k):
-            return "" if arr is None else fmt(arr[path_index, k])
-
+        columns = (self.b, self.qv, self.lam, self.r, self.d)
         fh.write("t,sigma,B,qv,lambda,r,D\n")
-        for k in range(n + 1):
-            sig = self.sigma[path_index, min(k, n - 1)]
-            fh.write(
-                ",".join(
-                    [
-                        fmt(times[k]),
-                        fmt(sig),
-                        fmt(self.b[path_index, k]),
-                        fmt(self.qv[path_index, k]),
-                        col(self.lam, k),
-                        col(self.r, k),
-                        col(self.d, k),
-                    ]
-                )
-                + "\n"
-            )
+        for k, t in enumerate(self.grid.times):
+            row = [t, self.sigma[path_index, min(k, n - 1)]]
+            row += [None if c is None else c[path_index, k] for c in columns]
+            fh.write(",".join("" if x is None else f"{x:.17g}" for x in row) + "\n")
 
 
 def _check_interval(t, maturity: float) -> None:
@@ -313,25 +294,36 @@ def _simulate(
     return bundle
 
 
+#: path-dependent ``(n_steps, n_paths)`` tables one pass of ``_discount_factors``
+#: holds, so a chunk needs fewer such arrays than ``_simulate`` allocates
+_TABLES_PER_PASS = 6
+
+
 def _discount_factors(scenarios, band, grid, rng, n_paths, params, antithetic, switch_key):
     """``1 / D_T`` under the original dynamics of each non-adaptive scenario, all
     on one shared draw; row ``i`` is ``_simulate``'s for ``scenarios[i]`` alone,
-    bit for bit.  The ``(scenarios, paths)`` state steps in time-major order and
-    keeps no history: ``r`` needs no ``b``, ``qv`` or ``lam``."""
+    bit for bit.  Each pass steps a ``(members, paths)`` state in time-major
+    order and keeps no history: ``r`` needs no ``b``, ``qv`` or ``lam``."""
     sq = np.sqrt(grid.dt)
     z = _draw_normals(rng, n_paths, grid.n_steps, antithetic).T.copy()  # time-major
-    tables = [_sigma_table(s, band, grid, n_paths, antithetic, switch_key) for s in scenarios]
     factors = _rate_factors(params, grid)
-    sigma = np.empty((len(scenarios), n_paths))
-    r = np.full_like(sigma, params.r0)
-    integral = np.zeros_like(sigma)
-    for k in range(grid.n_steps):
-        for row, tab in zip(sigma, tables):
-            row[:] = tab[k]
-        r_next = _r_step(k, r, sigma * sq * z[k], None, factors)
-        integral += _trapezoid(r, r_next, grid.dt)
-        r = r_next
-    return 1.0 / np.exp(integral)
+    out, tables = [], []
+    for i, spec in enumerate(scenarios):
+        tables.append(_sigma_table(spec, band, grid, n_paths, antithetic, switch_key))
+        if i + 1 < len(scenarios) and sum(t.ndim == 2 for t in tables) < _TABLES_PER_PASS:
+            continue
+        sigma = np.empty((len(tables), n_paths))
+        r = np.full_like(sigma, params.r0)
+        integral = np.zeros_like(sigma)
+        for k in range(grid.n_steps):
+            for row, tab in zip(sigma, tables):
+                row[:] = tab[k]
+            r_next = _r_step(k, r, sigma * sq * z[k], None, factors)
+            integral += _trapezoid(r, r_next, grid.dt)
+            r = r_next
+        out.append(1.0 / np.exp(integral))
+        tables = []
+    return np.vstack(out)
 
 
 def simulate_driver(

@@ -26,6 +26,7 @@ from robustrates import (
     price_classical_hw,
     price_robust,
 )
+import robustrates.paths
 from robustrates.bonds import _ensure_extremes, _simpson_segmented
 from robustrates.mc import CHUNK_PATHS, _mean_se, _sublinear, scenario_functional_values
 
@@ -263,6 +264,25 @@ class TestNoArbGapStreaming:
         perm = noarb_gap(PARAMS, BAND, 1.0, [family[i] for i in order], cfg)
         assert perm.per_scenario == tuple(rep.per_scenario[i] for i in order)
         assert replace(perm, per_scenario=()) == replace(rep, per_scenario=())
+
+    def test_more_switching_members_than_one_pass_holds(self, monkeypatch):
+        # the 16 table-driven members step in three passes over one draw per
+        # chunk; the feedback member then draws its own on its bundles
+        n_pass = robustrates.paths._TABLES_PER_PASS
+        family = [RandomSwitching(1.0 + j, j) for j in range(2 * n_pass + 1)]
+        family[3:3] = [Constant(0.01), AdaptedFeedback("qv_chase")]
+        cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=5, antithetic=True)
+        draws = []
+        draw = robustrates.paths._draw_normals
+        monkeypatch.setattr(
+            robustrates.paths, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a)
+        )
+        rep = noarb_gap(PARAMS, BAND, 1.0, family, cfg)
+        assert draws == [(CHUNK_PATHS, 8, True), (2, 8, True)] * 2
+        monkeypatch.undo()
+        per_scenario, gap_se = self.reference(PARAMS, 1.0, family, cfg)
+        assert rep.per_scenario == per_scenario
+        assert rep.gap_se == gap_se
 
     def test_non_finite_discount_names_scenario_and_path(self):
         params = RateParams(r0=-2000.0, alpha=1.0)

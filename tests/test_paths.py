@@ -290,6 +290,15 @@ class TestBundleCsv:
             assert float(row[5]) == bundle.r[0, k]
             assert float(row[2]) == bundle.b[0, k]
 
+    def test_absent_components_are_left_empty(self):
+        bundle = simulate_driver(Constant(0.01), BAND, TimeGrid(1.0, 2), seed=0, n_paths=1)
+        buf = io.StringIO()
+        bundle.write_csv(buf)
+        rows = buf.getvalue().strip().split("\n")[1:]
+        assert len(rows) == 3
+        assert all(row.endswith(",,,") and row.count(",") == 6 for row in rows)
+        assert [float(row.split(",")[1]) for row in rows] == [0.01] * 3
+
     def test_bad_path_index(self):
         grid = TimeGrid(1.0, 2)
         bundle = simulate_driver(Constant(0.01), BAND, grid, seed=0, n_paths=1)
