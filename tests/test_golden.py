@@ -98,8 +98,15 @@ def _bundle():
         RandomSwitching(intensity=4.0, seed=9), BAND, grid, PARAMS,
         seed=5, n_paths=64, dynamics="shifted", antithetic=True,
     )
+    original = simulate_bundle(
+        RandomSwitching(intensity=4.0, seed=9), BAND, grid, PARAMS,
+        seed=5, n_paths=64, dynamics="original", antithetic=True,
+    )
     return {
         "bundle": _sha(bundle.sigma, bundle.b, bundle.qv, bundle.lam, bundle.r, bundle.d),
+        "bundle_original": _sha(
+            original.sigma, original.b, original.qv, original.lam, original.r, original.d
+        ),
         "short_rate_original": _sha(short_rate_original(bundle, PARAMS)),
         "short_rate_shifted": _sha(short_rate_shifted(bundle, PARAMS)),
         "lambda_path": _sha(lambda_path(bundle.qv, PARAMS.alpha, grid.dt)),
