@@ -51,10 +51,7 @@ from .paths import (
     TimeGrid,
     lambda_path,
     money_market,
-    short_rate_original,
-    short_rate_shifted,
     simulate_bundle,
-    simulate_driver,
 )
 from .scenarios import (
     AdaptedFeedback,
@@ -117,9 +114,6 @@ __all__ = [
     "price_classical_hw",
     "price_robust",
     "register_feedback_rule",
-    "short_rate_original",
-    "short_rate_shifted",
     "simulate_bundle",
-    "simulate_driver",
     "solve_gheat",
 ]

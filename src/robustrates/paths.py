@@ -89,13 +89,17 @@ class RateParams:
             raise ValidationError("alpha must be finite and > 0")
         if not np.isfinite(self.r0):
             raise ValidationError("r0 must be finite")
+        if not (callable(self.mu) or np.isfinite(float(self.mu))):
+            raise ValidationError("mu must be finite")
 
     def mu_at(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if callable(self.mu):
-            out = np.asarray(self.mu(s), dtype=float)
-            return np.broadcast_to(out, s.shape).copy() if out.shape != s.shape else out
-        return np.full(s.shape, float(self.mu))
+        if not callable(self.mu):
+            return np.full(s.shape, float(self.mu))
+        out = np.asarray(self.mu(s), dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise ValidationError("mu returned a non-finite value")
+        return np.broadcast_to(out, s.shape).copy() if out.shape != s.shape else out
 
 
 @dataclass
@@ -288,10 +292,8 @@ def _simulate(
             lam[:, k + 1] = _lam_step(lam[:, k], dqv, e2)
             r[:, k + 1] = _r_step(k, r[:, k], db, lam[:, k] if shifted else None, factors)
 
-    bundle = PathBundle(grid, scenario.scenario_id, sigma, b, qv, lam=lam, r=r)
-    if with_rate:
-        bundle.d = money_market(r, grid)
-    return bundle
+    d = money_market(r, grid) if with_rate else None
+    return PathBundle(grid, scenario.scenario_id, sigma, b, qv, lam=lam, r=r, d=d)
 
 
 #: path-dependent ``(n_steps, n_paths)`` tables one pass of ``_discount_factors``
@@ -326,30 +328,18 @@ def _discount_factors(scenarios, band, grid, rng, n_paths, params, antithetic, s
     return np.vstack(out)
 
 
-def simulate_driver(
-    scenario: ScenarioSpec,
-    band: VolBand,
-    grid: TimeGrid,
-    seed: int,
-    n_paths: int = 1,
-    antithetic: bool = False,
-) -> PathBundle:
-    """Simulate sigma, the driver ``B`` and its quadratic variation only."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    return _simulate(scenario, band, grid, rng, n_paths, antithetic=antithetic)
-
-
 def simulate_bundle(
     scenario: ScenarioSpec,
     band: VolBand,
     grid: TimeGrid,
-    params: RateParams,
+    params: Optional[RateParams],
     seed: int,
     n_paths: int = 1,
     dynamics: str = "original",
     antithetic: bool = False,
 ) -> PathBundle:
-    """Full bundle: driver plus ``lam``, short rate and money market."""
+    """Driver plus ``lam``, short rate ``r`` under ``dynamics`` and money market;
+    with ``params=None``, sigma, the driver ``B`` and its quadratic variation only."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     return _simulate(
         scenario, band, grid, rng, n_paths,
@@ -365,39 +355,14 @@ def lambda_path(qv: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     order in ``dt``; rejects decreasing ``qv``.
     """
     qv = np.asarray(qv, dtype=float)
-    squeeze = qv.ndim == 1
-    qv2 = np.atleast_2d(qv)
-    dqv = np.diff(qv2, axis=-1)
+    dqv = np.diff(qv, axis=-1)
     if np.any(dqv < -1e-15):
         raise ValidationError("quadratic variation path must be nondecreasing")
     e2 = _lam_decay(alpha, dt)
-    lam = np.zeros_like(qv2)
+    lam = np.zeros_like(qv)
     for k in range(dqv.shape[-1]):
-        lam[:, k + 1] = _lam_step(lam[:, k], dqv[:, k], e2)
-    return lam[0] if squeeze else lam
-
-
-def _rate_recursion(bundle: PathBundle, params: RateParams, lam: Optional[np.ndarray]) -> np.ndarray:
-    factors = _rate_factors(params, bundle.grid)
-    db = np.diff(bundle.b, axis=1)
-    r = np.empty_like(bundle.b)
-    r[:, 0] = params.r0
-    for k in range(bundle.grid.n_steps):
-        r[:, k + 1] = _r_step(k, r[:, k], db[:, k], None if lam is None else lam[:, k], factors)
-    return r
-
-
-def short_rate_original(bundle: PathBundle, params: RateParams) -> np.ndarray:
-    """Short-rate path under the original dynamics (drift ``mu - alpha r``)."""
-    return _rate_recursion(bundle, params, None)
-
-
-def short_rate_shifted(bundle: PathBundle, params: RateParams) -> np.ndarray:
-    """Short-rate path under the shifted dynamics (drift ``mu - alpha r + lam``,
-    ``lam`` taken at the left point of each step).  Requires ``bundle.lam``."""
-    if bundle.lam is None:
-        raise ValidationError("shifted dynamics need bundle.lam populated")
-    return _rate_recursion(bundle, params, bundle.lam)
+        lam[..., k + 1] = _lam_step(lam[..., k], dqv[..., k], e2)
+    return lam
 
 
 def money_market(r: np.ndarray, grid: TimeGrid) -> np.ndarray:

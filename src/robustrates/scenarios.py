@@ -143,7 +143,7 @@ class RandomSwitching(ScenarioSpec):
         flips = rng.random((n_paths, n_steps)) < p_switch
         # state after k flips: parity of cumulative flip count (flip acts
         # before the step so the start state can switch at t=0+)
-        parity = np.cumsum(flips, axis=1) % 2 == 1
+        parity = np.logical_xor.accumulate(flips, axis=1)
         hi_state = start_hi[:, None] ^ parity
         return np.where(hi_state, band.sigma_hi, band.sigma_lo)
 

@@ -346,6 +346,20 @@ class TestOptionTable:
             assert "invalid literal" not in err and "could not convert" not in err
 
     @pytest.mark.parametrize(
+        "argv, doc",
+        [(["price", "--mu", "inf", "--maturities", "1"], {"mu": "-inf", "maturities": "1"}),
+         (["gap", "--mu", "nan", *SMALL["gap"]], {"mu": "nan", "paths": 64, "steps": 4}),
+         (["simulate", "--mu", "inf", "--steps", "4"], {"mu": "inf", "steps": 4})],
+        ids=["price", "gap", "simulate"],
+    )
+    def test_non_finite_mu_exits_1(self, tmp_path, capsys, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for args in (argv, [argv[0], "--config", str(cfg)]):
+            assert run_cli(*args) == 1
+            assert capsys.readouterr() == ("", "error: mu must be finite\n")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [(["price", "--maturities", "1,,2"], "expected a number, got ''"),
          (["gap", "--paths", "2.5"], "expected an integer, got '2.5'"),

@@ -35,8 +35,6 @@ from robustrates import (
     lambda_path,
     martingale_check,
     noarb_gap,
-    short_rate_original,
-    short_rate_shifted,
     simulate_bundle,
 )
 from robustrates.mc import CHUNK_PATHS
@@ -107,8 +105,6 @@ def _bundle():
         "bundle_original": _sha(
             original.sigma, original.b, original.qv, original.lam, original.r, original.d
         ),
-        "short_rate_original": _sha(short_rate_original(bundle, PARAMS)),
-        "short_rate_shifted": _sha(short_rate_shifted(bundle, PARAMS)),
         "lambda_path": _sha(lambda_path(bundle.qv, PARAMS.alpha, grid.dt)),
     }
 

@@ -2,11 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
 from robustrates import (
     Constant,
-    PathBundle,
+    McConfig,
     RandomSwitching,
     RateParams,
     TimeGrid,
@@ -15,11 +16,11 @@ from robustrates import (
     bang_bang,
     lambda_path,
     money_market,
-    short_rate_original,
-    short_rate_shifted,
+    price_robust,
     simulate_bundle,
-    simulate_driver,
 )
+from robustrates.mc import CHUNK_PATHS, _chunk_bundles
+from robustrates.paths import _r_step, _rate_factors, _sigma_table
 
 BAND = VolBand(0.005, 0.02)
 
@@ -30,22 +31,19 @@ VAR_R1_SIGMA_001 = 4.3233235838169365e-05  # sigma^2 (1 - e^-2) / 2 at sigma=0.0
 SHIFT_MEAN_SIGMA_001 = 1.9978820044686402e-05  # int_0^1 e^{-(1-s)} lam(s) ds
 
 
-def zero_noise_bundle(grid: TimeGrid, n_paths: int = 1, sigma: float = 0.01) -> PathBundle:
-    """Deterministic fixture: driver frozen at zero, constant sigma."""
-    n = grid.n_steps
-    return PathBundle(
-        grid=grid,
-        scenario_id="fixture",
-        sigma=np.full((n_paths, n), sigma),
-        b=np.zeros((n_paths, n + 1)),
-        qv=np.cumsum(np.full((n_paths, n + 1), sigma**2 * grid.dt), axis=1) - sigma**2 * grid.dt,
-    )
+def zero_noise_rate(params: RateParams, grid: TimeGrid) -> np.ndarray:
+    """The engine's ``r`` recursion on ``grid`` with the driver frozen at zero."""
+    factors = _rate_factors(params, grid)
+    r = [params.r0]
+    for k in range(grid.n_steps):
+        r.append(_r_step(k, r[-1], 0.0, None, factors))
+    return np.array(r)
 
 
 class TestDriver:
     def test_single_step_quadratic_variation_exact(self):
         grid = TimeGrid(1.0, 1)
-        bundle = simulate_driver(Constant(0.02), BAND, grid, seed=5, n_paths=100)
+        bundle = simulate_bundle(Constant(0.02), BAND, grid, None, seed=5, n_paths=100)
         np.testing.assert_array_equal(bundle.qv[:, 1], 0.02**2 * 1.0)
         # b_1 = sigma sqrt(T) Z_0, so the implied draws are standard normal
         z = bundle.b[:, 1] / (0.02 * 1.0)
@@ -53,7 +51,7 @@ class TestDriver:
 
     def test_constant_sigma_moments(self):
         grid = TimeGrid(1.0, 64)
-        bundle = simulate_driver(Constant(0.02), BAND, grid, seed=7, n_paths=100_000)
+        bundle = simulate_bundle(Constant(0.02), BAND, grid, None, seed=7, n_paths=100_000)
         bt = bundle.b[:, -1]
         se1 = bt.std(ddof=1) / np.sqrt(bt.size)
         assert abs(bt.mean()) <= 3 * se1
@@ -64,14 +62,14 @@ class TestDriver:
     def test_bang_bang_qv_deterministic(self):
         grid = TimeGrid(1.0, 8)
         spec = bang_bang(BAND, 1.0, n_segments=8, start_high=True)
-        bundle = simulate_driver(spec, BAND, grid, seed=1, n_paths=16)
+        bundle = simulate_bundle(spec, BAND, grid, None, seed=1, n_paths=16)
         expected = grid.dt * np.sum(bundle.sigma[0] ** 2)
         np.testing.assert_allclose(bundle.qv[:, -1], expected, rtol=0, atol=1e-18)
 
     def test_qv_within_band_envelope(self):
         grid = TimeGrid(1.0, 32)
         for spec in (Constant(0.013), bang_bang(BAND, 1.0, 4), RandomSwitching(5.0, seed=2)):
-            bundle = simulate_driver(spec, BAND, grid, seed=3, n_paths=64)
+            bundle = simulate_bundle(spec, BAND, grid, None, seed=3, n_paths=64)
             t = grid.times[None, :]
             assert np.all(bundle.qv >= BAND.sigma_lo**2 * t - 1e-15)
             assert np.all(bundle.qv <= BAND.sigma_hi**2 * t + 1e-15)
@@ -79,14 +77,33 @@ class TestDriver:
 
     def test_antithetic_mates_mirror_driver(self):
         grid = TimeGrid(1.0, 16)
-        bundle = simulate_driver(Constant(0.01), BAND, grid, seed=9, n_paths=8, antithetic=True)
+        bundle = simulate_bundle(Constant(0.01), BAND, grid, None, seed=9, n_paths=8, antithetic=True)
         np.testing.assert_array_equal(bundle.b[:4], -bundle.b[4:])
 
     def test_seed_determinism(self):
         grid = TimeGrid(1.0, 16)
-        b1 = simulate_driver(Constant(0.01), BAND, grid, seed=4, n_paths=10)
-        b2 = simulate_driver(Constant(0.01), BAND, grid, seed=4, n_paths=10)
+        b1 = simulate_bundle(Constant(0.01), BAND, grid, None, seed=4, n_paths=10)
+        b2 = simulate_bundle(Constant(0.01), BAND, grid, None, seed=4, n_paths=10)
         np.testing.assert_array_equal(b1.b, b2.b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        intensity=st.floats(0.0, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+        n_paths=st.one_of(
+            st.integers(1, 40).map(lambda h: 2 * h),
+            st.sampled_from([CHUNK_PATHS - 2, CHUNK_PATHS + 2]),
+        ),
+    )
+    def test_antithetic_mates_share_switching_path(self, intensity, seed, n_paths):
+        spec = RandomSwitching(intensity, seed)
+        cfg = McConfig(n_paths=n_paths, n_steps=8, horizon=1.0, base_seed=seed, antithetic=True)
+        for ci, bundle in enumerate(_chunk_bundles(spec, BAND, cfg, None, "original")):
+            half = bundle.n_paths // 2
+            assert bundle.sigma[:half].tobytes() == bundle.sigma[half:].tobytes()
+            # the table the streamed noarb_gap steps on is the bundle's, time-major
+            tab = _sigma_table(spec, BAND, cfg.grid, bundle.n_paths, True, ci)
+            assert tab.T.tobytes() == bundle.sigma.tobytes()
 
 
 class TestLambdaPath:
@@ -130,7 +147,7 @@ class TestLambdaPath:
 
     def test_lambda_in_band_envelope(self):
         grid = TimeGrid(1.0, 128)
-        bundle = simulate_driver(RandomSwitching(4.0, seed=8), BAND, grid, seed=2, n_paths=32)
+        bundle = simulate_bundle(RandomSwitching(4.0, seed=8), BAND, grid, None, seed=2, n_paths=32)
         lam = lambda_path(bundle.qv, alpha=1.0, dt=grid.dt)
         t = grid.times[None, :]
         envelope_hi = BAND.sigma_hi**2 * (1 - np.exp(-2 * t)) / 2.0
@@ -150,11 +167,10 @@ class TestShortRate:
         # no noise: r solves the linear ODE exactly up to the mu quadrature
         grid = TimeGrid(1.0, 64)
         params = RateParams(r0=0.02, alpha=1.3, mu=0.015)
-        bundle = zero_noise_bundle(grid)
-        r = short_rate_original(bundle, params)
+        r = zero_noise_rate(params, grid)
         t = grid.times
         exact = np.exp(-1.3 * t) * 0.02 + 0.015 / 1.3 * (1 - np.exp(-1.3 * t))
-        np.testing.assert_allclose(r[0], exact, atol=1e-12)
+        np.testing.assert_allclose(r, exact, atol=1e-12)
 
     def test_deterministic_reduction_smooth_mu_refines(self):
         params = RateParams(r0=0.01, alpha=2.0, mu=lambda s: 0.02 * np.sin(3.0 * s))
@@ -162,9 +178,8 @@ class TestShortRate:
         exact += np.exp(-2.0) * 0.01
         errs = []
         for n in (8, 16):
-            bundle = zero_noise_bundle(TimeGrid(1.0, n))
-            r = short_rate_original(bundle, params)
-            errs.append(abs(r[0, -1] - exact))
+            r = zero_noise_rate(params, TimeGrid(1.0, n))
+            errs.append(abs(r[-1] - exact))
         # scheme converges at least first order on deterministic fixtures
         assert errs[1] <= 0.6 * errs[0]
 
@@ -188,18 +203,12 @@ class TestShortRate:
 
     def test_shifted_equals_original_with_zero_lambda(self):
         grid = TimeGrid(1.0, 32)
-        params = RateParams(r0=0.02, alpha=1.0, mu=0.01)
-        bundle = simulate_driver(Constant(0.01), VolBand(0.01, 0.01), grid, seed=2, n_paths=6)
-        bundle.lam = np.zeros_like(bundle.b)
-        np.testing.assert_array_equal(
-            short_rate_shifted(bundle, params), short_rate_original(bundle, params)
-        )
-
-    def test_shifted_requires_lambda(self):
-        grid = TimeGrid(1.0, 8)
-        bundle = simulate_driver(Constant(0.01), BAND, grid, seed=2, n_paths=2)
-        with pytest.raises(ValidationError):
-            short_rate_shifted(bundle, RateParams(r0=0.0, alpha=1.0))
+        factors = _rate_factors(RateParams(r0=0.02, alpha=1.0, mu=0.01), grid)
+        rng = np.random.default_rng(2)
+        for k in range(grid.n_steps):
+            r_k, db_k = rng.normal(0.02, 0.01, 6), rng.normal(0.0, 0.002, 6)
+            shifted = _r_step(k, r_k, db_k, np.zeros(6), factors)
+            assert shifted.tobytes() == _r_step(k, r_k, db_k, None, factors).tobytes()
 
     def test_shift_is_deterministic_for_deterministic_sigma(self):
         grid = TimeGrid(1.0, 128)
@@ -217,7 +226,7 @@ class TestShortRate:
         # int eta dB for a deterministic step function eta
         grid = TimeGrid(1.0, 64)
         eta = np.where(grid.step_times < 0.5, 1.0, 3.0)
-        bundle = simulate_driver(Constant(0.02), BAND, grid, seed=13, n_paths=50_000)
+        bundle = simulate_bundle(Constant(0.02), BAND, grid, None, seed=13, n_paths=50_000)
         integral = np.sum(eta[None, :] * np.diff(bundle.b, axis=1), axis=1)
         se = integral.std(ddof=1) / np.sqrt(integral.size)
         assert abs(integral.mean()) <= 3 * se
@@ -291,7 +300,7 @@ class TestBundleCsv:
             assert float(row[2]) == bundle.b[0, k]
 
     def test_absent_components_are_left_empty(self):
-        bundle = simulate_driver(Constant(0.01), BAND, TimeGrid(1.0, 2), seed=0, n_paths=1)
+        bundle = simulate_bundle(Constant(0.01), BAND, TimeGrid(1.0, 2), None, seed=0, n_paths=1)
         buf = io.StringIO()
         bundle.write_csv(buf)
         rows = buf.getvalue().strip().split("\n")[1:]
@@ -301,7 +310,7 @@ class TestBundleCsv:
 
     def test_bad_path_index(self):
         grid = TimeGrid(1.0, 2)
-        bundle = simulate_driver(Constant(0.01), BAND, grid, seed=0, n_paths=1)
+        bundle = simulate_bundle(Constant(0.01), BAND, grid, None, seed=0, n_paths=1)
         with pytest.raises(ValidationError):
             bundle.write_csv(io.StringIO(), path_index=5)
 
@@ -324,3 +333,11 @@ class TestGridValidation:
             RateParams(r0=0.02, alpha=0.0)
         with pytest.raises(ValidationError):
             RateParams(r0=np.inf, alpha=1.0)
+        for mu in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match="mu must be finite"):
+                RateParams(r0=0.02, alpha=1.0, mu=mu)
+        nan_mu = RateParams(r0=0.02, alpha=1.0, mu=lambda s: np.where(s < 0.5, 0.01, np.nan))
+        with pytest.raises(ValidationError, match="non-finite"):
+            nan_mu.mu_at([0.25, 0.75])
+        with pytest.raises(ValidationError, match="non-finite"):
+            price_robust(nan_mu, 0.0, 1.0, 0.02, 0.0)

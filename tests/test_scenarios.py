@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustrates import (
     AdaptedFeedback,
     Constant,
     PiecewiseConstant,
     RandomSwitching,
+    RateParams,
     TimeGrid,
     ValidationError,
     VolBand,
@@ -15,7 +17,8 @@ from robustrates import (
     default_scenario_family,
     family_from_json,
     family_to_json,
-    simulate_driver,
+    register_feedback_rule,
+    simulate_bundle,
 )
 
 BAND = VolBand(0.005, 0.02)
@@ -113,8 +116,6 @@ def test_feedback_unknown_rule_rejected():
 
 
 def test_feedback_rule_cannot_write_history():
-    from robustrates import register_feedback_rule
-
     def dishonest(view, params):
         view.b[:, 0] = 99.0  # must blow up: the past is read-only
         return np.full(view.b.shape[0], view.band.sigma_lo)
@@ -122,14 +123,12 @@ def test_feedback_rule_cannot_write_history():
     register_feedback_rule("dishonest", dishonest)
     spec = AdaptedFeedback("dishonest")
     with pytest.raises(ValueError):
-        simulate_driver(spec, BAND, TimeGrid(1.0, 4), seed=0, n_paths=4)
+        simulate_bundle(spec, BAND, TimeGrid(1.0, 4), None, seed=0, n_paths=4)
 
 
 def test_feedback_rule_sees_only_past():
     """The view at step k must expose exactly k sigma entries and k+1 driver
     points; progressive measurability is enforced structurally."""
-    from robustrates import register_feedback_rule
-
     seen = []
 
     def probe(view, params):
@@ -140,8 +139,38 @@ def test_feedback_rule_sees_only_past():
         return np.full(view.b.shape[0], view.band.sigma_hi)
 
     register_feedback_rule("probe", probe)
-    simulate_driver(AdaptedFeedback("probe"), BAND, TimeGrid(1.0, 6), seed=0, n_paths=3)
+    simulate_bundle(AdaptedFeedback("probe"), BAND, TimeGrid(1.0, 6), None, seed=0, n_paths=3)
     assert seen == list(range(6))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_steps=st.integers(1, 12),
+    dynamics=st.sampled_from(["original", "shifted"]),
+)
+def test_feedback_views_are_prefixes_of_the_final_bundle(seed, n_steps, dynamics):
+    """What a rule saw at step k is what the finished bundle holds up to t_k:
+    no later data reaches the view, and nothing it saw is rewritten."""
+    views = []
+
+    def recorder(view, params):
+        views.append((view.k, view.sigma.copy(), view.b.copy(), view.qv.copy(), view.r.copy()))
+        # reads the rate, so the path depends on what the view exposes
+        return np.where(view.r[:, view.k] >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
+
+    register_feedback_rule("recorder", recorder)
+    params = RateParams(r0=0.02, alpha=1.0, mu=0.02)
+    bundle = simulate_bundle(
+        AdaptedFeedback("recorder"), BAND, TimeGrid(1.0, n_steps), params,
+        seed=seed, n_paths=4, dynamics=dynamics,
+    )
+    assert [v[0] for v in views] == list(range(n_steps))
+    for k, sigma, b, qv, r in views:
+        assert sigma.shape[1] == k and b.shape[1] == qv.shape[1] == r.shape[1] == k + 1
+        np.testing.assert_array_equal(sigma, bundle.sigma[:, :k])
+        for seen, full in ((b, bundle.b), (qv, bundle.qv), (r, bundle.r)):
+            np.testing.assert_array_equal(seen, full[:, : k + 1])
 
 
 def test_json_round_trip():
