@@ -30,9 +30,9 @@ def main():
     print(f"band [{BAND.sigma_lo}, {BAND.sigma_hi}], r0={PARAMS.r0}, alpha={PARAMS.alpha}, mu={PARAMS.mu}")
     print(f"{'T':>4} {'classical lo':>14} {'robust':>14} {'classical hi':>14} {'hi-lo spread':>13}")
     for T in range(1, 11):
-        lo = price_classical_hw(PARAMS, BAND.sigma_lo, 0.0, T, PARAMS.r0).price
-        hi = price_classical_hw(PARAMS, BAND.sigma_hi, 0.0, T, PARAMS.r0).price
-        robust = price_robust(PARAMS, 0.0, T, PARAMS.r0, 0.0).price
+        lo = price_classical_hw(PARAMS, BAND.sigma_lo, 0.0, T, PARAMS.r0)
+        hi = price_classical_hw(PARAMS, BAND.sigma_hi, 0.0, T, PARAMS.r0)
+        robust = price_robust(PARAMS, 0.0, T, PARAMS.r0, 0.0)
         print(f"{T:>4} {lo:>14.8f} {robust:>14.8f} {hi:>14.8f} {hi - lo:>13.3e}")
 
     print()
@@ -40,15 +40,15 @@ def main():
     print("the adjustment level lam_t; the spread below shows its effect:")
     lam_stationary = BAND.sigma_hi**2 / (2 * PARAMS.alpha)
     for lam in (0.0, lam_stationary / 2, lam_stationary):
-        p = price_robust(PARAMS, 1.0, 10.0, 0.02, lam).price
+        p = price_robust(PARAMS, 1.0, 10.0, 0.02, lam)
         print(f"  lam={lam:.2e}  P(1,10)={p:.8f}")
 
     print()
     print("zero-coupon yields implied by the three curves at T=10:")
     for name, sigma in (("lo", BAND.sigma_lo), ("hi", BAND.sigma_hi)):
-        p = price_classical_hw(PARAMS, sigma, 0.0, 10.0, PARAMS.r0).price
+        p = price_classical_hw(PARAMS, sigma, 0.0, 10.0, PARAMS.r0)
         print(f"  classical {name}: {-np.log(p) / 10.0:.6%}")
-    p = price_robust(PARAMS, 0.0, 10.0, PARAMS.r0, 0.0).price
+    p = price_robust(PARAMS, 0.0, 10.0, PARAMS.r0, 0.0)
     print(f"  robust:       {-np.log(p) / 10.0:.6%}")
 
 

@@ -20,7 +20,6 @@ of admissible volatility scenarios.  The package provides
 
 from .band import VolBand, g_value
 from .bonds import (
-    BondQuote,
     GapReport,
     MartingaleReport,
     a_classical,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedFeedback",
-    "BondQuote",
     "CalibratedModel",
     "Constant",
     "ForwardCurve",

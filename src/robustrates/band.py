@@ -43,10 +43,6 @@ class VolBand:
     def midpoint(self) -> float:
         return 0.5 * (self.sigma_lo + self.sigma_hi)
 
-    def clip(self, values):
-        """Clamp volatility values into the band."""
-        return np.clip(values, self.sigma_lo, self.sigma_hi)
-
     def contains(self, values, tol: float = 0.0) -> bool:
         v = np.asarray(values, dtype=float)
         return bool(
@@ -62,7 +58,7 @@ def g_value(band: VolBand, a):
     and subadditive in ``a``; accepts scalars or arrays.
     """
     a = np.asarray(a, dtype=float)
-    out = 0.5 * np.where(a >= 0.0, band.sigma_hi**2 * a, band.sigma_lo**2 * a)
+    out = np.where(a >= 0.0, 0.5 * band.sigma_hi**2, 0.5 * band.sigma_lo**2) * a
     if out.ndim == 0:
         return float(out)
     return out

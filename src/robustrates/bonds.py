@@ -43,13 +43,6 @@ DEFAULT_PANELS = 64
 
 
 @dataclass(frozen=True)
-class BondQuote:
-    t: float
-    maturity: float
-    price: float
-
-
-@dataclass(frozen=True)
 class CheckpointStat:
     t: float
     mean: float
@@ -158,25 +151,23 @@ def a_classical(params: RateParams, sigma: float, t: float, maturity: float) -> 
 
 def price_robust(
     params: RateParams, t: float, maturity: float, r_t: float, lambda_t: float
-) -> BondQuote:
+) -> float:
     """Robust bond price; strictly decreasing in both ``r_t`` and
     ``lambda_t`` for ``t < T`` and exactly 1 at ``t = T``."""
     if lambda_t < 0:
         raise ValidationError("lambda_t must be >= 0")
     a = a_robust(params, t, maturity)
     b = b_factor(params.alpha, t, maturity)
-    price = float(np.exp(_log_price(a, b, r_t, lambda_t)))
-    return BondQuote(t=t, maturity=maturity, price=price)
+    return float(np.exp(_log_price(a, b, r_t, lambda_t)))
 
 
 def price_classical_hw(
     params: RateParams, sigma: float, t: float, maturity: float, r_t: float
-) -> BondQuote:
+) -> float:
     """Constant-volatility bond price ``exp(A_sigma - B r_t)``."""
     a = a_classical(params, sigma, t, maturity)
     b = b_factor(params.alpha, t, maturity)
-    price = float(np.exp(_log_price(a, b, r_t, 0.0)))
-    return BondQuote(t=t, maturity=maturity, price=price)
+    return float(np.exp(_log_price(a, b, r_t, 0.0)))
 
 
 def _ensure_extremes(band: VolBand, family: Sequence[ScenarioSpec]) -> list[ScenarioSpec]:
@@ -226,8 +217,8 @@ def noarb_gap(
     i_lo = ids.index(est.argmin_scenario)
     # scenarios share draws, so the gap's error comes from paired differences
     gap_se = 0.0 if i_up == i_lo else float(_mean_se(values[i_up] - values[i_lo])[1])
-    cf_up = price_classical_hw(params, band.sigma_hi, 0.0, maturity, params.r0).price
-    cf_lo = price_classical_hw(params, band.sigma_lo, 0.0, maturity, params.r0).price
+    cf_up = price_classical_hw(params, band.sigma_hi, 0.0, maturity, params.r0)
+    cf_lo = price_classical_hw(params, band.sigma_lo, 0.0, maturity, params.r0)
     return GapReport(
         upper=est.upper,
         lower=est.lower,

@@ -44,6 +44,13 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_csv(fh, header: str, rows) -> None:
+    """The header, then one line per row: strings as they are, numbers via :func:`_fmt`."""
+    fh.write(header + "\n")
+    for row in rows:
+        fh.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
+
+
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -83,11 +90,13 @@ def _to_int(value) -> int:
 
 
 def _to_float(value) -> float:
-    """Number from a flag or a JSON number; booleans are errors."""
+    """Finite number from a flag or a JSON number; booleans are errors."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         with suppress(ValueError, OverflowError):  # "x", 10**400
-            return float(value)
-    raise ValidationError(f"expected a number, got {value!r}")
+            number = float(value)
+            if np.isfinite(number):
+                return number
+    raise ValidationError(f"expected a finite number, got {value!r}")
 
 
 def _to_floats(value) -> list[float]:
@@ -225,8 +234,14 @@ def cmd_simulate(cfg: _Config) -> int:
         n_paths=cfg.get("paths"),
         dynamics=cfg.get("dynamics"),
     )
+    i = cfg.get("path_index")
+    if not (0 <= i < bundle.n_paths):
+        raise ValidationError(f"path_index {i} out of range")
+    # one row per grid point; the last sigma repeats the final step's value
+    rows = zip(grid.times, np.append(bundle.sigma[i], bundle.sigma[i, -1]),
+               bundle.b[i], bundle.qv[i], bundle.lam[i], bundle.r[i], bundle.d[i])
     with _output(cfg.get("out")) as fh:
-        bundle.write_csv(fh, path_index=cfg.get("path_index"))
+        _write_csv(fh, "t,sigma,B,qv,lambda,r,D", rows)
     return EXIT_OK
 
 
@@ -236,18 +251,19 @@ def cmd_price(cfg: _Config) -> int:
     the lower price and the top the upper)."""
     band = cfg.band()
     params, model = cfg.rate_params()
+    rows = []  # every row, before the output file is opened
+    for T in cfg.get("maturities"):
+        if model is not None:
+            robust = fitted_price(model, 0.0, T, model.r0, 0.0)
+        else:
+            robust = price_robust(params, 0.0, T, params.r0, 0.0)
+        # classical intercept = robust intercept + sigma^2/2 * int B^2
+        v = _b_squared_integral(params, 0.0, T)
+        lower = robust * float(np.exp(0.5 * band.sigma_lo**2 * v))
+        upper = robust * float(np.exp(0.5 * band.sigma_hi**2 * v))
+        rows.append((T, lower, robust, upper))
     with _output(cfg.get("out")) as fh:
-        fh.write("T,price_lower,price_robust,price_upper\n")
-        for T in cfg.get("maturities"):
-            if model is not None:
-                robust = fitted_price(model, 0.0, T, model.r0, 0.0)
-            else:
-                robust = price_robust(params, 0.0, T, params.r0, 0.0).price
-            # classical intercept = robust intercept + sigma^2/2 * int B^2
-            v = _b_squared_integral(params, 0.0, T)
-            lower = robust * float(np.exp(0.5 * band.sigma_lo**2 * v))
-            upper = robust * float(np.exp(0.5 * band.sigma_hi**2 * v))
-            fh.write(f"{_fmt(T)},{_fmt(lower)},{_fmt(robust)},{_fmt(upper)}\n")
+        _write_csv(fh, "T,price_lower,price_robust,price_upper", rows)
     return EXIT_OK
 
 
@@ -298,18 +314,14 @@ def cmd_verify(cfg: _Config) -> int:
     reports = martingale_check(
         params, band, family, T, cfg.get("checkpoints"), mc, dynamics=cfg.get("dynamics")
     )
-    any_fail = False
+    rows = [
+        (rep.scenario_id, row.t, row.mean, row.se, row.reference, str(row.passed).lower())
+        for rep in reports
+        for row in rep.checkpoints
+    ]
     with _output(cfg.get("out")) as fh:
-        fh.write("scenario,t,mean,se,ref,pass\n")
-        for rep in reports:
-            for row in rep.checkpoints:
-                ok = row.passed
-                any_fail |= not ok
-                fh.write(
-                    f"{rep.scenario_id},{_fmt(row.t)},{_fmt(row.mean)},"
-                    f"{_fmt(row.se)},{_fmt(row.reference)},{str(ok).lower()}\n"
-                )
-    return EXIT_VERIFICATION if any_fail else EXIT_OK
+        _write_csv(fh, "scenario,t,mean,se,ref,pass", rows)
+    return EXIT_OK if all(rep.all_pass for rep in reports) else EXIT_VERIFICATION
 
 
 def cmd_calibrate(cfg: _Config) -> int:
@@ -318,13 +330,9 @@ def cmd_calibrate(cfg: _Config) -> int:
         raise ValidationError("calibrate needs --curve <file>")
     model = calibrate(ingest_forward_curve(curve_path), cfg.get("alpha"))
     report = initial_curve_roundtrip(model, cfg.get("maturities"))
+    rows = [(row.maturity, row.p_model, row.p_curve, row.abs_error) for row in report.rows]
     with _output(cfg.get("out")) as fh:
-        fh.write("T,P_model,P_curve,abs_error\n")
-        for row in report.rows:
-            fh.write(
-                f"{_fmt(row.maturity)},{_fmt(row.p_model)},"
-                f"{_fmt(row.p_curve)},{_fmt(row.abs_error)}\n"
-            )
+        _write_csv(fh, "T,P_model,P_curve,abs_error", rows)
     print(f"max abs error: {report.max_abs_error:.3e}", file=sys.stderr)
     return EXIT_OK
 
@@ -340,10 +348,10 @@ _PAYOFFS = {
 
 def _payoff(name: str):
     if name.startswith("call:"):
-        k = float(name.split(":", 1)[1])
+        k = _to_float(name.split(":", 1)[1])
         return lambda x: np.maximum(x - k, 0.0)
     if name.startswith("const:"):
-        c = float(name.split(":", 1)[1])
+        c = _to_float(name.split(":", 1)[1])
         return lambda x: np.full_like(x, c)
     try:
         return _PAYOFFS[name]
@@ -358,7 +366,7 @@ def cmd_gheat(cfg: _Config) -> int:
     t = cfg.get("horizon")
     phi = _payoff(cfg.get("phi"))
     grid = _terminal_grid(
-        band, t, 0.0,
+        band, t,
         nodes_per_width=cfg.get("nodes_per_width"),
         pad_widths=cfg.get("pad_widths"),
     )
@@ -366,8 +374,10 @@ def cmd_gheat(cfg: _Config) -> int:
     # one solve: with --out it also keeps eight slices for the dump
     sol = solve_gheat(phi, band, grid, store_every=max(1, grid.nt // 8) if out else None)
     if out:
+        # one row per stored slice and node
+        rows = zip(np.repeat(sol.times, grid.nx), np.tile(grid.x, sol.times.size), sol.u.ravel())
         with _output(out) as fh:
-            sol.write_csv(fh)
+            _write_csv(fh, "t,x,u", rows)
     print(f"u({_fmt(t)}, 0) = {_fmt(sol.value_at(0.0))}")
     return EXIT_OK
 
@@ -438,8 +448,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command][0](_Config(args))
     except (ValueError, OSError) as exc:
-        # ValidationError, JSONDecodeError and a bad call:K strike are all
-        # ValueErrors; OSError is a file that cannot be read or written
+        # ValidationError and JSONDecodeError are ValueErrors; OSError is a
+        # file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

@@ -22,18 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import ceil, sqrt
-from typing import Callable, Optional, TextIO, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .band import VolBand
+from .band import VolBand, g_value
 from .errors import NumericalError, ValidationError
+
+#: stability margin of every grid built here: ``sigma_hi^2 dt / dx^2 <= _CFL``
+_CFL = 0.5
 
 
 @dataclass(frozen=True)
 class Grid1D:
     """Space-time box for the solver.  Build through :meth:`with_cfl` to get
-    ``nt`` raised automatically until the stability bound holds."""
+    the fewest time steps ``nt`` that meet the stability bound."""
 
     x_min: float
     x_max: float
@@ -74,15 +77,11 @@ class Grid1D:
         x_max: float,
         nx: int,
         t_final: float,
-        nt: int = 1,
-        cfl: float = 0.5,
     ) -> "Grid1D":
-        """Grid with ``nt`` raised until ``sigma_hi^2 dt / dx^2 <= cfl``."""
-        if not (0 < cfl <= 1.0):
-            raise ValidationError("cfl must be in (0, 1]")
-        grid = cls(x_min, x_max, nx, t_final, max(nt, 1))
-        nt_min = ceil(band.sigma_hi**2 * t_final / (cfl * grid.dx**2))
-        return replace(grid, nt=max(grid.nt, nt_min))
+        """Grid with the fewest steps ``nt`` for which ``sigma_hi^2 dt / dx^2 <= _CFL``."""
+        grid = cls(x_min, x_max, nx, t_final, 1)
+        nt_min = ceil(band.sigma_hi**2 * t_final / (_CFL * grid.dx**2))
+        return replace(grid, nt=max(1, nt_min))
 
 
 @dataclass
@@ -104,13 +103,6 @@ class Solution1D:
         if not (x[0] <= x0 <= x[-1]):
             raise ValidationError(f"x0={x0} outside the grid")
         return float(np.interp(x0, x, self.u[-1]))
-
-    def write_csv(self, fh: TextIO) -> None:
-        fh.write("t,x,u\n")
-        x = self.grid.x
-        for row, t in enumerate(self.times):
-            for i in range(x.size):
-                fh.write(f"{t:.17g},{x[i]:.17g},{self.u[row, i]:.17g}\n")
 
 
 PayoffLike = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
@@ -145,15 +137,13 @@ def solve_gheat(
         raise ValidationError("store_every must be >= 1")
     dt = grid.dt
     inv_dx2 = 1.0 / grid.dx**2
-    hi2 = band.sigma_hi**2
-    lo2 = band.sigma_lo**2
 
     stored = [u.copy()]
     stored_times = [0.0]
     for n in range(1, grid.nt + 1):
         d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
         # generator evaluated pointwise: worst-case variance for the sign of d2
-        u[1:-1] += dt * 0.5 * np.where(d2 >= 0.0, hi2 * d2, lo2 * d2)
+        u[1:-1] += dt * g_value(band, d2)
         if np.isnan(u).any():
             i = int(np.argmax(np.isnan(u)))
             raise NumericalError(f"NaN at time level {n} (t={n * dt:.6g}), node {i}")
@@ -164,28 +154,26 @@ def solve_gheat(
 
 
 def _terminal_grid(
-    band: VolBand, t: float, center: float, nodes_per_width: int, pad_widths: float, cfl: float = 0.5
+    band: VolBand, t: float, nodes_per_width: int, pad_widths: float
 ) -> Grid1D:
-    """Grid spanning ``center +- pad_widths * sigma_hi * sqrt(t)`` with
+    """Grid spanning ``+- pad_widths * sigma_hi * sqrt(t)`` with
     ``nodes_per_width`` nodes per diffusion width; the node count is kept
-    even so the read-out at ``center`` interpolates between cell centers."""
+    even so the read-out at 0 interpolates between cell centers."""
     if not (t > 0):
         raise ValidationError("t must be > 0")
     half = pad_widths * (band.sigma_hi * sqrt(t))
     nx = 2 * int(round(pad_widths * nodes_per_width))
-    return Grid1D.with_cfl(band, center - half, center + half, nx, t, cfl=cfl)
+    return Grid1D.with_cfl(band, -half, half, nx, t)
 
 
 def gexpectation_terminal(
     phi: Callable[[np.ndarray], np.ndarray],
     band: VolBand,
     t: float,
-    center: float = 0.0,
     nodes_per_width: int = 100,
     pad_widths: float = 8.0,
-    cfl: float = 0.5,
 ) -> float:
     """Upper expectation of ``phi(B_t)`` via the PDE, on the grid of
     :func:`_terminal_grid`."""
-    grid = _terminal_grid(band, t, center, nodes_per_width, pad_widths, cfl)
-    return solve_gheat(phi, band, grid).value_at(center)
+    grid = _terminal_grid(band, t, nodes_per_width, pad_widths)
+    return solve_gheat(phi, band, grid).value_at(0.0)

@@ -21,7 +21,7 @@ Discretization choices (fixed, first order in the stochastic terms):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, TextIO, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -59,12 +59,12 @@ class TimeGrid:
         return self.times[:-1]
 
     def index_of(self, t: float) -> int:
-        """Grid index of time ``t``; rejects off-grid times."""
+        """Grid index of time ``t``; rejects off-grid and non-finite times."""
         k = t / self.dt
-        k_round = int(round(k))
+        k_round = np.rint(k)  # a NaN or infinite k fails the range test below
         if not (0 <= k_round <= self.n_steps) or abs(k - k_round) > 1e-9 * max(1, abs(k)):
             raise ValidationError(f"time {t} is not a grid point (dt={self.dt})")
-        return k_round
+        return int(k_round)
 
 
 MuLike = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -120,23 +120,10 @@ class PathBundle:
     def n_paths(self) -> int:
         return self.b.shape[0]
 
-    def write_csv(self, fh: TextIO, path_index: int = 0) -> None:
-        """One row per grid point for the selected path; absent components
-        are left empty.  The last sigma row repeats the final step value."""
-        if not (0 <= path_index < self.n_paths):
-            raise ValidationError(f"path_index {path_index} out of range")
-        n = self.grid.n_steps
-        columns = (self.b, self.qv, self.lam, self.r, self.d)
-        fh.write("t,sigma,B,qv,lambda,r,D\n")
-        for k, t in enumerate(self.grid.times):
-            row = [t, self.sigma[path_index, min(k, n - 1)]]
-            row += [None if c is None else c[path_index, k] for c in columns]
-            fh.write(",".join("" if x is None else f"{x:.17g}" for x in row) + "\n")
-
 
 def _check_interval(t, maturity: float) -> None:
-    if not (0.0 <= np.min(t) and np.max(t) <= maturity):
-        raise ValidationError(f"need 0 <= t <= T, got t={t}, T={maturity}")
+    if not (0.0 <= np.min(t) and np.max(t) <= maturity < np.inf):
+        raise ValidationError(f"need 0 <= t <= T < inf, got t={t}, T={maturity}")
 
 
 def b_factor(alpha: float, t, maturity: float):

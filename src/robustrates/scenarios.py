@@ -240,13 +240,12 @@ def default_scenario_family(
     n_switching: int,
     seed: int,
     horizon: float = 1.0,
-    n_bangbang: int = 2,
 ) -> list[ScenarioSpec]:
     """Standard finite family probing the band.
 
     Always contains the two extreme constants (they realize the worst and
     best case for variance-monotone payoffs), an even grid of constants in
-    between, ``n_bangbang`` bang-bang scenarios, and ``n_switching``
+    between, bang-bang scenarios of 2 and 4 segments, and ``n_switching``
     random-switching scenarios with seeds derived from ``seed``.
     """
     if n_constant < 2:
@@ -254,8 +253,8 @@ def default_scenario_family(
     family: list[ScenarioSpec] = [
         Constant(v) for v in np.linspace(band.sigma_lo, band.sigma_hi, n_constant)
     ]
-    for j in range(n_bangbang):
-        family.append(bang_bang(band, horizon, n_segments=2 ** (j + 1), start_high=(j % 2 == 0)))
+    family.append(bang_bang(band, horizon, n_segments=2, start_high=True))
+    family.append(bang_bang(band, horizon, n_segments=4, start_high=False))
     for j in range(n_switching):
         family.append(RandomSwitching(intensity=2.0 * (j + 1), seed=int(seed) + j))
     for s in family:

@@ -127,24 +127,24 @@ class TestIntercepts:
 
 class TestPrices:
     def test_par_at_maturity(self):
-        assert price_robust(PARAMS, 1.0, 1.0, 0.07, 0.3).price == 1.0
-        assert price_classical_hw(PARAMS, 0.01, 2.0, 2.0, -0.01).price == 1.0
+        assert price_robust(PARAMS, 1.0, 1.0, 0.07, 0.3) == 1.0
+        assert price_classical_hw(PARAMS, 0.01, 2.0, 2.0, -0.01) == 1.0
 
     def test_robust_base_oracle(self):
-        p = price_robust(PARAMS, 0.0, 1.0, 0.02, 0.0).price
+        p = price_robust(PARAMS, 0.0, 1.0, 0.02, 0.0)
         assert p == pytest.approx(P_ROBUST_BASE, rel=1e-14)
 
     def test_robust_lambda_discount(self):
-        p0 = price_robust(PARAMS, 0.0, 1.0, 0.02, 0.0).price
-        p1 = price_robust(PARAMS, 0.0, 1.0, 0.02, LAMBDA_FIXTURE).price
+        p0 = price_robust(PARAMS, 0.0, 1.0, 0.02, 0.0)
+        p1 = price_robust(PARAMS, 0.0, 1.0, 0.02, LAMBDA_FIXTURE)
         assert p1 / p0 == pytest.approx(np.exp(-LAMBDA_EXPONENT), rel=1e-13)
 
     def test_classical_oracle(self):
-        p = price_classical_hw(PARAMS, 0.01, 0.0, 1.0, 0.02).price
+        p = price_classical_hw(PARAMS, 0.01, 0.0, 1.0, 0.02)
         assert p == pytest.approx(P_HW_001, rel=1e-14)
 
     def test_classical_monotone_in_sigma(self):
-        prices = [price_classical_hw(PARAMS, s, 0.0, 1.0, 0.02).price for s in np.linspace(0.0, 0.05, 6)]
+        prices = [price_classical_hw(PARAMS, s, 0.0, 1.0, 0.02) for s in np.linspace(0.0, 0.05, 6)]
         assert np.all(np.diff(prices) > 0)
 
     def test_negative_lambda_rejected(self):
@@ -152,7 +152,7 @@ class TestPrices:
             price_robust(PARAMS, 0.0, 1.0, 0.02, -1e-9)
 
     def test_strictly_decreasing_in_state(self):
-        p = lambda r, lam: price_robust(PARAMS, 0.25, 2.0, r, lam).price
+        p = lambda r, lam: price_robust(PARAMS, 0.25, 2.0, r, lam)
         assert p(0.03, 0.0) < p(0.02, 0.0)
         assert p(0.02, 1e-3) < p(0.02, 0.0)
 
@@ -161,14 +161,14 @@ class TestPrices:
         and verify a fourth point exactly: coefficients are (-B, -B^2/2)."""
         t, T = 0.5, 3.0
         pts = [(0.00, 0.0), (0.04, 0.0), (0.00, 0.02)]
-        logs = [np.log(price_robust(PARAMS, t, T, r, lam).price) for r, lam in pts]
+        logs = [np.log(price_robust(PARAMS, t, T, r, lam)) for r, lam in pts]
         const = logs[0]
         coef_r = (logs[1] - logs[0]) / 0.04
         coef_lam = (logs[2] - logs[0]) / 0.02
         b = b_factor(1.0, t, T)
         assert coef_r == pytest.approx(-b, rel=1e-10)
         assert coef_lam == pytest.approx(-0.5 * b * b, rel=1e-10)
-        probe = np.log(price_robust(PARAMS, t, T, 0.013, 0.007).price)
+        probe = np.log(price_robust(PARAMS, t, T, 0.013, 0.007))
         assert probe == pytest.approx(const + coef_r * 0.013 + coef_lam * 0.007, rel=1e-12)
 
 

@@ -9,8 +9,16 @@ import pytest
 
 import robustrates.cli
 import robustrates.gheat
-from robustrates import RateParams, price_classical_hw
+from robustrates import (
+    Constant,
+    RateParams,
+    TimeGrid,
+    VolBand,
+    price_classical_hw,
+    simulate_bundle,
+)
 from robustrates.cli import _OPTIONS, _Config, build_parser, main
+from robustrates.gheat import _terminal_grid
 
 
 def run_cli(*argv):
@@ -60,7 +68,7 @@ class TestPrice:
         for row in read_csv(out):
             T = float(row["T"])
             for column, sigma in (("price_lower", 0.005), ("price_upper", 0.02)):
-                expected = price_classical_hw(params, sigma, 0.0, T, 0.02).price
+                expected = price_classical_hw(params, sigma, 0.0, T, 0.02)
                 assert abs(float(row[column]) - expected) <= 4 * np.spacing(expected)
 
     def test_output_round_trips_17_digits(self, tmp_path):
@@ -158,7 +166,31 @@ class TestSimulate:
             assert code == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
-        assert outs[0].startswith("t,sigma,B,qv,lambda,r,D\n")
+        lines = outs[0].splitlines()
+        assert lines[0] == "t,sigma,B,qv,lambda,r,D"
+        assert len(lines) == 16 + 2
+        first = lines[1].split(",")
+        assert float(first[2]) == 0.0 and float(first[3]) == 0.0 and float(first[6]) == 1.0
+
+    def test_round_trippable_digits(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = run_cli("simulate", "--sigma", "0.013", "--steps", "3", "--paths", "2",
+                       "--path-index", "1", "--seed", "3", "--out", str(out))
+        assert code == 0
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in out.read_text().splitlines()[1:]])
+        params = RateParams(r0=0.02, alpha=1.0, mu=0.0)
+        bundle = simulate_bundle(Constant(0.013), VolBand(0.005, 0.02), TimeGrid(1.0, 3), params,
+                                 seed=3, n_paths=2, dynamics="shifted")
+        assert np.all(rows[:, 1] == 0.013)
+        columns = (bundle.grid.times, bundle.b[1], bundle.qv[1], bundle.lam[1], bundle.r[1],
+                   bundle.d[1])
+        # 17 significant digits give back every array value bit for bit
+        assert rows[:, [0, 2, 3, 4, 5, 6]].tobytes() == np.column_stack(columns).tobytes()
+
+    def test_bad_path_index(self, capsys):
+        assert run_cli("simulate", "--paths", "1", "--path-index", "5") == 1
+        assert capsys.readouterr() == ("", "error: path_index 5 out of range\n")
 
 
 class TestGheatCmd:
@@ -194,6 +226,19 @@ class TestGheatCmd:
         x = np.array([float(r["x"]) for r in last])
         u = np.array([float(r["u"]) for r in last])
         assert printed == float(np.interp(0.0, x, u))
+
+    def test_csv_dump_shape(self, tmp_path):
+        out = tmp_path / "u.csv"
+        assert run_cli("gheat", "--nodes-per-width", "20", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,x,u"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        nx = _terminal_grid(VolBand(0.005, 0.02), 1.0, 20, 8.0).nx
+        slices = np.unique(rows[:, 0])
+        assert slices.size > 2 and rows.shape == (slices.size * nx, 3)
+        # slice by slice, each over the nodes in order; the first is phi = x^2
+        assert np.array_equal(rows[:, 0], np.repeat(slices, nx))
+        assert np.array_equal(rows[:nx, 2], rows[:nx, 1] ** 2)
 
 
 class TestErrors:
@@ -259,6 +304,24 @@ class TestErrors:
         assert run_cli("gheat", "--pad-widths", "0") == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--paths", "2", "--path-index", "5"],
+         ["simulate", "--path-index", "-1"],
+         ["price", "--maturities", "1,-1"]],
+    )
+    def test_bad_input_leaves_no_output_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "f.csv"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("phi, number", [("call:inf", "inf"), ("const:nan", "nan"),
+                                             ("call:-Infinity", "-Infinity"), ("call:x", "x")])
+    def test_payoff_number_must_be_finite(self, capsys, phi, number):
+        assert run_cli("gheat", "--phi", phi, "--nodes-per-width", "20") == 1
+        assert capsys.readouterr() == ("", f"error: expected a finite number, got '{number}'\n")
+
 
 # options that each command accepted at one time but never read
 NOT_READ = {
@@ -283,7 +346,10 @@ class TestOptionTable:
          for command, flags in NOT_READ.items() for flag in flags]
         + [["price", "--maturities", "1,,2"], ["calibrate", "--maturities", ",1"],
            ["verify", "--checkpoints", "0.5,,1"], ["verify", "--checkpoints", ""],
-           ["gap", "--paths", "2.5"], ["gap", "--band", "1"], ["gap", "--antithetic", "maybe"]],
+           ["gap", "--paths", "2.5"], ["gap", "--band", "1"], ["gap", "--antithetic", "maybe"],
+           ["price", "--maturities", "1,inf"], ["verify", "--checkpoints", "nan"],
+           ["gheat", "--pad-widths", "inf"], ["gap", "--alpha", "nan"], ["gap", "--band", "0.01,inf"],
+           ["simulate", "--horizon=-inf"]],
     )
     def test_rejected_by_the_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -330,7 +396,16 @@ class TestOptionTable:
          ("gap", {"paths": "2.5", "steps": 4}, "paths"),
          ("gap", {"paths": 2.5, "steps": 4}, "paths"),
          ("gap", {"alpha": "x", "paths": 64, "steps": 4}, "alpha"),
-         ("gap", {"alpha": 10**400, "paths": 64, "steps": 4}, "alpha")],
+         ("gap", {"alpha": 10**400, "paths": 64, "steps": 4}, "alpha"),
+         ("price", {"maturities": "1,inf"}, "maturities"),
+         ("price", {"maturities": [1, float("inf")]}, "maturities"),
+         ("verify", {"checkpoints": "nan", "paths": 64, "steps": 4}, "checkpoints"),
+         ("verify", {"checkpoints": [float("nan")], "paths": 64, "steps": 4}, "checkpoints"),
+         ("gheat", {"pad_widths": "inf"}, "pad_widths"),
+         ("gheat", {"pad_widths": float("inf")}, "pad_widths"),
+         ("gap", {"alpha": float("nan"), "paths": 64, "steps": 4}, "alpha"),
+         ("gap", {"band": [0.01, float("inf")], "paths": 64, "steps": 4}, "band"),
+         ("simulate", {"horizon": "-inf"}, "horizon")],
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, command, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -353,20 +428,27 @@ class TestOptionTable:
         ids=["price", "gap", "simulate"],
     )
     def test_non_finite_mu_exits_1(self, tmp_path, capsys, argv, doc):
+        # the float converter rejects it before RateParams would
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"error: argument --mu: expected a finite number, got '{argv[2]}'\n" in err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        for args in (argv, [argv[0], "--config", str(cfg)]):
-            assert run_cli(*args) == 1
-            assert capsys.readouterr() == ("", "error: mu must be finite\n")
+        assert run_cli(argv[0], "--config", str(cfg)) == 1
+        message = f"error: config key 'mu': expected a finite number, got '{doc['mu']}'\n"
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(["price", "--maturities", "1,,2"], "expected a number, got ''"),
+        [(["price", "--maturities", "1,,2"], "expected a finite number, got ''"),
          (["gap", "--paths", "2.5"], "expected an integer, got '2.5'"),
          (["gap", "--band", "1"], "band expects 'lo,hi', got '1'"),
          (["gap", "--antithetic", "maybe"], "expected true/false, 1/0 or yes/no, got 'maybe'"),
-         (["gap", "--alpha", "x"], "expected a number, got 'x'")],
-        ids=["maturities", "paths", "band", "antithetic", "alpha"],
+         (["gap", "--alpha", "x"], "expected a finite number, got 'x'"),
+         (["gheat", "--pad-widths", "inf"], "expected a finite number, got 'inf'")],
+        ids=["maturities", "paths", "band", "antithetic", "alpha", "pad_widths"],
     )
     def test_rejected_flag_shows_the_converter_message(self, capsys, argv, message):
         with pytest.raises(SystemExit):

@@ -119,7 +119,7 @@ class TestDegenerateBand:
 
 class TestGridAndFailures:
     def test_with_cfl_raises_nt(self):
-        grid = Grid1D.with_cfl(BAND, -1.0, 1.0, 201, 1.0, nt=1)
+        grid = Grid1D.with_cfl(BAND, -1.0, 1.0, 201, 1.0)
         assert grid.cfl_number(BAND) <= 0.5 + 1e-12
         assert grid.nt > 1
 
@@ -158,14 +158,3 @@ class TestGridAndFailures:
             Grid1D(1.0, -1.0, 11, 1.0, 1)
         with pytest.raises(ValidationError):
             Grid1D(-1.0, 1.0, 2, 1.0, 1)
-
-    def test_csv_dump_shape(self):
-        import io
-
-        grid = small_grid(nx=21, t_final=0.5)
-        sol = solve_gheat(lambda x: x**2, BAND, grid, store_every=grid.nt)
-        buf = io.StringIO()
-        sol.write_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "t,x,u"
-        assert len(lines) == 1 + sol.u.shape[0] * grid.nx

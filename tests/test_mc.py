@@ -79,7 +79,7 @@ def test_discounted_bond_upper_matches_classical_price():
     params = RateParams(r0=0.02, alpha=1.0, mu=0.0)
     cfg = McConfig(n_paths=40_000, n_steps=128, horizon=1.0, base_seed=7, antithetic=True)
     est = estimate_sublinear(discount_factor, BAND, FAMILY, cfg, params=params, dynamics="original")
-    target = price_classical_hw(params, BAND.sigma_hi, 0.0, 1.0, 0.02).price
+    target = price_classical_hw(params, BAND.sigma_hi, 0.0, 1.0, 0.02)
     assert est.argmax_scenario == "const[0.02]"
     assert abs(est.upper - target) <= 3 * est.upper_se
 

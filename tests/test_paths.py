@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +11,7 @@ from robustrates import (
     TimeGrid,
     ValidationError,
     VolBand,
+    b_factor,
     bang_bang,
     lambda_path,
     money_market,
@@ -271,50 +270,6 @@ class TestMoneyMarket:
         assert money_market(r, grid).tobytes() == expected.tobytes()
 
 
-class TestBundleCsv:
-    def test_header_and_determinism(self):
-        grid = TimeGrid(1.0, 4)
-        params = RateParams(r0=0.02, alpha=1.0, mu=0.0)
-        outs = []
-        for _ in range(2):
-            bundle = simulate_bundle(Constant(0.01), BAND, grid, params, seed=3, n_paths=2)
-            buf = io.StringIO()
-            bundle.write_csv(buf, path_index=0)
-            outs.append(buf.getvalue())
-        assert outs[0] == outs[1]
-        lines = outs[0].strip().split("\n")
-        assert lines[0] == "t,sigma,B,qv,lambda,r,D"
-        assert len(lines) == grid.n_steps + 2
-        first = lines[1].split(",")
-        assert float(first[2]) == 0.0 and float(first[3]) == 0.0 and float(first[6]) == 1.0
-
-    def test_round_trippable_digits(self):
-        grid = TimeGrid(1.0, 3)
-        params = RateParams(r0=0.02, alpha=1.0, mu=0.0)
-        bundle = simulate_bundle(Constant(0.013), BAND, grid, params, seed=3, n_paths=1)
-        buf = io.StringIO()
-        bundle.write_csv(buf)
-        rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
-        for k, row in enumerate(rows):
-            assert float(row[5]) == bundle.r[0, k]
-            assert float(row[2]) == bundle.b[0, k]
-
-    def test_absent_components_are_left_empty(self):
-        bundle = simulate_bundle(Constant(0.01), BAND, TimeGrid(1.0, 2), None, seed=0, n_paths=1)
-        buf = io.StringIO()
-        bundle.write_csv(buf)
-        rows = buf.getvalue().strip().split("\n")[1:]
-        assert len(rows) == 3
-        assert all(row.endswith(",,,") and row.count(",") == 6 for row in rows)
-        assert [float(row.split(",")[1]) for row in rows] == [0.01] * 3
-
-    def test_bad_path_index(self):
-        grid = TimeGrid(1.0, 2)
-        bundle = simulate_bundle(Constant(0.01), BAND, grid, None, seed=0, n_paths=1)
-        with pytest.raises(ValidationError):
-            bundle.write_csv(io.StringIO(), path_index=5)
-
-
 class TestGridValidation:
     def test_grid_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
@@ -327,6 +282,19 @@ class TestGridValidation:
         assert grid.index_of(0.5) == 2
         with pytest.raises(ValidationError):
             grid.index_of(0.3)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_index_of_rejects_non_finite(self, t):
+        with pytest.raises(ValidationError, match="not a grid point"):
+            TimeGrid(1.0, 4).index_of(t)
+
+    @pytest.mark.parametrize(
+        "t, maturity",
+        [(np.nan, 1.0), (0.0, np.inf), (0.0, np.nan), (np.inf, np.inf), (np.array([0.0, np.nan]), 1.0)],
+    )
+    def test_interval_rejects_non_finite(self, t, maturity):
+        with pytest.raises(ValidationError, match="need 0 <= t <= T < inf"):
+            b_factor(1.0, t, maturity)
 
     def test_params_validation(self):
         with pytest.raises(ValidationError):
