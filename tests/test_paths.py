@@ -18,6 +18,7 @@ from robustrates import (
     price_robust,
     simulate_bundle,
 )
+from robustrates.cli import main
 from robustrates.mc import CHUNK_PATHS, _chunk_bundles
 from robustrates.paths import _r_step, _rate_factors, _sigma_table
 
@@ -268,6 +269,23 @@ class TestMoneyMarket:
         r = np.random.default_rng(1).normal(0.02, 0.05, size=shape)
         expected = np.exp(cumulative_trapezoid(r, dx=grid.dt, axis=-1, initial=0.0))
         assert money_market(r, grid).tobytes() == expected.tobytes()
+
+
+class TestBundleCsv:
+    def test_header_and_determinism(self, tmp_path):
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            code = main(["simulate", "--sigma", "0.01", "--steps", "4", "--paths", "2",
+                         "--path-index", "0", "--seed", "3", "--out", str(out)])
+            assert code == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        lines = outs[0].strip().split("\n")
+        assert lines[0] == "t,sigma,B,qv,lambda,r,D"
+        assert len(lines) == TimeGrid(1.0, 4).n_steps + 2
+        first = lines[1].split(",")
+        assert float(first[2]) == 0.0 and float(first[3]) == 0.0 and float(first[6]) == 1.0
 
 
 class TestGridValidation:
