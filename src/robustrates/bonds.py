@@ -36,7 +36,10 @@ from .mc import (
     _sublinear,
     scenario_functional_values,
 )
-from .paths import RateParams, _check_interval, _discount_factors, b_factor
+from .paths import (
+    _TABLES_PER_PASS, RateParams, _check_interval, _discount_factors, _draw_normals, _lam_decay,
+    _lam_step, _r_step, _rate_factors, _sigma_table, _trapezoid, b_factor,
+)
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
@@ -250,6 +253,52 @@ def _ols_with_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, flo
     return slope, slope_se, intercept, intercept_se
 
 
+def _martingale_reducers(scenarios, band, params, cfg, dynamics, a_vec, b_vec, p0, cp_idx):
+    """Per chunk, the reducers of ``p~ - p0`` for each non-adaptive scenario on
+    the chunk's one draw: checkpoint samples ``(scenarios, checkpoints, paths)``,
+    path sums ``(scenarios, steps + 1)`` and terminal errors.  Row ``i`` is, bit
+    for bit, what the bundles of ``scenarios[i]`` alone give.  A pass steps a
+    time-major ``(members, paths)`` state with a ``(paths, steps)`` buffer of log
+    increments per member, so it takes at most ``_TABLES_PER_PASS`` members."""
+    grid, n, dt, sq = cfg.grid, cfg.n_steps, cfg.grid.dt, np.sqrt(cfg.grid.dt)
+    e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
+    neg_b, half_b2 = -b_vec[:-1], 0.5 * b_vec[:-1] ** 2
+    for ci, rng, m in _chunks(cfg):
+        z = _draw_normals(rng, m, n, cfg.antithetic).T.copy()  # time-major
+        cps = np.empty((len(scenarios), len(cp_idx), m))
+        sums = np.empty((len(scenarios), n + 1))
+        errs = np.empty(len(scenarios))
+        for lo in range(0, len(scenarios), _TABLES_PER_PASS):
+            rows = slice(lo, lo + _TABLES_PER_PASS)
+            tables = [_sigma_table(s, band, grid, m, cfg.antithetic, ci) for s in scenarios[rows]]
+            sigma, b, qv, lam, integral = np.zeros((5, len(tables), m))
+            r = np.full_like(sigma, params.r0)
+            dlog = np.empty(sigma.shape + (n,))  # path-major, so its sums are np.sum's
+            for k in range(n + 1):
+                # the state at grid time k; exp(log D) as money_market builds D
+                p = np.exp(_log_price(a_vec[k], b_vec[k], r, lam) - np.log(np.exp(integral))) - p0
+                sums[rows, k] = np.cumsum(p, axis=1)[:, -1]  # summed in path order
+                for j in np.flatnonzero(np.equal(cp_idx, k)):
+                    cps[rows, j] = p
+                if k == n:
+                    break
+                for row, tab in zip(sigma, tables):
+                    row[:] = tab[k]
+                db = sigma * sq * z[k]
+                dqv = sigma**2 * dt
+                b_next, qv_next = b + db, qv + dqv
+                r_next = _r_step(k, r, db, lam if dynamics == "shifted" else None, factors)
+                lam = _lam_step(lam, dqv, e2)
+                integral += _trapezoid(r, r_next, dt)
+                # the increments as np.diff takes them from the stored path
+                dlog[..., k] = neg_b[k] * (b_next - b) - half_b2[k] * (qv_next - qv)
+                b, qv, r = b_next, qv_next, r_next
+            p_sde = p0 * np.exp(np.sum(dlog, axis=-1))
+            errs[rows] = np.max(np.abs(p_sde * np.exp(integral) - 1.0), axis=1)
+            del tables, dlog  # before the next pass builds its own
+        yield cps, sums, errs
+
+
 def martingale_check(
     params: RateParams,
     band: VolBand,
@@ -268,6 +317,11 @@ def martingale_check(
     representation to measure the pathwise terminal identity
     ``P(T,T) = 1`` up to discretization error.
 
+    Table-driven members step together on each chunk's one draw and keep
+    only checkpoint samples, path sums per step and the terminal error;
+    feedback members run on full bundles.  Both match simulating each
+    scenario on its own, bit for bit.
+
     Passing ``dynamics="original"`` yields the adversarial fixture: under a
     non-degenerate band the edge scenarios must fail, which is the power
     check for this test.
@@ -276,6 +330,10 @@ def martingale_check(
     grid = cfg.grid
     cp = sorted(float(t) for t in checkpoints)
     cp_idx = [grid.index_of(t) for t in cp]  # rejects off-grid checkpoints
+    if dynamics not in ("original", "shifted"):
+        raise ValidationError(f"unknown dynamics '{dynamics}'")
+    for spec in scenarios:
+        spec.validate(band)  # before anything is drawn
 
     times = grid.times
     # affine coefficients along the grid (A is a quadrature per grid time)
@@ -283,32 +341,44 @@ def martingale_check(
     a_vec = np.array([a_robust(params, float(t), maturity) for t in times])
     p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))  # lam_0 = 0, D_0 = 1
 
-    reports = []
-    for spec, sid in zip(scenarios, _dedupe_ids(scenarios)):
-        cp_vals = []
-        path_sums = np.zeros(grid.n_steps + 1)
-        terminal_err = 0.0
-        for bundle in _chunk_bundles(spec, band, cfg, params, dynamics):
+    cp_vals = [[] for _ in scenarios]
+    path_sums = np.zeros((len(scenarios), grid.n_steps + 1))
+    terminal_err = [0.0] * len(scenarios)
+
+    def collect(i, cp_samples, sums, err):
+        # checkpoint error bars over antithetic pair means
+        cp_vals[i].append(_pair_means(cp_samples.T, cfg.antithetic))
+        path_sums[i] += sums
+        terminal_err[i] = max(terminal_err[i], float(err))
+
+    tabled = [i for i, s in enumerate(scenarios) if not s.is_adaptive]
+    members = [scenarios[i] for i in tabled]
+    chunks = _martingale_reducers(members, band, params, cfg, dynamics, a_vec, b_vec, p0, cp_idx)
+    for chunk in chunks if tabled else ():
+        for i, *reduced in zip(tabled, *chunk):
+            collect(i, *reduced)
+    # feedback rules read the path history, so they keep their bundles
+    for i in [j for j, s in enumerate(scenarios) if s.is_adaptive]:
+        for bundle in _chunk_bundles(scenarios[i], band, cfg, params, dynamics):
             p_tilde = np.exp(_log_price(a_vec, b_vec, bundle.r, bundle.lam) - np.log(bundle.d))
             # centred on p0: sums of the small deviations keep their digits,
             # and the t = 0 column, equal to p0 on every path, stays exactly 0
             p_tilde -= p0
-            # checkpoint error bars over antithetic pair means
-            cp_vals.append(_pair_means(p_tilde[:, cp_idx], cfg.antithetic))
-            path_sums += p_tilde.sum(axis=0)
             # driftless representation: d(log ptilde) = -B dB - B^2 dqv / 2
-            db = np.diff(bundle.b, axis=1)
-            dqv = np.diff(bundle.qv, axis=1)
+            db, dqv = np.diff(bundle.b, axis=1), np.diff(bundle.qv, axis=1)
             dlog = -b_vec[:-1] * db - 0.5 * b_vec[:-1] ** 2 * dqv
             p_sde = p0 * np.exp(np.sum(dlog, axis=1))
-            terminal_err = max(terminal_err, float(np.max(np.abs(p_sde * bundle.d[:, -1] - 1.0))))
+            err = np.max(np.abs(p_sde * bundle.d[:, -1] - 1.0))
+            collect(i, p_tilde[:, cp_idx].T, p_tilde.sum(axis=0), err)
 
-        means, ses = _mean_se(np.concatenate(cp_vals))
+    reports = []
+    for sid, vals, sums, err in zip(_dedupe_ids(scenarios), cp_vals, path_sums, terminal_err):
+        means, ses = _mean_se(np.concatenate(vals))
         rows = [
             CheckpointStat(t=t_cp, mean=p0 + float(mean), se=float(se), reference=p0)
             for t_cp, mean, se in zip(cp, means, ses)
         ]
-        mean_inc = np.diff(path_sums) / cfg.n_paths
+        mean_inc = np.diff(sums) / cfg.n_paths
         slope, slope_se, intercept, intercept_se = _ols_with_se(grid.step_times, mean_inc)
         reports.append(
             MartingaleReport(
@@ -319,7 +389,7 @@ def martingale_check(
                 drift_slope_se=slope_se,
                 drift_intercept=intercept,
                 drift_intercept_se=intercept_se,
-                terminal_max_abs_error=terminal_err,
+                terminal_max_abs_error=err,
                 dt=grid.dt,
             )
         )

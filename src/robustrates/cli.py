@@ -259,8 +259,11 @@ def cmd_price(cfg: _Config) -> int:
             robust = price_robust(params, 0.0, T, params.r0, 0.0)
         # classical intercept = robust intercept + sigma^2/2 * int B^2
         v = _b_squared_integral(params, 0.0, T)
-        lower = robust * float(np.exp(0.5 * band.sigma_lo**2 * v))
-        upper = robust * float(np.exp(0.5 * band.sigma_hi**2 * v))
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            lower = robust * float(np.exp(0.5 * band.sigma_lo**2 * v))
+            upper = robust * float(np.exp(0.5 * band.sigma_hi**2 * v))
+        if not np.isfinite([lower, robust, upper]).all():
+            raise NumericalError(f"price at maturity {T} is not finite")
         rows.append((T, lower, robust, upper))
     with _output(cfg.get("out")) as fh:
         _write_csv(fh, "T,price_lower,price_robust,price_upper", rows)

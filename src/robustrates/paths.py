@@ -327,6 +327,8 @@ def simulate_bundle(
 ) -> PathBundle:
     """Driver plus ``lam``, short rate ``r`` under ``dynamics`` and money market;
     with ``params=None``, sigma, the driver ``B`` and its quadratic variation only."""
+    if n_paths < 1:
+        raise ValidationError("n_paths must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     return _simulate(
         scenario, band, grid, rng, n_paths,

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from robustrates import (
     AdaptedFeedback,
     Constant,
+    MartingaleReport,
     McConfig,
     NumericalError,
     PiecewiseConstant,
@@ -26,9 +27,24 @@ from robustrates import (
     price_classical_hw,
     price_robust,
 )
+import robustrates.bonds
 import robustrates.paths
-from robustrates.bonds import _ensure_extremes, _simpson_segmented
-from robustrates.mc import CHUNK_PATHS, _mean_se, _sublinear, scenario_functional_values
+from robustrates.bonds import (
+    CheckpointStat,
+    _ensure_extremes,
+    _log_price,
+    _ols_with_se,
+    _simpson_segmented,
+)
+from robustrates.mc import (
+    CHUNK_PATHS,
+    _chunk_bundles,
+    _dedupe_ids,
+    _mean_se,
+    _pair_means,
+    _sublinear,
+    scenario_functional_values,
+)
 
 BAND = VolBand(0.005, 0.02)
 PARAMS = RateParams(r0=0.02, alpha=1.0, mu=0.0)
@@ -346,6 +362,19 @@ class TestMartingale:
         with pytest.raises(ValidationError):
             martingale_check(PARAMS, BAND, self.SCEN, 1.0, [0.3], self.CFG)
 
+    def test_unknown_dynamics_rejected_before_drawing(self, monkeypatch):
+        draws = []
+        for module in (robustrates.paths, robustrates.bonds):
+            monkeypatch.setattr(module, "_draw_normals", lambda *a: draws.append(a), raising=False)
+        with pytest.raises(ValidationError, match="unknown dynamics 'bogus'"):
+            martingale_check(PARAMS, BAND, [Constant(0.01), Constant(0.02)], 1.0, [0.5],
+                             self.CFG, dynamics="bogus")
+        assert draws == []
+
+    def test_member_outside_band_rejected(self):
+        with pytest.raises(ValidationError, match=r"constant volatility 0.5 outside band"):
+            martingale_check(PARAMS, BAND, [Constant(0.01), Constant(0.5)], 1.0, [0.5], self.CFG)
+
     def test_checkpoint_se_is_two_pass_on_tiny_band(self):
         """Pair-mean discounted prices spread by about 1e-8 around 0.98 at
         sigma = 5e-4, where a one-pass ``E[x^2] - E[x]^2`` variance loses
@@ -369,3 +398,89 @@ class TestMartingale:
             discounted_price, band, [Constant(sigma)], cfg, params=PARAMS, dynamics="shifted"
         )
         assert row.se == pytest.approx(est.upper_se, rel=1e-9, abs=0.0)
+
+
+def _bundle_martingale_reports(params, band, scenarios, maturity, checkpoints, cfg, dynamics):
+    """``martingale_check`` as it was computed from each scenario's full
+    bundles, one scenario at a time."""
+    cfg = replace(cfg, horizon=maturity)
+    grid = cfg.grid
+    cp = sorted(float(t) for t in checkpoints)
+    cp_idx = [grid.index_of(t) for t in cp]
+    b_vec = b_factor(params.alpha, grid.times, maturity)
+    a_vec = np.array([a_robust(params, float(t), maturity) for t in grid.times])
+    p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))
+    reports = []
+    for spec, sid in zip(scenarios, _dedupe_ids(scenarios)):
+        cp_vals, path_sums, terminal_err = [], np.zeros(grid.n_steps + 1), 0.0
+        for bundle in _chunk_bundles(spec, band, cfg, params, dynamics):
+            p_tilde = np.exp(_log_price(a_vec, b_vec, bundle.r, bundle.lam) - np.log(bundle.d))
+            p_tilde -= p0
+            cp_vals.append(_pair_means(p_tilde[:, cp_idx], cfg.antithetic))
+            path_sums += p_tilde.sum(axis=0)
+            db = np.diff(bundle.b, axis=1)
+            dqv = np.diff(bundle.qv, axis=1)
+            dlog = -b_vec[:-1] * db - 0.5 * b_vec[:-1] ** 2 * dqv
+            p_sde = p0 * np.exp(np.sum(dlog, axis=1))
+            terminal_err = max(terminal_err, float(np.max(np.abs(p_sde * bundle.d[:, -1] - 1.0))))
+        means, ses = _mean_se(np.concatenate(cp_vals))
+        rows = tuple(
+            CheckpointStat(t=t, mean=p0 + float(mean), se=float(se), reference=p0)
+            for t, mean, se in zip(cp, means, ses)
+        )
+        fit = _ols_with_se(grid.step_times, np.diff(path_sums) / cfg.n_paths)
+        reports.append(MartingaleReport(sid, maturity, rows, *fit, terminal_err, grid.dt))
+    return reports
+
+
+class TestMartingaleStreaming:
+    """Table-driven members step together on each chunk's one draw and keep
+    per-step reducers only; every report field must equal the one computed
+    from that scenario's own full bundles."""
+
+    # eight table-driven members (more than one pass holds), a feedback
+    # member and a duplicate id
+    FAMILY = [
+        Constant(0.005), RandomSwitching(3.0, 1), PiecewiseConstant((0.3,), (0.02, 0.005)),
+        Constant(0.02), AdaptedFeedback("driver_sign"), bang_bang(BAND, 1.5, 4),
+        RandomSwitching(8.0, 2), Constant(0.0125), Constant(0.02),
+    ]
+    CHECKPOINTS = [1.5, 0.0, 0.375, 0.75]
+
+    @pytest.mark.parametrize("dynamics", ["shifted", "original"])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_bitwise_equal_to_bundle_reports(self, dynamics, antithetic):
+        params = RateParams(r0=0.02, alpha=0.7, mu=lambda s: np.where(s < 0.4, 0.01, 0.03),
+                            mu_breakpoints=(0.4,))
+        cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=11,
+                       antithetic=antithetic)
+        assert sum(not s.is_adaptive for s in self.FAMILY) > robustrates.paths._TABLES_PER_PASS
+        args = (params, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg, dynamics)
+        reports = martingale_check(*args)
+        assert reports[-1].scenario_id == "const[0.02]#1"
+        assert reports == _bundle_martingale_reports(*args)
+
+    def test_one_draw_per_chunk_for_the_table_driven_members(self, monkeypatch):
+        cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=2, antithetic=True)
+        draws = []
+        draw = robustrates.paths._draw_normals
+        for module in (robustrates.paths, robustrates.bonds):
+            monkeypatch.setattr(module, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a))
+        martingale_check(PARAMS, BAND, self.FAMILY, 1.5, [1.5], cfg)
+        # one draw per chunk for the eight tabled members, then the feedback
+        # member's own per chunk
+        assert draws == [(CHUNK_PATHS, 8, True), (2, 8, True)] * 2
+
+    def test_pass_size_does_not_change_reports(self, monkeypatch):
+        cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=4, antithetic=True)
+        args = (PARAMS, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg)
+        reports = martingale_check(*args)
+        monkeypatch.setattr(robustrates.bonds, "_TABLES_PER_PASS", 1)
+        assert martingale_check(*args) == reports
+
+    def test_reversed_family_reverses_reports(self):
+        family = self.FAMILY[:-1]  # no duplicate id, whose suffix follows the order
+        cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=6, antithetic=True)
+        reports = martingale_check(PARAMS, BAND, family, 1.5, self.CHECKPOINTS, cfg)
+        backwards = martingale_check(PARAMS, BAND, family[::-1], 1.5, self.CHECKPOINTS, cfg)
+        assert backwards == reports[::-1]

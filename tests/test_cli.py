@@ -78,6 +78,15 @@ class TestPrice:
         v = float(row["price_robust"])
         assert f"{v:.17g}" == row["price_robust"]
 
+    def test_non_finite_edge_price_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # sigma_hi^2 int B^2 / 2 passes 709 at T = 1e7, so the upper price overflows
+        out = tmp_path / "p.csv"
+        assert run_cli("price", "--maturities", "1,1e7", "--out", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", "numerical failure: price at maturity 10000000.0 is not finite\n"
+        )
+        assert not out.exists()
+
 
 class TestGap:
     def test_degenerate_band_no_gap(self, tmp_path):
@@ -187,6 +196,10 @@ class TestSimulate:
     def test_bad_path_index(self, capsys):
         assert run_cli("simulate", "--paths", "1", "--path-index", "5") == 1
         assert capsys.readouterr() == ("", "error: path_index 5 out of range\n")
+
+    def test_zero_paths_names_the_count(self, capsys):
+        assert run_cli("simulate", "--paths", "0", "--steps", "4") == 1
+        assert capsys.readouterr() == ("", "error: n_paths must be >= 1\n")
 
 
 class TestGheatCmd:

@@ -80,6 +80,11 @@ class TestDriver:
         bundle = simulate_bundle(Constant(0.01), BAND, grid, None, seed=9, n_paths=8, antithetic=True)
         np.testing.assert_array_equal(bundle.b[:4], -bundle.b[4:])
 
+    @pytest.mark.parametrize("params", [None, RateParams(r0=0.02, alpha=1.0)])
+    def test_zero_paths_rejected(self, params):
+        with pytest.raises(ValidationError, match="n_paths must be >= 1"):
+            simulate_bundle(Constant(0.01), BAND, TimeGrid(1.0, 4), params, seed=0, n_paths=0)
+
     def test_seed_determinism(self):
         grid = TimeGrid(1.0, 16)
         b1 = simulate_bundle(Constant(0.01), BAND, grid, None, seed=4, n_paths=10)
