@@ -25,21 +25,8 @@ from scipy.integrate import simpson
 
 from .band import VolBand
 from .errors import ValidationError
-from .mc import (
-    McConfig,
-    _chunk_bundles,
-    _chunks,
-    _dedupe_ids,
-    _mean_se,
-    _pair_means,
-    _samples,
-    _sublinear,
-    scenario_functional_values,
-)
-from .paths import (
-    _TABLES_PER_PASS, RateParams, _check_interval, _discount_factors, _draw_normals, _lam_decay,
-    _lam_step, _r_step, _rate_factors, _sigma_table, _trapezoid, b_factor,
-)
+from .mc import McConfig, _chunks, _dedupe_ids, _mean_se, _pair_means, _samples, _sublinear
+from .paths import RateParams, _check_interval, _discount_factors, _steps, b_factor
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
@@ -202,19 +189,11 @@ def noarb_gap(
     ids = _dedupe_ids(scenarios)
     for spec in scenarios:
         spec.validate(band)  # before anything is drawn
-    # table-driven members step together on each chunk's one shared draw
-    tabled, tabled_ids = zip(*[(s, sid) for s, sid in zip(scenarios, ids) if not s.is_adaptive])
     discounts = (
-        _discount_factors(tabled, band, cfg.grid, rng, m, params, cfg.antithetic, ci)
+        _discount_factors(scenarios, band, cfg.grid, rng, m, params, cfg.antithetic, ci)
         for ci, rng, m in _chunks(cfg)
     )
-    streamed = iter(_samples(tabled_ids, discounts, cfg.antithetic))
-    # feedback rules read the path history, so they keep their bundles
-    ruled = [s for s in scenarios if s.is_adaptive]
-    ruled_values = iter(
-        scenario_functional_values(discount_factor, band, ruled, cfg, params)[1] if ruled else []
-    )
-    values = [next(ruled_values if s.is_adaptive else streamed) for s in scenarios]
+    values = _samples(ids, discounts, cfg.antithetic)
     est = _sublinear(ids, values)
     i_up = ids.index(est.argmax_scenario)
     i_lo = ids.index(est.argmin_scenario)
@@ -254,48 +233,35 @@ def _ols_with_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, flo
 
 
 def _martingale_reducers(scenarios, band, params, cfg, dynamics, a_vec, b_vec, p0, cp_idx):
-    """Per chunk, the reducers of ``p~ - p0`` for each non-adaptive scenario on
-    the chunk's one draw: checkpoint samples ``(scenarios, checkpoints, paths)``,
-    path sums ``(scenarios, steps + 1)`` and terminal errors.  Row ``i`` is, bit
-    for bit, what the bundles of ``scenarios[i]`` alone give.  A pass steps a
-    time-major ``(members, paths)`` state with a ``(paths, steps)`` buffer of log
-    increments per member, so it takes at most ``_TABLES_PER_PASS`` members."""
-    grid, n, dt, sq = cfg.grid, cfg.n_steps, cfg.grid.dt, np.sqrt(cfg.grid.dt)
-    e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
+    """Per chunk, the reducers of ``p~ - p0`` for each scenario on the chunk's
+    one draw: checkpoint samples ``(scenarios, checkpoints, paths)``, path sums
+    ``(scenarios, steps + 1)`` and terminal errors.  Row ``i`` is, bit for bit,
+    what the bundles of ``scenarios[i]`` alone give.  Each member of a pass
+    keeps a ``(paths, steps)`` buffer of log increments for its terminal error."""
+    n = cfg.n_steps
     neg_b, half_b2 = -b_vec[:-1], 0.5 * b_vec[:-1] ** 2
     for ci, rng, m in _chunks(cfg):
-        z = _draw_normals(rng, m, n, cfg.antithetic).T.copy()  # time-major
         cps = np.empty((len(scenarios), len(cp_idx), m))
         sums = np.empty((len(scenarios), n + 1))
         errs = np.empty(len(scenarios))
-        for lo in range(0, len(scenarios), _TABLES_PER_PASS):
-            rows = slice(lo, lo + _TABLES_PER_PASS)
-            tables = [_sigma_table(s, band, grid, m, cfg.antithetic, ci) for s in scenarios[rows]]
-            sigma, b, qv, lam, integral = np.zeros((5, len(tables), m))
-            r = np.full_like(sigma, params.r0)
-            dlog = np.empty(sigma.shape + (n,))  # path-major, so its sums are np.sum's
-            for k in range(n + 1):
-                # the state at grid time k; exp(log D) as money_market builds D
-                p = np.exp(_log_price(a_vec[k], b_vec[k], r, lam) - np.log(np.exp(integral))) - p0
-                sums[rows, k] = np.cumsum(p, axis=1)[:, -1]  # summed in path order
-                for j in np.flatnonzero(np.equal(cp_idx, k)):
-                    cps[rows, j] = p
-                if k == n:
-                    break
-                for row, tab in zip(sigma, tables):
-                    row[:] = tab[k]
-                db = sigma * sq * z[k]
-                dqv = sigma**2 * dt
-                b_next, qv_next = b + db, qv + dqv
-                r_next = _r_step(k, r, db, lam if dynamics == "shifted" else None, factors)
-                lam = _lam_step(lam, dqv, e2)
-                integral += _trapezoid(r, r_next, dt)
+        for s in _steps(scenarios, band, cfg.grid, rng, m, params, dynamics, cfg.antithetic, ci,
+                        extra=1, full=True):
+            k, rows = s.k, s.rows
+            # exp(log D) as money_market builds D
+            p = np.exp(_log_price(a_vec[k], b_vec[k], s.r, s.lam) - np.log(np.exp(s.integral))) - p0
+            sums[rows, k] = np.cumsum(p, axis=1)[:, -1]  # summed in path order
+            for j in np.flatnonzero(np.equal(cp_idx, k)):
+                cps[rows, j] = p
+            if k == 0:
+                dlog = np.empty(p.shape + (n,))  # path-major, so its sums are np.sum's
+            else:
                 # the increments as np.diff takes them from the stored path
-                dlog[..., k] = neg_b[k] * (b_next - b) - half_b2[k] * (qv_next - qv)
-                b, qv, r = b_next, qv_next, r_next
-            p_sde = p0 * np.exp(np.sum(dlog, axis=-1))
-            errs[rows] = np.max(np.abs(p_sde * np.exp(integral) - 1.0), axis=1)
-            del tables, dlog  # before the next pass builds its own
+                dlog[..., k - 1] = neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
+            b, qv = s.b, s.qv
+            if k == n:
+                p_sde = p0 * np.exp(np.sum(dlog, axis=-1))
+                errs[rows] = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
+                del dlog  # before the next pass builds its own
         yield cps, sums, errs
 
 
@@ -317,10 +283,9 @@ def martingale_check(
     representation to measure the pathwise terminal identity
     ``P(T,T) = 1`` up to discretization error.
 
-    Table-driven members step together on each chunk's one draw and keep
-    only checkpoint samples, path sums per step and the terminal error;
-    feedback members run on full bundles.  Both match simulating each
-    scenario on its own, bit for bit.
+    All members step together on each chunk's one draw and keep only
+    checkpoint samples, path sums per step and the terminal error; this
+    matches simulating each scenario on its own, bit for bit.
 
     Passing ``dynamics="original"`` yields the adversarial fixture: under a
     non-degenerate band the edge scenarios must fail, which is the power
@@ -332,6 +297,7 @@ def martingale_check(
     cp_idx = [grid.index_of(t) for t in cp]  # rejects off-grid checkpoints
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
+    ids = _dedupe_ids(scenarios)
     for spec in scenarios:
         spec.validate(band)  # before anything is drawn
 
@@ -344,35 +310,15 @@ def martingale_check(
     cp_vals = [[] for _ in scenarios]
     path_sums = np.zeros((len(scenarios), grid.n_steps + 1))
     terminal_err = [0.0] * len(scenarios)
-
-    def collect(i, cp_samples, sums, err):
-        # checkpoint error bars over antithetic pair means
-        cp_vals[i].append(_pair_means(cp_samples.T, cfg.antithetic))
-        path_sums[i] += sums
-        terminal_err[i] = max(terminal_err[i], float(err))
-
-    tabled = [i for i, s in enumerate(scenarios) if not s.is_adaptive]
-    members = [scenarios[i] for i in tabled]
-    chunks = _martingale_reducers(members, band, params, cfg, dynamics, a_vec, b_vec, p0, cp_idx)
-    for chunk in chunks if tabled else ():
-        for i, *reduced in zip(tabled, *chunk):
-            collect(i, *reduced)
-    # feedback rules read the path history, so they keep their bundles
-    for i in [j for j, s in enumerate(scenarios) if s.is_adaptive]:
-        for bundle in _chunk_bundles(scenarios[i], band, cfg, params, dynamics):
-            p_tilde = np.exp(_log_price(a_vec, b_vec, bundle.r, bundle.lam) - np.log(bundle.d))
-            # centred on p0: sums of the small deviations keep their digits,
-            # and the t = 0 column, equal to p0 on every path, stays exactly 0
-            p_tilde -= p0
-            # driftless representation: d(log ptilde) = -B dB - B^2 dqv / 2
-            db, dqv = np.diff(bundle.b, axis=1), np.diff(bundle.qv, axis=1)
-            dlog = -b_vec[:-1] * db - 0.5 * b_vec[:-1] ** 2 * dqv
-            p_sde = p0 * np.exp(np.sum(dlog, axis=1))
-            err = np.max(np.abs(p_sde * bundle.d[:, -1] - 1.0))
-            collect(i, p_tilde[:, cp_idx].T, p_tilde.sum(axis=0), err)
+    for chunk in _martingale_reducers(scenarios, band, params, cfg, dynamics, a_vec, b_vec, p0, cp_idx):
+        for i, (cp_samples, sums, err) in enumerate(zip(*chunk)):
+            # checkpoint error bars over antithetic pair means
+            cp_vals[i].append(_pair_means(cp_samples.T, cfg.antithetic))
+            path_sums[i] += sums
+            terminal_err[i] = max(terminal_err[i], float(err))
 
     reports = []
-    for sid, vals, sums, err in zip(_dedupe_ids(scenarios), cp_vals, path_sums, terminal_err):
+    for sid, vals, sums, err in zip(ids, cp_vals, path_sums, terminal_err):
         means, ses = _mean_se(np.concatenate(vals))
         rows = [
             CheckpointStat(t=t_cp, mean=p0 + float(mean), se=float(se), reference=p0)

@@ -21,6 +21,7 @@ Discretization choices (fixed, first order in the stochastic terms):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -204,6 +205,105 @@ def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key) -> np.nd
     return np.hstack([tab, tab]) if tab.ndim == 2 and antithetic else np.ascontiguousarray(tab)
 
 
+#: ``(n_steps, n_paths)`` arrays a pass of ``_steps`` holds, whatever the family size
+_TABLES_PER_PASS = 6
+
+
+def _passes(scenarios, band, grid, n_paths, antithetic, key, extra):
+    """Consecutive runs of ``scenarios`` with their chunk tables (None for a
+    feedback member) as ``(rows, [(spec, table), ...])``, each holding at most
+    ``_TABLES_PER_PASS`` arrays: a switching table counts 1, a feedback
+    history 4 and the consumer's own arrays ``extra`` per member."""
+    lo, group, used = 0, [], 0
+    for spec in scenarios:
+        tab = None if spec.is_adaptive else _sigma_table(spec, band, grid, n_paths, antithetic, key)
+        cost = extra + (4 if tab is None else tab.ndim - 1)
+        if group and used + cost > _TABLES_PER_PASS:
+            yield slice(lo, lo + len(group)), group
+            lo, group, used = lo + len(group), [], 0
+        group.append((spec, tab))
+        used += cost
+        if used >= _TABLES_PER_PASS:  # full: step it before building another table
+            yield slice(lo, lo + len(group)), group
+            lo, group, used = lo + len(group), [], 0
+    if group:
+        yield slice(lo, lo + len(group)), group
+
+
+def _feedback_sigma(spec, hist, k, t, dt, band):
+    """Step ``k``'s volatility from a feedback rule.  The rule sees prefix
+    slices of the member's locked history, exactly the path up to ``t``."""
+    for arr in hist.values():
+        arr.setflags(write=False)
+    try:
+        past = {x: arr[:, : k + (x != "sigma")] for x, arr in hist.items()}
+        view = PathView(k, t, dt, band, past["sigma"], past["b"], past["qv"], past.get("r"))
+        sig_k = np.asarray(spec.step_sigma(view), dtype=float)
+    finally:
+        for arr in hist.values():
+            arr.setflags(write=True)
+    if not band.contains(sig_k, tol=1e-12):
+        raise ValidationError(
+            f"feedback rule left the band at step {k} (scenario {spec.scenario_id})"
+        )
+    return sig_k
+
+
+def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original",
+           antithetic=False, switch_key=0, *, extra=0, full=False, record=False):
+    """The one simulation kernel: draws the chunk's normals once and steps the
+    members pass by pass (``_passes``) as a time-major ``(members, paths)``
+    state, yielded at each grid time ``k``: ``rows`` (the pass's members),
+    ``k``, ``b``, ``qv``, ``lam``, ``r`` and the money-market ``integral``.
+    ``b``, ``qv`` and ``lam`` are stepped only under ``full``, ``record``,
+    shifted dynamics or a feedback member.  Feedback members, and under
+    ``record`` all, keep a path-major history ``hist[i]`` of ``sigma`` and the
+    grid values (``lam`` only under ``record``) that their rules read."""
+    n, dt, sq, times = grid.n_steps, grid.dt, np.sqrt(grid.dt), grid.times
+    z = _draw_normals(rng, n_paths, n, antithetic).T.copy()  # time-major
+    with_r, shifted = params is not None, dynamics == "shifted"
+    if with_r:
+        e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
+    names = ("b", "qv") + (("r",) if with_r else ()) + (("lam",) if with_r and record else ())
+    s = SimpleNamespace()
+    for s.rows, group in _passes(scenarios, band, grid, n_paths, antithetic, switch_key, extra):
+        sigma = np.empty((len(group), n_paths))
+        s.b = s.qv = s.lam = s.integral = np.zeros_like(sigma)  # replaced, never written
+        s.r = np.full_like(sigma, params.r0) if with_r else None
+        s.hist = {
+            i: {"sigma": np.empty((n_paths, n))} | {x: np.empty((n_paths, n + 1)) for x in names}
+            for i, (spec, _) in enumerate(group) if record or spec.is_adaptive
+        }
+        stepped = full or shifted or bool(s.hist)
+        for k in range(n + 1):
+            s.k = k
+            for i, h in s.hist.items():
+                for x in names:
+                    h[x][:, k] = getattr(s, x)[i]
+            yield s
+            if k == n:
+                break
+            for i, (spec, tab) in enumerate(group):
+                if tab is None:
+                    sigma[i] = _feedback_sigma(spec, s.hist[i], k, times[k], dt, band)
+                else:
+                    sigma[i] = tab[k]
+            for i, h in s.hist.items():
+                h["sigma"][:, k] = sigma[i]
+            db = sigma * sq * z[k]
+            if stepped:
+                dqv = sigma**2 * dt
+                s.b, s.qv = s.b + db, s.qv + dqv
+            if with_r:
+                r_next = _r_step(k, s.r, db, s.lam if shifted else None, factors)
+                if stepped:
+                    s.lam = _lam_step(s.lam, dqv, e2)
+                s.integral = s.integral + _trapezoid(s.r, r_next, dt)
+                s.r = r_next
+        del group, tab  # before the next pass builds its tables
+        s.hist = None
+
+
 def _simulate(
     scenario: ScenarioSpec,
     band: VolBand,
@@ -216,103 +316,31 @@ def _simulate(
     antithetic: bool = False,
     switch_key: int = 0,
 ) -> PathBundle:
-    """Single-chunk engine.  With ``params`` the short rate, ``lam`` and the
-    money market are co-simulated (so feedback rules may read ``r``)."""
+    """Single-chunk bundle: the recorded history of ``scenario`` stepped alone.
+    With ``params`` the short rate, ``lam`` and the money market are
+    co-simulated (so feedback rules may read ``r``)."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     scenario.validate(band)
-
-    n = grid.n_steps
-    dt = grid.dt
-    sq = np.sqrt(dt)
-    z = _draw_normals(rng, n_paths, n, antithetic)
-
-    if not scenario.is_adaptive:
-        sigma_tab = _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key)
-
-    sigma = np.empty((n_paths, n))
-    b = np.zeros((n_paths, n + 1))
-    qv = np.zeros((n_paths, n + 1))
-
-    with_rate = params is not None
-    lam = r = None
-    if with_rate:
-        lam = np.zeros((n_paths, n + 1))
-        r = np.empty((n_paths, n + 1))
-        r[:, 0] = params.r0
-        e2 = _lam_decay(params.alpha, dt)
-        factors = _rate_factors(params, grid)
-        shifted = dynamics == "shifted"
-
-    times = grid.times
-    for k in range(n):
-        if scenario.is_adaptive:
-            # lock the buffers, then hand out prefix slices: the rule sees
-            # exactly the history up to the current grid time, read-only
-            buffers = (sigma, b, qv) + ((r,) if with_rate else ())
-            for arr in buffers:
-                arr.setflags(write=False)
-            try:
-                view = PathView(
-                    k, times[k], dt, band,
-                    sigma[:, :k], b[:, : k + 1], qv[:, : k + 1],
-                    r[:, : k + 1] if with_rate else None,
-                )
-                sig_k = np.asarray(scenario.step_sigma(view), dtype=float)
-            finally:
-                for arr in buffers:
-                    arr.setflags(write=True)
-            if not band.contains(sig_k, tol=1e-12):
-                raise ValidationError(
-                    f"feedback rule left the band at step {k} "
-                    f"(scenario {scenario.scenario_id})"
-                )
-        else:
-            sig_k = sigma_tab[k]
-
-        sigma[:, k] = sig_k
-        db = sig_k * sq * z[:, k]
-        b[:, k + 1] = b[:, k] + db
-        dqv = sig_k**2 * dt
-        qv[:, k + 1] = qv[:, k] + dqv
-        if with_rate:
-            lam[:, k + 1] = _lam_step(lam[:, k], dqv, e2)
-            r[:, k + 1] = _r_step(k, r[:, k], db, lam[:, k] if shifted else None, factors)
-
-    d = money_market(r, grid) if with_rate else None
-    return PathBundle(grid, scenario.scenario_id, sigma, b, qv, lam=lam, r=r, d=d)
+    for state in _steps(
+        [scenario], band, grid, rng, n_paths, params, dynamics, antithetic, switch_key, record=True
+    ):
+        h = state.hist[0]
+    d = money_market(h["r"], grid) if params is not None else None
+    return PathBundle(
+        grid, scenario.scenario_id, h["sigma"], h["b"], h["qv"], h.get("lam"), h.get("r"), d
+    )
 
 
-#: path-dependent ``(n_steps, n_paths)`` tables one pass of ``_discount_factors``
-#: holds, so a chunk needs fewer such arrays than ``_simulate`` allocates
-_TABLES_PER_PASS = 6
-
-
-def _discount_factors(scenarios, band, grid, rng, n_paths, params, antithetic, switch_key):
-    """``1 / D_T`` under the original dynamics of each non-adaptive scenario, all
-    on one shared draw; row ``i`` is ``_simulate``'s for ``scenarios[i]`` alone,
-    bit for bit.  Each pass steps a ``(members, paths)`` state in time-major
-    order and keeps no history: ``r`` needs no ``b``, ``qv`` or ``lam``."""
-    sq = np.sqrt(grid.dt)
-    z = _draw_normals(rng, n_paths, grid.n_steps, antithetic).T.copy()  # time-major
-    factors = _rate_factors(params, grid)
-    out, tables = [], []
-    for i, spec in enumerate(scenarios):
-        tables.append(_sigma_table(spec, band, grid, n_paths, antithetic, switch_key))
-        if i + 1 < len(scenarios) and sum(t.ndim == 2 for t in tables) < _TABLES_PER_PASS:
-            continue
-        sigma = np.empty((len(tables), n_paths))
-        r = np.full_like(sigma, params.r0)
-        integral = np.zeros_like(sigma)
-        for k in range(grid.n_steps):
-            for row, tab in zip(sigma, tables):
-                row[:] = tab[k]
-            r_next = _r_step(k, r, sigma * sq * z[k], None, factors)
-            integral += _trapezoid(r, r_next, grid.dt)
-            r = r_next
-        out.append(1.0 / np.exp(integral))
-        tables = []
-    return np.vstack(out)
+def _discount_factors(scenarios, band, grid, rng, n_paths, params, antithetic, key):
+    """``1 / D_T`` under the original dynamics of each scenario, all on one
+    shared draw; row ``i`` is ``_simulate``'s for ``scenarios[i]`` alone, bit
+    for bit."""
+    out = np.empty((len(scenarios), n_paths))
+    for s in _steps(scenarios, band, grid, rng, n_paths, params, "original", antithetic, key):
+        if s.k == grid.n_steps:
+            out[s.rows] = 1.0 / np.exp(s.integral)
+    return out
 
 
 def simulate_bundle(

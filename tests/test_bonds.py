@@ -232,8 +232,8 @@ _MEMBERS = st.one_of(
 
 
 class TestNoArbGapStreaming:
-    """``noarb_gap`` steps its table-driven members together on one shared
-    draw; its statistics must be those of the one-scenario-at-a-time bundles."""
+    """``noarb_gap`` steps all its members together on one shared draw; its
+    statistics must be those of the one-scenario-at-a-time bundles."""
 
     @staticmethod
     def reference(params, maturity, family, cfg):
@@ -282,8 +282,8 @@ class TestNoArbGapStreaming:
         assert replace(perm, per_scenario=()) == replace(rep, per_scenario=())
 
     def test_more_switching_members_than_one_pass_holds(self, monkeypatch):
-        # the 16 table-driven members step in three passes over one draw per
-        # chunk; the feedback member then draws its own on its bundles
+        # the 17 members, the feedback one among them, step in passes over
+        # one draw per chunk
         n_pass = robustrates.paths._TABLES_PER_PASS
         family = [RandomSwitching(1.0 + j, j) for j in range(2 * n_pass + 1)]
         family[3:3] = [Constant(0.01), AdaptedFeedback("qv_chase")]
@@ -294,7 +294,7 @@ class TestNoArbGapStreaming:
             robustrates.paths, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a)
         )
         rep = noarb_gap(PARAMS, BAND, 1.0, family, cfg)
-        assert draws == [(CHUNK_PATHS, 8, True), (2, 8, True)] * 2
+        assert draws == [(CHUNK_PATHS, 8, True), (2, 8, True)]
         monkeypatch.undo()
         per_scenario, gap_se = self.reference(PARAMS, 1.0, family, cfg)
         assert rep.per_scenario == per_scenario
@@ -434,9 +434,9 @@ def _bundle_martingale_reports(params, band, scenarios, maturity, checkpoints, c
 
 
 class TestMartingaleStreaming:
-    """Table-driven members step together on each chunk's one draw and keep
-    per-step reducers only; every report field must equal the one computed
-    from that scenario's own full bundles."""
+    """All members step together on each chunk's one draw and keep per-step
+    reducers only; every report field must equal the one computed from that
+    scenario's own full bundles."""
 
     # eight table-driven members (more than one pass holds), a feedback
     # member and a duplicate id
@@ -460,23 +460,25 @@ class TestMartingaleStreaming:
         assert reports[-1].scenario_id == "const[0.02]#1"
         assert reports == _bundle_martingale_reports(*args)
 
-    def test_one_draw_per_chunk_for_the_table_driven_members(self, monkeypatch):
+    def test_one_draw_per_chunk_for_every_member(self, monkeypatch):
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=2, antithetic=True)
         draws = []
         draw = robustrates.paths._draw_normals
-        for module in (robustrates.paths, robustrates.bonds):
-            monkeypatch.setattr(module, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a))
+        monkeypatch.setattr(
+            robustrates.paths, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a)
+        )
         martingale_check(PARAMS, BAND, self.FAMILY, 1.5, [1.5], cfg)
-        # one draw per chunk for the eight tabled members, then the feedback
-        # member's own per chunk
-        assert draws == [(CHUNK_PATHS, 8, True), (2, 8, True)] * 2
+        # the feedback member steps on the same draw as the eight tabled ones
+        assert draws == [(CHUNK_PATHS, 8, True), (2, 8, True)]
 
     def test_pass_size_does_not_change_reports(self, monkeypatch):
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=4, antithetic=True)
         args = (PARAMS, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg)
         reports = martingale_check(*args)
-        monkeypatch.setattr(robustrates.bonds, "_TABLES_PER_PASS", 1)
+        gap = noarb_gap(PARAMS, BAND, 1.5, self.FAMILY, cfg)
+        monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 1)
         assert martingale_check(*args) == reports
+        assert noarb_gap(PARAMS, BAND, 1.5, self.FAMILY, cfg) == gap
 
     def test_reversed_family_reverses_reports(self):
         family = self.FAMILY[:-1]  # no duplicate id, whose suffix follows the order
@@ -484,3 +486,42 @@ class TestMartingaleStreaming:
         reports = martingale_check(PARAMS, BAND, family, 1.5, self.CHECKPOINTS, cfg)
         backwards = martingale_check(PARAMS, BAND, family[::-1], 1.5, self.CHECKPOINTS, cfg)
         assert backwards == reports[::-1]
+
+
+def test_no_pass_holds_more_than_six_arrays(monkeypatch):
+    """A pass holds at most six ``(steps, paths)`` arrays: a switching table
+    counts 1, a feedback history 4 and, in ``martingale_check``, each
+    member's buffer of log increments 1."""
+    family = [
+        AdaptedFeedback("driver_sign"), RandomSwitching(1.0, 0), Constant(0.005),
+        RandomSwitching(2.0, 1), AdaptedFeedback("qv_chase"), Constant(0.0125),
+        RandomSwitching(3.0, 2), RandomSwitching(4.0, 3), RandomSwitching(5.0, 4),
+        AdaptedFeedback("driver_sign", {"threshold": 0.001}), RandomSwitching(6.0, 5),
+        AdaptedFeedback("qv_chase"), Constant(0.02),
+    ]
+    passes = []
+    real = robustrates.paths._passes
+
+    def spy(*args):
+        for rows, group in real(*args):
+            passes.append((rows, [spec for spec, _ in group]))
+            yield rows, group
+
+    monkeypatch.setattr(robustrates.paths, "_passes", spy)
+    cfg = McConfig(n_paths=64, n_steps=4, horizon=1.0, base_seed=1, antithetic=True)
+    for run, buffers in (
+        (lambda: noarb_gap(PARAMS, BAND, 1.0, family, cfg), 0),
+        (lambda: martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg), 1),
+    ):
+        passes.clear()
+        run()
+        assert [spec for _, specs in passes for spec in specs] == family
+        lo = 0
+        for rows, specs in passes:
+            assert rows == slice(lo, lo + len(specs))
+            lo += len(specs)
+            arrays = sum(
+                buffers + 4 * s.is_adaptive + isinstance(s, RandomSwitching) for s in specs
+            )
+            assert arrays <= 6, [s.scenario_id for s in specs]
+        assert len(passes) >= 4

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
 from robustrates import (
+    AdaptedFeedback,
     Constant,
     McConfig,
+    PiecewiseConstant,
     RandomSwitching,
     RateParams,
     TimeGrid,
@@ -16,11 +18,13 @@ from robustrates import (
     lambda_path,
     money_market,
     price_robust,
+    register_feedback_rule,
     simulate_bundle,
 )
 from robustrates.cli import main
 from robustrates.mc import CHUNK_PATHS, _chunk_bundles
-from robustrates.paths import _r_step, _rate_factors, _sigma_table
+from robustrates.paths import _draw_normals, _r_step, _rate_factors, _sigma_table
+from robustrates.scenarios import PathView
 
 BAND = VolBand(0.005, 0.02)
 
@@ -109,6 +113,100 @@ class TestDriver:
             # the table the streamed noarb_gap steps on is the bundle's, time-major
             tab = _sigma_table(spec, BAND, cfg.grid, bundle.n_paths, True, ci)
             assert tab.T.tobytes() == bundle.sigma.tobytes()
+
+
+def column_loop_bundle(scenario, band, grid, params, seed, n_paths, dynamics, antithetic):
+    """Path-major column loop that simulated one scenario before the time-major
+    stepper, kept as an independent reference for the five step recursions:
+    ``sigma``, ``B``, ``qv``, ``lam``, ``r`` and the money market."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    n, dt = grid.n_steps, grid.dt
+    sq = np.sqrt(dt)
+    z = _draw_normals(rng, n_paths, n, antithetic)
+    if not scenario.is_adaptive:
+        sigma_tab = _sigma_table(scenario, band, grid, n_paths, antithetic, 0)
+    sigma = np.empty((n_paths, n))
+    b = np.zeros((n_paths, n + 1))
+    qv = np.zeros((n_paths, n + 1))
+    lam = r = d = None
+    if params is not None:
+        lam = np.zeros((n_paths, n + 1))
+        r = np.empty((n_paths, n + 1))
+        r[:, 0] = params.r0
+        e2 = np.exp(-2.0 * params.alpha * dt)
+        ea, eh, w_lam, m_det = _rate_factors(params, grid)
+    times = grid.times
+    for k in range(n):
+        if scenario.is_adaptive:
+            view = PathView(
+                k, times[k], dt, band, sigma[:, :k], b[:, : k + 1], qv[:, : k + 1],
+                None if r is None else r[:, : k + 1],
+            )
+            sig_k = np.asarray(scenario.step_sigma(view), dtype=float)
+        else:
+            sig_k = sigma_tab[k]
+        sigma[:, k] = sig_k
+        db = sig_k * sq * z[:, k]
+        b[:, k + 1] = b[:, k] + db
+        dqv = sig_k**2 * dt
+        qv[:, k + 1] = qv[:, k] + dqv
+        if params is not None:
+            lam[:, k + 1] = e2 * lam[:, k] + dqv
+            drift = m_det[k] + (w_lam * lam[:, k] if dynamics == "shifted" else 0.0)
+            r[:, k + 1] = ea * r[:, k] + drift + eh * db
+    if params is not None:
+        integral = np.zeros(r.shape)
+        np.cumsum(dt * (r[:, 1:] + r[:, :-1]) / 2.0, axis=1, out=integral[:, 1:])
+        d = np.exp(integral)
+    return sigma, b, qv, lam, r, d
+
+
+def _rate_threshold(view, params):
+    return np.where(view.r[:, view.k] >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
+
+
+register_feedback_rule("rate_threshold", _rate_threshold)
+
+
+class TestStepperAgainstColumnLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=st.one_of(
+            st.sampled_from([0.005, 0.0125, 0.02]).map(Constant),
+            st.builds(
+                lambda t, v0, v1: PiecewiseConstant((t,), (v0, v1)),
+                st.floats(0.05, 0.95), st.sampled_from([0.005, 0.02]), st.sampled_from([0.01, 0.02]),
+            ),
+            st.builds(RandomSwitching, st.floats(0.0, 8.0), st.integers(0, 3)),
+            st.sampled_from(["driver_sign", "qv_chase", "rate_threshold"]).map(AdaptedFeedback),
+        ),
+        with_rate=st.booleans(),
+        callable_mu=st.booleans(),
+        dynamics=st.sampled_from(["original", "shifted"]),
+        antithetic=st.booleans(),
+        n_pairs=st.integers(1, 5),
+        n_steps=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bundle_bitwise_equal(
+        self, scenario, with_rate, callable_mu, dynamics, antithetic, n_pairs, n_steps, seed
+    ):
+        # a rule that reads r needs the rate, and without it the dynamics play no part
+        with_rate = with_rate or scenario == AdaptedFeedback("rate_threshold")
+        mu = (lambda s: 0.01 + 0.02 * s) if callable_mu else 0.03
+        params = RateParams(r0=0.02, alpha=0.7, mu=mu) if with_rate else None
+        grid = TimeGrid(1.3, n_steps)
+        n_paths = 2 * n_pairs
+        bundle = simulate_bundle(
+            scenario, BAND, grid, params, seed=seed, n_paths=n_paths,
+            dynamics=dynamics, antithetic=antithetic,
+        )
+        expected = column_loop_bundle(scenario, BAND, grid, params, seed, n_paths, dynamics, antithetic)
+        got = (bundle.sigma, bundle.b, bundle.qv, bundle.lam, bundle.r, bundle.d)
+        for name, g, e in zip(("sigma", "b", "qv", "lam", "r", "d"), got, expected):
+            assert (g is None) == (e is None), name
+            if e is not None:
+                assert (g.shape, g.tobytes()) == (e.shape, e.tobytes()), name
 
 
 class TestLambdaPath:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from robustrates import (
     AdaptedFeedback,
     Constant,
+    McConfig,
     PiecewiseConstant,
     RandomSwitching,
     RateParams,
@@ -17,11 +18,14 @@ from robustrates import (
     default_scenario_family,
     family_from_json,
     family_to_json,
+    martingale_check,
+    noarb_gap,
     register_feedback_rule,
     simulate_bundle,
 )
 
 BAND = VolBand(0.005, 0.02)
+PARAMS = RateParams(r0=0.02, alpha=1.0)
 
 
 def test_family_even_constant_spacing():
@@ -115,15 +119,40 @@ def test_feedback_unknown_rule_rejected():
         AdaptedFeedback("nonexistent_rule").validate(BAND)
 
 
-def test_feedback_rule_cannot_write_history():
+#: every entry point that steps a feedback rule, run on a family holding ``spec``
+_CFG = McConfig(n_paths=4, n_steps=4, horizon=1.0, base_seed=0)
+_RUNNERS = {
+    "simulate_bundle": lambda spec: simulate_bundle(
+        spec, BAND, TimeGrid(1.0, 4), None, seed=0, n_paths=4
+    ),
+    "noarb_gap": lambda spec: noarb_gap(PARAMS, BAND, 1.0, [Constant(0.01), spec], _CFG),
+    "martingale_check": lambda spec: martingale_check(
+        PARAMS, BAND, [Constant(0.01), spec], 1.0, [0.5], _CFG
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_feedback_rule_cannot_write_history(runner):
     def dishonest(view, params):
         view.b[:, 0] = 99.0  # must blow up: the past is read-only
         return np.full(view.b.shape[0], view.band.sigma_lo)
 
     register_feedback_rule("dishonest", dishonest)
-    spec = AdaptedFeedback("dishonest")
-    with pytest.raises(ValueError):
-        simulate_bundle(spec, BAND, TimeGrid(1.0, 4), None, seed=0, n_paths=4)
+    with pytest.raises(ValueError, match="read-only"):
+        _RUNNERS[runner](AdaptedFeedback("dishonest"))
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_feedback_rule_leaving_the_band_is_named(runner):
+    def escape(view, params):
+        sigma = view.band.sigma_hi * (2.0 if view.k == 2 else 1.0)
+        return np.full(view.b.shape[0], sigma)
+
+    register_feedback_rule("escape", escape)
+    message = r"^feedback rule left the band at step 2 \(scenario feedback\[escape\]\)$"
+    with pytest.raises(ValidationError, match=message):
+        _RUNNERS[runner](AdaptedFeedback("escape"))
 
 
 def test_feedback_rule_sees_only_past():
