@@ -30,6 +30,8 @@ from .paths import RateParams, _check_interval, _discount_factors, _steps, b_fac
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
+#: steps ``_martingale_reducers`` stages time-major per copy into its buffer
+_STAGE_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -96,26 +98,37 @@ def _log_price(a, b, r, lam):
     return a - b * r - 0.5 * b * b * lam
 
 
-def _simpson_segmented(f, t: float, maturity: float, breaks, panels: int = DEFAULT_PANELS) -> float:
+def _simpson_segmented(f, t, maturity: float, breaks, panels: int = DEFAULT_PANELS):
     """Composite Simpson over ``[t, T]``, with panels split at interior
-    breakpoints so kinks of the integrand sit on segment boundaries."""
-    cuts = sorted({t, maturity} | {float(c) for c in breaks if t < c < maturity})
-    total = maturity - t
-    out = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        seg_panels = max(8, int(np.ceil(panels * (b - a) / total)))
-        s = np.linspace(a, b, 2 * seg_panels + 1)
+    breakpoints so kinks of the integrand sit on segment boundaries.
+
+    ``t`` is a time or a 1-D array of times.  Rows that share a segment index
+    and panel count go through one batched call and add their segments in
+    order, so each entry equals the scalar result bit for bit."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    segments = {}  # (segment index, panels) -> [(row, a, b), ...]
+    for i, ti in enumerate(t_arr.tolist()):
+        cuts = sorted({ti, maturity} | {float(c) for c in breaks if ti < c < maturity})
+        for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            seg_panels = max(8, int(np.ceil(panels * (b - a) / (maturity - ti))))
+            segments.setdefault((j, seg_panels), []).append((i, a, b))
+    out = np.zeros(t_arr.shape)
+    for (_, seg_panels), rows in sorted(segments.items()):
+        i, a, b = (np.array(v) for v in zip(*rows))
+        # C-ordered samples, or simpson sums the rows in another order
+        s = np.ascontiguousarray(np.linspace(a, b, 2 * seg_panels + 1, axis=-1))
         # sample endpoints one ulp inside the segment: the integrand may
         # jump at breakpoints and only the one-sided limit belongs here
         s_eval = s.copy()
-        s_eval[0] = np.nextafter(a, b)
-        s_eval[-1] = np.nextafter(b, a)
-        out += float(simpson(f(s_eval), x=s))
-    return out
+        s_eval[:, 0] = np.nextafter(a, b)
+        s_eval[:, -1] = np.nextafter(b, a)
+        out[i] += simpson(f(s_eval), x=s, axis=-1)
+    return out if np.ndim(t) else float(out[0])
 
 
-def a_robust(params: RateParams, t: float, maturity: float) -> float:
-    """``-int_t^T mu(s) B(s,T) ds`` by composite Simpson."""
+def a_robust(params: RateParams, t, maturity: float):
+    """``-int_t^T mu(s) B(s,T) ds`` by composite Simpson, at a time or a 1-D
+    array of times."""
     _check_interval(t, maturity)
 
     def f(s):
@@ -124,7 +137,7 @@ def a_robust(params: RateParams, t: float, maturity: float) -> float:
     return _simpson_segmented(f, t, maturity, params.mu_breakpoints)
 
 
-def _b_squared_integral(params: RateParams, t: float, maturity: float) -> float:
+def _b_squared_integral(params: RateParams, t, maturity: float):
     """``V(t,T) = int_t^T B(s,T)^2 ds`` on the panels of :func:`a_robust`."""
     return _simpson_segmented(
         lambda s: b_factor(params.alpha, s, maturity) ** 2, t, maturity, params.mu_breakpoints
@@ -236,8 +249,10 @@ def _martingale_reducers(scenarios, band, params, cfg, dynamics, a_vec, b_vec, p
     """Per chunk, the reducers of ``p~ - p0`` for each scenario on the chunk's
     one draw: checkpoint samples ``(scenarios, checkpoints, paths)``, path sums
     ``(scenarios, steps + 1)`` and terminal errors.  Row ``i`` is, bit for bit,
-    what the bundles of ``scenarios[i]`` alone give.  Each member of a pass
-    keeps a ``(paths, steps)`` buffer of log increments for its terminal error."""
+    what the bundles of ``scenarios[i]`` alone give.  For its terminal error a
+    pass sums a path-major ``(members, paths, steps)`` buffer of log increments
+    along the stored path, as ``np.sum`` does; each step writes one row of a
+    time-major stage, copied in transposed every ``_STAGE_STEPS`` steps."""
     n = cfg.n_steps
     neg_b, half_b2 = -b_vec[:-1], 0.5 * b_vec[:-1] ** 2
     for ci, rng, m in _chunks(cfg):
@@ -254,14 +269,18 @@ def _martingale_reducers(scenarios, band, params, cfg, dynamics, a_vec, b_vec, p
                 cps[rows, j] = p
             if k == 0:
                 dlog = np.empty(p.shape + (n,))  # path-major, so its sums are np.sum's
+                stage = np.empty((_STAGE_STEPS,) + p.shape)
             else:
                 # the increments as np.diff takes them from the stored path
-                dlog[..., k - 1] = neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
+                slot = (k - 1) % _STAGE_STEPS
+                stage[slot] = neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
+                if slot == _STAGE_STEPS - 1 or k == n:
+                    dlog[..., k - 1 - slot : k] = stage[: slot + 1].transpose(1, 2, 0)
             b, qv = s.b, s.qv
             if k == n:
                 p_sde = p0 * np.exp(np.sum(dlog, axis=-1))
                 errs[rows] = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
-                del dlog  # before the next pass builds its own
+                del dlog, stage  # before the next pass builds its own
         yield cps, sums, errs
 
 
@@ -302,9 +321,9 @@ def martingale_check(
         spec.validate(band)  # before anything is drawn
 
     times = grid.times
-    # affine coefficients along the grid (A is a quadrature per grid time)
+    # affine coefficients along the grid (A is one batched quadrature)
     b_vec = b_factor(params.alpha, times, maturity)
-    a_vec = np.array([a_robust(params, float(t), maturity) for t in times])
+    a_vec = a_robust(params, times, maturity)
     p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))  # lam_0 = 0, D_0 = 1
 
     cp_vals = [[] for _ in scenarios]

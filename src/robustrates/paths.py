@@ -231,12 +231,12 @@ def _passes(scenarios, band, grid, n_paths, antithetic, key, extra):
 
 
 def _feedback_sigma(spec, hist, k, t, dt, band):
-    """Step ``k``'s volatility from a feedback rule.  The rule sees prefix
-    slices of the member's locked history, exactly the path up to ``t``."""
+    """Step ``k``'s volatility from a feedback rule.  The rule sees transposed
+    prefix views of the member's locked history, exactly the path up to ``t``."""
     for arr in hist.values():
         arr.setflags(write=False)
     try:
-        past = {x: arr[:, : k + (x != "sigma")] for x, arr in hist.items()}
+        past = {x: arr[: k + (x != "sigma")].T for x, arr in hist.items()}
         view = PathView(k, t, dt, band, past["sigma"], past["b"], past["qv"], past.get("r"))
         sig_k = np.asarray(spec.step_sigma(view), dtype=float)
     finally:
@@ -257,8 +257,8 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     ``k``, ``b``, ``qv``, ``lam``, ``r`` and the money-market ``integral``.
     ``b``, ``qv`` and ``lam`` are stepped only under ``full``, ``record``,
     shifted dynamics or a feedback member.  Feedback members, and under
-    ``record`` all, keep a path-major history ``hist[i]`` of ``sigma`` and the
-    grid values (``lam`` only under ``record``) that their rules read."""
+    ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of
+    ``sigma`` and the grid values (``lam`` only under ``record``) for their rules."""
     n, dt, sq, times = grid.n_steps, grid.dt, np.sqrt(grid.dt), grid.times
     z = _draw_normals(rng, n_paths, n, antithetic).T.copy()  # time-major
     with_r, shifted = params is not None, dynamics == "shifted"
@@ -271,7 +271,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         s.b = s.qv = s.lam = s.integral = np.zeros_like(sigma)  # replaced, never written
         s.r = np.full_like(sigma, params.r0) if with_r else None
         s.hist = {
-            i: {"sigma": np.empty((n_paths, n))} | {x: np.empty((n_paths, n + 1)) for x in names}
+            i: {"sigma": np.empty((n, n_paths))} | {x: np.empty((n + 1, n_paths)) for x in names}
             for i, (spec, _) in enumerate(group) if record or spec.is_adaptive
         }
         stepped = full or shifted or bool(s.hist)
@@ -279,7 +279,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
             s.k = k
             for i, h in s.hist.items():
                 for x in names:
-                    h[x][:, k] = getattr(s, x)[i]
+                    h[x][k] = getattr(s, x)[i]
             yield s
             if k == n:
                 break
@@ -289,7 +289,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 else:
                     sigma[i] = tab[k]
             for i, h in s.hist.items():
-                h["sigma"][:, k] = sigma[i]
+                h["sigma"][k] = sigma[i]
             db = sigma * sq * z[k]
             if stepped:
                 dqv = sigma**2 * dt
@@ -326,6 +326,8 @@ def _simulate(
         [scenario], band, grid, rng, n_paths, params, dynamics, antithetic, switch_key, record=True
     ):
         h = state.hist[0]
+    for x in list(h):  # path-major and C-ordered, one array at a time
+        h[x] = np.ascontiguousarray(h.pop(x).T)
     d = money_market(h["r"], grid) if params is not None else None
     return PathBundle(
         grid, scenario.scenario_id, h["sigma"], h["b"], h["qv"], h.get("lam"), h.get("r"), d

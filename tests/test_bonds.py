@@ -1,9 +1,10 @@
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from robustrates import (
     AdaptedFeedback,
@@ -20,8 +21,10 @@ from robustrates import (
     a_robust,
     b_factor,
     bang_bang,
+    calibrate,
     discount_factor,
     estimate_sublinear,
+    ingest_forward_curve,
     martingale_check,
     noarb_gap,
     price_classical_hw,
@@ -31,6 +34,7 @@ import robustrates.bonds
 import robustrates.paths
 from robustrates.bonds import (
     CheckpointStat,
+    _b_squared_integral,
     _ensure_extremes,
     _log_price,
     _ols_with_se,
@@ -139,6 +143,54 @@ class TestIntercepts:
     def test_sigma_negative_rejected(self):
         with pytest.raises(ValidationError):
             a_classical(PARAMS, -0.1, 0.0, 1.0)
+
+
+def _loop_simpson(f, t, maturity, breaks, panels=64):
+    """The per-time segment loop that built ``A(t,T)`` before the quadrature
+    took arrays, kept as the reference for the batched rows."""
+    cuts = sorted({t, maturity} | {float(c) for c in breaks if t < c < maturity})
+    out = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        s = np.linspace(a, b, 2 * max(8, int(np.ceil(panels * (b - a) / (maturity - t)))) + 1)
+        s_eval = s.copy()
+        s_eval[0], s_eval[-1] = np.nextafter(a, b), np.nextafter(b, a)
+        out += float(simpson(f(s_eval), x=s))
+    return out
+
+
+# a calibrated curve with kinks at 1, 3 and 5, so its mu has breakpoints there
+KINKED = calibrate(
+    ingest_forward_curve(io.StringIO("T,f\n0,0.02\n1,0.025\n3,0.03\n5,0.028\n10,0.03\n")), 1.0
+).rate_params()
+
+
+class TestBatchedQuadrature:
+    """Integrating a vector of times in one batched call must equal the
+    scalar calls, and the old per-time loop, by ``==``."""
+
+    @pytest.mark.parametrize("params", [
+        RateParams(r0=0.02, alpha=1.0, mu=0.03),
+        RateParams(r0=0.02, alpha=0.7, mu=lambda s: 0.01 + 0.02 * np.sin(s)),
+        KINKED,
+    ], ids=["constant", "callable", "kinked"])
+    @pytest.mark.parametrize("n_steps", [1, 7, 512])
+    def test_array_equals_scalar(self, params, n_steps):
+        maturity = 5.0
+        # the grid, then on, one ulp either side of and near each breakpoint, and t = T
+        near = [x for c in (1.0, 3.0) for x in (c, np.nextafter(c, 0), np.nextafter(c, 9), c + 1e-3)]
+        times = np.concatenate([np.linspace(0.0, maturity, n_steps + 1), near, [maturity]])
+        integrands = {
+            a_robust: lambda s: -params.mu_at(s) * b_factor(params.alpha, s, maturity),
+            _b_squared_integral: lambda s: b_factor(params.alpha, s, maturity) ** 2,
+        }
+        for fn, f in integrands.items():
+            scalar = [fn(params, float(t), maturity) for t in times]
+            assert all(type(v) is float for v in scalar)
+            assert scalar == [_loop_simpson(f, float(t), maturity, params.mu_breakpoints) for t in times]
+            assert fn(params, times, maturity).tolist() == scalar
+            strided = np.repeat(times, 2)[::2]
+            assert not strided.flags.c_contiguous
+            assert fn(params, strided, maturity).tolist() == scalar
 
 
 class TestPrices:
@@ -459,6 +511,13 @@ class TestMartingaleStreaming:
         reports = martingale_check(*args)
         assert reports[-1].scenario_id == "const[0.02]#1"
         assert reports == _bundle_martingale_reports(*args)
+
+    def test_bitwise_equal_past_the_staged_steps(self):
+        # more steps than martingale_check stages at a time, and not a multiple of it
+        n_steps = 2 * robustrates.bonds._STAGE_STEPS + 6
+        cfg = McConfig(n_paths=64, n_steps=n_steps, horizon=1.0, base_seed=5, antithetic=True)
+        args = (PARAMS, BAND, self.FAMILY[:5], 1.5, [0.75, 1.5], cfg, "shifted")
+        assert martingale_check(*args) == _bundle_martingale_reports(*args)
 
     def test_one_draw_per_chunk_for_every_member(self, monkeypatch):
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=2, antithetic=True)

@@ -209,6 +209,31 @@ class TestStepperAgainstColumnLoop:
                 assert (g.shape, g.tobytes()) == (e.shape, e.tobytes()), name
 
 
+def test_feedback_history_views_and_bundle_layout():
+    """A feedback rule reads read-only ``(paths, k)`` and ``(paths, k + 1)``
+    prefixes of its history, and the bundle comes back C-ordered, so a
+    functional's own reductions keep their order."""
+    seen = []
+
+    def spy(view, params):
+        seen.append((view.k, view.sigma, view.b, view.qv, view.r, view.b.copy()))
+        return np.where(view.b[:, view.k] >= 0.0, view.band.sigma_hi, view.band.sigma_lo)
+
+    register_feedback_rule("layout_spy", spy)
+    params = RateParams(r0=0.02, alpha=0.7, mu=0.03)
+    bundle = simulate_bundle(
+        AdaptedFeedback("layout_spy"), BAND, TimeGrid(1.0, 6), params, seed=3, n_paths=4
+    )
+    assert [k for k, *_ in seen] == list(range(6))
+    for k, sigma, b, qv, r, b_then in seen:
+        assert sigma.shape == (4, k)
+        assert b.shape == qv.shape == r.shape == (4, k + 1)
+        assert not any(a.flags.writeable for a in (sigma, b, qv, r))
+        assert b_then.tobytes() == bundle.b[:, : k + 1].tobytes()
+    for name in ("sigma", "b", "qv", "lam", "r", "d"):
+        assert getattr(bundle, name).flags.c_contiguous, name
+
+
 class TestLambdaPath:
     def test_starts_at_zero(self):
         grid = TimeGrid(1.0, 32)
