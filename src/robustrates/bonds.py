@@ -25,8 +25,10 @@ from scipy.integrate import simpson
 
 from .band import VolBand
 from .errors import ValidationError
-from .mc import McConfig, _chunks, _dedupe_ids, _mean_se, _pair_means, _samples, _sublinear
-from .paths import RateParams, _check_interval, _discount_factors, _steps, b_factor
+from .mc import (
+    McConfig, _chunk_values, _chunks, _dedupe_ids, _mean_se, _pair_means, _samples, _sublinear,
+)
+from .paths import RateParams, _check_interval, _steps, b_factor
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
@@ -200,11 +202,8 @@ def noarb_gap(
     cfg = replace(cfg, horizon=maturity)
     scenarios = _ensure_extremes(band, family)
     ids = _dedupe_ids(scenarios)
-    for spec in scenarios:
-        spec.validate(band)  # before anything is drawn
-    discounts = (
-        _discount_factors(scenarios, band, cfg.grid, rng, m, params, cfg.antithetic, ci)
-        for ci, rng, m in _chunks(cfg)
+    discounts = _chunk_values(  # 1 / D_T, every member on each chunk's one draw
+        scenarios, band, cfg, params, "original", lambda s: 1.0 / np.exp(s.integral)
     )
     values = _samples(ids, discounts, cfg.antithetic)
     est = _sublinear(ids, values)
@@ -314,11 +313,7 @@ def martingale_check(
     grid = cfg.grid
     cp = sorted(float(t) for t in checkpoints)
     cp_idx = [grid.index_of(t) for t in cp]  # rejects off-grid checkpoints
-    if dynamics not in ("original", "shifted"):
-        raise ValidationError(f"unknown dynamics '{dynamics}'")
     ids = _dedupe_ids(scenarios)
-    for spec in scenarios:
-        spec.validate(band)  # before anything is drawn
 
     times = grid.times
     # affine coefficients along the grid (A is one batched quadrature)

@@ -8,9 +8,9 @@ estimate to a single classical mean exactly.
 
 Seeding: paths are simulated in fixed-size chunks; the Gaussian stream of
 chunk ``c`` is derived from ``SeedSequence(base_seed, spawn_key=(c,))`` and
-is the same for every scenario, so one draw may serve them all.  Results are
-therefore bit-identical across runs and independent of how scenarios are
-ordered or parallelized.
+is the same for every scenario, so one draw serves them all (``_chunk_values``).
+Results are therefore bit-identical across runs and independent of how
+scenarios are ordered or parallelized.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .band import VolBand
 from .errors import NumericalError, ValidationError
-from .paths import PathBundle, RateParams, TimeGrid, _simulate
+from .paths import PathBundle, RateParams, TimeGrid, _bundle, _steps
 from .scenarios import ScenarioSpec
 
 #: paths per simulation chunk; fixed so chunked results are reproducible
@@ -104,16 +104,17 @@ def _chunks(cfg: McConfig) -> Iterator[tuple[int, np.random.Generator, int]]:
         yield ci, rng, min(CHUNK_PATHS, cfg.n_paths - start)
 
 
-def _chunk_bundles(
-    spec: ScenarioSpec, band: VolBand, cfg: McConfig,
-    params: Optional[RateParams], dynamics: str,
-) -> Iterator[PathBundle]:
-    """Yield the bundle of ``spec`` chunk by chunk; ``_simulate`` validates it."""
+def _chunk_values(scenarios, band, cfg, params, dynamics, at_end, **step) -> Iterator[np.ndarray]:
+    """The one chunk loop for values at the last grid time: every member steps on
+    the chunk's one draw (``_steps``, taking ``step``), and ``at_end(state)`` gives
+    each pass's values, yielded as one ``(len(scenarios), paths)`` array per chunk."""
+    grid, anti = cfg.grid, cfg.antithetic
     for ci, rng, m in _chunks(cfg):
-        yield _simulate(
-            spec, band, cfg.grid, rng, m, params=params, dynamics=dynamics,
-            antithetic=cfg.antithetic, switch_key=ci,
-        )
+        out = np.empty((len(scenarios), m))
+        for s in _steps(scenarios, band, grid, rng, m, params, dynamics, anti, ci, **step):
+            if s.k == cfg.n_steps:
+                out[s.rows] = at_end(s)
+        yield out
 
 
 def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -127,8 +128,8 @@ def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
 
 def _samples(ids: Sequence[str], chunk_values, antithetic: bool) -> list[np.ndarray]:
     """Per-scenario samples from ``chunk_values``, one ``(len(ids), paths in
-    chunk)`` array per chunk, each averaged over antithetic pairs; a
-    non-finite value names its scenario and its path counted across chunks."""
+    chunk)`` array per chunk, each averaged over antithetic pairs; a non-finite
+    value names the earliest chunk's first bad scenario and path (counted across chunks)."""
     pieces, offset = [], 0
     for values in chunk_values:
         bad = np.argwhere(~np.isfinite(values))
@@ -153,21 +154,25 @@ def scenario_functional_values(
     """Per-scenario functional samples, aligned across scenarios by common
     random numbers.  With ``cfg.antithetic`` each returned entry is the
     average over one antithetic pair (so entries stay independent and the
-    usual ``std/sqrt(n)`` error applies)."""
-
-    def chunk_values(spec):
-        for bundle in _chunk_bundles(spec, band, cfg, params, dynamics):
-            vals = np.asarray(functional(bundle), dtype=float)
-            if vals.shape != (bundle.n_paths,):
-                raise ValidationError(
-                    f"functional must return one value per path; "
-                    f"got shape {vals.shape} for {bundle.n_paths} paths"
-                )
-            yield vals[None]
-
+    usual ``std/sqrt(n)`` error applies).  The family steps on each chunk's
+    one draw, and each member's recorded bundle goes to ``functional``."""
     ids = _dedupe_ids(family)
-    out = [_samples([sid], chunk_values(spec), cfg.antithetic)[0] for spec, sid in zip(family, ids)]
-    return ids, out
+
+    def checked(bundle):
+        vals = np.asarray(functional(bundle), dtype=float)
+        if vals.shape != (bundle.n_paths,):
+            raise ValidationError(
+                f"functional must return one value per path; "
+                f"got shape {vals.shape} for {bundle.n_paths} paths"
+            )
+        return vals
+
+    def bundle_values(s):  # histories popped, so each bundle goes before the next is built
+        members = enumerate(family[s.rows])
+        return [checked(_bundle(spec, s.hist.pop(i), cfg.grid, params)) for i, spec in members]
+
+    chunks = _chunk_values(family, band, cfg, params, dynamics, bundle_values, record=True)
+    return ids, _samples(ids, chunks, cfg.antithetic)
 
 
 def _mean_se(vals: np.ndarray):

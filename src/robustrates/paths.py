@@ -209,15 +209,16 @@ def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key) -> np.nd
 _TABLES_PER_PASS = 6
 
 
-def _passes(scenarios, band, grid, n_paths, antithetic, key, extra):
+def _passes(scenarios, band, grid, n_paths, antithetic, key, extra, history, record):
     """Consecutive runs of ``scenarios`` with their chunk tables (None for a
     feedback member) as ``(rows, [(spec, table), ...])``, each holding at most
-    ``_TABLES_PER_PASS`` arrays: a switching table counts 1, a feedback
-    history 4 and the consumer's own arrays ``extra`` per member."""
+    ``_TABLES_PER_PASS`` arrays: a kept history (feedback, or any member under
+    ``record``) counts ``history``, its table included, any other switching
+    table 1 and the consumer's own arrays ``extra`` per member."""
     lo, group, used = 0, [], 0
     for spec in scenarios:
         tab = None if spec.is_adaptive else _sigma_table(spec, band, grid, n_paths, antithetic, key)
-        cost = extra + (4 if tab is None else tab.ndim - 1)
+        cost = extra + (history if record or tab is None else tab.ndim - 1)
         if group and used + cost > _TABLES_PER_PASS:
             yield slice(lo, lo + len(group)), group
             lo, group, used = lo + len(group), [], 0
@@ -251,28 +252,36 @@ def _feedback_sigma(spec, hist, k, t, dt, band):
 
 def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original",
            antithetic=False, switch_key=0, *, extra=0, full=False, record=False):
-    """The one simulation kernel: draws the chunk's normals once and steps the
-    members pass by pass (``_passes``) as a time-major ``(members, paths)``
-    state, yielded at each grid time ``k``: ``rows`` (the pass's members),
-    ``k``, ``b``, ``qv``, ``lam``, ``r`` and the money-market ``integral``.
-    ``b``, ``qv`` and ``lam`` are stepped only under ``full``, ``record``,
-    shifted dynamics or a feedback member.  Feedback members, and under
-    ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of
-    ``sigma`` and the grid values (``lam`` only under ``record``) for their rules."""
+    """The one simulation kernel: validates the dynamics and the members, draws the
+    chunk's normals once and steps the members pass by pass (``_passes``) as a
+    time-major ``(members, paths)`` state, yielded at each grid time ``k``: ``rows``
+    (the pass's members), ``k``, ``b``, ``qv``, ``lam``, ``r`` and the money-market
+    ``integral``.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``, ``record``,
+    shifted dynamics or a feedback member.  Feedback members, and under ``record``
+    all, keep a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma`` (a
+    table's read-only view) and the grid values (``lam`` only under ``record``)."""
+    if dynamics not in ("original", "shifted"):
+        raise ValidationError(f"unknown dynamics '{dynamics}'")
+    for spec in scenarios:
+        spec.validate(band)  # before anything is drawn
     n, dt, sq, times = grid.n_steps, grid.dt, np.sqrt(grid.dt), grid.times
     z = _draw_normals(rng, n_paths, n, antithetic).T.copy()  # time-major
     with_r, shifted = params is not None, dynamics == "shifted"
     if with_r:
         e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
     names = ("b", "qv") + (("r",) if with_r else ()) + (("lam",) if with_r and record else ())
+    history = 1 + len(names) + (record and with_r)  # sigma, the grid values and a bundle's d
+    passes = _passes(scenarios, band, grid, n_paths, antithetic, switch_key, extra, history, record)
     s = SimpleNamespace()
-    for s.rows, group in _passes(scenarios, band, grid, n_paths, antithetic, switch_key, extra):
+    for s.rows, group in passes:
         sigma = np.empty((len(group), n_paths))
         s.b = s.qv = s.lam = s.integral = np.zeros_like(sigma)  # replaced, never written
         s.r = np.full_like(sigma, params.r0) if with_r else None
         s.hist = {
-            i: {"sigma": np.empty((n, n_paths))} | {x: np.empty((n + 1, n_paths)) for x in names}
-            for i, (spec, _) in enumerate(group) if record or spec.is_adaptive
+            i: {"sigma": np.empty((n, n_paths)) if tab is None
+                else np.broadcast_to(tab.reshape(n, -1), (n, n_paths))}
+            | {x: np.empty((n + 1, n_paths)) for x in names}
+            for i, (spec, tab) in enumerate(group) if record or tab is None
         }
         stepped = full or shifted or bool(s.hist)
         for k in range(n + 1):
@@ -285,11 +294,10 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 break
             for i, (spec, tab) in enumerate(group):
                 if tab is None:
-                    sigma[i] = _feedback_sigma(spec, s.hist[i], k, times[k], dt, band)
+                    h = s.hist[i]
+                    sigma[i] = h["sigma"][k] = _feedback_sigma(spec, h, k, times[k], dt, band)
                 else:
                     sigma[i] = tab[k]
-            for i, h in s.hist.items():
-                h["sigma"][k] = sigma[i]
             db = sigma * sq * z[k]
             if stepped:
                 dqv = sigma**2 * dt
@@ -304,6 +312,15 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         s.hist = None
 
 
+def _bundle(scenario: ScenarioSpec, h: dict, grid: TimeGrid, params: Optional[RateParams]):
+    """``scenario``'s recorded history ``h`` as its bundle: each array made path-major
+    and C-ordered one at a time, then the money market when ``params`` is set."""
+    for x in list(h):
+        h[x] = np.ascontiguousarray(h.pop(x).T)
+    d = money_market(h["r"], grid) if params is not None else None
+    return PathBundle(grid, scenario.scenario_id, d=d, **h)
+
+
 def _simulate(
     scenario: ScenarioSpec,
     band: VolBand,
@@ -316,33 +333,14 @@ def _simulate(
     antithetic: bool = False,
     switch_key: int = 0,
 ) -> PathBundle:
-    """Single-chunk bundle: the recorded history of ``scenario`` stepped alone.
-    With ``params`` the short rate, ``lam`` and the money market are
-    co-simulated (so feedback rules may read ``r``)."""
-    if dynamics not in ("original", "shifted"):
-        raise ValidationError(f"unknown dynamics '{dynamics}'")
-    scenario.validate(band)
+    """Single-chunk bundle of ``scenario`` stepped alone (``_bundle``).  With
+    ``params`` the short rate, ``lam`` and the money market are co-simulated
+    (so feedback rules may read ``r``)."""
     for state in _steps(
         [scenario], band, grid, rng, n_paths, params, dynamics, antithetic, switch_key, record=True
     ):
-        h = state.hist[0]
-    for x in list(h):  # path-major and C-ordered, one array at a time
-        h[x] = np.ascontiguousarray(h.pop(x).T)
-    d = money_market(h["r"], grid) if params is not None else None
-    return PathBundle(
-        grid, scenario.scenario_id, h["sigma"], h["b"], h["qv"], h.get("lam"), h.get("r"), d
-    )
-
-
-def _discount_factors(scenarios, band, grid, rng, n_paths, params, antithetic, key):
-    """``1 / D_T`` under the original dynamics of each scenario, all on one
-    shared draw; row ``i`` is ``_simulate``'s for ``scenarios[i]`` alone, bit
-    for bit."""
-    out = np.empty((len(scenarios), n_paths))
-    for s in _steps(scenarios, band, grid, rng, n_paths, params, "original", antithetic, key):
-        if s.k == grid.n_steps:
-            out[s.rows] = 1.0 / np.exp(s.integral)
-    return out
+        hist = state.hist[0]
+    return _bundle(scenario, hist, grid, params)
 
 
 def simulate_bundle(

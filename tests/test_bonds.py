@@ -29,6 +29,7 @@ from robustrates import (
     noarb_gap,
     price_classical_hw,
     price_robust,
+    register_feedback_rule,
 )
 import robustrates.bonds
 import robustrates.paths
@@ -42,13 +43,14 @@ from robustrates.bonds import (
 )
 from robustrates.mc import (
     CHUNK_PATHS,
-    _chunk_bundles,
+    _chunks,
     _dedupe_ids,
     _mean_se,
     _pair_means,
     _sublinear,
     scenario_functional_values,
 )
+from robustrates.paths import _simulate
 
 BAND = VolBand(0.005, 0.02)
 PARAMS = RateParams(r0=0.02, alpha=1.0, mu=0.0)
@@ -64,6 +66,26 @@ CF_GAP = 3.1121719340557623e-05               # band [0.005, 0.02] closed-form s
 CF_UPPER = 0.98747036485714169
 CF_LOWER = 0.98743924313780113
 CF_GAP_WIDE = 7.2618870949810722e-05          # band widened to [0.005, 0.03]
+
+
+def _chunk_bundles(spec, band, cfg, params, dynamics):
+    """One scenario's bundles chunk by chunk, simulated alone."""
+    for ci, rng, m in _chunks(cfg):
+        yield _simulate(spec, band, cfg.grid, rng, m, params=params, dynamics=dynamics,
+                        antithetic=cfg.antithetic, switch_key=ci)
+
+
+def _reference_values(functional, band, family, cfg, params=None, dynamics="original"):
+    """Per-scenario functional samples, one scenario at a time from its own
+    bundles, averaged over antithetic pairs chunk by chunk."""
+    values = [
+        np.concatenate([
+            _pair_means(np.asarray(functional(bundle), dtype=float), cfg.antithetic)
+            for bundle in _chunk_bundles(spec, band, cfg, params, dynamics)
+        ])
+        for spec in family
+    ]
+    return _dedupe_ids(family), values
 
 
 class TestBFactor:
@@ -290,7 +312,7 @@ class TestNoArbGapStreaming:
     @staticmethod
     def reference(params, maturity, family, cfg):
         cfg = replace(cfg, horizon=maturity)
-        ids, values = scenario_functional_values(
+        ids, values = _reference_values(
             discount_factor, BAND, _ensure_extremes(BAND, family), cfg, params
         )
         est = _sublinear(ids, values)
@@ -359,6 +381,81 @@ class TestNoArbGapStreaming:
             NumericalError, match=r"^non-finite functional value in scenario 'const\[0.01\]' at path 0$"
         ):
             noarb_gap(params, BAND, 1.0, [Constant(0.01)], cfg)
+
+
+def _reads_rate(view, params):
+    return np.where(view.r[:, view.k] >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
+
+
+register_feedback_rule("reads_rate", _reads_rate)
+
+
+def _every_field(bundle):
+    """A functional that reads every array of the bundle, reduced along the
+    path so a different layout or summation order shows."""
+    x = bundle.b[:, -1] ** 2 + bundle.qv[:, -1] + bundle.sigma.sum(axis=1)
+    if bundle.r is not None:
+        x = x + bundle.r.sum(axis=1) + bundle.lam[:, -1] + discount_factor(bundle)
+    return x
+
+
+class TestFunctionalStreaming:
+    """``scenario_functional_values`` steps every member on each chunk's one
+    draw and hands each its bundle; samples and statistics must equal those of
+    the one-scenario-at-a-time bundles."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.lists(
+            st.one_of(_MEMBERS, st.just(AdaptedFeedback("reads_rate"))), min_size=1, max_size=5
+        ),
+        n_dup=st.integers(0, 2),
+        antithetic=st.booleans(),
+        above=st.booleans(),
+        rate=st.sampled_from([None, "constant", "callable"]),
+        dynamics=st.sampled_from(["original", "shifted"]),
+        n_steps=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_bundle_values(
+        self, family, n_dup, antithetic, above, rate, dynamics, n_steps, seed
+    ):
+        family = family + family[:n_dup]  # duplicates get deduplicated ids
+        if AdaptedFeedback("reads_rate") in family:
+            rate = rate or "constant"  # a rule that reads r needs the rate
+        mu = (lambda s: 0.01 + 0.02 * s) if rate == "callable" else 0.03
+        params = RateParams(r0=0.02, alpha=0.7, mu=mu) if rate else None
+        n_paths = CHUNK_PATHS + 2 if above else 2
+        cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.3, base_seed=seed,
+                       antithetic=antithetic)
+        seen = []
+
+        def functional(bundle):
+            seen.append((bundle.scenario_id, bundle.n_paths))
+            return _every_field(bundle)
+
+        args = (BAND, family, cfg, params, dynamics)
+        ids, values = scenario_functional_values(functional, *args)
+        batched_seen, seen[:] = sorted(seen), []
+        ref_ids, ref_values = _reference_values(functional, *args)
+        assert sorted(seen) == batched_seen
+        assert ids == ref_ids
+        assert [(v.shape, v.tobytes()) for v in values] == [
+            (v.shape, v.tobytes()) for v in ref_values
+        ]
+        assert estimate_sublinear(_every_field, *args) == _sublinear(ref_ids, ref_values)
+
+    @pytest.mark.parametrize("params", [None, PARAMS])
+    def test_one_draw_per_chunk_for_the_whole_family(self, monkeypatch, params):
+        cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=2, antithetic=True)
+        draws = []
+        draw = robustrates.paths._draw_normals
+        monkeypatch.setattr(
+            robustrates.paths, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a)
+        )
+        estimate_sublinear(_every_field, BAND, TestMartingaleStreaming.FAMILY, cfg, params)
+        # nine members, the feedback one among them, in passes over one draw per chunk
+        assert draws == [(CHUNK_PATHS, 8, True), (2, 8, True)]
 
 
 class TestMartingale:
@@ -535,9 +632,17 @@ class TestMartingaleStreaming:
         args = (PARAMS, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg)
         reports = martingale_check(*args)
         gap = noarb_gap(PARAMS, BAND, 1.5, self.FAMILY, cfg)
+        estimates = [
+            estimate_sublinear(_every_field, BAND, self.FAMILY, cfg, params, "shifted")
+            for params in (None, PARAMS)
+        ]
         monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 1)
         assert martingale_check(*args) == reports
         assert noarb_gap(PARAMS, BAND, 1.5, self.FAMILY, cfg) == gap
+        assert estimates == [
+            estimate_sublinear(_every_field, BAND, self.FAMILY, cfg, params, "shifted")
+            for params in (None, PARAMS)
+        ]
 
     def test_reversed_family_reverses_reports(self):
         family = self.FAMILY[:-1]  # no duplicate id, whose suffix follows the order
@@ -550,7 +655,10 @@ class TestMartingaleStreaming:
 def test_no_pass_holds_more_than_six_arrays(monkeypatch):
     """A pass holds at most six ``(steps, paths)`` arrays: a switching table
     counts 1, a feedback history 4 and, in ``martingale_check``, each
-    member's buffer of log increments 1."""
+    member's buffer of log increments 1.  In ``estimate_sublinear`` every
+    member's history is recorded: ``sigma`` (a switching table is that
+    ``sigma``), ``B`` and its quadratic variation, plus ``r``, ``lam`` and the
+    bundle's ``d`` with the rate."""
     family = [
         AdaptedFeedback("driver_sign"), RandomSwitching(1.0, 0), Constant(0.005),
         RandomSwitching(2.0, 1), AdaptedFeedback("qv_chase"), Constant(0.0125),
@@ -566,11 +674,16 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
             passes.append((rows, [spec for spec, _ in group]))
             yield rows, group
 
+    def unrecorded(buffers):
+        return lambda s: buffers + 4 * s.is_adaptive + isinstance(s, RandomSwitching)
+
     monkeypatch.setattr(robustrates.paths, "_passes", spy)
     cfg = McConfig(n_paths=64, n_steps=4, horizon=1.0, base_seed=1, antithetic=True)
-    for run, buffers in (
-        (lambda: noarb_gap(PARAMS, BAND, 1.0, family, cfg), 0),
-        (lambda: martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg), 1),
+    for run, arrays_of in (
+        (lambda: noarb_gap(PARAMS, BAND, 1.0, family, cfg), unrecorded(0)),
+        (lambda: martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg), unrecorded(1)),
+        (lambda: estimate_sublinear(_every_field, BAND, family, cfg), lambda s: 3),
+        (lambda: estimate_sublinear(_every_field, BAND, family, cfg, PARAMS), lambda s: 6),
     ):
         passes.clear()
         run()
@@ -579,8 +692,5 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
         for rows, specs in passes:
             assert rows == slice(lo, lo + len(specs))
             lo += len(specs)
-            arrays = sum(
-                buffers + 4 * s.is_adaptive + isinstance(s, RandomSwitching) for s in specs
-            )
-            assert arrays <= 6, [s.scenario_id for s in specs]
+            assert sum(map(arrays_of, specs)) <= 6, [s.scenario_id for s in specs]
         assert len(passes) >= 4

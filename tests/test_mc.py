@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from robustrates import (
     estimate_sublinear,
     price_classical_hw,
 )
+from robustrates.mc import CHUNK_PATHS
 
 BAND = VolBand(0.005, 0.02)
 CFG = McConfig(n_paths=20_000, n_steps=64, horizon=1.0, base_seed=101)
@@ -127,6 +130,27 @@ def test_non_finite_functional_diagnosed():
     small = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=0)
     with pytest.raises(NumericalError, match=r"scenario 'const\[0.005\]' at path 3"):
         estimate_sublinear(bad, BAND, [Constant(0.005)], small)
+
+    # two members over two chunks: the earliest chunk that holds a bad value
+    # wins, then its first bad scenario; the path is counted across chunks
+    def bad_at(where):  # (sigma, in the last chunk) -> bad path
+        def functional(bundle):
+            vals = bundle.b[:, -1].copy()
+            path = where.get((bundle.sigma[0, 0], bundle.n_paths == 16))
+            if path is not None:
+                vals[path] = np.inf
+            return vals
+
+        return functional
+
+    two = McConfig(n_paths=CHUNK_PATHS + 16, n_steps=4, horizon=1.0, base_seed=0)
+    for where, sid, path in (
+        ({(0.005, True): 5, (0.02, False): 3}, "const[0.02]", 3),
+        ({(0.005, True): 5, (0.02, True): 2}, "const[0.005]", CHUNK_PATHS + 5),
+    ):
+        message = f"non-finite functional value in scenario '{sid}' at path {path}"
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            estimate_sublinear(bad_at(where), BAND, [Constant(0.005), Constant(0.02)], two)
 
 
 def test_functional_shape_validated():

@@ -22,8 +22,8 @@ from robustrates import (
     simulate_bundle,
 )
 from robustrates.cli import main
-from robustrates.mc import CHUNK_PATHS, _chunk_bundles
-from robustrates.paths import _draw_normals, _r_step, _rate_factors, _sigma_table
+from robustrates.mc import CHUNK_PATHS, _chunks
+from robustrates.paths import _draw_normals, _r_step, _rate_factors, _sigma_table, _simulate
 from robustrates.scenarios import PathView
 
 BAND = VolBand(0.005, 0.02)
@@ -33,6 +33,13 @@ LAMBDA_1_SIGMA_02 = 0.017293294335267746  # sigma^2 (1 - e^-2) / 2 at sigma=0.2,
 MEAN_R1 = 0.0073575888234288464           # e^-1 * 0.02
 VAR_R1_SIGMA_001 = 4.3233235838169365e-05  # sigma^2 (1 - e^-2) / 2 at sigma=0.01
 SHIFT_MEAN_SIGMA_001 = 1.9978820044686402e-05  # int_0^1 e^{-(1-s)} lam(s) ds
+
+
+def _chunk_bundles(spec, band, cfg, params, dynamics):
+    """One scenario's bundles chunk by chunk, simulated alone."""
+    for ci, rng, m in _chunks(cfg):
+        yield _simulate(spec, band, cfg.grid, rng, m, params=params, dynamics=dynamics,
+                        antithetic=cfg.antithetic, switch_key=ci)
 
 
 def zero_noise_rate(params: RateParams, grid: TimeGrid) -> np.ndarray:

@@ -16,6 +16,7 @@ from robustrates import (
     VolBand,
     bang_bang,
     default_scenario_family,
+    estimate_sublinear,
     family_from_json,
     family_to_json,
     martingale_check,
@@ -128,6 +129,9 @@ _RUNNERS = {
     "noarb_gap": lambda spec: noarb_gap(PARAMS, BAND, 1.0, [Constant(0.01), spec], _CFG),
     "martingale_check": lambda spec: martingale_check(
         PARAMS, BAND, [Constant(0.01), spec], 1.0, [0.5], _CFG
+    ),
+    "estimate_sublinear": lambda spec: estimate_sublinear(
+        lambda bundle: bundle.b[:, -1], BAND, [Constant(0.01), spec], _CFG, PARAMS
     ),
 }
 
