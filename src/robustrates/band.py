@@ -7,7 +7,9 @@ volatility of the driving noise.  Its one-line fingerprint is the generator
 
 which selects the worst-case variance for the sign of ``a``.  Everything
 downstream (worst/best-case expectations, the nonlinear heat equation) is
-parameterized by this band.
+parameterized by this band.  ``_g_in_place`` is the one evaluation of
+the generator: ``g_value`` runs it on a copy of its input, and the PDE
+sweep of ``gheat`` runs it on its own buffer.
 """
 
 from __future__ import annotations
@@ -57,8 +59,25 @@ def g_value(band: VolBand, a):
     ``sigma_lo^2 * a / 2`` for ``a < 0``.  Monotone, positively homogeneous
     and subadditive in ``a``; accepts scalars or arrays.
     """
-    a = np.asarray(a, dtype=float)
-    out = np.where(a >= 0.0, 0.5 * band.sigma_hi**2, 0.5 * band.sigma_lo**2) * a
+    a = np.array(a, dtype=float)
+    out = _g_in_place(band, a, np.empty_like(a))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _g_in_place(band: VolBand, a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite the float array ``a`` with ``g(a)``; ``scratch`` (same shape)
+    is clobbered.  Returns ``a``.
+
+    Takes the larger of ``a * sigma_hi^2/2`` and ``a * sigma_lo^2/2``, which
+    is bit for bit ``np.where(a >= 0, sigma_hi^2/2, sigma_lo^2/2) * a``:
+    rounding is monotone, so the larger exact product rounds to the larger
+    float; ``+0.0`` and ``-0.0`` keep their sign and NaN stays NaN.  Both
+    products are formed, so the one not selected may overflow and raise a
+    floating-point warning where the selecting form would not; that happens
+    only when ``|sigma_hi^2 * a / 2|`` exceeds the float maximum.
+    """
+    np.multiply(a, 0.5 * band.sigma_hi**2, out=scratch)
+    np.multiply(a, 0.5 * band.sigma_lo**2, out=a)
+    return np.maximum(scratch, a, out=a)

@@ -62,6 +62,27 @@ def test_generator_is_bitwise_the_halved_selected_variance():
     assert g_value(band, a).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("band", [VolBand(0.005, 0.02), VolBand(0.02, 0.02), VolBand(1e-150, 1e150)])
+def test_generator_is_bitwise_the_selecting_form(band):
+    # g_value takes the larger of both products; the reference selects first
+    tiny = np.nextafter(0.0, 1.0)
+    rng = np.random.default_rng(7)
+    a = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf, np.nan, 1e308, -1e308],
+        rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-300, 300, 10_000),
+    ])
+    before = a.copy()
+    with np.errstate(over="ignore"):
+        expected = np.where(a >= 0.0, 0.5 * band.sigma_hi**2, 0.5 * band.sigma_lo**2) * a
+        got = g_value(band, a)
+    assert got.tobytes() == expected.tobytes()
+    assert a.tobytes() == before.tobytes()  # the caller's array is not written
+    for x in (1.5, -1.5, 0.0, -0.0):
+        v = g_value(band, x)
+        assert type(v) is float
+        assert np.float64(v).tobytes() == (np.where(x >= 0.0, 0.5 * band.sigma_hi**2, 0.5 * band.sigma_lo**2) * x).tobytes()
+
+
 @pytest.mark.parametrize("lo,hi", [(0.0, 0.1), (-0.1, 0.1), (0.2, 0.1), (np.nan, 0.1)])
 def test_band_validation(lo, hi):
     with pytest.raises(ValidationError):

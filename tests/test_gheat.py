@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustrates import (
     Grid1D,
     McConfig,
     NumericalError,
+    Solution1D,
     ValidationError,
     VolBand,
     default_scenario_family,
@@ -12,12 +16,87 @@ from robustrates import (
     gexpectation_terminal,
     solve_gheat,
 )
+from robustrates import gheat
 
 BAND = VolBand(0.005, 0.02)
 
 
 def small_grid(band=BAND, nx=101, t_final=1.0, span=0.2):
     return Grid1D.with_cfl(band, -span, span, nx, t_final)
+
+
+def reference_solve(phi, band, grid, store_every=None):
+    """The sweep as first written: fresh temporaries, the generator in its
+    selecting form, and a NaN check after every level."""
+    x = grid.x
+    u = np.asarray(phi(x) if callable(phi) else phi, dtype=float).copy()
+    dt = grid.dt
+    inv_dx2 = 1.0 / grid.dx**2
+    stored, stored_times = [u.copy()], [0.0]
+    for n in range(1, grid.nt + 1):
+        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
+        g = np.where(d2 >= 0.0, 0.5 * band.sigma_hi**2, 0.5 * band.sigma_lo**2) * d2
+        u[1:-1] += dt * g
+        if np.isnan(u).any():
+            i = int(np.argmax(np.isnan(u)))
+            raise NumericalError(f"NaN at time level {n} (t={n * dt:.6g}), node {i}")
+        if (store_every is not None and n % store_every == 0) or n == grid.nt:
+            stored.append(u.copy())
+            stored_times.append(n * dt)
+    return Solution1D(grid=grid, times=np.asarray(stored_times), u=np.vstack(stored))
+
+
+def nan_message(phi, band, grid, solve=solve_gheat):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as info:
+            solve(phi, band, grid)
+    return str(info.value)
+
+
+PAYOFFS = {
+    "smooth": lambda x: np.sin(7.0 * x) + x**2,
+    "relu": lambda x: np.maximum(x, 0.0),
+    "abs": np.abs,
+    "constant": lambda x: np.full_like(x, -0.3),
+}
+
+
+class TestBitwiseAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        payoff=st.sampled_from([*PAYOFFS, "array"]),
+        band=st.sampled_from([BAND, VolBand(0.02, 0.02), VolBand(0.001, 0.3)]),
+        nx=st.integers(3, 400),
+        t_final=st.sampled_from([0.25, 1.0]),
+        levels=st.sampled_from(["cfl", "blocks", "blocks+1"]),
+        blocks=st.integers(1, 4),
+        store=st.sampled_from([None, 1, "k"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sweep_bitwise_equal_to_reference(self, payoff, band, nx, t_final, levels, blocks, store, seed):
+        # block ends fall every _NAN_CHECK_EVERY levels; nt at a multiple of
+        # the block and one past it puts the last check on and off a block end
+        rng = np.random.default_rng(seed)
+        span = 0.3 * band.sigma_hi / 0.02
+        nt = Grid1D.with_cfl(band, -span, span, nx, t_final).nt
+        block = gheat._NAN_CHECK_EVERY
+        if levels != "cfl":
+            nt = block * max(blocks, math.ceil(nt / block)) + (levels == "blocks+1")
+        grid = Grid1D(-span, span, nx, t_final, nt)
+        phi = rng.normal(size=nx) if payoff == "array" else PAYOFFS[payoff]
+        store_every = int(rng.integers(2, nt + 2)) if store == "k" else store
+        sol = solve_gheat(phi, band, grid, store_every=store_every)
+        ref = reference_solve(phi, band, grid, store_every=store_every)
+        assert sol.u.tobytes() == ref.u.tobytes()
+        assert sol.times.tobytes() == ref.times.tobytes()
+
+    @pytest.mark.parametrize("name, phi, expected", [
+        ("relu", lambda x: np.maximum(x, 0.0), "0x1.0574aa23619cfp-7"),
+        ("square", lambda x: x * x, "0x1.a370debfbb2cdp-12"),
+        ("negsquare", lambda x: -(x * x), "-0x1.a3992f914435ep-16"),
+    ])
+    def test_workload_values_pinned(self, name, phi, expected):
+        assert gexpectation_terminal(phi, BAND, 1.0, nodes_per_width=100).hex() == expected
 
 
 class TestScheme:
@@ -140,6 +219,45 @@ class TestGridAndFailures:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match=r"time level \d+.*node \d+"):
                 solve_gheat(huge, BAND, grid)
+
+    @pytest.mark.parametrize("case", ["huge_square", "two_spikes"])
+    def test_nan_diagnosis_independent_of_check_interval(self, monkeypatch, case):
+        # a NaN first shows at level 2 here; the intervals put the check that
+        # finds it on every level, on level 2, after it, and at the block end
+        if case == "huge_square":
+            grid, phi = small_grid(nx=51), lambda x: 1e308 * (x**2)
+        else:
+            grid = small_grid(nx=401)  # 801 levels: several blocks
+            phi = np.zeros(grid.nx)
+            phi[100], phi[300] = 1e308, -1e308
+        expected = nan_message(phi, BAND, grid, solve=reference_solve)
+        for every in (1, 2, 3, gheat._NAN_CHECK_EVERY):
+            monkeypatch.setattr(gheat, "_NAN_CHECK_EVERY", every)
+            assert nan_message(phi, BAND, grid) == expected
+
+    def test_replay_finds_a_nan_past_the_first_block(self, monkeypatch):
+        # a NaN planted once the kink has decayed below a threshold, a
+        # condition of the state alone, so the replay meets it again
+        real = gheat._g_in_place
+
+        def planted(band, a, scratch):
+            if a.max() < 25.0:
+                a[17] = np.nan
+            return real(band, a, scratch)
+
+        monkeypatch.setattr(gheat, "_g_in_place", planted)
+        grid = small_grid(nx=401)
+        relu = lambda x: np.maximum(x, 0.0)
+        default = gheat._NAN_CHECK_EVERY
+        messages = set()
+        for every in (1, 2, 3, 100, default):
+            monkeypatch.setattr(gheat, "_NAN_CHECK_EVERY", every)
+            messages.add(nan_message(relu, BAND, grid))
+        (message,) = messages
+        # past the first block end, so each interval replays from its own clean level
+        level = int(message.split()[4])
+        assert default < level < grid.nt
+        assert message.endswith("node 18")
 
     def test_non_finite_phi_rejected(self):
         grid = small_grid(nx=51)
