@@ -24,15 +24,13 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .band import VolBand
-from .errors import ValidationError
-from .mc import (
-    McConfig, _chunk_values, _chunks, _dedupe_ids, _mean_se, _pair_means, _samples, _sublinear,
-)
+from .errors import NumericalError, ValidationError
+from .mc import McConfig, _chunk_values, _chunks, _dedupe_ids, _samples, _stats, _sublinear
 from .paths import RateParams, _check_interval, _steps, b_factor
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
-#: steps ``_martingale_reducers`` stages time-major per copy into its buffer
+#: steps ``martingale_check`` stages time-major per copy into its buffer
 _STAGE_STEPS = 32
 
 
@@ -175,6 +173,12 @@ def price_classical_hw(
     return float(np.exp(_log_price(a, b, r_t, 0.0)))
 
 
+def _require_finite(maturity: float, *prices: float) -> None:
+    """A ``NumericalError`` unless every closed-form price at ``maturity`` is finite."""
+    if not np.isfinite(prices).all():
+        raise NumericalError(f"price at maturity {maturity} is not finite")
+
+
 def _ensure_extremes(band: VolBand, family: Sequence[ScenarioSpec]) -> list[ScenarioSpec]:
     out = list(family)
     for edge in (band.sigma_hi, band.sigma_lo):
@@ -198,8 +202,13 @@ def noarb_gap(
     """Spread of discounted-bond expectations across scenarios under the
     original dynamics, against the closed-form spread between the classical
     prices at the band edges.  The two extreme constant scenarios are always
-    included regardless of the supplied family."""
+    included regardless of the supplied family.  ``cfg.horizon`` is replaced
+    by ``maturity`` (``replace(cfg, horizon=maturity)``)."""
     cfg = replace(cfg, horizon=maturity)
+    with np.errstate(over="ignore"):  # an overflow is reported next
+        cf_up = price_classical_hw(params, band.sigma_hi, 0.0, maturity, params.r0)
+        cf_lo = price_classical_hw(params, band.sigma_lo, 0.0, maturity, params.r0)
+    _require_finite(maturity, cf_up, cf_lo)
     scenarios = _ensure_extremes(band, family)
     ids = _dedupe_ids(scenarios)
     discounts = _chunk_values(  # 1 / D_T, every member on each chunk's one draw
@@ -207,12 +216,10 @@ def noarb_gap(
     )
     values = _samples(ids, discounts, cfg.antithetic)
     est = _sublinear(ids, values)
-    i_up = ids.index(est.argmax_scenario)
-    i_lo = ids.index(est.argmin_scenario)
+    up, lo = est.argmax_scenario, est.argmin_scenario
     # scenarios share draws, so the gap's error comes from paired differences
-    gap_se = 0.0 if i_up == i_lo else float(_mean_se(values[i_up] - values[i_lo])[1])
-    cf_up = price_classical_hw(params, band.sigma_hi, 0.0, maturity, params.r0)
-    cf_lo = price_classical_hw(params, band.sigma_lo, 0.0, maturity, params.r0)
+    paired = values[ids.index(up)] - values[ids.index(lo)]
+    gap_se = 0.0 if up == lo else _stats([f"{up} - {lo}"], [paired])[0].se
     return GapReport(
         upper=est.upper,
         lower=est.lower,
@@ -244,45 +251,6 @@ def _ols_with_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, flo
     return slope, slope_se, intercept, intercept_se
 
 
-def _martingale_reducers(scenarios, band, params, cfg, dynamics, a_vec, b_vec, p0, cp_idx):
-    """Per chunk, the reducers of ``p~ - p0`` for each scenario on the chunk's
-    one draw: checkpoint samples ``(scenarios, checkpoints, paths)``, path sums
-    ``(scenarios, steps + 1)`` and terminal errors.  Row ``i`` is, bit for bit,
-    what the bundles of ``scenarios[i]`` alone give.  For its terminal error a
-    pass sums a path-major ``(members, paths, steps)`` buffer of log increments
-    along the stored path, as ``np.sum`` does; each step writes one row of a
-    time-major stage, copied in transposed every ``_STAGE_STEPS`` steps."""
-    n = cfg.n_steps
-    neg_b, half_b2 = -b_vec[:-1], 0.5 * b_vec[:-1] ** 2
-    for ci, rng, m in _chunks(cfg):
-        cps = np.empty((len(scenarios), len(cp_idx), m))
-        sums = np.empty((len(scenarios), n + 1))
-        errs = np.empty(len(scenarios))
-        for s in _steps(scenarios, band, cfg.grid, rng, m, params, dynamics, cfg.antithetic, ci,
-                        extra=1, full=True):
-            k, rows = s.k, s.rows
-            # exp(log D) as money_market builds D
-            p = np.exp(_log_price(a_vec[k], b_vec[k], s.r, s.lam) - np.log(np.exp(s.integral))) - p0
-            sums[rows, k] = np.cumsum(p, axis=1)[:, -1]  # summed in path order
-            for j in np.flatnonzero(np.equal(cp_idx, k)):
-                cps[rows, j] = p
-            if k == 0:
-                dlog = np.empty(p.shape + (n,))  # path-major, so its sums are np.sum's
-                stage = np.empty((_STAGE_STEPS,) + p.shape)
-            else:
-                # the increments as np.diff takes them from the stored path
-                slot = (k - 1) % _STAGE_STEPS
-                stage[slot] = neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
-                if slot == _STAGE_STEPS - 1 or k == n:
-                    dlog[..., k - 1 - slot : k] = stage[: slot + 1].transpose(1, 2, 0)
-            b, qv = s.b, s.qv
-            if k == n:
-                p_sde = p0 * np.exp(np.sum(dlog, axis=-1))
-                errs[rows] = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
-                del dlog, stage  # before the next pass builds its own
-        yield cps, sums, errs
-
-
 def martingale_check(
     params: RateParams,
     band: VolBand,
@@ -303,40 +271,73 @@ def martingale_check(
 
     All members step together on each chunk's one draw and keep only
     checkpoint samples, path sums per step and the terminal error; this
-    matches simulating each scenario on its own, bit for bit.
+    matches simulating each scenario on its own, bit for bit.  The checkpoint
+    samples take the estimator's statistics path (``_samples``, ``_stats``).
+    ``cfg.horizon`` is replaced by ``maturity`` (``replace(cfg, horizon=maturity)``).
 
     Passing ``dynamics="original"`` yields the adversarial fixture: under a
     non-degenerate band the edge scenarios must fail, which is the power
     check for this test.
     """
     cfg = replace(cfg, horizon=maturity)
-    grid = cfg.grid
+    grid, n = cfg.grid, cfg.n_steps
     cp = sorted(float(t) for t in checkpoints)
     cp_idx = [grid.index_of(t) for t in cp]  # rejects off-grid checkpoints
     ids = _dedupe_ids(scenarios)
 
-    times = grid.times
     # affine coefficients along the grid (A is one batched quadrature)
-    b_vec = b_factor(params.alpha, times, maturity)
-    a_vec = a_robust(params, times, maturity)
-    p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))  # lam_0 = 0, D_0 = 1
+    b_vec = b_factor(params.alpha, grid.times, maturity)
+    a_vec = a_robust(params, grid.times, maturity)
+    with np.errstate(over="ignore"):  # an overflow is reported next
+        p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))  # lam_0 = 0, D_0 = 1
+    _require_finite(maturity, p0)
+    neg_b, half_b2 = -b_vec[:-1], 0.5 * b_vec[:-1] ** 2
+    path_sums = np.zeros((len(scenarios), n + 1))
+    terminal_err = np.zeros(len(scenarios))
 
-    cp_vals = [[] for _ in scenarios]
-    path_sums = np.zeros((len(scenarios), grid.n_steps + 1))
-    terminal_err = [0.0] * len(scenarios)
-    for chunk in _martingale_reducers(scenarios, band, params, cfg, dynamics, a_vec, b_vec, p0, cp_idx):
-        for i, (cp_samples, sums, err) in enumerate(zip(*chunk)):
-            # checkpoint error bars over antithetic pair means
-            cp_vals[i].append(_pair_means(cp_samples.T, cfg.antithetic))
-            path_sums[i] += sums
-            terminal_err[i] = max(terminal_err[i], float(err))
+    def checkpoint_values():
+        """Per chunk, ``p~ - p0`` at the checkpoints as ``(scenarios x checkpoints,
+        paths)`` rows, adding each step's path sums (in path order) to ``path_sums``
+        and keeping the largest terminal error in ``terminal_err``.  For its
+        terminal error a pass sums a path-major ``(members, paths, steps)`` buffer
+        of log increments along the stored path, as ``np.sum`` does; each step
+        writes one row of a time-major stage, copied in transposed every
+        ``_STAGE_STEPS`` steps."""
+        for ci, rng, m in _chunks(cfg):
+            cps = np.empty((len(scenarios), len(cp_idx), m))
+            for s in _steps(scenarios, band, grid, rng, m, params, dynamics, cfg.antithetic, ci,
+                            extra=1, full=True):
+                k, rows = s.k, s.rows
+                # exp(log D) as money_market builds D
+                p = np.exp(_log_price(a_vec[k], b_vec[k], s.r, s.lam) - np.log(np.exp(s.integral))) - p0
+                path_sums[rows, k] += np.cumsum(p, axis=1)[:, -1]
+                for j in np.flatnonzero(np.equal(cp_idx, k)):
+                    cps[rows, j] = p
+                if k == 0:
+                    dlog = np.empty(p.shape + (n,))  # path-major, so its sums are np.sum's
+                    stage = np.empty((_STAGE_STEPS,) + p.shape)
+                else:
+                    # the increments as np.diff takes them from the stored path
+                    slot = (k - 1) % _STAGE_STEPS
+                    stage[slot] = neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
+                    if slot == _STAGE_STEPS - 1 or k == n:
+                        dlog[..., k - 1 - slot : k] = stage[: slot + 1].transpose(1, 2, 0)
+                b, qv = s.b, s.qv
+                if k == n:
+                    p_sde = p0 * np.exp(np.sum(dlog, axis=-1))
+                    err = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
+                    terminal_err[rows] = np.maximum(terminal_err[rows], err)
+                    del dlog, stage  # before the next pass builds its own
+            yield cps.reshape(-1, m)
 
+    # checkpoint error bars over antithetic pair means, one row per (scenario, checkpoint)
+    row_ids = [sid for sid in ids for _ in cp]
+    stats = iter(_stats(row_ids, _samples(row_ids, checkpoint_values(), cfg.antithetic)))
     reports = []
-    for sid, vals, sums, err in zip(ids, cp_vals, path_sums, terminal_err):
-        means, ses = _mean_se(np.concatenate(vals))
+    for sid, sums, err in zip(ids, path_sums, terminal_err):
         rows = [
-            CheckpointStat(t=t_cp, mean=p0 + float(mean), se=float(se), reference=p0)
-            for t_cp, mean, se in zip(cp, means, ses)
+            CheckpointStat(t=t_cp, mean=p0 + st.mean, se=st.se, reference=p0)
+            for t_cp, st in zip(cp, stats)  # takes this scenario's len(cp) rows
         ]
         mean_inc = np.diff(sums) / cfg.n_paths
         slope, slope_se, intercept, intercept_se = _ols_with_se(grid.step_times, mean_inc)
@@ -349,7 +350,7 @@ def martingale_check(
                 drift_slope_se=slope_se,
                 drift_intercept=intercept,
                 drift_intercept_se=intercept_se,
-                terminal_max_abs_error=err,
+                terminal_max_abs_error=float(err),
                 dt=grid.dt,
             )
         )

@@ -5,9 +5,9 @@ Commands: ``simulate``, ``price``, ``gap``, ``verify``, ``calibrate``,
 given on the command line win over config values.  All numeric output uses
 17 significant digits so values round-trip exactly.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure,
-3 verification failure (a martingale row failed or the gap disagrees with
-its closed form).
+Exit codes: 0 success, 1 validation error, 2 numerical failure (a
+closed-form price, sample, mean or se that is not finite), 3 verification
+failure (a martingale row failed or the gap disagrees with its closed form).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .band import VolBand
-from .bonds import _b_squared_integral, martingale_check, noarb_gap, price_robust
+from .bonds import _b_squared_integral, _require_finite, martingale_check, noarb_gap, price_robust
 from .calibration import (
     calibrate,
     fitted_price,
@@ -262,8 +262,7 @@ def cmd_price(cfg: _Config) -> int:
         with np.errstate(over="ignore"):  # an overflow is reported below
             lower = robust * float(np.exp(0.5 * band.sigma_lo**2 * v))
             upper = robust * float(np.exp(0.5 * band.sigma_hi**2 * v))
-        if not np.isfinite([lower, robust, upper]).all():
-            raise NumericalError(f"price at maturity {T} is not finite")
+        _require_finite(T, lower, robust, upper)
         rows.append((T, lower, robust, upper))
     with _output(cfg.get("out")) as fh:
         _write_csv(fh, "T,price_lower,price_robust,price_upper", rows)

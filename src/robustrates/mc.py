@@ -183,12 +183,21 @@ def _mean_se(vals: np.ndarray):
     return mean, se
 
 
-def _sublinear(ids: Sequence[str], values: Sequence[np.ndarray]) -> SublinearEstimate:
-    """Per-scenario statistics and the scenarios attaining the extremes."""
+def _stats(ids: Sequence[str], values: Sequence[np.ndarray]) -> list[ScenarioStat]:
+    """The one place a mean and se are made, by :func:`_mean_se` on each
+    scenario's samples; a non-finite mean or se names the scenario."""
     stats = []
     for sid, vals in zip(ids, values):
         mean, se = _mean_se(vals)
+        if not (np.isfinite(mean) and np.isfinite(se)):
+            raise NumericalError(f"non-finite mean or se in scenario '{sid}'")
         stats.append(ScenarioStat(sid, float(mean), float(se), vals.size))
+    return stats
+
+
+def _sublinear(ids: Sequence[str], values: Sequence[np.ndarray]) -> SublinearEstimate:
+    """Per-scenario statistics and the scenarios attaining the extremes."""
+    stats = _stats(ids, values)
     means = np.array([s.mean for s in stats])
     up = stats[int(np.argmax(means))]
     lo = stats[int(np.argmin(means))]

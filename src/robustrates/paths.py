@@ -207,6 +207,10 @@ def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key) -> np.nd
 
 #: ``(n_steps, n_paths)`` arrays a pass of ``_steps`` holds, whatever the family size
 _TABLES_PER_PASS = 6
+#: bytes one member may make a chunk hold: its ``_passes`` arrays (a table counted
+#: as one) of ``steps + 1`` doubles per path, plus the chunk's normals; 1.5 GiB
+#: admits one recorded 100,000-path bundle with the rate over 256 steps
+_MEMBER_BYTES_CAP = 3 * 2**29
 
 
 def _passes(scenarios, band, grid, n_paths, antithetic, key, extra, history, record):
@@ -252,25 +256,34 @@ def _feedback_sigma(spec, hist, k, t, dt, band):
 
 def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original",
            antithetic=False, switch_key=0, *, extra=0, full=False, record=False):
-    """The one simulation kernel: validates the dynamics and the members, draws the
-    chunk's normals once and steps the members pass by pass (``_passes``) as a
-    time-major ``(members, paths)`` state, yielded at each grid time ``k``: ``rows``
-    (the pass's members), ``k``, ``b``, ``qv``, ``lam``, ``r`` and the money-market
-    ``integral``.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``, ``record``,
-    shifted dynamics or a feedback member.  Feedback members, and under ``record``
-    all, keep a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma`` (a
-    table's read-only view) and the grid values (``lam`` only under ``record``)."""
+    """The one simulation kernel: validates the dynamics, the members and the chunk
+    footprint (``_MEMBER_BYTES_CAP``), draws the chunk's normals once and steps the
+    members pass by pass (``_passes``) as a time-major ``(members, paths)`` state,
+    yielded at each grid time ``k``: ``rows`` (the pass's members), ``k``, ``b``,
+    ``qv``, ``lam``, ``r`` and the money-market ``integral``.  ``b``, ``qv`` and
+    ``lam`` are stepped only under ``full``, ``record``, shifted dynamics or a
+    feedback member.  Feedback members, and under ``record`` all, keep a
+    time-major history ``hist[i]`` (row ``k`` per step) of ``sigma`` (a table's
+    read-only view) and the grid values (``lam`` only under ``record``)."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
         spec.validate(band)  # before anything is drawn
     n, dt, sq, times = grid.n_steps, grid.dt, np.sqrt(grid.dt), grid.times
-    z = _draw_normals(rng, n_paths, n, antithetic).T.copy()  # time-major
     with_r, shifted = params is not None, dynamics == "shifted"
-    if with_r:
-        e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
     names = ("b", "qv") + (("r",) if with_r else ()) + (("lam",) if with_r and record else ())
     history = 1 + len(names) + (record and with_r)  # sigma, the grid values and a bundle's d
+    kept = (history if record or spec.is_adaptive else 1 for spec in scenarios)
+    arrays = extra + max(kept, default=0)  # the largest member's; a table counts 1, 2-D or not
+    footprint = 8 * n_paths * (arrays * (n + 1) + n)
+    if footprint > _MEMBER_BYTES_CAP:
+        raise ValidationError(
+            f"one member of a {n_paths}-path chunk over {n} steps would hold {footprint} bytes, "
+            f"over the cap of {_MEMBER_BYTES_CAP} bytes; use fewer steps or paths"
+        )
+    z = _draw_normals(rng, n_paths, n, antithetic).T.copy()  # time-major
+    if with_r:
+        e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
     passes = _passes(scenarios, band, grid, n_paths, antithetic, switch_key, extra, history, record)
     s = SimpleNamespace()
     for s.rows, group in passes:

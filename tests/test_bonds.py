@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -375,7 +376,9 @@ class TestNoArbGapStreaming:
         assert rep.gap_se == gap_se
 
     def test_non_finite_discount_names_scenario_and_path(self):
-        params = RateParams(r0=-2000.0, alpha=1.0)
+        # the closed forms stay finite (B(0, 1) * 1120 is about 708), but the
+        # 4-step trapezoid integral of r, about 711.6, overflows 1 / D_T
+        params = RateParams(r0=-1120.0, alpha=1.0)
         cfg = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=0)
         with np.errstate(divide="ignore", over="ignore"), pytest.raises(
             NumericalError, match=r"^non-finite functional value in scenario 'const\[0.01\]' at path 0$"
@@ -694,3 +697,61 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
             lo += len(specs)
             assert sum(map(arrays_of, specs)) <= 6, [s.scenario_id for s in specs]
         assert len(passes) >= 4
+
+
+@pytest.mark.parametrize("family, arrays", [
+    ([Constant(0.01), RandomSwitching(2.0, 1)], (1, 2, 3, 6)),
+    ([Constant(0.01), AdaptedFeedback("driver_sign")], (4, 5, 3, 6)),
+])
+def test_member_footprint_over_the_cap_rejected_before_drawing(monkeypatch, family, arrays):
+    """One member may make a chunk hold at most ``_MEMBER_BYTES_CAP`` bytes:
+    its arrays of ``steps + 1`` doubles per path (``extra``, plus its history,
+    or 1 for a table), plus the chunk's normals.  Per consumer, ``arrays`` is
+    that count for the family's largest member: ``noarb_gap``'s, then
+    ``martingale_check``'s (one more, its buffer of log increments), then
+    ``estimate_sublinear``'s recorded histories without and with the rate."""
+    cfg = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=1)
+    runs = (
+        lambda: noarb_gap(PARAMS, BAND, 1.0, family, cfg),
+        lambda: martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg),
+        lambda: estimate_sublinear(_every_field, BAND, family, cfg),
+        lambda: estimate_sublinear(_every_field, BAND, family, cfg, PARAMS),
+    )
+    draws = []
+    draw = robustrates.paths._draw_normals
+    monkeypatch.setattr(robustrates.paths, "_draw_normals", lambda *a: draws.append(a) or draw(*a))
+    for run, n_arrays in zip(runs, arrays):
+        footprint = 8 * 16 * (n_arrays * 5 + 4)
+        monkeypatch.setattr(robustrates.paths, "_MEMBER_BYTES_CAP", footprint)
+        run()  # a footprint at the cap is admitted
+        monkeypatch.setattr(robustrates.paths, "_MEMBER_BYTES_CAP", footprint - 1)
+        draws.clear()
+        message = (f"one member of a 16-path chunk over 4 steps would hold {footprint} bytes, "
+                   f"over the cap of {footprint - 1} bytes; use fewer steps or paths")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run()
+        assert draws == []
+
+
+def test_cap_admits_the_largest_configs_in_use():
+    """The 100,000-path bundle with the rate over 256 steps (six arrays) and a
+    full chunk over 512 steps with six arrays per member stay under the cap;
+    a full chunk over 4,096 steps with the rate recorded does not."""
+    cap = robustrates.paths._MEMBER_BYTES_CAP
+    assert 8 * 100_000 * (6 * 257 + 256) <= cap
+    assert 8 * CHUNK_PATHS * (6 * 513 + 512) <= cap
+    assert 8 * CHUNK_PATHS * (6 * 4097 + 4096) > cap
+
+
+def test_non_finite_closed_form_rejected_before_drawing(monkeypatch):
+    draws = []
+    monkeypatch.setattr(robustrates.paths, "_draw_normals", lambda *a: draws.append(a))
+    cfg = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=0)
+    # sigma_hi^2 int B^2 / 2 passes 709 at T = 1e7, so the upper classical price overflows
+    with pytest.raises(NumericalError, match=r"^price at maturity 10000000.0 is not finite$"):
+        noarb_gap(PARAMS, BAND, 1e7, [Constant(0.01)], cfg)
+    # B(0, 1) * 2000 passes 709, so p0 overflows
+    with pytest.raises(NumericalError, match=r"^price at maturity 1.0 is not finite$"):
+        martingale_check(RateParams(r0=-2000.0, alpha=1.0), BAND, [Constant(0.01)], 1.0, [0.5], cfg)
+    assert draws == []
+

@@ -30,6 +30,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def strict_json(text):
+    """JSON as the standard has it: ``NaN`` and ``Infinity`` are errors."""
+    def reject(constant):
+        raise ValueError(f"non-finite value {constant} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def flat_curve(tmp_path):
     p = tmp_path / "flat.csv"
@@ -96,7 +104,7 @@ class TestGap:
             "--out", str(out),
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["gap"] == 0.0
         assert not doc["gap_significant"]
 
@@ -106,7 +114,7 @@ class TestGap:
             "gap", "--paths", "20000", "--steps", "128", "--seed", "5", "--out", str(out),
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["gap_significant"]
         assert abs(doc["gap"] - doc["closed_form_gap"]) <= 3 * doc["se"]
 
@@ -116,7 +124,7 @@ class TestGap:
             out = tmp_path / f"{name}.json"
             run_cli("gap", "--band", band, "--paths", "8192", "--steps", "64",
                     "--seed", "5", "--out", str(out))
-            gaps[name] = json.loads(out.read_text())["gap"]
+            gaps[name] = strict_json(out.read_text())["gap"]
         assert gaps["wide"] > gaps["narrow"]
 
 
@@ -144,6 +152,22 @@ class TestVerify:
         rows = read_csv(out)
         failed = {r["scenario"] for r in rows if r["pass"] == "false"}
         assert "const[0.005]" in failed and "const[0.02]" in failed
+
+
+@pytest.mark.parametrize("argv, message", [
+    # prices near 1e219 (verify) and 1 / D_T near 1e192 (gap) are finite, their squares are not
+    (("verify", "--r0", "-800"), "non-finite mean or se in scenario 'const[0.005]'"),
+    (("gap", "--r0", "-700"), "non-finite mean or se in scenario 'const[0.005]'"),
+    (("verify", "--r0", "-2000"), "price at maturity 1.0 is not finite"),
+    (("gap", "--maturity", "1e7"), "price at maturity 10000000.0 is not finite"),
+])
+def test_non_finite_statistic_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "report"
+    with np.errstate(over="ignore"):
+        code = run_cli(*argv, "--paths", "16", "--steps", "4", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+    assert not out.exists()
 
 
 class TestCalibrateCmd:

@@ -153,6 +153,18 @@ def test_non_finite_functional_diagnosed():
             estimate_sublinear(bad_at(where), BAND, [Constant(0.005), Constant(0.02)], two)
 
 
+@pytest.mark.parametrize("functional", [
+    lambda b: 1e160 * b.b[:, -1] / 0.01,  # finite samples whose squares overflow: the se
+    lambda b: np.full(b.n_paths, 1e308),  # finite samples whose sum overflows: the mean
+], ids=["se", "mean"])
+def test_non_finite_mean_or_se_diagnosed(functional):
+    small = McConfig(16, 4, 1.0, 0)
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError, match=r"^non-finite mean or se in scenario 'const\[0.01\]'$"
+    ):
+        estimate_sublinear(functional, BAND, [Constant(0.01)], small)
+
+
 def test_functional_shape_validated():
     small = McConfig(n_paths=8, n_steps=4, horizon=1.0, base_seed=0)
     with pytest.raises(ValidationError):
