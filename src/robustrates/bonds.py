@@ -30,8 +30,6 @@ from .paths import RateParams, _check_interval, _steps, b_factor
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
-#: steps ``martingale_check`` stages time-major per copy into its buffer
-_STAGE_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -269,9 +267,9 @@ def martingale_check(
     representation to measure the pathwise terminal identity
     ``P(T,T) = 1`` up to discretization error.
 
-    All members step together on each chunk's one draw and keep only
-    checkpoint samples, path sums per step and the terminal error; this
-    matches simulating each scenario on its own, bit for bit.  The checkpoint
+    All members step together on each chunk's one draw and keep running
+    reducers only (checkpoint samples, per-step path sums, per-path log sums);
+    this matches simulating each scenario on its own, bit for bit.  The checkpoint
     samples take the estimator's statistics path (``_samples``, ``_stats``).
     ``cfg.horizon`` is replaced by ``maturity`` (``replace(cfg, horizon=maturity)``).
 
@@ -297,37 +295,27 @@ def martingale_check(
 
     def checkpoint_values():
         """Per chunk, ``p~ - p0`` at the checkpoints as ``(scenarios x checkpoints,
-        paths)`` rows, adding each step's path sums (in path order) to ``path_sums``
-        and keeping the largest terminal error in ``terminal_err``.  For its
-        terminal error a pass sums a path-major ``(members, paths, steps)`` buffer
-        of log increments along the stored path, as ``np.sum`` does; each step
-        writes one row of a time-major stage, copied in transposed every
-        ``_STAGE_STEPS`` steps."""
+        paths)`` rows, adding each step's path sums to ``path_sums`` and keeping the
+        largest terminal error in ``terminal_err``, from a running sum of the log
+        increments per path."""
         for ci, rng, m in _chunks(cfg):
             cps = np.empty((len(scenarios), len(cp_idx), m))
             for s in _steps(scenarios, band, grid, rng, m, params, dynamics, cfg.antithetic, ci,
-                            extra=1, full=True):
+                            full=True):
                 k, rows = s.k, s.rows
-                # exp(log D) as money_market builds D
-                p = np.exp(_log_price(a_vec[k], b_vec[k], s.r, s.lam) - np.log(np.exp(s.integral))) - p0
-                path_sums[rows, k] += np.cumsum(p, axis=1)[:, -1]
+                p = np.exp(_log_price(a_vec[k], b_vec[k], s.r, s.lam) - s.integral) - p0
+                path_sums[rows, k] += p.sum(axis=1)
                 for j in np.flatnonzero(np.equal(cp_idx, k)):
                     cps[rows, j] = p
                 if k == 0:
-                    dlog = np.empty(p.shape + (n,))  # path-major, so its sums are np.sum's
-                    stage = np.empty((_STAGE_STEPS,) + p.shape)
+                    log_sde = np.zeros(p.shape)
                 else:
-                    # the increments as np.diff takes them from the stored path
-                    slot = (k - 1) % _STAGE_STEPS
-                    stage[slot] = neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
-                    if slot == _STAGE_STEPS - 1 or k == n:
-                        dlog[..., k - 1 - slot : k] = stage[: slot + 1].transpose(1, 2, 0)
+                    log_sde += neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
                 b, qv = s.b, s.qv
                 if k == n:
-                    p_sde = p0 * np.exp(np.sum(dlog, axis=-1))
+                    p_sde = p0 * np.exp(log_sde)
                     err = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
                     terminal_err[rows] = np.maximum(terminal_err[rows], err)
-                    del dlog, stage  # before the next pass builds its own
             yield cps.reshape(-1, m)
 
     # checkpoint error bars over antithetic pair means, one row per (scenario, checkpoint)
@@ -339,8 +327,11 @@ def martingale_check(
             CheckpointStat(t=t_cp, mean=p0 + st.mean, se=st.se, reference=p0)
             for t_cp, st in zip(cp, stats)  # takes this scenario's len(cp) rows
         ]
-        mean_inc = np.diff(sums) / cfg.n_paths
-        slope, slope_se, intercept, intercept_se = _ols_with_se(grid.step_times, mean_inc)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported next
+            fit = _ols_with_se(grid.step_times, np.diff(sums) / cfg.n_paths)
+        if not np.isfinite(fit + (err,)).all():
+            raise NumericalError(f"non-finite drift fit or terminal error in scenario '{sid}'")
+        slope, slope_se, intercept, intercept_se = fit
         reports.append(
             MartingaleReport(
                 scenario_id=sid,

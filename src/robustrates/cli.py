@@ -5,9 +5,9 @@ Commands: ``simulate``, ``price``, ``gap``, ``verify``, ``calibrate``,
 given on the command line win over config values.  All numeric output uses
 17 significant digits so values round-trip exactly.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure (a
-closed-form price, sample, mean or se that is not finite), 3 verification
-failure (a martingale row failed or the gap disagrees with its closed form).
+Exit codes: 0 success, 1 validation error, 2 numerical failure (a closed-form
+price, sample, mean, se, drift fit or terminal error that is not finite), 3
+verification failure (a martingale row failed or the gap disagrees with its closed form).
 """
 
 from __future__ import annotations

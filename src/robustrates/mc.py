@@ -188,7 +188,8 @@ def _stats(ids: Sequence[str], values: Sequence[np.ndarray]) -> list[ScenarioSta
     scenario's samples; a non-finite mean or se names the scenario."""
     stats = []
     for sid, vals in zip(ids, values):
-        mean, se = _mean_se(vals)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported next
+            mean, se = _mean_se(vals)
         if not (np.isfinite(mean) and np.isfinite(se)):
             raise NumericalError(f"non-finite mean or se in scenario '{sid}'")
         stats.append(ScenarioStat(sid, float(mean), float(se), vals.size))

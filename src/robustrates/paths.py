@@ -213,16 +213,16 @@ _TABLES_PER_PASS = 6
 _MEMBER_BYTES_CAP = 3 * 2**29
 
 
-def _passes(scenarios, band, grid, n_paths, antithetic, key, extra, history, record):
+def _passes(scenarios, band, grid, n_paths, antithetic, key, history, record):
     """Consecutive runs of ``scenarios`` with their chunk tables (None for a
     feedback member) as ``(rows, [(spec, table), ...])``, each holding at most
     ``_TABLES_PER_PASS`` arrays: a kept history (feedback, or any member under
-    ``record``) counts ``history``, its table included, any other switching
-    table 1 and the consumer's own arrays ``extra`` per member."""
+    ``record``) counts ``history``, its table included, and any other switching
+    table 1."""
     lo, group, used = 0, [], 0
     for spec in scenarios:
         tab = None if spec.is_adaptive else _sigma_table(spec, band, grid, n_paths, antithetic, key)
-        cost = extra + (history if record or tab is None else tab.ndim - 1)
+        cost = history if record or tab is None else tab.ndim - 1
         if group and used + cost > _TABLES_PER_PASS:
             yield slice(lo, lo + len(group)), group
             lo, group, used = lo + len(group), [], 0
@@ -255,16 +255,17 @@ def _feedback_sigma(spec, hist, k, t, dt, band):
 
 
 def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original",
-           antithetic=False, switch_key=0, *, extra=0, full=False, record=False):
+           antithetic=False, switch_key=0, *, full=False, record=False):
     """The one simulation kernel: validates the dynamics, the members and the chunk
     footprint (``_MEMBER_BYTES_CAP``), draws the chunk's normals once and steps the
-    members pass by pass (``_passes``) as a time-major ``(members, paths)`` state,
-    yielded at each grid time ``k``: ``rows`` (the pass's members), ``k``, ``b``,
-    ``qv``, ``lam``, ``r`` and the money-market ``integral``.  ``b``, ``qv`` and
-    ``lam`` are stepped only under ``full``, ``record``, shifted dynamics or a
-    feedback member.  Feedback members, and under ``record`` all, keep a
-    time-major history ``hist[i]`` (row ``k`` per step) of ``sigma`` (a table's
-    read-only view) and the grid values (``lam`` only under ``record``)."""
+    members pass by pass (``_passes``) as a time-major state, yielded at each grid
+    time ``k``: ``rows`` (the pass's members), ``k``, ``b``, ``r`` and the money-market
+    ``integral``, each ``(members, paths)``, and ``qv`` and ``lam``, ``(members, 1)``
+    when every member of the pass has a deterministic (1-D) table and ``(members,
+    paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
+    ``record``, shifted dynamics or a feedback member.  Feedback members, and under
+    ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of
+    ``sigma`` (a table's read-only view) and the grid values (``lam`` only under ``record``)."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
@@ -274,7 +275,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     names = ("b", "qv") + (("r",) if with_r else ()) + (("lam",) if with_r and record else ())
     history = 1 + len(names) + (record and with_r)  # sigma, the grid values and a bundle's d
     kept = (history if record or spec.is_adaptive else 1 for spec in scenarios)
-    arrays = extra + max(kept, default=0)  # the largest member's; a table counts 1, 2-D or not
+    arrays = max(kept, default=0)  # the largest member's; a table counts 1, 2-D or not
     footprint = 8 * n_paths * (arrays * (n + 1) + n)
     if footprint > _MEMBER_BYTES_CAP:
         raise ValidationError(
@@ -284,12 +285,14 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     z = _draw_normals(rng, n_paths, n, antithetic).T.copy()  # time-major
     if with_r:
         e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
-    passes = _passes(scenarios, band, grid, n_paths, antithetic, switch_key, extra, history, record)
+    passes = _passes(scenarios, band, grid, n_paths, antithetic, switch_key, history, record)
     s = SimpleNamespace()
     for s.rows, group in passes:
-        sigma = np.empty((len(group), n_paths))
-        s.b = s.qv = s.lam = s.integral = np.zeros_like(sigma)  # replaced, never written
-        s.r = np.full_like(sigma, params.r0) if with_r else None
+        width = 1 if all(tab is not None and tab.ndim == 1 for _, tab in group) else n_paths
+        sigma = np.empty((len(group), width))
+        s.qv = s.lam = np.zeros_like(sigma)  # the state arrays are replaced, never written
+        s.b = s.integral = np.zeros((len(group), n_paths))
+        s.r = np.full_like(s.b, params.r0) if with_r else None
         s.hist = {
             i: {"sigma": np.empty((n, n_paths)) if tab is None
                 else np.broadcast_to(tab.reshape(n, -1), (n, n_paths))}

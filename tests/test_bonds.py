@@ -566,15 +566,20 @@ def _bundle_martingale_reports(params, band, scenarios, maturity, checkpoints, c
     for spec, sid in zip(scenarios, _dedupe_ids(scenarios)):
         cp_vals, path_sums, terminal_err = [], np.zeros(grid.n_steps + 1), 0.0
         for bundle in _chunk_bundles(spec, band, cfg, params, dynamics):
-            p_tilde = np.exp(_log_price(a_vec, b_vec, bundle.r, bundle.lam) - np.log(bundle.d))
+            # int r by the trapezoid rule, summed along the path from 0
+            integral = np.zeros(bundle.r.shape)
+            steps = robustrates.paths._trapezoid(bundle.r[:, :-1], bundle.r[:, 1:], grid.dt)
+            np.cumsum(steps, axis=1, out=integral[:, 1:])
+            p_tilde = np.exp(_log_price(a_vec, b_vec, bundle.r, bundle.lam) - integral)
             p_tilde -= p0
             cp_vals.append(_pair_means(p_tilde[:, cp_idx], cfg.antithetic))
-            path_sums += p_tilde.sum(axis=0)
+            path_sums += np.ascontiguousarray(p_tilde.T).sum(axis=1)  # each step's path sum
             db = np.diff(bundle.b, axis=1)
             dqv = np.diff(bundle.qv, axis=1)
             dlog = -b_vec[:-1] * db - 0.5 * b_vec[:-1] ** 2 * dqv
-            p_sde = p0 * np.exp(np.sum(dlog, axis=1))
-            terminal_err = max(terminal_err, float(np.max(np.abs(p_sde * bundle.d[:, -1] - 1.0))))
+            p_sde = p0 * np.exp(np.cumsum(dlog, axis=1)[:, -1])  # the increments added in time order
+            err = np.abs(p_sde * np.exp(integral[:, -1]) - 1.0)
+            terminal_err = max(terminal_err, float(np.max(err)))
         means, ses = _mean_se(np.concatenate(cp_vals))
         rows = tuple(
             CheckpointStat(t=t, mean=p0 + float(mean), se=float(se), reference=p0)
@@ -612,10 +617,8 @@ class TestMartingaleStreaming:
         assert reports[-1].scenario_id == "const[0.02]#1"
         assert reports == _bundle_martingale_reports(*args)
 
-    def test_bitwise_equal_past_the_staged_steps(self):
-        # more steps than martingale_check stages at a time, and not a multiple of it
-        n_steps = 2 * robustrates.bonds._STAGE_STEPS + 6
-        cfg = McConfig(n_paths=64, n_steps=n_steps, horizon=1.0, base_seed=5, antithetic=True)
+    def test_bitwise_equal_over_70_steps(self):
+        cfg = McConfig(n_paths=64, n_steps=70, horizon=1.0, base_seed=5, antithetic=True)
         args = (PARAMS, BAND, self.FAMILY[:5], 1.5, [0.75, 1.5], cfg, "shifted")
         assert martingale_check(*args) == _bundle_martingale_reports(*args)
 
@@ -657,8 +660,8 @@ class TestMartingaleStreaming:
 
 def test_no_pass_holds_more_than_six_arrays(monkeypatch):
     """A pass holds at most six ``(steps, paths)`` arrays: a switching table
-    counts 1, a feedback history 4 and, in ``martingale_check``, each
-    member's buffer of log increments 1.  In ``estimate_sublinear`` every
+    counts 1 and a feedback history 4; ``noarb_gap`` and ``martingale_check``
+    keep no other per-step array.  In ``estimate_sublinear`` every
     member's history is recorded: ``sigma`` (a switching table is that
     ``sigma``), ``B`` and its quadratic variation, plus ``r``, ``lam`` and the
     bundle's ``d`` with the rate."""
@@ -684,7 +687,7 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
     cfg = McConfig(n_paths=64, n_steps=4, horizon=1.0, base_seed=1, antithetic=True)
     for run, arrays_of in (
         (lambda: noarb_gap(PARAMS, BAND, 1.0, family, cfg), unrecorded(0)),
-        (lambda: martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg), unrecorded(1)),
+        (lambda: martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg), unrecorded(0)),
         (lambda: estimate_sublinear(_every_field, BAND, family, cfg), lambda s: 3),
         (lambda: estimate_sublinear(_every_field, BAND, family, cfg, PARAMS), lambda s: 6),
     ):
@@ -699,16 +702,51 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
         assert len(passes) >= 4
 
 
+@pytest.mark.parametrize("run", [
+    lambda family, cfg: noarb_gap(PARAMS, BAND, 1.0, family, cfg).per_scenario,
+    lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg),
+    lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg, "original"),
+    lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg).per_scenario,
+    lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg, PARAMS).per_scenario,
+], ids=["noarb_gap", "martingale_shifted", "martingale_original", "estimate", "estimate_rate"])
+def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run):
+    """A pass whose members all have deterministic tables steps ``sigma``,
+    ``qv`` and ``lam`` as one value per member; a switching member anywhere
+    in the pass makes them one value per path.  Either way each
+    deterministic member's results are the same, bit for bit."""
+    deterministic = [Constant(0.01), PiecewiseConstant((0.3,), (0.02, 0.005))]
+    switching = RandomSwitching(3.0, 1)
+    mixed = [deterministic[0], switching, deterministic[1]]  # neither first nor last
+    cfg = McConfig(n_paths=64, n_steps=8, horizon=1.0, base_seed=3, antithetic=True)
+    monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 18)  # each family in one pass
+    shapes = []
+    real = robustrates.paths._steps
+
+    def spy(*args, **kwargs):
+        for s in real(*args, **kwargs):
+            shapes.append(s.qv.shape)
+            yield s
+
+    for module in (robustrates.bonds, robustrates.mc):
+        monkeypatch.setattr(module, "_steps", spy)
+    alone = list(run(deterministic, cfg))
+    assert set(shapes) == {(len(alone), 1)}
+    shapes.clear()
+    together = list(run(mixed, cfg))
+    assert set(shapes) == {(len(together), 64)}
+    assert [x for x in together if x.scenario_id != switching.scenario_id] == alone
+
+
 @pytest.mark.parametrize("family, arrays", [
-    ([Constant(0.01), RandomSwitching(2.0, 1)], (1, 2, 3, 6)),
-    ([Constant(0.01), AdaptedFeedback("driver_sign")], (4, 5, 3, 6)),
+    ([Constant(0.01), RandomSwitching(2.0, 1)], (1, 1, 3, 6)),
+    ([Constant(0.01), AdaptedFeedback("driver_sign")], (4, 4, 3, 6)),
 ])
 def test_member_footprint_over_the_cap_rejected_before_drawing(monkeypatch, family, arrays):
     """One member may make a chunk hold at most ``_MEMBER_BYTES_CAP`` bytes:
-    its arrays of ``steps + 1`` doubles per path (``extra``, plus its history,
-    or 1 for a table), plus the chunk's normals.  Per consumer, ``arrays`` is
-    that count for the family's largest member: ``noarb_gap``'s, then
-    ``martingale_check``'s (one more, its buffer of log increments), then
+    its arrays of ``steps + 1`` doubles per path (its history, or 1 for a
+    table), plus the chunk's normals.  Per consumer, ``arrays`` is that count
+    for the family's largest member: ``noarb_gap``'s, then
+    ``martingale_check``'s (the same, as it keeps no per-step array), then
     ``estimate_sublinear``'s recorded histories without and with the rate."""
     cfg = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=1)
     runs = (

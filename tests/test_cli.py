@@ -154,17 +154,20 @@ class TestVerify:
         assert "const[0.005]" in failed and "const[0.02]" in failed
 
 
+@pytest.mark.filterwarnings("error")  # the error line reports the overflow, numpy does not
 @pytest.mark.parametrize("argv, message", [
     # prices near 1e219 (verify) and 1 / D_T near 1e192 (gap) are finite, their squares are not
     (("verify", "--r0", "-800"), "non-finite mean or se in scenario 'const[0.005]'"),
     (("gap", "--r0", "-700"), "non-finite mean or se in scenario 'const[0.005]'"),
     (("verify", "--r0", "-2000"), "price at maturity 1.0 is not finite"),
     (("gap", "--maturity", "1e7"), "price at maturity 10000000.0 is not finite"),
+    # the exact t = 0 row passes, but the drift fit's squared residuals overflow
+    (("verify", "--r0", "-800", "--checkpoints", "0"),
+     "non-finite drift fit or terminal error in scenario 'const[0.005]'"),
 ])
 def test_non_finite_statistic_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "report"
-    with np.errstate(over="ignore"):
-        code = run_cli(*argv, "--paths", "16", "--steps", "4", "--out", str(out))
+    code = run_cli(*argv, "--paths", "16", "--steps", "4", "--out", str(out))
     assert code == 2
     assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
     assert not out.exists()

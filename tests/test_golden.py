@@ -4,7 +4,8 @@ the statistics must reproduce ``tests/golden.json``.
 Everything must match bit for bit except the martingale summaries, whose
 arithmetic may be reordered: checkpoint means within 4 ulp, checkpoint se
 within 1e-3 relative, the drift fit within 1e-4 of its se.  The terminal
-identity error is exact.
+identity error ``|x - 1|``, with ``x`` near 1, is rounded on the scale of
+1.0, so it must lie within 4 ulp(1.0).
 
 The file was written by ``PYTHONPATH=src python tests/test_golden.py --write``
 before the code it guards was refactored.  The values are those of one
@@ -165,7 +166,8 @@ def test_martingale_within_reorder_tolerance(golden):
         assert len(got[dynamics]) == len(want)
         for g, w in zip(got[dynamics], want):
             assert g["scenario"] == w["scenario"]
-            assert g["terminal_max_abs_error"] == w["terminal_max_abs_error"]
+            err, werr = g["terminal_max_abs_error"], w["terminal_max_abs_error"]
+            assert abs(err - werr) <= 4 * math.ulp(1.0), (g["scenario"], err, werr)
             for (t, mean, se, ref), (wt, wmean, wse, wref) in zip(g["checkpoints"], w["checkpoints"]):
                 assert (t, ref) == (wt, wref)
                 assert _within_ulps(mean, wmean, 4), (g["scenario"], t, mean, wmean)
