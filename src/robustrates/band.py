@@ -8,8 +8,10 @@ volatility of the driving noise.  Its one-line fingerprint is the generator
 which selects the worst-case variance for the sign of ``a``.  Everything
 downstream (worst/best-case expectations, the nonlinear heat equation) is
 parameterized by this band.  ``_g_in_place`` is the one evaluation of
-the generator: ``g_value`` runs it on a copy of its input, and the PDE
-sweep of ``gheat`` runs it on its own buffer.
+the generator.  It takes the two halved variances from
+``_g_coefficients`` rather than the band, so a caller that evaluates it
+many times forms them once: ``g_value`` runs it on a copy of its input,
+and the PDE sweep of ``gheat`` runs it on its own buffer once per level.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ class VolBand:
                 f"volatility band requires 0 < sigma_lo <= sigma_hi, "
                 f"got [{self.sigma_lo}, {self.sigma_hi}]"
             )
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float64(self.sigma_hi) ** 2):
+                raise ValidationError(
+                    f"volatility band top {self.sigma_hi} has no finite square"
+                )
 
     @property
     def is_degenerate(self) -> bool:
@@ -60,15 +67,25 @@ def g_value(band: VolBand, a):
     and subadditive in ``a``; accepts scalars or arrays.
     """
     a = np.array(a, dtype=float)
-    out = _g_in_place(band, a, np.empty_like(a))
+    out = _g_in_place(a, np.empty_like(a), _g_coefficients(band))
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _g_in_place(band: VolBand, a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _g_coefficients(band: VolBand) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's halved variances ``(sigma_hi^2/2, sigma_lo^2/2)`` as
+    0-d float64 arrays, the same bits as the Python floats; a ufunc takes
+    them without converting a scalar on every call."""
+    return np.array(0.5 * band.sigma_hi**2), np.array(0.5 * band.sigma_lo**2)
+
+
+def _g_in_place(
+    a: np.ndarray, scratch: np.ndarray, coefficients: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Overwrite the float array ``a`` with ``g(a)``; ``scratch`` (same shape)
-    is clobbered.  Returns ``a``.
+    is clobbered.  ``coefficients`` is the pair from :func:`_g_coefficients`.
+    Returns ``a``.
 
     Takes the larger of ``a * sigma_hi^2/2`` and ``a * sigma_lo^2/2``, which
     is bit for bit ``np.where(a >= 0, sigma_hi^2/2, sigma_lo^2/2) * a``:
@@ -78,6 +95,7 @@ def _g_in_place(band: VolBand, a: np.ndarray, scratch: np.ndarray) -> np.ndarray
     floating-point warning where the selecting form would not; that happens
     only when ``|sigma_hi^2 * a / 2|`` exceeds the float maximum.
     """
-    np.multiply(a, 0.5 * band.sigma_hi**2, out=scratch)
-    np.multiply(a, 0.5 * band.sigma_lo**2, out=a)
+    half_hi, half_lo = coefficients
+    np.multiply(a, half_hi, scratch)
+    np.multiply(a, half_lo, a)
     return np.maximum(scratch, a, out=a)

@@ -17,28 +17,37 @@ nodes (payoffs of at most linear growth), so edge values stay frozen; the
 auto-sized grids keep the boundary several diffusion widths away from the
 evaluation point.
 
-The sweep allocates nothing per level: the stencil and the generator run in
-place in two buffers.  It checks for NaN once every ``_NAN_CHECK_EVERY``
-levels and at the last one.  A NaN that reaches an interior node never
-leaves, because ``NaN + x`` is NaN and the edge nodes are frozen finite
-values, so a check at the end of a block sees any NaN made inside it.
+The sweep does nothing per level but nine ufunc calls: the stencil and the
+generator run in place in two buffers, on constants (``2``, ``1/dx^2``,
+``dt`` and the generator's two halved variances) formed once per call as
+0-d arrays with the same bits as the Python floats.  Levels run in
+blocks up to the next event: a level to store, a NaN check, or the last
+level.  The sweep checks for NaN once every ``_NAN_CHECK_EVERY`` levels
+and at the last one.  A NaN that reaches an interior node never leaves,
+because ``NaN + x`` is NaN and the edge nodes are frozen finite values,
+so a check at the end of a block sees any NaN made inside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, sqrt
+from math import ceil, inf, isfinite, sqrt
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .band import VolBand, _g_in_place
+from .band import VolBand, _g_coefficients, _g_in_place
 from .errors import NumericalError, ValidationError
 
 #: stability margin of every grid built here: ``sigma_hi^2 dt / dx^2 <= _CFL``
 _CFL = 0.5
 #: levels between NaN checks of the sweep (see :func:`solve_gheat`)
 _NAN_CHECK_EVERY = 256
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer, not a ``bool`` and not an integral float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -53,14 +62,22 @@ class Grid1D:
     nt: int
 
     def __post_init__(self):
+        if not (isfinite(self.x_min) and isfinite(self.x_max) and isfinite(self.t_final)):
+            raise ValidationError("need finite x_min, x_max and t_final")
         if not (self.x_min < self.x_max):
             raise ValidationError("need x_min < x_max")
-        if self.nx < 3:
-            raise ValidationError("need nx >= 3")
+        if not (_is_int(self.nx) and self.nx >= 3):
+            raise ValidationError(f"need an integer nx >= 3, got {self.nx!r}")
         if not (self.t_final > 0):
             raise ValidationError("need t_final > 0")
-        if self.nt < 1:
-            raise ValidationError("need nt >= 1")
+        if not (_is_int(self.nt) and self.nt >= 1):
+            raise ValidationError(f"need an integer nt >= 1, got {self.nt!r}")
+        try:
+            dx2 = float(self.dx) ** 2
+        except OverflowError:
+            dx2 = inf
+        if not (0.0 < dx2 < inf):
+            raise ValidationError(f"node spacing {self.dx:g} has no finite, positive square")
 
     @property
     def dx(self) -> float:
@@ -88,8 +105,10 @@ class Grid1D:
     ) -> "Grid1D":
         """Grid with the fewest steps ``nt`` for which ``sigma_hi^2 dt / dx^2 <= _CFL``."""
         grid = cls(x_min, x_max, nx, t_final, 1)
-        nt_min = ceil(band.sigma_hi**2 * t_final / (_CFL * grid.dx**2))
-        return replace(grid, nt=max(1, nt_min))
+        levels = band.sigma_hi**2 * t_final / (_CFL * grid.dx**2)
+        if not levels < inf:
+            raise ValidationError("the stability bound needs more time levels than a float holds")
+        return replace(grid, nt=max(1, ceil(levels)))
 
 
 @dataclass
@@ -125,14 +144,18 @@ def solve_gheat(
     """March ``u`` forward with the explicit bang-bang stencil.
 
     ``phi`` is a callable sampled once onto the nodes, or an array of node
-    values.  ``store_every=k`` keeps every k-th time level (plus the final
-    one); the default keeps only the initial and final levels.
+    values.  ``store_every=k``, an integer ``k >= 1``, keeps every k-th time
+    level (plus the final one); the default keeps only the initial and
+    final levels.
 
-    A NaN persists once made (see the module docstring), so it is looked for
-    only every ``_NAN_CHECK_EVERY`` levels and at the last one.  A check that
-    finds one restores the last clean level and replays the block one level
-    at a time; the replay gives the same bits, so the :class:`NumericalError`
-    names the first NaN level and node whatever the interval.
+    The levels between two events (a level to store, a NaN check, the last
+    level) run as bare ufunc calls on constants formed once per call (see
+    the module docstring).  A NaN persists once made, so it is looked for
+    only every ``_NAN_CHECK_EVERY`` levels and at the last one.  A check
+    that finds one restores the last clean level and replays the block one
+    level at a time; the replay gives the same bits, so the
+    :class:`NumericalError` names the first NaN level and node whatever the
+    interval.
     """
     cfl = grid.cfl_number(band)
     if cfl > 1.0 + 1e-12:
@@ -147,10 +170,14 @@ def solve_gheat(
     if not np.all(np.isfinite(u)):
         raise ValidationError("phi must be finite at all nodes")
 
-    if store_every is not None and store_every < 1:
-        raise ValidationError("store_every must be >= 1")
-    dt = grid.dt
-    inv_dx2 = 1.0 / grid.dx**2
+    if store_every is not None and not (_is_int(store_every) and store_every >= 1):
+        raise ValidationError(f"store_every must be an integer >= 1, got {store_every!r}")
+    nt, dt = grid.nt, grid.dt
+    # (u[2:] - 2.0*u[1:-1] + u[:-2]) * inv_dx2, then u[1:-1] += dt * g, with
+    # the same operations in the same order, on 0-d copies of the constants
+    two, inv_dx2, dt_0d = np.array(2.0), np.array(1.0 / grid.dx**2), np.array(dt)
+    coefficients = _g_coefficients(band)
+    multiply, subtract, add = np.multiply, np.subtract, np.add
 
     stored = [u.copy()]
     stored_times = [0.0]
@@ -158,21 +185,24 @@ def solve_gheat(
     d2, scratch = np.empty_like(mid), np.empty_like(mid)
     clean, clean_n, every = u.copy(), 0, _NAN_CHECK_EVERY
     n = 0
-    while n < grid.nt:
-        n += 1
-        # (u[2:] - 2.0*u[1:-1] + u[:-2]) * inv_dx2, then u[1:-1] += dt * g,
-        # with the same operations in the same order, into the two buffers
-        np.multiply(mid, 2.0, out=d2)
-        np.subtract(right, d2, out=d2)
-        np.add(d2, left, out=d2)
-        np.multiply(d2, inv_dx2, out=d2)
-        # generator evaluated pointwise: worst-case variance for the sign of d2
-        np.multiply(_g_in_place(band, d2, scratch), dt, out=d2)
-        np.add(mid, d2, out=mid)
-        if (store_every is not None and n % store_every == 0) or n == grid.nt:
+    while n < nt:
+        # run up to the next event: a NaN check, a level to store, the last level
+        stop = min(nt, (n // every + 1) * every)
+        if store_every is not None:
+            stop = min(stop, (n // store_every + 1) * store_every)
+        for _ in range(n, stop):
+            multiply(mid, two, d2)
+            subtract(right, d2, d2)
+            add(d2, left, d2)
+            multiply(d2, inv_dx2, d2)
+            # generator evaluated pointwise: worst-case variance for the sign of d2
+            multiply(_g_in_place(d2, scratch, coefficients), dt_0d, d2)
+            add(mid, d2, mid)
+        n = stop
+        if (store_every is not None and n % store_every == 0) or n == nt:
             stored.append(u.copy())
             stored_times.append(n * dt)
-        if n % every == 0 or n == grid.nt:
+        if n % every == 0 or n == nt:
             if not np.isnan(u).any():
                 clean[...] = u
                 clean_n = n
@@ -192,8 +222,10 @@ def _terminal_grid(
     """Grid spanning ``+- pad_widths * sigma_hi * sqrt(t)`` with
     ``nodes_per_width`` nodes per diffusion width; the node count is kept
     even so the read-out at 0 interpolates between cell centers."""
-    if not (t > 0):
-        raise ValidationError("t must be > 0")
+    if not (0 < t < inf):
+        raise ValidationError("t must be finite and > 0")
+    if not isfinite(pad_widths * nodes_per_width):
+        raise ValidationError("need finite pad_widths and nodes_per_width")
     half = pad_widths * (band.sigma_hi * sqrt(t))
     nx = 2 * int(round(pad_widths * nodes_per_width))
     return Grid1D.with_cfl(band, -half, half, nx, t)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robustrates import ValidationError, VolBand, g_value
+from robustrates.band import _g_coefficients
 
 finite_a = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -87,6 +88,21 @@ def test_generator_is_bitwise_the_selecting_form(band):
 def test_band_validation(lo, hi):
     with pytest.raises(ValidationError):
         VolBand(lo, hi)
+
+
+@pytest.mark.parametrize("hi", [1e200, 1.35e154, np.float64(1e155)])
+def test_band_top_must_have_a_finite_square(hi):
+    with pytest.raises(ValidationError, match="finite square"):
+        VolBand(0.005, hi)
+
+
+def test_largest_band_top_keeps_finite_coefficients():
+    # sqrt(float max) squares to a finite float, the next float up does not
+    top = float(np.sqrt(np.finfo(float).max))
+    half_hi, half_lo = _g_coefficients(VolBand(1e-150, top))
+    assert np.isfinite(half_hi) and half_lo > 0.0
+    with pytest.raises(ValidationError):
+        VolBand(1e-150, float(np.nextafter(top, np.inf)))
 
 
 def test_band_helpers():

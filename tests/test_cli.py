@@ -340,6 +340,25 @@ class TestErrors:
         assert run_cli("gheat", "--pad-widths", "0") == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error")  # one error line, no numpy warning before it
+    @pytest.mark.parametrize("argv, message", [
+        (("price", "--maturities", "1"), "volatility band top 1e+200 has no finite square"),
+        (("gap", "--paths", "16", "--steps", "4"), "volatility band top 1e+200 has no finite square"),
+        (("verify", "--paths", "16", "--steps", "4"), "volatility band top 1e+200 has no finite square"),
+        (("simulate", "--steps", "4"), "volatility band top 1e+200 has no finite square"),
+        (("gheat",), "volatility band top 1e+200 has no finite square"),
+    ])
+    def test_band_top_without_a_finite_square_exits_1(self, capsys, argv, message):
+        assert run_cli(*argv, "--band", "0.005,1e200") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_pde_grid_whose_spacing_squared_underflows_exits_1(self, capsys):
+        assert run_cli("gheat", "--band", "1e-170,1e-160") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: node spacing \S+ has no finite, positive square\n", err)
+
     @pytest.mark.parametrize(
         "argv",
         [["simulate", "--paths", "2", "--path-index", "5"],

@@ -90,6 +90,40 @@ class TestBitwiseAgainstReference:
         assert sol.u.tobytes() == ref.u.tobytes()
         assert sol.times.tobytes() == ref.times.tobytes()
 
+    @pytest.mark.parametrize("nt", ["below one block", "several blocks"])
+    @pytest.mark.parametrize("store", ["block-1", "block", "block+1", "nt", "nt+1"])
+    def test_bitwise_where_stores_and_checks_interleave(self, nt, store):
+        # the blocked sweep stops at every stored level and every block end;
+        # these schedules put the two on, just before and just after each other
+        block = gheat._NAN_CHECK_EVERY
+        nt = block // 2 + 3 if nt == "below one block" else 3 * block + 5
+        store_every = {"block-1": block - 1, "block": block, "block+1": block + 1,
+                       "nt": nt, "nt+1": nt + 1}[store]
+        grid = Grid1D(-0.3, 0.3, 41, 1.0, nt)
+        phi = PAYOFFS["smooth"]
+        sol = solve_gheat(phi, BAND, grid, store_every=store_every)
+        ref = reference_solve(phi, BAND, grid, store_every=store_every)
+        assert sol.u.tobytes() == ref.u.tobytes()
+        assert sol.times.tobytes() == ref.times.tobytes()
+
+    def test_generator_called_once_per_level_on_one_coefficient_pair(self, monkeypatch):
+        real = gheat._g_in_place
+        seen = []
+
+        def spy(a, scratch, coefficients):
+            seen.append(coefficients)
+            return real(a, scratch, coefficients)
+
+        monkeypatch.setattr(gheat, "_g_in_place", spy)
+        grid = small_grid(nx=401)  # 801 levels: several blocks
+        solve_gheat(PAYOFFS["relu"], BAND, grid, store_every=100)
+        assert len(seen) == grid.nt > gheat._NAN_CHECK_EVERY
+        assert all(c is seen[0] for c in seen)
+        half_hi, half_lo = seen[0]
+        for got, want in ((half_hi, 0.5 * BAND.sigma_hi**2), (half_lo, 0.5 * BAND.sigma_lo**2)):
+            assert got.shape == () and got.dtype == np.float64
+            assert float(got).hex() == want.hex()
+
     @pytest.mark.parametrize("name, phi, expected", [
         ("relu", lambda x: np.maximum(x, 0.0), "0x1.0574aa23619cfp-7"),
         ("square", lambda x: x * x, "0x1.a370debfbb2cdp-12"),
@@ -240,10 +274,10 @@ class TestGridAndFailures:
         # condition of the state alone, so the replay meets it again
         real = gheat._g_in_place
 
-        def planted(band, a, scratch):
+        def planted(a, scratch, coefficients):
             if a.max() < 25.0:
                 a[17] = np.nan
-            return real(band, a, scratch)
+            return real(a, scratch, coefficients)
 
         monkeypatch.setattr(gheat, "_g_in_place", planted)
         grid = small_grid(nx=401)
@@ -276,3 +310,54 @@ class TestGridAndFailures:
             Grid1D(1.0, -1.0, 11, 1.0, 1)
         with pytest.raises(ValidationError):
             Grid1D(-1.0, 1.0, 2, 1.0, 1)
+
+    @pytest.mark.parametrize("args", [
+        (-math.inf, 1.0, 11, 1.0, 1),
+        (-1.0, math.inf, 11, 1.0, 1),
+        (math.nan, 1.0, 11, 1.0, 1),
+        (-1.0, 1.0, 11, math.inf, 1),
+        (-1.0, 1.0, 11, math.nan, 1),
+        (-1.0, 1.0, 11, 1.0, 2.5),  # would run 3 levels and store none past level 0
+        (-1.0, 1.0, 11, 1.0, 3.0),
+        (-1.0, 1.0, 11, 1.0, True),
+        (-1.0, 1.0, 5.5, 1.0, 1),
+        (-1.0, 1.0, True, 1.0, 1),
+        (-1e300, 1e300, 3, 1.0, 1),  # dx**2 overflows
+        (-1e-170, 1e-170, 3, 1.0, 1),  # dx**2 underflows to 0
+    ])
+    def test_grid_fields_are_finite_integers_and_dx_squared_is_usable(self, args):
+        with pytest.raises(ValidationError):
+            Grid1D(*args)
+
+    def test_grid_takes_numpy_integers(self):
+        grid = Grid1D(-1.0, 1.0, np.int64(11), 1.0, np.int32(3))
+        assert grid.x.size == 11 and grid.dt == 1.0 / 3
+
+    @pytest.mark.parametrize("band, x_max, nx, t_final", [
+        (VolBand(1e-170, 1e-160), 1e-160, 1600, 1.0),  # dx**2 underflows to 0
+        (BAND, 1e300, 3, 1.0),  # dx**2 overflows
+        (BAND, 1.0, 11, math.inf),
+        (VolBand(0.02, 0.02), 1e-160, 3, 1.0),  # more levels than a float holds
+    ])
+    def test_with_cfl_rejects_what_it_cannot_size(self, band, x_max, nx, t_final):
+        with pytest.raises(ValidationError):
+            Grid1D.with_cfl(band, -x_max, x_max, nx, t_final)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t": math.inf}, {"t": math.nan}, {"pad_widths": math.nan}, {"pad_widths": math.inf},
+    ])
+    def test_terminal_grid_inputs_must_be_finite(self, kwargs):
+        kwargs = {"t": 1.0, **kwargs}
+        with pytest.raises(ValidationError):
+            gexpectation_terminal(PAYOFFS["relu"], BAND, **kwargs)
+
+    @pytest.mark.parametrize("store_every", [0, -1, 2.5, 2.0, True, False, "2"])
+    def test_store_every_must_be_an_integer_at_least_1(self, store_every):
+        with pytest.raises(ValidationError, match="store_every"):
+            solve_gheat(PAYOFFS["relu"], BAND, small_grid(nx=51), store_every=store_every)
+
+    def test_store_every_takes_numpy_integers(self):
+        grid = small_grid(nx=51)
+        want = solve_gheat(PAYOFFS["relu"], BAND, grid, store_every=7)
+        got = solve_gheat(PAYOFFS["relu"], BAND, grid, store_every=np.int64(7))
+        assert got.u.tobytes() == want.u.tobytes() and got.times.size > 2
