@@ -188,28 +188,36 @@ def _trapezoid(r_k, r_next, dt: float):
 
 
 def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithetic: bool) -> np.ndarray:
-    if not antithetic:
-        return rng.standard_normal((n_paths, n_steps))
-    if n_paths % 2:
+    """The chunk's normals, time-major so step ``k`` reads the contiguous row ``z[k]``:
+    one ``(paths, n_steps)`` draw written once, transposed, as ``(n_steps, paths)``.
+    An antithetic chunk draws and keeps only the first halves, ``(n_steps, n_paths / 2)``;
+    the mates are their exact negations, so the stepper forms each row as ``[h_k, -h_k]``."""
+    if antithetic and n_paths % 2:
         raise ValidationError("antithetic sampling needs an even number of paths")
-    half = rng.standard_normal((n_paths // 2, n_steps))
-    return np.vstack([half, -half])
+    return rng.standard_normal((n_paths // 2 if antithetic else n_paths, n_steps)).T.copy()
 
 
-def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key) -> np.ndarray:
+def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key, wide) -> np.ndarray:
     """The scenario's volatility table for one chunk, time-major, so step ``k``
     reads the contiguous ``tab[k]``: ``(n_steps,)`` or ``(n_steps, n_paths)``.
-    An antithetic mate shares its partner's volatility path."""
+    An antithetic mate shares its partner's volatility path, so an antithetic
+    switching table stays half-width, ``(n_steps, n_paths / 2)``, and the stepper
+    fills both halves of a member's ``sigma`` row from it; ``wide`` (a recorded
+    history, which keeps the table as its ``sigma``) makes it full width."""
     n_draw = n_paths // 2 if antithetic else n_paths
     tab = scenario.sigma_table(band, grid.step_times, grid.dt, n_draw, switch_key).T
-    return np.hstack([tab, tab]) if tab.ndim == 2 and antithetic else np.ascontiguousarray(tab)
+    if tab.ndim == 2 and antithetic and wide:
+        return np.hstack([tab, tab])
+    return np.ascontiguousarray(tab)
 
 
 #: ``(n_steps, n_paths)`` arrays a pass of ``_steps`` holds, whatever the family size
 _TABLES_PER_PASS = 6
 #: bytes one member may make a chunk hold: its ``_passes`` arrays (a table counted
 #: as one) of ``steps + 1`` doubles per path, plus the chunk's normals; 1.5 GiB
-#: admits one recorded 100,000-path bundle with the rate over 256 steps
+#: admits one recorded 100,000-path bundle with the rate over 256 steps.  The
+#: formula counts full-width normals and tables, so for an antithetic chunk (whose
+#: normals and unrecorded switching tables are half-width) it is an upper bound
 _MEMBER_BYTES_CAP = 3 * 2**29
 
 
@@ -221,13 +229,16 @@ def _passes(scenarios, band, grid, n_paths, antithetic, key, history, record):
     table 1."""
     lo, group, used = 0, [], 0
     for spec in scenarios:
-        tab = None if spec.is_adaptive else _sigma_table(spec, band, grid, n_paths, antithetic, key)
+        tab = None if spec.is_adaptive else _sigma_table(
+            spec, band, grid, n_paths, antithetic, key, record
+        )
         cost = history if record or tab is None else tab.ndim - 1
         if group and used + cost > _TABLES_PER_PASS:
             yield slice(lo, lo + len(group)), group
             lo, group, used = lo + len(group), [], 0
         group.append((spec, tab))
         used += cost
+        del tab  # only the group holds it, so a stepped pass's tables can be freed
         if used >= _TABLES_PER_PASS:  # full: step it before building another table
             yield slice(lo, lo + len(group)), group
             lo, group, used = lo + len(group), [], 0
@@ -236,8 +247,9 @@ def _passes(scenarios, band, grid, n_paths, antithetic, key, history, record):
 
 
 def _feedback_sigma(spec, hist, k, t, dt, band):
-    """Step ``k``'s volatility from a feedback rule.  The rule sees transposed
-    prefix views of the member's locked history, exactly the path up to ``t``."""
+    """Step ``k``'s volatility from a feedback rule: a scalar or one value per path.
+    The rule sees transposed prefix views of the member's locked history, exactly
+    the path up to ``t``."""
     for arr in hist.values():
         arr.setflags(write=False)
     try:
@@ -247,6 +259,12 @@ def _feedback_sigma(spec, hist, k, t, dt, band):
     finally:
         for arr in hist.values():
             arr.setflags(write=True)
+    n_paths = hist["b"].shape[1]
+    if sig_k.shape not in ((), (n_paths,)):
+        raise ValidationError(
+            f"feedback rule returned shape {sig_k.shape} at step {k} "
+            f"(scenario {spec.scenario_id}); need a scalar or one value per path, ({n_paths},)"
+        )
     if not band.contains(sig_k, tol=1e-12):
         raise ValidationError(
             f"feedback rule left the band at step {k} (scenario {spec.scenario_id})"
@@ -265,7 +283,10 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
     ``record``, shifted dynamics or a feedback member.  Feedback members, and under
     ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of
-    ``sigma`` (a table's read-only view) and the grid values (``lam`` only under ``record``)."""
+    ``sigma`` (a table's read-only view) and the grid values (``lam`` only under ``record``).
+    An antithetic chunk keeps half-width normals and switching tables (``_draw_normals``,
+    ``_sigma_table``) and widens each step's row.  No name here keeps a finished pass's
+    tables or histories once the next pass starts building its own."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
@@ -282,7 +303,9 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
             f"one member of a {n_paths}-path chunk over {n} steps would hold {footprint} bytes, "
             f"over the cap of {_MEMBER_BYTES_CAP} bytes; use fewer steps or paths"
         )
-    z = _draw_normals(rng, n_paths, n, antithetic).T.copy()  # time-major
+    z = _draw_normals(rng, n_paths, n, antithetic)
+    half = n_paths // 2
+    z_k = np.empty(n_paths) if antithetic else None  # each step's [h_k, -h_k]
     if with_r:
         e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
     passes = _passes(scenarios, band, grid, n_paths, antithetic, switch_key, history, record)
@@ -312,9 +335,16 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 if tab is None:
                     h = s.hist[i]
                     sigma[i] = h["sigma"][k] = _feedback_sigma(spec, h, k, times[k], dt, band)
+                elif tab.ndim == 2 and tab.shape[1] < n_paths:  # half-width: mates share the column
+                    sigma[i, :half] = sigma[i, half:] = tab[k]
                 else:
                     sigma[i] = tab[k]
-            db = sigma * sq * z[k]
+            if antithetic:
+                z_k[:half] = z[k]
+                np.negative(z[k], out=z_k[half:])
+            else:
+                z_k = z[k]
+            db = sigma * sq * z_k
             if stepped:
                 dqv = sigma**2 * dt
                 s.b, s.qv = s.b + db, s.qv + dqv
@@ -324,7 +354,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                     s.lam = _lam_step(s.lam, dqv, e2)
                 s.integral = s.integral + _trapezoid(s.r, r_next, dt)
                 s.r = r_next
-        del group, tab  # before the next pass builds its tables
+        group = tab = h = None  # free this pass's tables and histories before the next builds
         s.hist = None
 
 

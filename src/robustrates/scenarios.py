@@ -204,7 +204,8 @@ _FEEDBACK_RULES: dict[str, Callable[[PathView, dict], np.ndarray]] = {}
 
 
 def register_feedback_rule(name: str, fn: Callable[[PathView, dict], np.ndarray]) -> None:
-    """Register a feedback rule under ``name`` (overwrites silently)."""
+    """Register a feedback rule under ``name`` (overwrites silently).  The rule
+    returns step ``view.k``'s volatility: a scalar or one value per path."""
     _FEEDBACK_RULES[name] = fn
 
 

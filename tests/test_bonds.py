@@ -1,5 +1,7 @@
 import io
 import re
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -779,6 +781,85 @@ def test_cap_admits_the_largest_configs_in_use():
     assert 8 * 100_000 * (6 * 257 + 256) <= cap
     assert 8 * CHUNK_PATHS * (6 * 513 + 512) <= cap
     assert 8 * CHUNK_PATHS * (6 * 4097 + 4096) > cap
+
+
+@pytest.mark.parametrize("run", [
+    lambda family, cfg: noarb_gap(PARAMS, BAND, 1.0, family, cfg),
+    lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg),
+    lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg, PARAMS),
+], ids=["noarb_gap", "martingale_check", "estimate_rate"])
+def test_finished_pass_released_before_the_next_builds(monkeypatch, run):
+    """Once a pass is stepped, nothing keeps its switching tables or histories
+    alive: when a later pass builds a table, and when it has its tables and is
+    about to build its histories, every array of the earlier passes is freed.
+    One member per pass: a feedback history, two switching tables, a history."""
+    family = [AdaptedFeedback("driver_sign"), RandomSwitching(3.0, 1),
+              RandomSwitching(4.0, 2), AdaptedFeedback("qv_chase")]
+    cfg = McConfig(n_paths=64, n_steps=8, horizon=1.0, base_seed=2, antithetic=True)
+    monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 1)
+    finished, stepping, checks = [], [], []
+
+    def assert_released(when):
+        checks.append(when)
+        alive = sum(ref() is not None for ref in finished)
+        assert alive == 0, f"{alive} arrays of a finished pass alive {when}"
+
+    real_table, real_passes, real_steps = (
+        robustrates.paths._sigma_table, robustrates.paths._passes, robustrates.paths._steps
+    )
+
+    def table_spy(*args):
+        assert_released("at a table build")
+        return real_table(*args)
+
+    def passes_spy(*args):
+        for rows, group in real_passes(*args):
+            assert_released("before the histories are built")
+            stepping.extend(weakref.ref(tab) for _, tab in group if tab is not None)
+            yield rows, group
+            del group  # the spy keeps no reference either
+            finished.extend(stepping)
+            stepping.clear()
+
+    def steps_spy(*args, **kwargs):
+        for s in real_steps(*args, **kwargs):
+            if s.k == 0:
+                stepping.extend(weakref.ref(a) for h in s.hist.values() for a in h.values())
+            yield s
+
+    monkeypatch.setattr(robustrates.paths, "_sigma_table", table_spy)
+    monkeypatch.setattr(robustrates.paths, "_passes", passes_spy)
+    for module in (robustrates.bonds, robustrates.mc):
+        monkeypatch.setattr(module, "_steps", steps_spy)
+    run(family, cfg)
+    # at least four passes (noarb_gap adds the edges), so each check ran after one
+    assert checks.count("at a table build") >= 2
+    assert checks.count("before the histories are built") >= 4
+    assert len(finished) >= 4
+
+
+@pytest.mark.parametrize("family, kept", [
+    ([AdaptedFeedback("driver_sign"), AdaptedFeedback("qv_chase")], 4),
+    ([RandomSwitching(2.0 * (j + 1), j) for j in range(6)], 3),
+], ids=["two_feedback_passes", "six_switching_tables"])
+def test_martingale_check_peak_within_six_arrays_and_the_normals(family, kept):
+    """A chunk's traced peak stays under six arrays of ``steps + 1`` doubles per
+    path plus the chunk's normals, the bound README states.  Two feedback members
+    with the rate hold four history arrays each, so they step in two passes, and
+    the first is freed before the second builds; six antithetic switching tables
+    share one pass, each half-width.  Either way the pass holds ``kept`` arrays."""
+    n_paths, n_steps = 2048, 64
+    cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=5, antithetic=True)
+    bound = 8 * n_paths * (6 * (n_steps + 1) + n_steps)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 8 * n_paths * kept * n_steps < peak <= bound, (peak, bound)
 
 
 def test_non_finite_closed_form_rejected_before_drawing(monkeypatch):

@@ -23,7 +23,7 @@ from robustrates import (
 )
 from robustrates.cli import main
 from robustrates.mc import CHUNK_PATHS, _chunks
-from robustrates.paths import _draw_normals, _r_step, _rate_factors, _sigma_table, _simulate
+from robustrates.paths import _r_step, _rate_factors, _simulate
 from robustrates.scenarios import PathView
 
 BAND = VolBand(0.005, 0.02)
@@ -117,21 +117,27 @@ class TestDriver:
         for ci, bundle in enumerate(_chunk_bundles(spec, BAND, cfg, None, "original")):
             half = bundle.n_paths // 2
             assert bundle.sigma[:half].tobytes() == bundle.sigma[half:].tobytes()
-            # the table the streamed noarb_gap steps on is the bundle's, time-major
-            tab = _sigma_table(spec, BAND, cfg.grid, bundle.n_paths, True, ci)
-            assert tab.T.tobytes() == bundle.sigma.tobytes()
+            # the scenario's own table, one row per pair, is the bundle's sigma for both mates
+            tab = spec.sigma_table(BAND, cfg.grid.step_times, cfg.grid.dt, half, ci)
+            assert np.vstack([tab, tab]).tobytes() == bundle.sigma.tobytes()
 
 
 def column_loop_bundle(scenario, band, grid, params, seed, n_paths, dynamics, antithetic):
     """Path-major column loop that simulated one scenario before the time-major
     stepper, kept as an independent reference for the five step recursions:
-    ``sigma``, ``B``, ``qv``, ``lam``, ``r`` and the money market."""
+    ``sigma``, ``B``, ``qv``, ``lam``, ``r`` and the money market.  Its inputs come
+    straight from the generator and the scenario: an antithetic mate negates its
+    partner's normals and shares its switching path."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     n, dt = grid.n_steps, grid.dt
     sq = np.sqrt(dt)
-    z = _draw_normals(rng, n_paths, n, antithetic)
+    n_draw = n_paths // 2 if antithetic else n_paths
+    z = rng.standard_normal((n_draw, n))
+    if antithetic:
+        z = np.vstack([z, -z])
     if not scenario.is_adaptive:
-        sigma_tab = _sigma_table(scenario, band, grid, n_paths, antithetic, 0)
+        tab = scenario.sigma_table(band, grid.step_times, dt, n_draw, 0)
+        sigma_tab = (np.vstack([tab, tab]) if antithetic and tab.ndim == 2 else tab).T
     sigma = np.empty((n_paths, n))
     b = np.zeros((n_paths, n + 1))
     qv = np.zeros((n_paths, n + 1))

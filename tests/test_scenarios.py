@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,34 @@ def test_feedback_rule_leaving_the_band_is_named(runner):
     message = r"^feedback rule left the band at step 2 \(scenario feedback\[escape\]\)$"
     with pytest.raises(ValidationError, match=message):
         _RUNNERS[runner](AdaptedFeedback("escape"))
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+@pytest.mark.parametrize("shape", [(3,), (4, 1), (8,)], ids=["short", "column", "long"])
+def test_feedback_rule_of_the_wrong_shape_is_named(runner, shape):
+    """A rule returns a scalar or one value per path; any other shape is a
+    validation error naming the scenario and the step, not a numpy error."""
+    def misshapen(view, params):
+        return np.full(shape if view.k == 2 else view.b.shape[0], view.band.sigma_hi)
+
+    register_feedback_rule("misshapen", misshapen)
+    message = (rf"^feedback rule returned shape {re.escape(str(shape))} at step 2 "
+               r"\(scenario feedback\[misshapen\]\); need a scalar or one value per path, \(4,\)$")
+    with pytest.raises(ValidationError, match=message):
+        _RUNNERS[runner](AdaptedFeedback("misshapen"))
+
+
+def test_feedback_rule_may_return_a_scalar():
+    """A scalar applies to every path: the bundle is the constant's, bit for bit,
+    and every entry point accepts it."""
+    register_feedback_rule("scalar_hi", lambda view, params: view.band.sigma_hi)
+    args = (BAND, TimeGrid(1.0, 4), PARAMS)
+    got = simulate_bundle(AdaptedFeedback("scalar_hi"), *args, seed=0, n_paths=4)
+    want = simulate_bundle(Constant(BAND.sigma_hi), *args, seed=0, n_paths=4)
+    for name in ("sigma", "b", "qv", "lam", "r", "d"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for run in _RUNNERS.values():
+        run(AdaptedFeedback("scalar_hi"))
 
 
 def test_feedback_rule_sees_only_past():
