@@ -25,8 +25,8 @@ from scipy.integrate import simpson
 
 from .band import VolBand
 from .errors import NumericalError, ValidationError
-from .mc import McConfig, _chunk_values, _chunks, _dedupe_ids, _samples, _stats, _sublinear
-from .paths import RateParams, _check_interval, _steps, b_factor
+from .mc import McConfig, _sample, _stats, _sublinear
+from .paths import RateParams, _check_interval, b_factor
 from .scenarios import Constant, ScenarioSpec
 
 DEFAULT_PANELS = 64
@@ -207,12 +207,13 @@ def noarb_gap(
         cf_up = price_classical_hw(params, band.sigma_hi, 0.0, maturity, params.r0)
         cf_lo = price_classical_hw(params, band.sigma_lo, 0.0, maturity, params.r0)
     _require_finite(maturity, cf_up, cf_lo)
-    scenarios = _ensure_extremes(band, family)
-    ids = _dedupe_ids(scenarios)
-    discounts = _chunk_values(  # 1 / D_T, every member on each chunk's one draw
-        scenarios, band, cfg, params, "original", lambda s: 1.0 / np.exp(s.integral)
-    )
-    values = _samples(ids, discounts, cfg.antithetic)
+
+    def discounts(states, out):  # 1 / D_T
+        for s in states:
+            if s.k == cfg.n_steps:
+                out[s.rows, 0] = 1.0 / np.exp(s.integral)
+
+    ids, values = _sample(_ensure_extremes(band, family), band, cfg, params, "original", discounts)
     est = _sublinear(ids, values)
     up, lo = est.argmax_scenario, est.argmin_scenario
     # scenarios share draws, so the gap's error comes from paired differences
@@ -267,10 +268,10 @@ def martingale_check(
     representation to measure the pathwise terminal identity
     ``P(T,T) = 1`` up to discretization error.
 
-    All members step together on each chunk's one draw and keep running
-    reducers only (checkpoint samples, per-step path sums, per-path log sums);
-    this matches simulating each scenario on its own, bit for bit.  The checkpoint
-    samples take the estimator's statistics path (``_samples``, ``_stats``).
+    ``checkpoints`` are distinct grid times, at least one.  As a reducer of the chunk
+    driver (``mc._sample``) all members step together on each chunk's one draw and
+    keep running sums only (checkpoint samples, per-step path sums, per-path log sums),
+    bit for bit as if each stepped alone; the samples take ``_stats``, like every mean.
     ``cfg.horizon`` is replaced by ``maturity`` (``replace(cfg, horizon=maturity)``).
 
     Passing ``dynamics="original"`` yields the adversarial fixture: under a
@@ -281,7 +282,8 @@ def martingale_check(
     grid, n = cfg.grid, cfg.n_steps
     cp = sorted(float(t) for t in checkpoints)
     cp_idx = [grid.index_of(t) for t in cp]  # rejects off-grid checkpoints
-    ids = _dedupe_ids(scenarios)
+    if not cp or len(set(cp_idx)) < len(cp):
+        raise ValidationError(f"checkpoints must be distinct grid times, at least one; got {cp}")
 
     # affine coefficients along the grid (A is one batched quadrature)
     b_vec = b_factor(params.alpha, grid.times, maturity)
@@ -293,34 +295,30 @@ def martingale_check(
     path_sums = np.zeros((len(scenarios), n + 1))
     terminal_err = np.zeros(len(scenarios))
 
-    def checkpoint_values():
-        """Per chunk, ``p~ - p0`` at the checkpoints as ``(scenarios x checkpoints,
-        paths)`` rows, adding each step's path sums to ``path_sums`` and keeping the
-        largest terminal error in ``terminal_err``, from a running sum of the log
-        increments per path."""
-        for ci, rng, m in _chunks(cfg):
-            cps = np.empty((len(scenarios), len(cp_idx), m))
-            for s in _steps(scenarios, band, grid, rng, m, params, dynamics, cfg.antithetic, ci,
-                            full=True):
-                k, rows = s.k, s.rows
-                p = np.exp(_log_price(a_vec[k], b_vec[k], s.r, s.lam) - s.integral) - p0
-                path_sums[rows, k] += p.sum(axis=1)
-                for j in np.flatnonzero(np.equal(cp_idx, k)):
-                    cps[rows, j] = p
-                if k == 0:
-                    log_sde = np.zeros(p.shape)
-                else:
-                    log_sde += neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
-                b, qv = s.b, s.qv
-                if k == n:
-                    p_sde = p0 * np.exp(log_sde)
-                    err = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
-                    terminal_err[rows] = np.maximum(terminal_err[rows], err)
-            yield cps.reshape(-1, m)
+    def checkpoint_values(states, out):
+        """One chunk's ``p~ - p0`` at the checkpoints into ``out``, one row each, adding
+        each step's path sums to ``path_sums`` and keeping the largest terminal error
+        in ``terminal_err``, from a running sum of the log increments per path."""
+        for s in states:
+            k, rows = s.k, s.rows
+            p = np.exp(_log_price(a_vec[k], b_vec[k], s.r, s.lam) - s.integral) - p0
+            path_sums[rows, k] += p.sum(axis=1)
+            for j in np.flatnonzero(np.equal(cp_idx, k)):
+                out[rows, j] = p
+            if k == 0:
+                log_sde = np.zeros(p.shape)
+            else:
+                log_sde += neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
+            b, qv = s.b, s.qv
+            if k == n:
+                p_sde = p0 * np.exp(log_sde)
+                err = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
+                terminal_err[rows] = np.maximum(terminal_err[rows], err)
 
+    ids, samples = _sample(scenarios, band, cfg, params, dynamics, checkpoint_values, len(cp),
+                           full=True)
     # checkpoint error bars over antithetic pair means, one row per (scenario, checkpoint)
-    row_ids = [sid for sid in ids for _ in cp]
-    stats = iter(_stats(row_ids, _samples(row_ids, checkpoint_values(), cfg.antithetic)))
+    stats = iter(_stats([sid for sid in ids for _ in cp], samples))
     reports = []
     for sid, sums, err in zip(ids, path_sums, terminal_err):
         rows = [

@@ -28,7 +28,7 @@ from .calibration import (
     ingest_forward_curve,
     initial_curve_roundtrip,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _to_float
 from .gheat import _terminal_grid, solve_gheat
 from .mc import McConfig
 from .paths import RateParams, TimeGrid, simulate_bundle
@@ -87,16 +87,6 @@ def _to_int(value) -> int:
         with suppress(ValueError):
             return int(value)
     raise ValidationError(f"expected an integer, got {value!r}")
-
-
-def _to_float(value) -> float:
-    """Finite number from a flag or a JSON number; booleans are errors."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        with suppress(ValueError, OverflowError):  # "x", 10**400
-            number = float(value)
-            if np.isfinite(number):
-                return number
-    raise ValidationError(f"expected a finite number, got {value!r}")
 
 
 def _to_floats(value) -> list[float]:
@@ -197,13 +187,17 @@ class _Config:
         return RateParams(r0=self.get("r0"), alpha=alpha, mu=self.get("mu")), None
 
     def mc_config(self, horizon: float) -> McConfig:
-        return McConfig(
+        mc = McConfig(
             n_paths=self.get("paths"),
             n_steps=self.get("steps"),
             horizon=horizon,
             base_seed=self.get("seed"),
             antithetic=self.get("antithetic"),
         )
+        if mc.n_paths // (1 + mc.antithetic) < 2:  # paths, or antithetic pairs
+            raise ValidationError(f"paths = {mc.n_paths} with antithetic = {mc.antithetic} gives "
+                                  "1 independent sample; a standard error needs at least 2")
+        return mc
 
     def scenarios(self, band: VolBand, horizon: float):
         fam_path = self.get("scenarios")

@@ -37,17 +37,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .band import VolBand, _g_coefficients, _g_in_place
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _is_int
 
 #: stability margin of every grid built here: ``sigma_hi^2 dt / dx^2 <= _CFL``
 _CFL = 0.5
 #: levels between NaN checks of the sweep (see :func:`solve_gheat`)
 _NAN_CHECK_EVERY = 256
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer, not a ``bool`` and not an integral float."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ estimate to a single classical mean exactly.
 
 Seeding: paths are simulated in fixed-size chunks; the Gaussian stream of
 chunk ``c`` is derived from ``SeedSequence(base_seed, spawn_key=(c,))`` and
-is the same for every scenario, so one draw serves them all (``_chunk_values``).
+is the same for every scenario, so one driver (``_sample``) steps them all on it.
 Results are therefore bit-identical across runs and independent of how
 scenarios are ordered or parallelized.
 """
@@ -104,19 +104,6 @@ def _chunks(cfg: McConfig) -> Iterator[tuple[int, np.random.Generator, int]]:
         yield ci, rng, min(CHUNK_PATHS, cfg.n_paths - start)
 
 
-def _chunk_values(scenarios, band, cfg, params, dynamics, at_end, **step) -> Iterator[np.ndarray]:
-    """The one chunk loop for values at the last grid time: every member steps on
-    the chunk's one draw (``_steps``, taking ``step``), and ``at_end(state)`` gives
-    each pass's values, yielded as one ``(len(scenarios), paths)`` array per chunk."""
-    grid, anti = cfg.grid, cfg.antithetic
-    for ci, rng, m in _chunks(cfg):
-        out = np.empty((len(scenarios), m))
-        for s in _steps(scenarios, band, grid, rng, m, params, dynamics, anti, ci, **step):
-            if s.k == cfg.n_steps:
-                out[s.rows] = at_end(s)
-        yield out
-
-
 def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
     """Average each path with its antithetic mate (rows ``i`` and
     ``i + m/2``) so the samples stay independent."""
@@ -126,21 +113,25 @@ def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
     return 0.5 * (x[:half] + x[half:])
 
 
-def _samples(ids: Sequence[str], chunk_values, antithetic: bool) -> list[np.ndarray]:
-    """Per-scenario samples from ``chunk_values``, one ``(len(ids), paths in
-    chunk)`` array per chunk, each averaged over antithetic pairs; a non-finite
-    value names the earliest chunk's first bad scenario and path (counted across chunks)."""
-    pieces, offset = [], 0
-    for values in chunk_values:
+def _sample(scenarios, band, cfg, params, dynamics, reduce, rows=1, **step):
+    """The one chunk driver: on each chunk (``_chunks``) every member steps on the
+    chunk's one draw (``_steps``, taking ``step``), and ``reduce(states, out)`` fills
+    a ``(members, rows, paths)`` buffer from that state stream.  Returns the member
+    ids and one sample per row ``j`` (member ``j // rows``), each averaged over
+    antithetic pairs; a non-finite value names the first bad member and path."""
+    ids = _dedupe_ids(scenarios)
+    pieces = []
+    for ci, rng, m in _chunks(cfg):
+        out = np.empty((len(scenarios), rows, m))
+        reduce(_steps(scenarios, band, cfg.grid, rng, m, params, dynamics, cfg.antithetic, ci,
+                      **step), out)
+        values = out.reshape(-1, m)
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
-            raise NumericalError(
-                f"non-finite functional value in scenario '{ids[bad[0, 0]]}' "
-                f"at path {offset + int(bad[0, 1])}"
-            )
-        pieces.append(_pair_means(values.T, antithetic).T)
-        offset += values.shape[1]
-    return list(np.ascontiguousarray(np.hstack(pieces)))
+            sid, path = ids[bad[0, 0] // rows], ci * CHUNK_PATHS + int(bad[0, 1])
+            raise NumericalError(f"non-finite functional value in scenario '{sid}' at path {path}")
+        pieces.append(_pair_means(values.T, cfg.antithetic).T)
+    return ids, list(np.ascontiguousarray(np.hstack(pieces)))
 
 
 def scenario_functional_values(
@@ -156,23 +147,21 @@ def scenario_functional_values(
     average over one antithetic pair (so entries stay independent and the
     usual ``std/sqrt(n)`` error applies).  The family steps on each chunk's
     one draw, and each member's recorded bundle goes to ``functional``."""
-    ids = _dedupe_ids(family)
 
     def checked(bundle):
         vals = np.asarray(functional(bundle), dtype=float)
         if vals.shape != (bundle.n_paths,):
-            raise ValidationError(
-                f"functional must return one value per path; "
-                f"got shape {vals.shape} for {bundle.n_paths} paths"
-            )
+            raise ValidationError(f"functional must return one value per path; "
+                                  f"got shape {vals.shape} for {bundle.n_paths} paths")
         return vals
 
-    def bundle_values(s):  # histories popped, so each bundle goes before the next is built
-        members = enumerate(family[s.rows])
-        return [checked(_bundle(spec, s.hist.pop(i), cfg.grid, params)) for i, spec in members]
+    def bundle_values(states, out):  # histories popped, so each bundle goes before the next
+        for s in states:
+            if s.k == cfg.n_steps:
+                for i, spec in enumerate(family[s.rows]):
+                    out[s.rows.start + i, 0] = checked(_bundle(spec, s.hist.pop(i), cfg.grid))
 
-    chunks = _chunk_values(family, band, cfg, params, dynamics, bundle_values, record=True)
-    return ids, _samples(ids, chunks, cfg.antithetic)
+    return _sample(family, band, cfg, params, dynamics, bundle_values, record=True)
 
 
 def _mean_se(vals: np.ndarray):

@@ -282,8 +282,8 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     when every member of the pass has a deterministic (1-D) table and ``(members,
     paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
     ``record``, shifted dynamics or a feedback member.  Feedback members, and under
-    ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of
-    ``sigma`` (a table's read-only view) and the grid values (``lam`` only under ``record``).
+    ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
+    (a table's read-only view) and the grid values (``lam`` and ``integral`` under ``record``).
     An antithetic chunk keeps half-width normals and switching tables (``_draw_normals``,
     ``_sigma_table``) and widens each step's row.  No name here keeps a finished pass's
     tables or histories once the next pass starts building its own."""
@@ -293,8 +293,8 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         spec.validate(band)  # before anything is drawn
     n, dt, sq, times = grid.n_steps, grid.dt, np.sqrt(grid.dt), grid.times
     with_r, shifted = params is not None, dynamics == "shifted"
-    names = ("b", "qv") + (("r",) if with_r else ()) + (("lam",) if with_r and record else ())
-    history = 1 + len(names) + (record and with_r)  # sigma, the grid values and a bundle's d
+    names = ("b", "qv") + ((("r", "lam", "integral") if record else ("r",)) if with_r else ())
+    history = 1 + len(names)  # sigma and the grid values
     kept = (history if record or spec.is_adaptive else 1 for spec in scenarios)
     arrays = max(kept, default=0)  # the largest member's; a table counts 1, 2-D or not
     footprint = 8 * n_paths * (arrays * (n + 1) + n)
@@ -358,13 +358,13 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         s.hist = None
 
 
-def _bundle(scenario: ScenarioSpec, h: dict, grid: TimeGrid, params: Optional[RateParams]):
-    """``scenario``'s recorded history ``h`` as its bundle: each array made path-major
-    and C-ordered one at a time, then the money market when ``params`` is set."""
+def _bundle(scenario: ScenarioSpec, h: dict, grid: TimeGrid):
+    """``scenario``'s recorded history ``h`` as its bundle: each array made path-major and
+    C-ordered one at a time, and a recorded ``integral`` made the money market in place."""
     for x in list(h):
         h[x] = np.ascontiguousarray(h.pop(x).T)
-    d = money_market(h["r"], grid) if params is not None else None
-    return PathBundle(grid, scenario.scenario_id, d=d, **h)
+    d = h.pop("integral", None)
+    return PathBundle(grid, scenario.scenario_id, d=d if d is None else np.exp(d, out=d), **h)
 
 
 def _simulate(
@@ -386,7 +386,7 @@ def _simulate(
         [scenario], band, grid, rng, n_paths, params, dynamics, antithetic, switch_key, record=True
     ):
         hist = state.hist[0]
-    return _bundle(scenario, hist, grid, params)
+    return _bundle(scenario, hist, grid)
 
 
 def simulate_bundle(

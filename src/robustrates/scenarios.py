@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError
+from .errors import ValidationError, _is_int, _to_float
 
 
 class ScenarioSpec:
@@ -124,6 +124,8 @@ class RandomSwitching(ScenarioSpec):
     def __post_init__(self):
         if not (np.isfinite(self.intensity) and self.intensity >= 0):
             raise ValidationError("switch intensity must be finite and >= 0")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValidationError(f"switching seed must be an integer >= 0, got {self.seed!r}")
 
     def validate(self, band):
         pass  # levels are the band edges by construction
@@ -272,7 +274,7 @@ def family_to_json(band: VolBand, scenarios: Sequence[ScenarioSpec]) -> dict:
 
 def family_from_json(doc: dict) -> tuple[VolBand, list[ScenarioSpec]]:
     try:
-        band = VolBand(float(doc["band"]["lo"]), float(doc["band"]["hi"]))
+        band = VolBand(_to_float(doc["band"]["lo"]), _to_float(doc["band"]["hi"]))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed scenario document: {exc}") from exc
     entries = doc.get("scenarios", [])
@@ -283,16 +285,17 @@ def family_from_json(doc: dict) -> tuple[VolBand, list[ScenarioSpec]]:
         try:
             kind = entry.get("kind")
             if kind == "constant":
-                spec: ScenarioSpec = Constant(float(entry["value"]))
+                spec: ScenarioSpec = Constant(_to_float(entry["value"]))
             elif kind == "piecewise":
-                spec = PiecewiseConstant(tuple(entry["times"]), tuple(entry["values"]))
+                times, values = (tuple(map(_to_float, entry[x])) for x in ("times", "values"))
+                spec = PiecewiseConstant(times, values)
             elif kind == "switching":
-                spec = RandomSwitching(float(entry["intensity"]), int(entry["seed"]))
+                spec = RandomSwitching(_to_float(entry["intensity"]), entry["seed"])
             elif kind == "feedback":
                 spec = AdaptedFeedback(entry["rule"], dict(entry.get("params", {})))
             else:
                 raise ValidationError(f"unknown scenario kind '{kind}'")
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValidationError) as exc:
             raise ValidationError(
                 f"malformed scenario entry {i}: {type(exc).__name__}: {exc}"
             ) from exc

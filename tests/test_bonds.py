@@ -729,8 +729,7 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run):
             shapes.append(s.qv.shape)
             yield s
 
-    for module in (robustrates.bonds, robustrates.mc):
-        monkeypatch.setattr(module, "_steps", spy)
+    monkeypatch.setattr(robustrates.mc, "_steps", spy)
     alone = list(run(deterministic, cfg))
     assert set(shapes) == {(len(alone), 1)}
     shapes.clear()
@@ -829,8 +828,7 @@ def test_finished_pass_released_before_the_next_builds(monkeypatch, run):
 
     monkeypatch.setattr(robustrates.paths, "_sigma_table", table_spy)
     monkeypatch.setattr(robustrates.paths, "_passes", passes_spy)
-    for module in (robustrates.bonds, robustrates.mc):
-        monkeypatch.setattr(module, "_steps", steps_spy)
+    monkeypatch.setattr(robustrates.mc, "_steps", steps_spy)
     run(family, cfg)
     # at least four passes (noarb_gap adds the edges), so each check ran after one
     assert checks.count("at a table build") >= 2
@@ -874,3 +872,43 @@ def test_non_finite_closed_form_rejected_before_drawing(monkeypatch):
         martingale_check(RateParams(r0=-2000.0, alpha=1.0), BAND, [Constant(0.01)], 1.0, [0.5], cfg)
     assert draws == []
 
+
+
+@pytest.mark.parametrize("member, last_chunk", [(1, True), (2, False)])
+def test_non_finite_checkpoint_names_its_member_and_path(monkeypatch, member, last_chunk):
+    """The driver holds ``rows`` samples per member, one per checkpoint, so a
+    bad row ``j`` belongs to member ``j // rows``.  A NaN planted at the later
+    checkpoint (t = T, where ``B(T, T) = 0``) of one member names that member,
+    and the path counted across chunks."""
+    family = [Constant(0.005), Constant(0.01), Constant(0.02)]
+    cfg = McConfig(n_paths=CHUNK_PATHS + 8, n_steps=4, horizon=1.0, base_seed=0, antithetic=True)
+    chunk_paths = 8 if last_chunk else CHUNK_PATHS
+    real = robustrates.bonds._log_price
+
+    def planted(a, b, r, lam):
+        out = real(a, b, r, lam)
+        if np.shape(r) == (len(family), chunk_paths) and b == 0.0:
+            out[member, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(robustrates.bonds, "_log_price", planted)
+    path = CHUNK_PATHS * last_chunk + 3
+    message = f"non-finite functional value in scenario '{family[member].scenario_id}' at path {path}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg)
+
+
+@pytest.mark.parametrize("dynamics", ["shifted", "original"])
+@pytest.mark.parametrize("checkpoints", [[], [1.0, 1.0], [0.5, 0.25, 0.5]])
+def test_empty_or_repeated_checkpoints_rejected_before_drawing(monkeypatch, checkpoints, dynamics):
+    """No checkpoint would pass the power fixture without evidence, and a repeat
+    would report one row twice."""
+    draws = []
+    draw = robustrates.paths._draw_normals
+    monkeypatch.setattr(robustrates.paths, "_draw_normals", lambda *a: draws.append(a) or draw(*a))
+    cfg = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=0)
+    message = f"checkpoints must be distinct grid times, at least one; got {sorted(checkpoints)}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        martingale_check(PARAMS, BAND, [Constant(0.005), Constant(0.02)], 1.0, checkpoints, cfg,
+                         dynamics)
+    assert draws == []

@@ -13,6 +13,7 @@ from robustrates import (
     Constant,
     RateParams,
     TimeGrid,
+    ValidationError,
     VolBand,
     price_classical_hw,
     simulate_bundle,
@@ -376,6 +377,53 @@ class TestErrors:
     def test_payoff_number_must_be_finite(self, capsys, phi, number):
         assert run_cli("gheat", "--phi", phi, "--nodes-per-width", "20") == 1
         assert capsys.readouterr() == ("", f"error: expected a finite number, got '{number}'\n")
+
+    @pytest.mark.filterwarnings("error")  # one error line, no numpy warning before it
+    @pytest.mark.parametrize("argv, paths, antithetic", [
+        (("verify", "--paths", "2"), 2, True),
+        (("gap", "--paths", "2"), 2, True),
+        (("gap", "--paths", "2", "--n-constant", "2", "--n-switching", "0"), 2, True),
+        (("verify", "--paths", "1", "--antithetic", "false"), 1, False),
+        (("gap", "--paths", "1", "--antithetic", "no"), 1, False),
+    ])
+    def test_one_independent_sample_exits_1(self, tmp_path, capsys, argv, paths, antithetic):
+        """One sample has no standard error, so no row could be judged on it."""
+        out = tmp_path / "report"
+        assert run_cli(*argv, "--steps", "4", "--out", str(out)) == 1
+        message = (f"paths = {paths} with antithetic = {antithetic} gives 1 independent sample; "
+                   "a standard error needs at least 2")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, n_paths", [
+        ({"paths": 4}, 4), ({"paths": 2, "antithetic": False}, 2), ({"paths": 2}, None),
+    ])
+    def test_two_independent_samples_admitted_from_a_config_file(self, tmp_path, doc, n_paths):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        config = _Config(build_parser().parse_args(["verify", "--config", str(cfg)]))
+        if n_paths is None:
+            with pytest.raises(ValidationError, match="gives 1 independent sample"):
+                config.mc_config(1.0)
+        else:
+            assert config.mc_config(1.0).n_paths == n_paths
+
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_checkpoint_exits_1(self, capsys):
+        assert run_cli("verify", "--checkpoints", "1,1", "--paths", "16", "--steps", "4") == 1
+        message = "checkpoints must be distinct grid times, at least one; got [1.0, 1.0]"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", ["1.5", "true", "-1"])
+    def test_scenario_file_seed_not_a_non_negative_integer_exits_1(self, tmp_path, capsys, seed):
+        fam = tmp_path / "fam.json"
+        fam.write_text('{"band": {"lo": 0.005, "hi": 0.02}, "scenarios": '
+                       f'[{{"kind": "switching", "intensity": 1.0, "seed": {seed}}}]}}')
+        assert run_cli("gap", "--scenarios", str(fam), "--paths", "16", "--steps", "4") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: malformed scenario entry 0: ValidationError: switching seed ")
 
 
 # options that each command accepted at one time but never read

@@ -271,3 +271,42 @@ def test_family_from_json_malformed_entry_names_index(entry):
 def test_family_from_json_rejects_non_list_scenarios(entries):
     with pytest.raises(ValidationError, match="must be a list"):
         family_from_json({"band": {"lo": 0.005, "hi": 0.02}, "scenarios": entries})
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, False, -1, "3", None, np.float64(4.0)])
+def test_switching_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValidationError, match=r"^switching seed must be an integer >= 0, got "):
+        RandomSwitching(intensity=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(2**32 - 1)])
+def test_switching_seed_accepts_python_and_numpy_integers(seed):
+    assert RandomSwitching(intensity=1.0, seed=seed).seed == seed
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"kind": "switching", "intensity": 1.0, "seed": 1.5},
+     "switching seed must be an integer >= 0, got 1.5"),
+    ({"kind": "switching", "intensity": 1.0, "seed": True},
+     "switching seed must be an integer >= 0, got True"),
+    ({"kind": "switching", "intensity": 1.0, "seed": -1},
+     "switching seed must be an integer >= 0, got -1"),
+    ({"kind": "switching", "intensity": True, "seed": 1}, "expected a finite number, got True"),
+    ({"kind": "constant", "value": True}, "expected a finite number, got True"),
+    ({"kind": "piecewise", "times": [True], "values": [0.01, 0.02]},
+     "expected a finite number, got True"),
+    ({"kind": "piecewise", "times": [0.5], "values": [0.01, False]},
+     "expected a finite number, got False"),
+])
+def test_family_from_json_rejects_what_it_would_coerce(entry, message):
+    """A boolean is not a number and a seed is a non-negative integer: neither is
+    converted, and the error names the entry."""
+    doc = {"band": {"lo": 0.005, "hi": 0.02}, "scenarios": [{"kind": "constant", "value": 0.01}, entry]}
+    expected = f"malformed scenario entry 1: ValidationError: {message}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+        family_from_json(doc)
+
+
+def test_family_from_json_rejects_a_boolean_band_edge():
+    with pytest.raises(ValidationError, match=r"^expected a finite number, got True$"):
+        family_from_json({"band": {"lo": 0.005, "hi": True}, "scenarios": []})
