@@ -53,10 +53,9 @@ class VolBand:
         return 0.5 * (self.sigma_lo + self.sigma_hi)
 
     def contains(self, values, tol: float = 0.0) -> bool:
+        """Every value within ``tol`` of the band, checked by one ``min`` and one ``max``."""
         v = np.asarray(values, dtype=float)
-        return bool(
-            np.all(v >= self.sigma_lo - tol) and np.all(v <= self.sigma_hi + tol)
-        )
+        return not v.size or bool(self.sigma_lo - tol <= v.min() and v.max() <= self.sigma_hi + tol)
 
 
 def g_value(band: VolBand, a):

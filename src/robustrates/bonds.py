@@ -292,6 +292,7 @@ def martingale_check(
         p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))  # lam_0 = 0, D_0 = 1
     _require_finite(maturity, p0)
     neg_b, half_b2 = -b_vec[:-1], 0.5 * b_vec[:-1] ** 2
+    row_of = {k: j for j, k in enumerate(cp_idx)}  # the checkpoint row of grid index k
     path_sums = np.zeros((len(scenarios), n + 1))
     terminal_err = np.zeros(len(scenarios))
 
@@ -301,10 +302,13 @@ def martingale_check(
         in ``terminal_err``, from a running sum of the log increments per path."""
         for s in states:
             k, rows = s.k, s.rows
-            p = np.exp(_log_price(a_vec[k], b_vec[k], s.r, s.lam) - s.integral) - p0
+            p = _log_price(a_vec[k], b_vec[k], s.r, s.lam)
+            p -= s.integral
+            np.exp(p, out=p)
+            p -= p0
             path_sums[rows, k] += p.sum(axis=1)
-            for j in np.flatnonzero(np.equal(cp_idx, k)):
-                out[rows, j] = p
+            if k in row_of:
+                out[rows, row_of[k]] = p
             if k == 0:
                 log_sde = np.zeros(p.shape)
             else:

@@ -19,6 +19,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_seed(name: str, value) -> None:
+    """A ``ValidationError`` naming ``name`` unless ``value`` is an integer (``_is_int``) >= 0."""
+    if not (_is_int(value) and value >= 0):
+        raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def _to_float(value) -> float:
     """Finite number from a flag or a JSON number; booleans are errors."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_seed
 from .paths import PathBundle, RateParams, TimeGrid, _bundle, _steps
 from .scenarios import ScenarioSpec
 
@@ -42,6 +42,7 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
+        _check_seed("base_seed", self.base_seed)
         TimeGrid(self.horizon, self.n_steps)  # validates horizon and n_steps
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling needs an even n_paths")

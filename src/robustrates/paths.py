@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError
+from .errors import ValidationError, _check_seed
 from .scenarios import PathView, ScenarioSpec
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -174,17 +174,23 @@ def _rate_factors(params: RateParams, grid: TimeGrid) -> tuple:
 
 
 def _r_step(k: int, r_k, db_k, lam_k, factors: tuple):
-    """``r[k+1]`` from ``r[k]`` and the step's noise increment ``dB``; ``lam_k``
-    (the shift, taken at the left point) is None under the original
-    dynamics."""
+    """``r[k+1] = ea r[k] + drift + eh dB`` in one new array, the drift ``m_det[k]`` plus
+    the shift ``w_lam lam_k`` taken at the left point (``lam_k`` is None under the
+    original dynamics)."""
     ea, eh, w_lam, m_det = factors
-    drift = m_det[k] + (w_lam * lam_k if lam_k is not None else 0.0)
-    return ea * r_k + drift + eh * db_k
+    r_next = ea * r_k
+    r_next += m_det[k] + (w_lam * lam_k if lam_k is not None else 0.0)
+    r_next += eh * db_k
+    return r_next
 
 
 def _trapezoid(r_k, r_next, dt: float):
-    """One step's trapezoid increment of ``int r``."""
-    return dt * (r_next + r_k) / 2.0
+    """One step's trapezoid increment of ``int r``, ``(r_next + r_k) dt/2``, in a new
+    array.  Halving ``dt`` is exact, so in the normal range this is ``dt (r_next + r_k) / 2``
+    bit for bit, as ``scipy.integrate.cumulative_trapezoid`` forms it."""
+    step = r_next + r_k
+    step *= dt / 2.0
+    return step
 
 
 def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithetic: bool) -> np.ndarray:
@@ -246,20 +252,23 @@ def _passes(scenarios, band, grid, n_paths, antithetic, key, history, record):
         yield slice(lo, lo + len(group)), group
 
 
-def _feedback_sigma(spec, hist, k, t, dt, band):
+def _past_views(h: dict) -> dict:
+    """Path-major views of a feedback history's ``sigma``, ``b``, ``qv`` and ``r``, read
+    through a read-only buffer: the stepper keeps writing the history, but neither these
+    views nor any view of them can be made writeable."""
+    return {x: np.asarray(memoryview(h[x]).toreadonly()).T
+            for x in ("sigma", "b", "qv", "r") if x in h}
+
+
+def _feedback_sigma(spec, past, k, t, dt, band):
     """Step ``k``'s volatility from a feedback rule: a scalar or one value per path.
-    The rule sees transposed prefix views of the member's locked history, exactly
-    the path up to ``t``."""
-    for arr in hist.values():
-        arr.setflags(write=False)
-    try:
-        past = {x: arr[: k + (x != "sigma")].T for x, arr in hist.items()}
-        view = PathView(k, t, dt, band, past["sigma"], past["b"], past["qv"], past.get("r"))
-        sig_k = np.asarray(spec.step_sigma(view), dtype=float)
-    finally:
-        for arr in hist.values():
-            arr.setflags(write=True)
-    n_paths = hist["b"].shape[1]
+    ``past`` holds the member's history as read-only views formed once per pass
+    (``_past_views``); the rule sees their prefixes, exactly the path up to ``t``."""
+    b, r = past["b"][:, : k + 1], past.get("r")
+    view = PathView(k, t, dt, band, past["sigma"][:, :k], b, past["qv"][:, : k + 1],
+                    None if r is None else r[:, : k + 1])
+    sig_k = np.asarray(spec.step_sigma(view), dtype=float)
+    n_paths = b.shape[0]
     if sig_k.shape not in ((), (n_paths,)):
         raise ValidationError(
             f"feedback rule returned shape {sig_k.shape} at step {k} "
@@ -283,10 +292,11 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
     ``record``, shifted dynamics or a feedback member.  Feedback members, and under
     ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
-    (a table's read-only view) and the grid values (``lam`` and ``integral`` under ``record``).
-    An antithetic chunk keeps half-width normals and switching tables (``_draw_normals``,
-    ``_sigma_table``) and widens each step's row.  No name here keeps a finished pass's
-    tables or histories once the next pass starts building its own."""
+    (a table's read-only view) and the grid values (``lam`` and ``integral`` under
+    ``record``); a rule reads its member's history through views formed once per pass
+    (``_past_views``).  An antithetic chunk keeps half-width normals and switching tables
+    (``_draw_normals``, ``_sigma_table``) and widens each step's row.  No name here keeps
+    a finished pass's tables or histories once the next pass starts building its own."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
@@ -322,6 +332,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
             | {x: np.empty((n + 1, n_paths)) for x in names}
             for i, (spec, tab) in enumerate(group) if record or tab is None
         }
+        past = {i: _past_views(s.hist[i]) for i, (_, tab) in enumerate(group) if tab is None}
         stepped = full or shifted or bool(s.hist)
         for k in range(n + 1):
             s.k = k
@@ -333,8 +344,9 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 break
             for i, (spec, tab) in enumerate(group):
                 if tab is None:
-                    h = s.hist[i]
-                    sigma[i] = h["sigma"][k] = _feedback_sigma(spec, h, k, times[k], dt, band)
+                    sigma[i] = s.hist[i]["sigma"][k] = _feedback_sigma(
+                        spec, past[i], k, times[k], dt, band
+                    )
                 elif tab.ndim == 2 and tab.shape[1] < n_paths:  # half-width: mates share the column
                     sigma[i, :half] = sigma[i, half:] = tab[k]
                 else:
@@ -352,9 +364,10 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 r_next = _r_step(k, s.r, db, s.lam if shifted else None, factors)
                 if stepped:
                     s.lam = _lam_step(s.lam, dqv, e2)
-                s.integral = s.integral + _trapezoid(s.r, r_next, dt)
-                s.r = r_next
-        group = tab = h = None  # free this pass's tables and histories before the next builds
+                trap = _trapezoid(s.r, r_next, dt)
+                trap += s.integral
+                s.integral, s.r = trap, r_next
+        group = tab = h = past = None  # free this pass's arrays before the next builds its own
         s.hist = None
 
 
@@ -401,6 +414,7 @@ def simulate_bundle(
 ) -> PathBundle:
     """Driver plus ``lam``, short rate ``r`` under ``dynamics`` and money market;
     with ``params=None``, sigma, the driver ``B`` and its quadratic variation only."""
+    _check_seed("seed", seed)
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError, _is_int, _to_float
+from .errors import ValidationError, _check_seed, _to_float
 
 
 class ScenarioSpec:
@@ -124,8 +124,7 @@ class RandomSwitching(ScenarioSpec):
     def __post_init__(self):
         if not (np.isfinite(self.intensity) and self.intensity >= 0):
             raise ValidationError("switch intensity must be finite and >= 0")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValidationError(f"switching seed must be an integer >= 0, got {self.seed!r}")
+        _check_seed("switching seed", self.seed)
 
     def validate(self, band):
         pass  # levels are the band edges by construction
@@ -186,7 +185,8 @@ class PathView:
     """Read-only look at the simulation strictly before the current step.
 
     ``sigma`` holds steps ``0..k-1``; ``b``, ``qv`` and (when co-simulated)
-    ``r`` hold grid points ``0..k``.  Arrays are non-writeable views.
+    ``r`` hold grid points ``0..k``.  Arrays are non-writeable views that cannot
+    be made writeable.
     """
 
     __slots__ = ("k", "t", "dt", "band", "sigma", "b", "qv", "r")
@@ -249,8 +249,9 @@ def default_scenario_family(
     Always contains the two extreme constants (they realize the worst and
     best case for variance-monotone payoffs), an even grid of constants in
     between, bang-bang scenarios of 2 and 4 segments, and ``n_switching``
-    random-switching scenarios with seeds derived from ``seed``.
+    random-switching scenarios with seeds derived from ``seed``, an integer >= 0.
     """
+    _check_seed("seed", seed)
     if n_constant < 2:
         raise ValidationError("n_constant must be >= 2 so both band edges are present")
     family: list[ScenarioSpec] = [

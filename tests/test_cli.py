@@ -395,6 +395,17 @@ class TestErrors:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, name", [
+        (("verify", "--paths", "16"), "base_seed"),
+        (("gap", "--paths", "16"), "base_seed"),
+        (("simulate",), "seed"),
+    ])
+    def test_negative_seed_exits_1_naming_it(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "report"
+        assert run_cli(*argv, "--seed", "-1", "--steps", "4", "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: {name} must be an integer >= 0, got -1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, n_paths", [
         ({"paths": 4}, 4), ({"paths": 2, "antithetic": False}, 2), ({"paths": 2}, None),
     ])

@@ -185,6 +185,19 @@ def test_config_validation():
         McConfig(n_paths=8, n_steps=4, horizon=-1.0, base_seed=0)
 
 
+@pytest.mark.parametrize("seed", [-3, 2.5, 2.0, True, "3", None, np.float64(4.0)])
+def test_base_seed_must_be_a_non_negative_integer(seed):
+    message = rf"^base_seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValidationError, match=message):
+        McConfig(n_paths=8, n_steps=4, horizon=1.0, base_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(2**32 - 1)])
+def test_base_seed_accepts_python_and_numpy_integers(seed):
+    cfg = McConfig(n_paths=8, n_steps=4, horizon=1.0, base_seed=seed)
+    assert estimate_sublinear(terminal, BAND, [Constant(0.01)], cfg).per_scenario[0].n_samples == 8
+
+
 def test_antithetic_halves_sample_count_and_kills_odd_noise():
     cfg = McConfig(n_paths=4096, n_steps=16, horizon=1.0, base_seed=5, antithetic=True)
     est = estimate_sublinear(terminal, BAND, [Constant(0.02)], cfg)

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
+import robustrates.paths
 from robustrates import (
     AdaptedFeedback,
     Constant,
@@ -23,7 +26,7 @@ from robustrates import (
 )
 from robustrates.cli import main
 from robustrates.mc import CHUNK_PATHS, _chunks
-from robustrates.paths import _r_step, _rate_factors, _simulate
+from robustrates.paths import _bundle, _r_step, _rate_factors, _simulate, _steps
 from robustrates.scenarios import PathView
 
 BAND = VolBand(0.005, 0.02)
@@ -247,6 +250,50 @@ def test_feedback_history_views_and_bundle_layout():
         assert getattr(bundle, name).flags.c_contiguous, name
 
 
+FIELDS = ("sigma", "b", "qv", "lam", "r", "d")
+
+
+def assert_bundle_bytes_equal(bundle, expected):
+    for name, e in zip(FIELDS, expected):
+        g = getattr(bundle, name)
+        assert (g.shape, g.tobytes()) == (e.shape, e.tobytes()), name
+
+
+class TestLeanStep:
+    """The in-place rate step and trapezoid, a deterministic pass and a mixed pass:
+    over long grids, where any change in the order of additions would show, every
+    array still equals the column loop's, byte for byte."""
+
+    PARAMS = RateParams(r0=0.02, alpha=0.7, mu=lambda s: np.where(s < 0.4, 0.01, 0.03),
+                        mu_breakpoints=(0.4,))
+
+    @pytest.mark.parametrize("antithetic, n_paths", [(True, 6), (False, 6), (False, 5)])
+    def test_deterministic_shifted_pass_over_2048_steps(self, antithetic, n_paths):
+        spec = PiecewiseConstant((0.3, 0.7), (0.02, 0.005, 0.0125))
+        grid = TimeGrid(1.3, 2048)
+        bundle = simulate_bundle(spec, BAND, grid, self.PARAMS, seed=9, n_paths=n_paths,
+                                 dynamics="shifted", antithetic=antithetic)
+        assert_bundle_bytes_equal(bundle, column_loop_bundle(
+            spec, BAND, grid, self.PARAMS, 9, n_paths, "shifted", antithetic))
+
+    @pytest.mark.parametrize("antithetic, n_paths", [(True, 6), (False, 5)])
+    def test_mixed_pass_equals_each_member_alone(self, monkeypatch, antithetic, n_paths):
+        family = [Constant(0.0125), RandomSwitching(6.0, 2), AdaptedFeedback("rate_threshold"),
+                  PiecewiseConstant((0.5,), (0.005, 0.02)), AdaptedFeedback("qv_chase")]
+        grid, seed = TimeGrid(1.3, 1000), 4
+        monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 30)  # the family in one pass
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        states = _steps(family, BAND, grid, rng, n_paths, self.PARAMS, "shifted", antithetic,
+                        record=True)
+        for s in states:
+            assert (s.rows, s.qv.shape) == (slice(0, len(family)), (len(family), n_paths))
+            if s.k == grid.n_steps:
+                bundles = [_bundle(spec, s.hist[i], grid) for i, spec in enumerate(family)]
+        for spec, bundle in zip(family, bundles):
+            assert_bundle_bytes_equal(bundle, column_loop_bundle(
+                spec, BAND, grid, self.PARAMS, seed, n_paths, "shifted", antithetic))
+
+
 class TestLambdaPath:
     def test_starts_at_zero(self):
         grid = TimeGrid(1.0, 32)
@@ -427,6 +474,16 @@ class TestBundleCsv:
         assert len(lines) == TimeGrid(1.0, 4).n_steps + 2
         first = lines[1].split(",")
         assert float(first[2]) == 0.0 and float(first[3]) == 0.0 and float(first[6]) == 1.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, "3", None])
+def test_bundle_seed_must_be_a_non_negative_integer(monkeypatch, seed):
+    draws = []
+    monkeypatch.setattr(robustrates.paths, "_draw_normals", lambda *a: draws.append(a))
+    message = rf"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValidationError, match=message):
+        simulate_bundle(Constant(0.01), BAND, TimeGrid(1.0, 4), None, seed=seed, n_paths=4)
+    assert draws == []
 
 
 class TestGridValidation:

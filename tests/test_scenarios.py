@@ -149,6 +149,26 @@ def test_feedback_rule_cannot_write_history(runner):
 
 
 @pytest.mark.parametrize("runner", sorted(_RUNNERS))
+@pytest.mark.parametrize("name", ["sigma", "b", "qv", "r"])
+def test_feedback_rule_cannot_unlock_its_history(runner, name):
+    """Not even ``setflags(write=True)`` opens the past: no view the rule gets, nor a
+    view of it, can be made writeable while the stepper writes the history."""
+    def unlocking(view, params):
+        past = getattr(view, name)
+        if view.k == 2 and past is not None:
+            for a in (past, past[:, :1], past.T):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    a.setflags(write=True)
+            unlocked.append(view.k)
+        return np.full(view.b.shape[0], view.band.sigma_lo)
+
+    unlocked = []
+    register_feedback_rule("unlocking", unlocking)
+    _RUNNERS[runner](AdaptedFeedback("unlocking"))
+    assert unlocked == ([] if name == "r" and runner == "simulate_bundle" else [2])
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
 def test_feedback_rule_leaving_the_band_is_named(runner):
     def escape(view, params):
         sigma = view.band.sigma_hi * (2.0 if view.k == 2 else 1.0)
@@ -173,6 +193,35 @@ def test_feedback_rule_of_the_wrong_shape_is_named(runner, shape):
                r"\(scenario feedback\[misshapen\]\); need a scalar or one value per path, \(4,\)$")
     with pytest.raises(ValidationError, match=message):
         _RUNNERS[runner](AdaptedFeedback("misshapen"))
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+@pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "per_path"])
+@pytest.mark.parametrize("value, accepted", [
+    (lambda band: band.sigma_hi + 1e-12, True),
+    (lambda band: band.sigma_lo - 1e-12, True),
+    (lambda band: band.sigma_hi + 3e-12, False),
+    (lambda band: band.sigma_lo - 3e-12, False),
+    (lambda band: np.nan, False),
+], ids=["hi+1e-12", "lo-1e-12", "hi+3e-12", "lo-3e-12", "nan"])
+def test_feedback_band_tolerance_is_1e_12(runner, scalar, value, accepted):
+    """A rule may leave the band by at most 1e-12, on any path; NaN is outside."""
+    def near_edge(view, params):
+        if view.k != 2:
+            return view.band.sigma_lo
+        if scalar:
+            return value(view.band)
+        sigma = np.full(view.b.shape[0], view.band.midpoint)
+        sigma[-1] = value(view.band)  # one path only
+        return sigma
+
+    register_feedback_rule("near_edge", near_edge)
+    if accepted:
+        _RUNNERS[runner](AdaptedFeedback("near_edge"))
+    else:
+        message = r"^feedback rule left the band at step 2 \(scenario feedback\[near_edge\]\)$"
+        with pytest.raises(ValidationError, match=message):
+            _RUNNERS[runner](AdaptedFeedback("near_edge"))
 
 
 def test_feedback_rule_may_return_a_scalar():
@@ -277,6 +326,21 @@ def test_family_from_json_rejects_non_list_scenarios(entries):
 def test_switching_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(ValidationError, match=r"^switching seed must be an integer >= 0, got "):
         RandomSwitching(intensity=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.7, 2.0, -1, True, "1", None])
+def test_default_family_seed_must_be_a_non_negative_integer(seed):
+    """Never truncated: ``1.7`` once built the seeds 1 and 2."""
+    message = rf"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValidationError, match=message):
+        default_scenario_family(BAND, 2, 2, seed=seed)
+
+
+def test_default_family_takes_a_numpy_integer_seed():
+    family = default_scenario_family(BAND, 2, 2, seed=np.int64(3))
+    ids = [s.scenario_id for s in family[-2:]]
+    assert ids == ["switch[rate=2;seed=3]", "switch[rate=4;seed=4]"]
+    json.dumps(family_to_json(BAND, family))  # plain integers
 
 
 @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(2**32 - 1)])
