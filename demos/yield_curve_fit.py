@@ -15,10 +15,10 @@ from robustrates import (
     McConfig,
     VolBand,
     calibrate,
-    fitted_price,
     ingest_forward_curve,
     initial_curve_roundtrip,
     martingale_check,
+    price_robust,
 )
 
 HUMPED = {
@@ -44,8 +44,9 @@ def main():
     # with a degenerate band the fitted model is the classical fitted one;
     # the discounted price at t=0.5 recovers the curve discount statistically
     band = VolBand(0.01, 0.01)
+    params = model.rate_params()  # the curve is its mu
     cfg = McConfig(n_paths=20_000, n_steps=200, horizon=5.0, base_seed=3)
-    rep = martingale_check(model.rate_params(), band, [Constant(0.01)], 5.0, [0.5], cfg)[0]
+    rep = martingale_check(params, band, [Constant(0.01)], 5.0, [0.5], cfg)[0]
     row = rep.checkpoints[0]
     target = float(np.exp(-curve.integral(0.0, 5.0)))
     print(f"\nsimulated E[discounted P(0.5, 5)] = {row.mean:.8f} +- {row.se:.1e}")
@@ -53,7 +54,7 @@ def main():
 
     print("\nfitted robust quotes at t=0 for the uncertain band [0.005, 0.02]:")
     for T in (1.0, 5.0, 10.0):
-        print(f"  P(0,{T:>4.1f}) = {fitted_price(model, 0.0, T, model.r0, 0.0):.8f}")
+        print(f"  P(0,{T:>4.1f}) = {price_robust(params, 0.0, T, params.r0, 0.0):.8f}")
 
 
 if __name__ == "__main__":

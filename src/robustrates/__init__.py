@@ -25,7 +25,6 @@ from .bonds import (
     a_classical,
     a_robust,
     b_factor,
-    discount_factor,
     martingale_check,
     noarb_gap,
     price_classical_hw,
@@ -33,11 +32,8 @@ from .bonds import (
 )
 from .calibration import (
     CalibratedModel,
-    ForwardCurve,
     RoundTripReport,
-    a_fitted,
     calibrate,
-    fitted_price,
     ingest_forward_curve,
     initial_curve_roundtrip,
 )
@@ -45,6 +41,7 @@ from .errors import NumericalError, ValidationError
 from .gheat import Grid1D, Solution1D, gexpectation_terminal, solve_gheat
 from .mc import McConfig, ScenarioStat, SublinearEstimate, estimate_sublinear
 from .paths import (
+    ForwardCurve,
     PathBundle,
     RateParams,
     TimeGrid,
@@ -90,17 +87,14 @@ __all__ = [
     "ValidationError",
     "VolBand",
     "a_classical",
-    "a_fitted",
     "a_robust",
     "b_factor",
     "bang_bang",
     "calibrate",
     "default_scenario_family",
-    "discount_factor",
     "estimate_sublinear",
     "family_from_json",
     "family_to_json",
-    "fitted_price",
     "g_value",
     "gexpectation_terminal",
     "ingest_forward_curve",

@@ -7,29 +7,31 @@ Two closed forms live here.  The robust price
 is the unique choice making every discounted bond driftless under the
 shifted short-rate dynamics, with ``A = -int mu B`` and
 ``B = (1 - exp(-alpha (T-t))) / alpha``.  The classical constant-volatility
-price ``exp(A_sigma - B r_t)`` with ``A_sigma = int (sigma^2 B^2 / 2 - mu B)``
-serves as the oracle: under the original dynamics the discounted-bond
-expectation equals it scenario by scenario, which is exactly why a single
-arbitrage-free price cannot exist when the band is non-degenerate.
+price ``exp(A_sigma - B r_t)`` with ``A_sigma = A + sigma^2 V / 2``,
+``V = int B^2``, serves as the oracle: under the original dynamics the
+discounted-bond expectation equals it scenario by scenario, which is
+exactly why a single arbitrage-free price cannot exist when the band is
+non-degenerate.
 ``noarb_gap`` measures that spread; ``martingale_check`` verifies the
 driftlessness of the robust price under the shifted dynamics.
+
+``A`` and ``V`` are exact closed forms for both forms of ``mu``: a constant,
+or a calibrated forward curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import factorial
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .band import VolBand
 from .errors import NumericalError, ValidationError
 from .mc import McConfig, _sample, _stats, _sublinear
-from .paths import RateParams, _check_interval, b_factor
+from .paths import ForwardCurve, RateParams, _check_interval, b_factor
 from .scenarios import Constant, ScenarioSpec
-
-DEFAULT_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -96,50 +98,39 @@ def _log_price(a, b, r, lam):
     return a - b * r - 0.5 * b * b * lam
 
 
-def _simpson_segmented(f, t, maturity: float, breaks, panels: int = DEFAULT_PANELS):
-    """Composite Simpson over ``[t, T]``, with panels split at interior
-    breakpoints so kinks of the integrand sit on segment boundaries.
+#: Taylor coefficients, highest first, of ``int B / tau^2`` and ``V / tau^3`` in
+#: ``x = alpha tau``; 24 terms reach 1e-17 relative for ``x < 1``
+_INT_B_SERIES = [(-1) ** m / factorial(m + 2) for m in range(23, -1, -1)]
+_V_SERIES = [(-1) ** m * (2 ** (m + 2) - 2) / factorial(m + 3) for m in range(23, -1, -1)]
 
-    ``t`` is a time or a 1-D array of times.  Rows that share a segment index
-    and panel count go through one batched call and add their segments in
-    order, so each entry equals the scalar result bit for bit."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    segments = {}  # (segment index, panels) -> [(row, a, b), ...]
-    for i, ti in enumerate(t_arr.tolist()):
-        cuts = sorted({ti, maturity} | {float(c) for c in breaks if ti < c < maturity})
-        for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            seg_panels = max(8, int(np.ceil(panels * (b - a) / (maturity - ti))))
-            segments.setdefault((j, seg_panels), []).append((i, a, b))
-    out = np.zeros(t_arr.shape)
-    for (_, seg_panels), rows in sorted(segments.items()):
-        i, a, b = (np.array(v) for v in zip(*rows))
-        # C-ordered samples, or simpson sums the rows in another order
-        s = np.ascontiguousarray(np.linspace(a, b, 2 * seg_panels + 1, axis=-1))
-        # sample endpoints one ulp inside the segment: the integrand may
-        # jump at breakpoints and only the one-sided limit belongs here
-        s_eval = s.copy()
-        s_eval[:, 0] = np.nextafter(a, b)
-        s_eval[:, -1] = np.nextafter(b, a)
-        out[i] += simpson(f(s_eval), x=s, axis=-1)
-    return out if np.ndim(t) else float(out[0])
+
+def _b_integrals(alpha: float, t, maturity: float):
+    """``int_t^T B(s,T) ds = (tau - B) / alpha`` and ``V(t,T) = int_t^T B(s,T)^2 ds =
+    (int B - B^2 / 2) / alpha``, ``tau = T - t``, at a time or a 1-D array of times.
+    Below ``alpha tau = 1``, where ``tau - B`` cancels, both come from their Taylor
+    series; both are exactly 0 at ``t = T``."""
+    _check_interval(t, maturity)
+    tau = maturity - np.asarray(t, dtype=float)
+    b = -np.expm1(-alpha * tau) / alpha
+    small = alpha * tau < 1.0
+    ts = np.where(small, tau, 0.0)  # the series' range; elsewhere it is not used
+    int_b = np.where(small, ts * ts * np.polyval(_INT_B_SERIES, alpha * ts), (tau - b) / alpha)
+    v = np.where(small, ts**3 * np.polyval(_V_SERIES, alpha * ts), (int_b - 0.5 * b * b) / alpha)
+    return (int_b, v) if np.ndim(t) else (float(int_b), float(v))
 
 
 def a_robust(params: RateParams, t, maturity: float):
-    """``-int_t^T mu(s) B(s,T) ds`` by composite Simpson, at a time or a 1-D
-    array of times."""
-    _check_interval(t, maturity)
-
-    def f(s):
-        return -params.mu_at(s) * b_factor(params.alpha, s, maturity)
-
-    return _simpson_segmented(f, t, maturity, params.mu_breakpoints)
-
-
-def _b_squared_integral(params: RateParams, t, maturity: float):
-    """``V(t,T) = int_t^T B(s,T)^2 ds`` on the panels of :func:`a_robust`."""
-    return _simpson_segmented(
-        lambda s: b_factor(params.alpha, s, maturity) ** 2, t, maturity, params.mu_breakpoints
-    )
+    """``A(t,T) = -int_t^T mu(s) B(s,T) ds`` in closed form, at a time or a 1-D array
+    of times: ``-mu int B`` for a constant ``mu``, and for a curve ``f`` (``mu = alpha f
+    + f'``, integrated by parts) ``-int_t^T f + f(t) B(t,T)``, formed as ``-alpha f(t)
+    int B - int_t^T (f - f(t))`` so that it keeps its accuracy as ``alpha (T - t)`` and
+    ``T - t`` go to 0."""
+    int_b, _ = _b_integrals(params.alpha, t, maturity)
+    mu = params.mu
+    if not isinstance(mu, ForwardCurve):
+        return -mu * int_b
+    a = -params.alpha * mu.value(t) * int_b - mu.excess_integral(t, maturity)
+    return a if np.ndim(t) else float(a)
 
 
 def a_classical(params: RateParams, sigma: float, t: float, maturity: float) -> float:
@@ -147,7 +138,8 @@ def a_classical(params: RateParams, sigma: float, t: float, maturity: float) -> 
     ``a_robust + sigma^2 V(t,T) / 2``; ``sigma = 0`` gives :func:`a_robust`."""
     if sigma < 0:
         raise ValidationError("sigma must be >= 0")
-    return a_robust(params, t, maturity) + 0.5 * sigma**2 * _b_squared_integral(params, t, maturity)
+    _, v = _b_integrals(params.alpha, t, maturity)
+    return a_robust(params, t, maturity) + 0.5 * sigma**2 * v
 
 
 def price_robust(
@@ -183,11 +175,6 @@ def _ensure_extremes(band: VolBand, family: Sequence[ScenarioSpec]) -> list[Scen
         if not any(isinstance(s, Constant) and s.value == edge for s in out):
             out.append(Constant(edge))
     return out
-
-
-def discount_factor(bundle) -> np.ndarray:
-    """Terminal pathwise discount ``exp(-int_0^T r ds)``."""
-    return 1.0 / bundle.d[:, -1]
 
 
 def noarb_gap(
@@ -285,7 +272,7 @@ def martingale_check(
     if not cp or len(set(cp_idx)) < len(cp):
         raise ValidationError(f"checkpoints must be distinct grid times, at least one; got {cp}")
 
-    # affine coefficients along the grid (A is one batched quadrature)
+    # affine coefficients along the grid, each one vector call of its closed form
     b_vec = b_factor(params.alpha, grid.times, maturity)
     a_vec = a_robust(params, grid.times, maturity)
     with np.errstate(over="ignore"):  # an overflow is reported next

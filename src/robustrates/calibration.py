@@ -6,7 +6,11 @@ in pricing has an exact closed form per segment.  Fitting then reduces to
 
     mu(t) = alpha * f(0, t) + f'(0, t)   (right derivative at knots)
 
-with the initial short rate pinned to ``f(0, 0)``.  With that ``mu`` the
+with the initial short rate pinned to ``f(0, 0)``.  The curve itself
+(:class:`~robustrates.paths.ForwardCurve`) is the ``mu`` of the fitted
+:class:`~robustrates.paths.RateParams`, so a calibrated price is
+:func:`~robustrates.bonds.price_robust` on those parameters, whose
+intercept is the exact ``-int_t^T f + f(t) B(t,T)``.  With that ``mu`` the
 time-0 model price of a bond collapses analytically to
 ``exp(-integral of the curve)``, which is what the round-trip check
 verifies to machine precision.
@@ -23,87 +27,9 @@ from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .bonds import _log_price, b_factor
+from .bonds import price_robust
 from .errors import ValidationError
-from .paths import RateParams
-
-
-@dataclass(frozen=True)
-class ForwardCurve:
-    """Observed initial forward curve as interpolation knots.
-
-    Maturities must be strictly increasing and start at 0 (the first knot
-    defines the initial short rate).  Values between knots are linear; the
-    derivative is piecewise constant and right-continuous.
-    """
-
-    maturities: np.ndarray
-    forwards: np.ndarray
-
-    def __post_init__(self):
-        mats = np.asarray(self.maturities, dtype=float)
-        fwds = np.asarray(self.forwards, dtype=float)
-        object.__setattr__(self, "maturities", mats)
-        object.__setattr__(self, "forwards", fwds)
-        if mats.ndim != 1 or mats.shape != fwds.shape:
-            raise ValidationError("maturities and forwards must be 1-D and aligned")
-        if mats.size < 2:
-            raise ValidationError("forward curve needs at least 2 knots")
-        if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(fwds))):
-            raise ValidationError("forward curve contains non-finite values")
-        if mats[0] != 0.0:
-            raise ValidationError("forward curve must start with a T=0 knot")
-        d = np.diff(mats)
-        if np.any(d == 0):
-            raise ValidationError("duplicate maturities in forward curve")
-        if np.any(d < 0):
-            raise ValidationError("maturities must be strictly increasing")
-        # exact running integral at the knots (trapezoid is exact here)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (fwds[1:] + fwds[:-1]) * d)])
-        object.__setattr__(self, "_cum_integral", cum)
-        with np.errstate(invalid="ignore"):
-            object.__setattr__(self, "_slopes", np.diff(fwds) / d)
-
-    @property
-    def t_last(self) -> float:
-        return float(self.maturities[-1])
-
-    def _check_range(self, t: np.ndarray) -> None:
-        if np.any(t < -1e-12) or np.any(t > self.t_last + 1e-12):
-            raise ValidationError(
-                f"evaluation outside curve range [0, {self.t_last}]"
-            )
-
-    def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        self._check_range(t)
-        return np.interp(t, self.maturities, self.forwards)
-
-    def derivative(self, t) -> np.ndarray:
-        """Right-continuous piecewise-constant slope (left slope at the
-        final maturity)."""
-        t = np.asarray(t, dtype=float)
-        self._check_range(t)
-        idx = np.searchsorted(self.maturities, t, side="right") - 1
-        idx = np.clip(idx, 0, self._slopes.size - 1)
-        return self._slopes[idx]
-
-    def integral(self, a: float, b: float) -> float:
-        """Exact ``int_a^b f`` for the piecewise-linear curve."""
-        if b < a:
-            raise ValidationError("integral needs a <= b")
-        self._check_range(np.asarray([a, b]))
-
-        def antideriv(t):
-            k = int(np.clip(np.searchsorted(self.maturities, t, side="right") - 1,
-                            0, self._slopes.size - 1))
-            t0 = self.maturities[k]
-            f0 = self.forwards[k]
-            s = self._slopes[k]
-            dt = t - t0
-            return self._cum_integral[k] + f0 * dt + 0.5 * s * dt * dt
-
-        return float(antideriv(b) - antideriv(a))
+from .paths import ForwardCurve, RateParams
 
 
 def _curve_from_rows(rows: Iterable[Sequence[str]]) -> ForwardCurve:
@@ -169,40 +95,16 @@ class CalibratedModel:
         return float(self.curve.forwards[0])
 
     def mu(self, t) -> np.ndarray:
-        return self.alpha * self.curve.value(t) + self.curve.derivative(t)
+        return self.rate_params().mu_at(t)
 
     def rate_params(self) -> RateParams:
-        return RateParams(
-            r0=self.r0,
-            alpha=self.alpha,
-            mu=self.mu,
-            mu_breakpoints=tuple(float(T) for T in self.curve.maturities[1:-1]),
-        )
+        """The short-rate parameters, with the curve as ``mu``."""
+        return RateParams(r0=self.r0, alpha=self.alpha, mu=self.curve)
 
 
 def calibrate(curve: ForwardCurve, alpha: float) -> CalibratedModel:
     """Bind the curve to a reversion speed; ``mu`` and ``r0`` follow."""
     return CalibratedModel(alpha=alpha, curve=curve)
-
-
-def a_fitted(model: CalibratedModel, t: float, maturity: float) -> float:
-    """Exact fitted intercept ``-int_t^T f + f(t) B(t,T)``; agrees with the
-    quadrature of the calibrated ``mu`` against ``B`` to quadrature accuracy."""
-    if not (0.0 <= t <= maturity <= model.curve.t_last + 1e-12):
-        raise ValidationError(
-            f"need 0 <= t <= T <= {model.curve.t_last}, got t={t}, T={maturity}"
-        )
-    return -model.curve.integral(t, maturity) + float(model.curve.value(t)) * b_factor(
-        model.alpha, t, maturity
-    )
-
-
-def fitted_price(model: CalibratedModel, t: float, maturity: float, r_t: float, lambda_t: float) -> float:
-    """Bond price using the exact fitted intercept instead of quadrature."""
-    if lambda_t < 0:
-        raise ValidationError("lambda_t must be >= 0")
-    b = b_factor(model.alpha, t, maturity)
-    return float(np.exp(_log_price(a_fitted(model, t, maturity), b, r_t, lambda_t)))
 
 
 @dataclass(frozen=True)
@@ -233,9 +135,10 @@ def initial_curve_roundtrip(model: CalibratedModel, maturities: Sequence[float])
     midpoints and is exact only when no knot falls inside an interval.
     """
     mats = sorted(float(T) for T in maturities)
+    params = model.rate_params()
     rows = []
     for T in mats:
-        p_model = fitted_price(model, 0.0, T, model.r0, 0.0)
+        p_model = price_robust(params, 0.0, T, model.r0, 0.0)
         p_curve = float(np.exp(-model.curve.integral(0.0, T)))
         rows.append(RoundTripRow(maturity=T, p_model=p_model, p_curve=p_curve))
     max_err = max((r.abs_error for r in rows), default=0.0)

@@ -21,13 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .band import VolBand
-from .bonds import _b_squared_integral, _require_finite, martingale_check, noarb_gap, price_robust
-from .calibration import (
-    calibrate,
-    fitted_price,
-    ingest_forward_curve,
-    initial_curve_roundtrip,
-)
+from .bonds import _b_integrals, _require_finite, martingale_check, noarb_gap, price_robust
+from .calibration import calibrate, ingest_forward_curve, initial_curve_roundtrip
 from .errors import NumericalError, ValidationError, _to_float
 from .gheat import _terminal_grid, solve_gheat
 from .mc import McConfig
@@ -177,14 +172,13 @@ class _Config:
     def band(self) -> VolBand:
         return VolBand(*self.get("band"))
 
-    def rate_params(self):
-        """Either explicit (mu, r0) parameters or a calibrated curve."""
+    def rate_params(self) -> RateParams:
+        """Either explicit (mu, r0) parameters or those of a calibrated curve."""
         curve_path = self.get("curve")
         alpha = self.get("alpha")
         if curve_path is not None:
-            model = calibrate(ingest_forward_curve(curve_path), alpha)
-            return model.rate_params(), model
-        return RateParams(r0=self.get("r0"), alpha=alpha, mu=self.get("mu")), None
+            return calibrate(ingest_forward_curve(curve_path), alpha).rate_params()
+        return RateParams(r0=self.get("r0"), alpha=alpha, mu=self.get("mu"))
 
     def mc_config(self, horizon: float) -> McConfig:
         mc = McConfig(
@@ -218,7 +212,7 @@ class _Config:
 
 def cmd_simulate(cfg: _Config) -> int:
     band = cfg.band()
-    params, _ = cfg.rate_params()
+    params = cfg.rate_params()
     grid = TimeGrid(cfg.get("horizon"), cfg.get("steps"))
     sigma = cfg.get("sigma")
     scenario = Constant(band.sigma_hi if sigma is None else sigma)
@@ -244,15 +238,12 @@ def cmd_price(cfg: _Config) -> int:
     band edges (price grows with volatility, so the bottom of the band gives
     the lower price and the top the upper)."""
     band = cfg.band()
-    params, model = cfg.rate_params()
+    params = cfg.rate_params()
     rows = []  # every row, before the output file is opened
     for T in cfg.get("maturities"):
-        if model is not None:
-            robust = fitted_price(model, 0.0, T, model.r0, 0.0)
-        else:
-            robust = price_robust(params, 0.0, T, params.r0, 0.0)
+        robust = price_robust(params, 0.0, T, params.r0, 0.0)
         # classical intercept = robust intercept + sigma^2/2 * int B^2
-        v = _b_squared_integral(params, 0.0, T)
+        _, v = _b_integrals(params.alpha, 0.0, T)
         with np.errstate(over="ignore"):  # an overflow is reported below
             lower = robust * float(np.exp(0.5 * band.sigma_lo**2 * v))
             upper = robust * float(np.exp(0.5 * band.sigma_hi**2 * v))
@@ -265,7 +256,7 @@ def cmd_price(cfg: _Config) -> int:
 
 def cmd_gap(cfg: _Config) -> int:
     band = cfg.band()
-    params, _ = cfg.rate_params()
+    params = cfg.rate_params()
     T = cfg.get("maturity")
     mc = cfg.mc_config(T)
     family = cfg.scenarios(band, T)
@@ -303,7 +294,7 @@ def cmd_gap(cfg: _Config) -> int:
 
 def cmd_verify(cfg: _Config) -> int:
     band = cfg.band()
-    params, _ = cfg.rate_params()
+    params = cfg.rate_params()
     T = cfg.get("maturity")
     mc = cfg.mc_config(T)
     family = cfg.scenarios(band, T)

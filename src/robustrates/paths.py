@@ -10,7 +10,8 @@ Discretization choices (fixed, first order in the stochastic terms):
 
 * mean reversion uses the exact one-step propagator ``exp(-alpha*dt)``;
 * the deterministic drift integral is a two-point Gauss-Legendre rule per
-  step (exact for the piecewise-linear drifts produced by calibration);
+  step, of ``mu`` as ``RateParams.mu_at`` gives it (a constant, or
+  ``alpha f + f'`` of a calibrated forward curve ``f``);
 * the noise increment enters with the midpoint kernel weight
   ``exp(-alpha*dt/2)``;
 * ``lam`` accumulates quadratic-variation increments with unit weight,
@@ -20,9 +21,12 @@ Discretization choices (fixed, first order in the stochastic terms):
 
 from __future__ import annotations
 
+import math
+import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -68,39 +72,126 @@ class TimeGrid:
         return int(k_round)
 
 
-MuLike = Union[float, Callable[[np.ndarray], np.ndarray]]
+@dataclass(frozen=True)
+class ForwardCurve:
+    """Observed initial forward curve as interpolation knots.
+
+    Maturities must be strictly increasing and start at 0 (the first knot
+    defines the initial short rate).  Values between knots are linear; the
+    derivative is piecewise constant and right-continuous.  As the ``mu`` of
+    :class:`RateParams` it stands for the calibrated ``mu = alpha f + f'``.
+    """
+
+    maturities: np.ndarray
+    forwards: np.ndarray
+
+    def __post_init__(self):
+        mats = np.asarray(self.maturities, dtype=float)
+        fwds = np.asarray(self.forwards, dtype=float)
+        object.__setattr__(self, "maturities", mats)
+        object.__setattr__(self, "forwards", fwds)
+        if mats.ndim != 1 or mats.shape != fwds.shape:
+            raise ValidationError("maturities and forwards must be 1-D and aligned")
+        if mats.size < 2:
+            raise ValidationError("forward curve needs at least 2 knots")
+        if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(fwds))):
+            raise ValidationError("forward curve contains non-finite values")
+        if mats[0] != 0.0:
+            raise ValidationError("forward curve must start with a T=0 knot")
+        d = np.diff(mats)
+        if np.any(d == 0):
+            raise ValidationError("duplicate maturities in forward curve")
+        if np.any(d < 0):
+            raise ValidationError("maturities must be strictly increasing")
+        # exact running integral at the knots (trapezoid is exact here)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (fwds[1:] + fwds[:-1]) * d)])
+        object.__setattr__(self, "_cum_integral", cum)
+        with np.errstate(invalid="ignore"):
+            object.__setattr__(self, "_slopes", np.diff(fwds) / d)
+
+    @property
+    def t_last(self) -> float:
+        return float(self.maturities[-1])
+
+    def _check_range(self, t: np.ndarray) -> None:
+        if np.any(t < -1e-12) or np.any(t > self.t_last + 1e-12):
+            raise ValidationError(
+                f"evaluation outside curve range [0, {self.t_last}]"
+            )
+
+    def value(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        self._check_range(t)
+        return np.interp(t, self.maturities, self.forwards)
+
+    def derivative(self, t) -> np.ndarray:
+        """Right-continuous piecewise-constant slope (left slope at the
+        final maturity)."""
+        t = np.asarray(t, dtype=float)
+        self._check_range(t)
+        idx = np.searchsorted(self.maturities, t, side="right") - 1
+        idx = np.clip(idx, 0, self._slopes.size - 1)
+        return self._slopes[idx]
+
+    def integral(self, a: float, b: float) -> float:
+        """Exact ``int_a^b f`` for the piecewise-linear curve."""
+        if b < a:
+            raise ValidationError("integral needs a <= b")
+        self._check_range(np.asarray([a, b]))
+
+        def antideriv(t):
+            k = int(np.clip(np.searchsorted(self.maturities, t, side="right") - 1,
+                            0, self._slopes.size - 1))
+            t0 = self.maturities[k]
+            f0 = self.forwards[k]
+            s = self._slopes[k]
+            dt = t - t0
+            return self._cum_integral[k] + f0 * dt + 0.5 * s * dt * dt
+
+        return float(antideriv(b) - antideriv(a))
+
+    def excess_integral(self, t, maturity: float) -> np.ndarray:
+        """Exact ``int_t^T (f(s) - f(t)) ds`` at a time or a 1-D array of times, as
+        ``int_t^T f'(u) (T - u) du``: one term of one sign per knot segment, so no
+        two terms of the size of ``f (T - t)`` cancel."""
+        _check_interval(t, maturity)
+        self._check_range(maturity)
+        t = np.asarray(t, dtype=float)
+        lo = np.clip(self.maturities[:-1], t[..., None], maturity)
+        hi = np.clip(self.maturities[1:], t[..., None], maturity)
+        return np.sum(self._slopes * (hi - lo) * ((maturity - lo) + (maturity - hi)), axis=-1) / 2
 
 
 @dataclass(frozen=True)
 class RateParams:
     """Short-rate parameters: initial level, mean-reversion speed, and the
-    deterministic reversion-level function ``mu`` (constant or callable).
-
-    ``mu_breakpoints`` lists interior kinks of ``mu`` (calibrated drifts are
-    piecewise linear); quadratures split their panels there so the kinks do
-    not degrade accuracy."""
+    deterministic reversion level ``mu``: a finite real number, or a
+    :class:`ForwardCurve` ``f`` read as the calibrated ``mu = alpha f + f'``.
+    Every bond coefficient has a closed form for both (``bonds.a_robust``)."""
 
     r0: float
     alpha: float
-    mu: MuLike = 0.0
-    mu_breakpoints: tuple = ()
+    mu: Union[float, ForwardCurve] = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ValidationError("alpha must be finite and > 0")
         if not np.isfinite(self.r0):
             raise ValidationError("r0 must be finite")
-        if not (callable(self.mu) or np.isfinite(float(self.mu))):
-            raise ValidationError("mu must be finite")
+        if isinstance(self.mu, ForwardCurve):
+            return
+        real = isinstance(self.mu, numbers.Real) and not isinstance(self.mu, bool)
+        with suppress(OverflowError):  # an integer past the float range
+            if real and math.isfinite(self.mu):
+                object.__setattr__(self, "mu", float(self.mu))
+                return
+        raise ValidationError(f"mu must be finite: a real number or a ForwardCurve, got {self.mu!r}")
 
     def mu_at(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if not callable(self.mu):
-            return np.full(s.shape, float(self.mu))
-        out = np.asarray(self.mu(s), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValidationError("mu returned a non-finite value")
-        return np.broadcast_to(out, s.shape).copy() if out.shape != s.shape else out
+        if isinstance(self.mu, ForwardCurve):
+            return self.alpha * self.mu.value(s) + self.mu.derivative(s)
+        return np.full(s.shape, self.mu)
 
 
 @dataclass

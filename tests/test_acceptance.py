@@ -17,8 +17,8 @@ from robustrates import (
     McConfig,
     RateParams,
     VolBand,
-    a_fitted,
     a_robust,
+    b_factor,
     bang_bang,
     calibrate,
     default_scenario_family,
@@ -178,12 +178,17 @@ def test_criterion_5_calibration_round_trip():
 
     model = calibrate(curves["humped"], alpha=1.0)
     params = model.rate_params()
+    humped = curves["humped"]
+
+    def a_fit(t, T):  # the fitted intercept -int_t^T f + f(t) B(t,T), as the textbook writes it
+        return -humped.integral(t, T) + float(humped.value(t)) * b_factor(1.0, t, T)
+
     worst_a = max(
-        abs(a_fitted(model, float(t), float(T)) - a_robust(params, float(t), float(T)))
+        abs(a_fit(float(t), float(T)) - a_robust(params, float(t), float(T)))
         for t in np.linspace(0.0, 4.5, 10)
         for T in np.linspace(5.0, 9.5, 10)
     )
-    ok &= worst_a <= 1e-8
+    ok &= worst_a <= 1e-14
 
     # degenerate band: simulated fitted prices at t=0.5 match the fitted
     # classical model, i.e. the discounted expectation returns the curve price
@@ -197,7 +202,7 @@ def test_criterion_5_calibration_round_trip():
     ok &= dev <= 3 * row.se
 
     detail = (
-        f"roundtrip max {worst_round:.1e} <= 1e-10, |a_fit - a_quad| max {worst_a:.1e} <= 1e-8, "
+        f"roundtrip max {worst_round:.1e} <= 1e-10, |a_fit - a_robust| max {worst_a:.1e} <= 1e-14, "
         f"t=0.5 fitted price dev {dev:.2e} <= 3se={3*row.se:.2e}"
     )
     _report("5 calibration round trip", ok, detail, time.perf_counter() - t0, 60.0)

@@ -1,13 +1,17 @@
 import io
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 
 from robustrates import (
     AdaptedFeedback,
@@ -25,7 +29,6 @@ from robustrates import (
     b_factor,
     bang_bang,
     calibrate,
-    discount_factor,
     estimate_sublinear,
     ingest_forward_curve,
     martingale_check,
@@ -38,11 +41,10 @@ import robustrates.bonds
 import robustrates.paths
 from robustrates.bonds import (
     CheckpointStat,
-    _b_squared_integral,
+    _b_integrals,
     _ensure_extremes,
     _log_price,
     _ols_with_se,
-    _simpson_segmented,
 )
 from robustrates.mc import (
     CHUNK_PATHS,
@@ -69,6 +71,16 @@ CF_GAP = 3.1121719340557623e-05               # band [0.005, 0.02] closed-form s
 CF_UPPER = 0.98747036485714169
 CF_LOWER = 0.98743924313780113
 CF_GAP_WIDE = 7.2618870949810722e-05          # band widened to [0.005, 0.03]
+
+# a calibrated curve with kinks at 1, 3 and 5, so its mu = alpha f + f' jumps there
+KINKED_CURVE = ingest_forward_curve(io.StringIO("T,f\n0,0.02\n1,0.025\n3,0.03\n5,0.028\n10,0.03\n"))
+KINKED = calibrate(KINKED_CURVE, 1.0).rate_params()
+KINKED_07 = calibrate(KINKED_CURVE, 0.7).rate_params()  # the time-varying drift of the bitwise tests
+
+
+def _discount(bundle):
+    """Terminal pathwise discount ``exp(-int_0^T r ds)``."""
+    return 1.0 / bundle.d[:, -1]
 
 
 def _chunk_bundles(spec, band, cfg, params, dynamics):
@@ -142,11 +154,10 @@ class TestIntercepts:
         assert a_robust(params, 0.0, 1.0) == pytest.approx(-0.0073575888234288464, rel=1e-12)
 
     def test_a_robust_against_adaptive_quadrature(self):
-        params = RateParams(r0=0.0, alpha=2.0, mu=lambda s: 0.01 * np.cos(2.0 * s))
-        ref, _ = quad(lambda s: 0.01 * np.cos(2 * s) * (1 - np.exp(-2 * (3.0 - s))) / 2.0, 0.5, 3.0)
-        assert a_robust(params, 0.5, 3.0) == pytest.approx(-ref, abs=5e-11)
-        f = lambda s: params.mu_at(s) * b_factor(params.alpha, s, 3.0)
-        assert -_simpson_segmented(f, 0.5, 3.0, (), 512) == pytest.approx(-ref, abs=1e-13)
+        # -int mu B across the kink of mu at 1, quadrature split there
+        f = lambda s: KINKED.mu_at(s) * b_factor(KINKED.alpha, s, 3.0)
+        ref, _ = quad(f, 0.5, 3.0, points=[1.0], epsabs=0.0, epsrel=1e-13)
+        assert a_robust(KINKED, 0.5, 3.0) == pytest.approx(-ref, rel=1e-14)
 
     def test_a_classical_reduces_at_zero_sigma(self):
         params = RateParams(r0=0.02, alpha=1.0, mu=0.017)
@@ -170,52 +181,96 @@ class TestIntercepts:
             a_classical(PARAMS, -0.1, 0.0, 1.0)
 
 
-def _loop_simpson(f, t, maturity, breaks, panels=64):
-    """The per-time segment loop that built ``A(t,T)`` before the quadrature
-    took arrays, kept as the reference for the batched rows."""
-    cuts = sorted({t, maturity} | {float(c) for c in breaks if t < c < maturity})
-    out = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        s = np.linspace(a, b, 2 * max(8, int(np.ceil(panels * (b - a) / (maturity - t)))) + 1)
-        s_eval = s.copy()
-        s_eval[0], s_eval[-1] = np.nextafter(a, b), np.nextafter(b, a)
-        out += float(simpson(f(s_eval), x=s))
-    return out
+def _decimal_closed_forms(alpha, t, maturity):
+    """``int_t^T B``, ``V(t,T)``, ``A(t,T)`` for ``mu = 0.03`` and ``A(t,T)`` for the
+    kinked curve, in ``decimal`` arithmetic from the textbook forms ``(tau - B) / alpha``,
+    ``(tau - B) / alpha^2 - B^2 / (2 alpha)``, ``-mu int B`` and ``-int_t^T f + f(t) B``.
+    The 100-digit working precision keeps more than 40 digits through the cancellation
+    of ``tau - B`` at ``alpha tau = 1e-18``."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        a, t, T = Decimal(alpha), Decimal(t), Decimal(maturity)
+        b = (1 - (-a * (T - t)).exp()) / a
+        int_b = (T - t - b) / a
+        v = int_b / a - b * b / (2 * a)
+        knots = [(Decimal(m), Decimal(f))
+                 for m, f in zip(KINKED_CURVE.maturities, KINKED_CURVE.forwards)]
+
+        def f(s):  # the curve's linear interpolation at s
+            (m0, f0), (m1, f1) = next(
+                seg for seg in zip(knots, knots[1:]) if seg[0][0] <= s <= seg[1][0])
+            return f0 + (f1 - f0) * (s - m0) / (m1 - m0)
+
+        integral = sum(
+            ((hi - lo) * (f(lo) + f(hi)) / 2 for (m0, _), (m1, _) in zip(knots, knots[1:])
+             for lo, hi in [(max(m0, t), min(m1, T))] if lo < hi),
+            Decimal(0),
+        )
+        return int_b, v, -Decimal("0.03") * int_b, -integral + f(t) * b
 
 
-# a calibrated curve with kinks at 1, 3 and 5, so its mu has breakpoints there
-KINKED = calibrate(
-    ingest_forward_curve(io.StringIO("T,f\n0,0.02\n1,0.025\n3,0.03\n5,0.028\n10,0.03\n")), 1.0
-).rate_params()
+def _times_up_to(maturity):
+    """Times ``t <= T`` with ``T - t`` from 0 to 10, the kinks at 1 and 3 among them."""
+    taus = (0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 1.0, 2.5, 9.999, 10.0)
+    kinks = {t for t in (0.0, 1.0, 3.0) if t <= maturity}
+    return sorted({maturity - tau for tau in taus if tau <= maturity} | kinks)
 
 
-class TestBatchedQuadrature:
-    """Integrating a vector of times in one batched call must equal the
-    scalar calls, and the old per-time loop, by ``==``."""
+class TestClosedForms:
+    """``A(t,T)`` and ``V(t,T) = int B^2`` are closed forms: exact to rounding for both
+    drift forms, over six decades of ``alpha``, and a vector call is the scalar calls."""
 
-    @pytest.mark.parametrize("params", [
-        RateParams(r0=0.02, alpha=1.0, mu=0.03),
-        RateParams(r0=0.02, alpha=0.7, mu=lambda s: 0.01 + 0.02 * np.sin(s)),
-        KINKED,
-    ], ids=["constant", "callable", "kinked"])
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.0])
+    def test_match_decimal_closed_forms(self, alpha):
+        const = RateParams(r0=0.02, alpha=alpha, mu=0.03)
+        kinked = calibrate(KINKED_CURVE, alpha).rate_params()
+        for maturity in (0.3, 1.0, 2.5, 5.0, 7.3, 10.0):
+            for t in _times_up_to(maturity):
+                int_b, v = _b_integrals(alpha, t, maturity)
+                got = (int_b, v, a_robust(const, t, maturity), a_robust(kinked, t, maturity))
+                for name, g, e in zip(("int B", "V", "A const", "A kinked"), got,
+                                      _decimal_closed_forms(alpha, t, maturity)):
+                    assert abs(Decimal(g) - e) <= Decimal("1e-14") * abs(e) + Decimal("1e-16"), (
+                        name, t, maturity, g, e)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1.0, 5.0])
+    @pytest.mark.parametrize("maturity", [0.0, 1.0, 3.0, 7.3])
+    def test_zero_at_maturity(self, alpha, maturity):
+        assert _b_integrals(alpha, maturity, maturity) == (0.0, 0.0)
+        kinked = calibrate(KINKED_CURVE, alpha).rate_params()
+        for params in (RateParams(r0=0.02, alpha=alpha, mu=0.03), kinked):
+            assert a_robust(params, maturity, maturity) == 0.0
+            assert a_classical(params, 0.02, maturity, maturity) == 0.0
+
+    @pytest.mark.parametrize("params", [RateParams(r0=0.02, alpha=1.0, mu=0.03), KINKED,
+                                        calibrate(KINKED_CURVE, 1e-9).rate_params()],
+                             ids=["constant", "kinked", "kinked-tiny-alpha"])
     @pytest.mark.parametrize("n_steps", [1, 7, 512])
     def test_array_equals_scalar(self, params, n_steps):
         maturity = 5.0
-        # the grid, then on, one ulp either side of and near each breakpoint, and t = T
+        # the grid, then on, one ulp either side of and near each kink, and t = T
         near = [x for c in (1.0, 3.0) for x in (c, np.nextafter(c, 0), np.nextafter(c, 9), c + 1e-3)]
         times = np.concatenate([np.linspace(0.0, maturity, n_steps + 1), near, [maturity]])
-        integrands = {
-            a_robust: lambda s: -params.mu_at(s) * b_factor(params.alpha, s, maturity),
-            _b_squared_integral: lambda s: b_factor(params.alpha, s, maturity) ** 2,
+        columns = {
+            "A": lambda t: a_robust(params, t, maturity),
+            "int B": lambda t: _b_integrals(params.alpha, t, maturity)[0],
+            "V": lambda t: _b_integrals(params.alpha, t, maturity)[1],
         }
-        for fn, f in integrands.items():
-            scalar = [fn(params, float(t), maturity) for t in times]
-            assert all(type(v) is float for v in scalar)
-            assert scalar == [_loop_simpson(f, float(t), maturity, params.mu_breakpoints) for t in times]
-            assert fn(params, times, maturity).tolist() == scalar
+        for name, fn in columns.items():
+            scalar = [fn(float(t)) for t in times]
+            assert all(type(v) is float for v in scalar), name
+            assert fn(times).tolist() == scalar, name
             strided = np.repeat(times, 2)[::2]
             assert not strided.flags.c_contiguous
-            assert fn(params, strided, maturity).tolist() == scalar
+            assert fn(strided).tolist() == scalar, name
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(robustrates.bonds.__file__).resolve().parents[1])
+    code = "import sys, robustrates; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 class TestPrices:
@@ -316,7 +371,7 @@ class TestNoArbGapStreaming:
     def reference(params, maturity, family, cfg):
         cfg = replace(cfg, horizon=maturity)
         ids, values = _reference_values(
-            discount_factor, BAND, _ensure_extremes(BAND, family), cfg, params
+            _discount, BAND, _ensure_extremes(BAND, family), cfg, params
         )
         est = _sublinear(ids, values)
         up, lo = ids.index(est.argmax_scenario), ids.index(est.argmin_scenario)
@@ -330,16 +385,16 @@ class TestNoArbGapStreaming:
         antithetic=st.booleans(),
         size=st.sampled_from(["two", "below", "above"]),
         n_steps=st.integers(1, 6),
-        callable_mu=st.booleans(),
+        kinked_mu=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bitwise_equal_to_bundle_values(
-        self, family, n_dup, antithetic, size, n_steps, callable_mu, seed
+        self, family, n_dup, antithetic, size, n_steps, kinked_mu, seed
     ):
         family = family + family[:n_dup]  # duplicates get deduplicated ids
         delta = 2 if antithetic else 1
         n_paths = {"two": 2, "below": CHUNK_PATHS - delta, "above": CHUNK_PATHS + delta}[size]
-        params = RateParams(r0=0.02, alpha=0.7, mu=(lambda s: 0.01 + 0.02 * s) if callable_mu else 0.03)
+        params = KINKED_07 if kinked_mu else RateParams(r0=0.02, alpha=0.7, mu=0.03)
         cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=seed, antithetic=antithetic)
         rep = noarb_gap(params, BAND, 1.5, family, cfg)
         per_scenario, gap_se = self.reference(params, 1.5, family, cfg)
@@ -400,7 +455,7 @@ def _every_field(bundle):
     path so a different layout or summation order shows."""
     x = bundle.b[:, -1] ** 2 + bundle.qv[:, -1] + bundle.sigma.sum(axis=1)
     if bundle.r is not None:
-        x = x + bundle.r.sum(axis=1) + bundle.lam[:, -1] + discount_factor(bundle)
+        x = x + bundle.r.sum(axis=1) + bundle.lam[:, -1] + _discount(bundle)
     return x
 
 
@@ -417,7 +472,7 @@ class TestFunctionalStreaming:
         n_dup=st.integers(0, 2),
         antithetic=st.booleans(),
         above=st.booleans(),
-        rate=st.sampled_from([None, "constant", "callable"]),
+        rate=st.sampled_from([None, "constant", "kinked"]),
         dynamics=st.sampled_from(["original", "shifted"]),
         n_steps=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
@@ -428,8 +483,7 @@ class TestFunctionalStreaming:
         family = family + family[:n_dup]  # duplicates get deduplicated ids
         if AdaptedFeedback("reads_rate") in family:
             rate = rate or "constant"  # a rule that reads r needs the rate
-        mu = (lambda s: 0.01 + 0.02 * s) if rate == "callable" else 0.03
-        params = RateParams(r0=0.02, alpha=0.7, mu=mu) if rate else None
+        params = {None: None, "constant": RateParams(r0=0.02, alpha=0.7, mu=0.03), "kinked": KINKED_07}[rate]
         n_paths = CHUNK_PATHS + 2 if above else 2
         cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.3, base_seed=seed,
                        antithetic=antithetic)
@@ -609,8 +663,7 @@ class TestMartingaleStreaming:
     @pytest.mark.parametrize("dynamics", ["shifted", "original"])
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_bitwise_equal_to_bundle_reports(self, dynamics, antithetic):
-        params = RateParams(r0=0.02, alpha=0.7, mu=lambda s: np.where(s < 0.4, 0.01, 0.03),
-                            mu_breakpoints=(0.4,))
+        params = KINKED_07
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=11,
                        antithetic=antithetic)
         assert sum(not s.is_adaptive for s in self.FAMILY) > robustrates.paths._TABLES_PER_PASS

@@ -10,10 +10,10 @@ from robustrates import (
     TimeGrid,
     ValidationError,
     VolBand,
-    a_fitted,
     a_robust,
+    b_factor,
     calibrate,
-    fitted_price,
+    price_robust,
     ingest_forward_curve,
     initial_curve_roundtrip,
     lambda_path,
@@ -110,6 +110,17 @@ class TestCurve:
         ref_ab = self._trapz(np.interp(sab, HUMPED.maturities, HUMPED.forwards), sab)
         assert HUMPED.integral(a, b) == pytest.approx(ref_ab, rel=1e-13)
 
+    def test_excess_integral_is_the_integral_less_the_left_value(self):
+        times = np.array([0.0, 0.7, 1.0, 2.0, 4.999, 6.3])
+        got = HUMPED.excess_integral(times, 6.3)
+        for t, g in zip(times.tolist(), got.tolist()):
+            want = HUMPED.integral(t, 6.3) - float(HUMPED.value(t)) * (6.3 - t)
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-17)
+            assert HUMPED.excess_integral(t, 6.3) == g
+        assert got[-1] == 0.0
+        with pytest.raises(ValidationError, match="outside curve range"):
+            HUMPED.excess_integral(0.0, 10.5)
+
 
 class TestCalibrate:
     def test_flat_zero_curve(self):
@@ -139,28 +150,37 @@ class TestCalibrate:
     def test_r0_pinned_to_curve(self):
         assert calibrate(HUMPED, alpha=2.0).r0 == 0.010
 
+    def test_rate_params_carry_the_curve(self):
+        params = calibrate(HUMPED, alpha=2.0).rate_params()
+        assert (params.r0, params.alpha) == (0.010, 2.0)
+        assert params.mu is HUMPED
+
 
 class TestFittedIntercept:
+    """``a_robust`` on the calibrated parameters is the fitted intercept
+    ``-int_t^T f + f(t) B(t,T)``."""
+
     def test_zero_at_maturity(self):
-        model = calibrate(HUMPED, alpha=1.0)
-        assert a_fitted(model, 3.0, 3.0) == 0.0
+        params = calibrate(HUMPED, alpha=1.0).rate_params()
+        assert a_robust(params, 3.0, 3.0) == 0.0
 
     def test_flat_curve_hand_value(self):
-        model = calibrate(FLAT, alpha=1.0)
+        params = calibrate(FLAT, alpha=1.0).rate_params()
         # -c + c B(0,1), oracle -0.0073575888234288464
-        assert a_fitted(model, 0.0, 1.0) == pytest.approx(-0.0073575888234288464, rel=1e-13)
+        assert a_robust(params, 0.0, 1.0) == pytest.approx(-0.0073575888234288464, rel=1e-13)
 
-    def test_matches_quadrature_of_calibrated_mu(self):
-        model = calibrate(HUMPED, alpha=1.0)
-        params = model.rate_params()
+    def test_matches_textbook_form(self):
+        params = calibrate(HUMPED, alpha=1.0).rate_params()
         for t in np.linspace(0.0, 4.5, 10):
             for T in np.linspace(5.0, 9.5, 10):
-                assert abs(a_fitted(model, float(t), float(T)) - a_robust(params, float(t), float(T))) <= 1e-8
+                t, T = float(t), float(T)
+                a_fit = -HUMPED.integral(t, T) + float(HUMPED.value(t)) * b_factor(1.0, t, T)
+                assert abs(a_fit - a_robust(params, t, T)) <= 1e-15
 
     def test_range_validated(self):
-        model = calibrate(HUMPED, alpha=1.0)
-        with pytest.raises(ValidationError):
-            a_fitted(model, 0.0, 10.5)
+        params = calibrate(HUMPED, alpha=1.0).rate_params()
+        with pytest.raises(ValidationError, match="outside curve range"):
+            a_robust(params, 0.0, 10.5)
 
 
 class TestRoundTrip:
@@ -217,10 +237,10 @@ class TestComposedDrift:
         np.testing.assert_allclose(r, bundle.r, atol=1e-15)
 
 
-def test_fitted_price_negative_lambda_rejected():
-    model = calibrate(FLAT, alpha=1.0)
+def test_calibrated_price_negative_lambda_rejected():
+    params = calibrate(FLAT, alpha=1.0).rate_params()
     with pytest.raises(ValidationError):
-        fitted_price(model, 0.0, 1.0, 0.02, -0.1)
+        price_robust(params, 0.0, 1.0, 0.02, -0.1)
 
 
 def test_curve_validation_direct_construction():

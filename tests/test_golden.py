@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,20 @@ def test_martingale_within_reorder_tolerance(golden):
             assert abs(icpt - wicpt) <= 1e-4 * wicpt_se
             assert slope_se == pytest.approx(wslope_se, rel=1e-4)
             assert icpt_se == pytest.approx(wicpt_se, rel=1e-4)
+
+
+def test_martingale_reference_is_the_exact_time_0_price(golden):
+    """Every row's reference is ``p0 = exp(A(0,1) - B(0,1) r0)`` within 1 ulp of its
+    40-digit value, ``A = -mu (1 - B)`` for ``alpha = 1``."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        b = 1 - Decimal(-1).exp()
+        exact = (-Decimal(PARAMS.mu) * (1 - b) - b * Decimal(PARAMS.r0)).exp()
+    refs = {row[3] for reports in golden["martingale"].values()
+            for rep in reports for row in rep["checkpoints"]}
+    assert len(refs) == 1
+    ref = refs.pop()
+    assert abs(Decimal(ref) - exact) <= Decimal(math.ulp(ref))
 
 
 if __name__ == "__main__":

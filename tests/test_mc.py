@@ -11,7 +11,6 @@ from robustrates import (
     ValidationError,
     VolBand,
     default_scenario_family,
-    discount_factor,
     estimate_sublinear,
     price_classical_hw,
 )
@@ -81,7 +80,8 @@ def test_discounted_bond_upper_matches_classical_price():
     constant-volatility closed form."""
     params = RateParams(r0=0.02, alpha=1.0, mu=0.0)
     cfg = McConfig(n_paths=40_000, n_steps=128, horizon=1.0, base_seed=7, antithetic=True)
-    est = estimate_sublinear(discount_factor, BAND, FAMILY, cfg, params=params, dynamics="original")
+    discount = lambda bundle: 1.0 / bundle.d[:, -1]  # exp(-int_0^T r ds) per path
+    est = estimate_sublinear(discount, BAND, FAMILY, cfg, params=params, dynamics="original")
     target = price_classical_hw(params, BAND.sigma_hi, 0.0, 1.0, 0.02)
     assert est.argmax_scenario == "const[0.02]"
     assert abs(est.upper - target) <= 3 * est.upper_se

@@ -1,14 +1,16 @@
+import io
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid
 
 import robustrates.paths
 from robustrates import (
     AdaptedFeedback,
     Constant,
+    ForwardCurve,
     McConfig,
     PiecewiseConstant,
     RandomSwitching,
@@ -18,9 +20,10 @@ from robustrates import (
     VolBand,
     b_factor,
     bang_bang,
+    calibrate,
+    ingest_forward_curve,
     lambda_path,
     money_market,
-    price_robust,
     register_feedback_rule,
     simulate_bundle,
 )
@@ -36,6 +39,11 @@ LAMBDA_1_SIGMA_02 = 0.017293294335267746  # sigma^2 (1 - e^-2) / 2 at sigma=0.2,
 MEAN_R1 = 0.0073575888234288464           # e^-1 * 0.02
 VAR_R1_SIGMA_001 = 4.3233235838169365e-05  # sigma^2 (1 - e^-2) / 2 at sigma=0.01
 SHIFT_MEAN_SIGMA_001 = 1.9978820044686402e-05  # int_0^1 e^{-(1-s)} lam(s) ds
+
+# a calibrated curve with kinks at 1, 3 and 5: a time-varying drift mu = alpha f + f'
+# that jumps at each kink
+KINKED_CURVE = ingest_forward_curve(io.StringIO("T,f\n0,0.02\n1,0.025\n3,0.03\n5,0.028\n10,0.03\n"))
+KINKED_07 = calibrate(KINKED_CURVE, 0.7).rate_params()
 
 
 def _chunk_bundles(spec, band, cfg, params, dynamics):
@@ -197,7 +205,7 @@ class TestStepperAgainstColumnLoop:
             st.sampled_from(["driver_sign", "qv_chase", "rate_threshold"]).map(AdaptedFeedback),
         ),
         with_rate=st.booleans(),
-        callable_mu=st.booleans(),
+        kinked_mu=st.booleans(),
         dynamics=st.sampled_from(["original", "shifted"]),
         antithetic=st.booleans(),
         n_pairs=st.integers(1, 5),
@@ -205,12 +213,12 @@ class TestStepperAgainstColumnLoop:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bundle_bitwise_equal(
-        self, scenario, with_rate, callable_mu, dynamics, antithetic, n_pairs, n_steps, seed
+        self, scenario, with_rate, kinked_mu, dynamics, antithetic, n_pairs, n_steps, seed
     ):
         # a rule that reads r needs the rate, and without it the dynamics play no part
         with_rate = with_rate or scenario == AdaptedFeedback("rate_threshold")
-        mu = (lambda s: 0.01 + 0.02 * s) if callable_mu else 0.03
-        params = RateParams(r0=0.02, alpha=0.7, mu=mu) if with_rate else None
+        params = KINKED_07 if kinked_mu else RateParams(r0=0.02, alpha=0.7, mu=0.03)
+        params = params if with_rate else None
         grid = TimeGrid(1.3, n_steps)
         n_paths = 2 * n_pairs
         bundle = simulate_bundle(
@@ -264,8 +272,7 @@ class TestLeanStep:
     over long grids, where any change in the order of additions would show, every
     array still equals the column loop's, byte for byte."""
 
-    PARAMS = RateParams(r0=0.02, alpha=0.7, mu=lambda s: np.where(s < 0.4, 0.01, 0.03),
-                        mu_breakpoints=(0.4,))
+    PARAMS = KINKED_07
 
     @pytest.mark.parametrize("antithetic, n_paths", [(True, 6), (False, 6), (False, 5)])
     def test_deterministic_shifted_pass_over_2048_steps(self, antithetic, n_paths):
@@ -360,13 +367,13 @@ class TestShortRate:
         exact = np.exp(-1.3 * t) * 0.02 + 0.015 / 1.3 * (1 - np.exp(-1.3 * t))
         np.testing.assert_allclose(r, exact, atol=1e-12)
 
-    def test_deterministic_reduction_smooth_mu_refines(self):
-        params = RateParams(r0=0.01, alpha=2.0, mu=lambda s: 0.02 * np.sin(3.0 * s))
-        exact, _ = quad(lambda s: np.exp(-2.0 * (1.0 - s)) * 0.02 * np.sin(3.0 * s), 0.0, 1.0)
-        exact += np.exp(-2.0) * 0.01
+    def test_deterministic_reduction_kinked_mu_refines(self):
+        # with r0 = f(0) and mu = alpha f + f', the noiseless rate is the curve itself
+        params = calibrate(KINKED_CURVE, 2.0).rate_params()
+        exact = float(KINKED_CURVE.value(2.0))
         errs = []
-        for n in (8, 16):
-            r = zero_noise_rate(params, TimeGrid(1.0, n))
+        for n in (8, 16):  # the kink at 1 is a grid time
+            r = zero_noise_rate(params, TimeGrid(2.0, n))
             errs.append(abs(r[-1] - exact))
         # scheme converges at least first order on deterministic fixtures
         assert errs[1] <= 0.6 * errs[0]
@@ -520,8 +527,29 @@ class TestGridValidation:
         for mu in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValidationError, match="mu must be finite"):
                 RateParams(r0=0.02, alpha=1.0, mu=mu)
-        nan_mu = RateParams(r0=0.02, alpha=1.0, mu=lambda s: np.where(s < 0.5, 0.01, np.nan))
-        with pytest.raises(ValidationError, match="non-finite"):
-            nan_mu.mu_at([0.25, 0.75])
-        with pytest.raises(ValidationError, match="non-finite"):
-            price_robust(nan_mu, 0.0, 1.0, 0.02, 0.0)
+
+
+@pytest.mark.parametrize("mu", [lambda s: 0.01 + 0.02 * s, None, np.array([0.01, 0.03]), True,
+                                np.array(0.03), "0.03", 10**400],
+                         ids=["callable", "None", "array", "bool", "0-d array", "str", "huge int"])
+def test_mu_must_be_a_finite_real_or_a_curve(mu):
+    message = r"^mu must be finite: a real number or a ForwardCurve, got "
+    with pytest.raises(ValidationError, match=message):
+        RateParams(r0=0.02, alpha=1.0, mu=mu)
+
+
+@pytest.mark.parametrize("mu", [1, np.float32(0.5), np.int64(-2), 0.03])
+def test_real_mu_is_kept_as_a_float(mu):
+    params = RateParams(r0=0.02, alpha=1.0, mu=mu)
+    assert type(params.mu) is float and params.mu == float(mu)
+    assert params.mu_at(np.array([0.0, 0.5])).tolist() == [float(mu)] * 2
+
+
+def test_curve_mu_is_alpha_f_plus_its_slope():
+    curve = ForwardCurve(np.array([0.0, 1.0, 3.0]), np.array([0.02, 0.025, 0.03]))
+    params = RateParams(r0=0.02, alpha=0.7, mu=curve)
+    assert params.mu is curve
+    s = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    slopes = np.array([0.005, 0.005, 0.0025, 0.0025, 0.0025])  # right slopes, the left at the end
+    expected = 0.7 * np.interp(s, curve.maturities, curve.forwards) + slopes
+    np.testing.assert_allclose(params.mu_at(s), expected, rtol=1e-15)
