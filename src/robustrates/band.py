@@ -11,7 +11,8 @@ parameterized by this band.  ``_g_in_place`` is the one evaluation of
 the generator.  It takes the two halved variances from
 ``_g_coefficients`` rather than the band, so a caller that evaluates it
 many times forms them once: ``g_value`` runs it on a copy of its input,
-and the PDE sweep of ``gheat`` runs it on its own buffer once per level.
+and the PDE sweep of ``gheat`` runs it on its own buffer once per level,
+on the halved variances pre-scaled by ``dt / dx^2``.
 """
 
 from __future__ import annotations
@@ -72,11 +73,14 @@ def g_value(band: VolBand, a):
     return out
 
 
-def _g_coefficients(band: VolBand) -> tuple[np.ndarray, np.ndarray]:
-    """The generator's halved variances ``(sigma_hi^2/2, sigma_lo^2/2)`` as
-    0-d float64 arrays, the same bits as the Python floats; a ufunc takes
-    them without converting a scalar on every call."""
-    return np.array(0.5 * band.sigma_hi**2), np.array(0.5 * band.sigma_lo**2)
+def _g_coefficients(band: VolBand, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's halved variances times ``scale``,
+    ``(sigma_hi^2/2 * scale, sigma_lo^2/2 * scale)``, as 0-d float64 arrays,
+    the same bits as the Python floats; a ufunc takes them without
+    converting a scalar on every call.  ``g`` is positively homogeneous, so
+    for ``scale > 0`` the scaled pair evaluates ``scale * g``; the default
+    scale 1 leaves the halved variances' bits as they are."""
+    return np.array(0.5 * band.sigma_hi**2 * scale), np.array(0.5 * band.sigma_lo**2 * scale)
 
 
 def _g_in_place(

@@ -7,6 +7,10 @@ the classical explicit stencil with a bang-bang diffusion coefficient:
 where it is negative.  Under the stability bound
 ``sigma_hi^2 * dt / dx^2 <= 1`` the scheme is monotone, which is what makes
 it converge to the (viscosity) solution of this fully nonlinear equation.
+Grids built here take the fewest levels with that ratio at most ``_CFL``
+= 0.9, not 1: at 1 the top-variance branch puts no weight on the centre
+node, and the sawtooth mode's amplification factor ``1 - 2 * ratio`` is
+-1, so it is never damped; at 0.9 it is -0.8.
 
 ``u(t, 0)`` computed here is the exact upper expectation of ``phi`` of the
 driver at time ``t``, so this module is the deterministic cross-check for
@@ -17,10 +21,12 @@ nodes (payoffs of at most linear growth), so edge values stay frozen; the
 auto-sized grids keep the boundary several diffusion widths away from the
 evaluation point.
 
-The sweep does nothing per level but nine ufunc calls: the stencil and the
-generator run in place in two buffers, on constants (``2``, ``1/dx^2``,
-``dt`` and the generator's two halved variances) formed once per call as
-0-d arrays with the same bits as the Python floats.  Levels run in
+The sweep does nothing per level but seven ufunc calls: three for the
+bare second difference ``d2``, three for the generator, one add.  ``g`` is
+positively homogeneous, so ``dt * g(d2 / dx^2)`` is the generator on its
+halved variances times ``dt / dx^2``, applied to ``d2``.  Both run in place
+in two buffers, on constants (``2`` and that scaled pair) formed once per
+call as 0-d arrays with the same bits as the Python floats.  Levels run in
 blocks up to the next event: a level to store, a NaN check, or the last
 level.  The sweep checks for NaN once every ``_NAN_CHECK_EVERY`` levels
 and at the last one.  A NaN that reaches an interior node never leaves,
@@ -40,7 +46,7 @@ from .band import VolBand, _g_coefficients, _g_in_place
 from .errors import NumericalError, ValidationError, _is_int
 
 #: stability margin of every grid built here: ``sigma_hi^2 dt / dx^2 <= _CFL``
-_CFL = 0.5
+_CFL = 0.9
 #: levels between NaN checks of the sweep (see :func:`solve_gheat`)
 _NAN_CHECK_EVERY = 256
 
@@ -144,11 +150,12 @@ def solve_gheat(
     final levels.
 
     The levels between two events (a level to store, a NaN check, the last
-    level) run as bare ufunc calls on constants formed once per call (see
-    the module docstring).  A NaN persists once made, so it is looked for
-    only every ``_NAN_CHECK_EVERY`` levels and at the last one.  A check
-    that finds one restores the last clean level and replays the block one
-    level at a time; the replay gives the same bits, so the
+    level) run as bare ufunc calls on constants formed once per call: the
+    generator's halved variances times ``dt / dx^2`` act on the bare second
+    difference (see the module docstring).  A NaN persists once made, so it
+    is looked for only every ``_NAN_CHECK_EVERY`` levels and at the last
+    one.  A check that finds one restores the last clean level and replays
+    the block one level at a time; the replay gives the same bits, so the
     :class:`NumericalError` names the first NaN level and node whatever the
     interval.
     """
@@ -168,10 +175,10 @@ def solve_gheat(
     if store_every is not None and not (_is_int(store_every) and store_every >= 1):
         raise ValidationError(f"store_every must be an integer >= 1, got {store_every!r}")
     nt, dt = grid.nt, grid.dt
-    # (u[2:] - 2.0*u[1:-1] + u[:-2]) * inv_dx2, then u[1:-1] += dt * g, with
-    # the same operations in the same order, on 0-d copies of the constants
-    two, inv_dx2, dt_0d = np.array(2.0), np.array(1.0 / grid.dx**2), np.array(dt)
-    coefficients = _g_coefficients(band)
+    # d2 = u[2:] - 2.0*u[1:-1] + u[:-2], then u[1:-1] += g_r(d2) with g_r the
+    # generator on its halved variances times r = dt / dx^2, with the same
+    # operations in the same order, on 0-d copies of the constants
+    two, coefficients = np.array(2.0), _g_coefficients(band, dt / grid.dx**2)
     multiply, subtract, add = np.multiply, np.subtract, np.add
 
     stored = [u.copy()]
@@ -189,10 +196,8 @@ def solve_gheat(
             multiply(mid, two, d2)
             subtract(right, d2, d2)
             add(d2, left, d2)
-            multiply(d2, inv_dx2, d2)
             # generator evaluated pointwise: worst-case variance for the sign of d2
-            multiply(_g_in_place(d2, scratch, coefficients), dt_0d, d2)
-            add(mid, d2, mid)
+            add(mid, _g_in_place(d2, scratch, coefficients), mid)
         n = stop
         if (store_every is not None and n % store_every == 0) or n == nt:
             stored.append(u.copy())

@@ -72,7 +72,7 @@ class TimeGrid:
         return int(k_round)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardCurve:
     """Observed initial forward curve as interpolation knots.
 
@@ -80,14 +80,17 @@ class ForwardCurve:
     defines the initial short rate).  Values between knots are linear; the
     derivative is piecewise constant and right-continuous.  As the ``mu`` of
     :class:`RateParams` it stands for the calibrated ``mu = alpha f + f'``.
+    Two curves are equal when their knots are, and hash alike; the knots are
+    held as read-only copies, so neither can change under a hash.
     """
 
     maturities: np.ndarray
     forwards: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.maturities, dtype=float)
-        fwds = np.asarray(self.forwards, dtype=float)
+        mats = np.array(self.maturities, dtype=float)
+        fwds = np.array(self.forwards, dtype=float)
+        mats.flags.writeable = fwds.flags.writeable = False
         object.__setattr__(self, "maturities", mats)
         object.__setattr__(self, "forwards", fwds)
         if mats.ndim != 1 or mats.shape != fwds.shape:
@@ -108,6 +111,17 @@ class ForwardCurve:
         object.__setattr__(self, "_cum_integral", cum)
         with np.errstate(invalid="ignore"):
             object.__setattr__(self, "_slopes", np.diff(fwds) / d)
+
+    def __eq__(self, other):
+        if not isinstance(other, ForwardCurve):
+            return NotImplemented
+        return np.array_equal(self.maturities, other.maturities) and np.array_equal(
+            self.forwards, other.forwards
+        )
+
+    def __hash__(self):
+        # tuples of Python floats, so -0.0 and 0.0 (equal knots) hash alike
+        return hash((tuple(self.maturities.tolist()), tuple(self.forwards.tolist())))
 
     @property
     def t_last(self) -> float:

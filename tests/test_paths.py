@@ -553,3 +553,40 @@ def test_curve_mu_is_alpha_f_plus_its_slope():
     slopes = np.array([0.005, 0.005, 0.0025, 0.0025, 0.0025])  # right slopes, the left at the end
     expected = 0.7 * np.interp(s, curve.maturities, curve.forwards) + slopes
     np.testing.assert_allclose(params.mu_at(s), expected, rtol=1e-15)
+
+
+class TestCurveValueSemantics:
+    KNOTS = ([0.0, 1.0, 3.0], [0.02, 0.025, 0.03])
+
+    def test_equal_curves_compare_and_hash_equal(self):
+        a = ForwardCurve(np.array(self.KNOTS[0]), np.array(self.KNOTS[1]))
+        b = ForwardCurve(list(self.KNOTS[0]), list(self.KNOTS[1]))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert ForwardCurve([0.0, 1.0], [-0.0, 0.01]) == ForwardCurve([0.0, 1.0], [0.0, 0.01])
+        assert hash(ForwardCurve([0.0, 1.0], [-0.0, 0.01])) == hash(ForwardCurve([0.0, 1.0], [0.0, 0.01]))
+
+    @pytest.mark.parametrize("other", [
+        ([0.0, 1.0, 3.0], [0.02, 0.025, 0.031]),
+        ([0.0, 1.0, 4.0], [0.02, 0.025, 0.03]),
+        ([0.0, 1.0], [0.02, 0.025]),
+    ])
+    def test_distinct_curves_differ(self, other):
+        a = ForwardCurve(*self.KNOTS)
+        b = ForwardCurve(*other)
+        assert a != b and not a == b
+        assert a != self.KNOTS and a != 0.02
+
+    def test_rate_params_with_a_curve_is_hashable_and_compares_by_value(self):
+        p = RateParams(0.02, 1.0, ForwardCurve(*self.KNOTS))
+        q = RateParams(0.02, 1.0, ForwardCurve(*self.KNOTS))
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != RateParams(0.02, 1.0, ForwardCurve([0.0, 1.0, 3.0], [0.02, 0.025, 0.031]))
+        assert p != RateParams(0.02, 1.0, 0.02)
+
+    def test_knots_are_read_only_copies(self):
+        mats, fwds = np.array(self.KNOTS[0]), np.array(self.KNOTS[1])
+        curve = ForwardCurve(mats, fwds)
+        mats[1] = 2.0
+        assert curve.maturities[1] == 1.0 and mats.flags.writeable
+        with pytest.raises(ValueError):
+            curve.forwards[0] = 0.0
