@@ -3,9 +3,10 @@
 
 Given forward-rate knots, the reversion level becomes
 ``mu(t) = alpha f(0,t) + f'(0,t)`` and the time-0 model prices collapse to
-the discount factors of the curve itself, to machine precision.  The same
-fitted model then quotes consistent prices at later times through the
-simulated short rate and variance adjustment.
+the discount factors of the curve itself, to machine precision.  The fitted
+model is a ``RateParams`` whose ``mu`` is the curve; it then quotes
+consistent prices at later times through the simulated short rate and
+variance adjustment.
 """
 
 import numpy as np
@@ -28,14 +29,14 @@ HUMPED = {
 
 def main():
     curve = ingest_forward_curve(HUMPED)
-    model = calibrate(curve, alpha=1.0)
-    print("humped forward curve, alpha = 1.0, r0 pinned to f(0,0) =", model.r0)
+    params = calibrate(curve, alpha=1.0)  # the fitted RateParams: the curve is its mu
+    print("humped forward curve, alpha = 1.0, r0 pinned to f(0,0) =", params.r0)
 
     print("\ncalibrated reversion level at a few times:")
     for t in (0.0, 0.5, 1.5, 3.0, 7.0):
-        print(f"  mu({t:>3.1f}) = {float(model.mu(t)):+.6f}")
+        print(f"  mu({t:>3.1f}) = {float(params.mu_at(t)):+.6f}")
 
-    report = initial_curve_roundtrip(model, np.linspace(0.5, 10.0, 20))
+    report = initial_curve_roundtrip(params, np.linspace(0.5, 10.0, 20))
     print(f"\ntime-0 round trip over 20 maturities: max |P_model - P_curve| = {report.max_abs_error:.2e}")
     print(f"{'T':>5} {'P_model':>13} {'P_curve':>13}")
     for row in report.rows[::5]:
@@ -44,7 +45,6 @@ def main():
     # with a degenerate band the fitted model is the classical fitted one;
     # the discounted price at t=0.5 recovers the curve discount statistically
     band = VolBand(0.01, 0.01)
-    params = model.rate_params()  # the curve is its mu
     cfg = McConfig(n_paths=20_000, n_steps=200, horizon=5.0, base_seed=3)
     rep = martingale_check(params, band, [Constant(0.01)], 5.0, [0.5], cfg)[0]
     row = rep.checkpoints[0]

@@ -31,7 +31,6 @@ from .bonds import (
     price_robust,
 )
 from .calibration import (
-    CalibratedModel,
     RoundTripReport,
     calibrate,
     ingest_forward_curve,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedFeedback",
-    "CalibratedModel",
     "Constant",
     "ForwardCurve",
     "GapReport",

@@ -6,9 +6,9 @@ in pricing has an exact closed form per segment.  Fitting then reduces to
 
     mu(t) = alpha * f(0, t) + f'(0, t)   (right derivative at knots)
 
-with the initial short rate pinned to ``f(0, 0)``.  The curve itself
-(:class:`~robustrates.paths.ForwardCurve`) is the ``mu`` of the fitted
-:class:`~robustrates.paths.RateParams`, so a calibrated price is
+with the initial short rate pinned to ``f(0, 0)``.  The fitted model is a
+:class:`~robustrates.paths.RateParams` whose ``mu`` is the curve
+(:class:`~robustrates.paths.ForwardCurve`) itself, so a calibrated price is
 :func:`~robustrates.bonds.price_robust` on those parameters, whose
 intercept is the exact ``-int_t^T f + f(t) B(t,T)``.  With that ``mu`` the
 time-0 model price of a bond collapses analytically to
@@ -28,20 +28,24 @@ from typing import Iterable, Sequence, TextIO, Union
 import numpy as np
 
 from .bonds import price_robust
-from .errors import ValidationError
+from .errors import ValidationError, _to_float
 from .paths import ForwardCurve, RateParams
 
 
-def _curve_from_rows(rows: Iterable[Sequence[str]]) -> ForwardCurve:
+def _curve_from_rows(rows: Iterable) -> ForwardCurve:
+    """Knots from CSV rows or JSON ``[T, f]`` pairs, each field a finite number
+    by :func:`~robustrates.errors._to_float` (so no null and no boolean)."""
     mats, fwds = [], []
     for row in rows:
-        if len(row) != 2:
-            raise ValidationError(f"forward-curve row must have 2 fields, got {row!r}")
+        if not isinstance(row, (list, tuple)) or len(row) != 2:
+            raise ValidationError(f"forward-curve knot must be a [T, f] pair, got {row!r}")
         try:
-            mats.append(float(row[0]))
-            fwds.append(float(row[1]))
-        except ValueError as exc:
-            raise ValidationError(f"non-numeric forward-curve entry in {row!r}") from exc
+            mats.append(_to_float(row[0]))
+            fwds.append(_to_float(row[1]))
+        except ValidationError:
+            raise ValidationError(
+                f"non-numeric or non-finite forward-curve entry in {row!r}"
+            ) from None
     return ForwardCurve(np.asarray(mats), np.asarray(fwds))
 
 
@@ -79,32 +83,9 @@ def ingest_forward_curve(source: Union[str, os.PathLike, TextIO, dict]) -> Forwa
     return _curve_from_rows(knots)
 
 
-@dataclass(frozen=True)
-class CalibratedModel:
-    """Curve plus reversion speed, with the implied ``mu`` and ``r0``."""
-
-    alpha: float
-    curve: ForwardCurve
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError("alpha must be finite and > 0")
-
-    @property
-    def r0(self) -> float:
-        return float(self.curve.forwards[0])
-
-    def mu(self, t) -> np.ndarray:
-        return self.rate_params().mu_at(t)
-
-    def rate_params(self) -> RateParams:
-        """The short-rate parameters, with the curve as ``mu``."""
-        return RateParams(r0=self.r0, alpha=self.alpha, mu=self.curve)
-
-
-def calibrate(curve: ForwardCurve, alpha: float) -> CalibratedModel:
-    """Bind the curve to a reversion speed; ``mu`` and ``r0`` follow."""
-    return CalibratedModel(alpha=alpha, curve=curve)
+def calibrate(curve: ForwardCurve, alpha: float) -> RateParams:
+    """The short-rate parameters fitted to ``curve``: ``r0 = f(0)`` and the curve as ``mu``."""
+    return RateParams(r0=float(curve.forwards[0]), alpha=alpha, mu=curve)
 
 
 @dataclass(frozen=True)
@@ -125,7 +106,7 @@ class RoundTripReport:
     max_forward_error: float
 
 
-def initial_curve_roundtrip(model: CalibratedModel, maturities: Sequence[float]) -> RoundTripReport:
+def initial_curve_roundtrip(params: RateParams, maturities: Sequence[float]) -> RoundTripReport:
     """Compare model time-0 prices with the discount factors implied by the
     curve itself, and the finite-difference model forwards with the curve.
 
@@ -133,13 +114,16 @@ def initial_curve_roundtrip(model: CalibratedModel, maturities: Sequence[float])
     cancels against the ``B r0`` term), so errors should sit at rounding
     level.  The forward comparison evaluates the curve at interval
     midpoints and is exact only when no knot falls inside an interval.
+    ``params`` are calibrated ones: their ``mu`` must be a curve.
     """
+    curve = params.mu
+    if not isinstance(curve, ForwardCurve):
+        raise ValidationError(f"the round trip needs a ForwardCurve mu, got mu = {curve!r}")
     mats = sorted(float(T) for T in maturities)
-    params = model.rate_params()
     rows = []
     for T in mats:
-        p_model = price_robust(params, 0.0, T, model.r0, 0.0)
-        p_curve = float(np.exp(-model.curve.integral(0.0, T)))
+        p_model = price_robust(params, 0.0, T, params.r0, 0.0)
+        p_curve = float(np.exp(-curve.integral(0.0, T)))
         rows.append(RoundTripRow(maturity=T, p_model=p_model, p_curve=p_curve))
     max_err = max((r.abs_error for r in rows), default=0.0)
 
@@ -149,6 +133,6 @@ def initial_curve_roundtrip(model: CalibratedModel, maturities: Sequence[float])
         if dT <= 0:
             continue
         fd = -(np.log(hi.p_model) - np.log(lo.p_model)) / dT
-        mid = model.curve.value(0.5 * (lo.maturity + hi.maturity))
+        mid = curve.value(0.5 * (lo.maturity + hi.maturity))
         fwd_err = max(fwd_err, abs(float(fd - mid)))
     return RoundTripReport(rows=tuple(rows), max_abs_error=max_err, max_forward_error=fwd_err)

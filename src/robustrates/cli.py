@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .band import VolBand
-from .bonds import _b_integrals, _require_finite, martingale_check, noarb_gap, price_robust
+from .bonds import _require_finite, martingale_check, noarb_gap, price_classical_hw, price_robust
 from .calibration import calibrate, ingest_forward_curve, initial_curve_roundtrip
 from .errors import NumericalError, ValidationError, _to_float
 from .gheat import _terminal_grid, solve_gheat
@@ -177,7 +177,7 @@ class _Config:
         curve_path = self.get("curve")
         alpha = self.get("alpha")
         if curve_path is not None:
-            return calibrate(ingest_forward_curve(curve_path), alpha).rate_params()
+            return calibrate(ingest_forward_curve(curve_path), alpha)
         return RateParams(r0=self.get("r0"), alpha=alpha, mu=self.get("mu"))
 
     def mc_config(self, horizon: float) -> McConfig:
@@ -242,11 +242,9 @@ def cmd_price(cfg: _Config) -> int:
     rows = []  # every row, before the output file is opened
     for T in cfg.get("maturities"):
         robust = price_robust(params, 0.0, T, params.r0, 0.0)
-        # classical intercept = robust intercept + sigma^2/2 * int B^2
-        _, v = _b_integrals(params.alpha, 0.0, T)
         with np.errstate(over="ignore"):  # an overflow is reported below
-            lower = robust * float(np.exp(0.5 * band.sigma_lo**2 * v))
-            upper = robust * float(np.exp(0.5 * band.sigma_hi**2 * v))
+            lower = price_classical_hw(params, band.sigma_lo, 0.0, T, params.r0)
+            upper = price_classical_hw(params, band.sigma_hi, 0.0, T, params.r0)
         _require_finite(T, lower, robust, upper)
         rows.append((T, lower, robust, upper))
     with _output(cfg.get("out")) as fh:
@@ -315,8 +313,8 @@ def cmd_calibrate(cfg: _Config) -> int:
     curve_path = cfg.get("curve")
     if not curve_path:
         raise ValidationError("calibrate needs --curve <file>")
-    model = calibrate(ingest_forward_curve(curve_path), cfg.get("alpha"))
-    report = initial_curve_roundtrip(model, cfg.get("maturities"))
+    params = calibrate(ingest_forward_curve(curve_path), cfg.get("alpha"))
+    report = initial_curve_roundtrip(params, cfg.get("maturities"))
     rows = [(row.maturity, row.p_model, row.p_curve, row.abs_error) for row in report.rows]
     with _output(cfg.get("out")) as fh:
         _write_csv(fh, "T,P_model,P_curve,abs_error", rows)

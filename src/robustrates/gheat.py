@@ -109,7 +109,10 @@ class Grid1D:
         levels = band.sigma_hi**2 * t_final / (_CFL * grid.dx**2)
         if not levels < inf:
             raise ValidationError("the stability bound needs more time levels than a float holds")
-        return replace(grid, nt=max(1, ceil(levels)))
+        nt = max(1, ceil(levels))
+        if nt > 1 and replace(grid, nt=nt - 1).cfl_number(band) <= _CFL:
+            nt -= 1  # the float count rounded up past an integer that meets the bound
+        return replace(grid, nt=nt)
 
 
 @dataclass

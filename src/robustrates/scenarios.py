@@ -45,7 +45,8 @@ class ScenarioSpec:
 
         Returns an array of shape ``(n_steps,)`` for deterministic kinds or
         ``(n_paths, n_steps)`` for randomly switching ones.  ``times`` are
-        the left endpoints of the steps.  Adaptive kinds return None.
+        the left endpoints of the steps.  Adaptive kinds have none: the
+        engine asks them for each step's values (``step_sigma``) instead.
         """
         raise NotImplementedError
 
@@ -170,9 +171,6 @@ class AdaptedFeedback(ScenarioSpec):
     @property
     def scenario_id(self):
         return f"feedback[{self.rule}]"
-
-    def sigma_table(self, band, times, dt, n_paths, noise_key):
-        return None
 
     def step_sigma(self, view) -> np.ndarray:
         return _FEEDBACK_RULES[self.rule](view, self.params)

@@ -171,13 +171,12 @@ def test_criterion_5_calibration_round_trip():
     }
     worst_round = 0.0
     for curve in curves.values():
-        model = calibrate(curve, alpha=1.0)
-        rep = initial_curve_roundtrip(model, np.linspace(0.25, 10.0, 40))
+        params = calibrate(curve, alpha=1.0)
+        rep = initial_curve_roundtrip(params, np.linspace(0.25, 10.0, 40))
         worst_round = max(worst_round, rep.max_abs_error)
     ok = worst_round <= 1e-10
 
-    model = calibrate(curves["humped"], alpha=1.0)
-    params = model.rate_params()
+    params = calibrate(curves["humped"], alpha=1.0)
     humped = curves["humped"]
 
     def a_fit(t, T):  # the fitted intercept -int_t^T f + f(t) B(t,T), as the textbook writes it

@@ -74,8 +74,8 @@ CF_GAP_WIDE = 7.2618870949810722e-05          # band widened to [0.005, 0.03]
 
 # a calibrated curve with kinks at 1, 3 and 5, so its mu = alpha f + f' jumps there
 KINKED_CURVE = ingest_forward_curve(io.StringIO("T,f\n0,0.02\n1,0.025\n3,0.03\n5,0.028\n10,0.03\n"))
-KINKED = calibrate(KINKED_CURVE, 1.0).rate_params()
-KINKED_07 = calibrate(KINKED_CURVE, 0.7).rate_params()  # the time-varying drift of the bitwise tests
+KINKED = calibrate(KINKED_CURVE, 1.0)
+KINKED_07 = calibrate(KINKED_CURVE, 0.7)  # the time-varying drift of the bitwise tests
 
 
 def _discount(bundle):
@@ -223,7 +223,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.0])
     def test_match_decimal_closed_forms(self, alpha):
         const = RateParams(r0=0.02, alpha=alpha, mu=0.03)
-        kinked = calibrate(KINKED_CURVE, alpha).rate_params()
+        kinked = calibrate(KINKED_CURVE, alpha)
         for maturity in (0.3, 1.0, 2.5, 5.0, 7.3, 10.0):
             for t in _times_up_to(maturity):
                 int_b, v = _b_integrals(alpha, t, maturity)
@@ -237,13 +237,13 @@ class TestClosedForms:
     @pytest.mark.parametrize("maturity", [0.0, 1.0, 3.0, 7.3])
     def test_zero_at_maturity(self, alpha, maturity):
         assert _b_integrals(alpha, maturity, maturity) == (0.0, 0.0)
-        kinked = calibrate(KINKED_CURVE, alpha).rate_params()
+        kinked = calibrate(KINKED_CURVE, alpha)
         for params in (RateParams(r0=0.02, alpha=alpha, mu=0.03), kinked):
             assert a_robust(params, maturity, maturity) == 0.0
             assert a_classical(params, 0.02, maturity, maturity) == 0.0
 
     @pytest.mark.parametrize("params", [RateParams(r0=0.02, alpha=1.0, mu=0.03), KINKED,
-                                        calibrate(KINKED_CURVE, 1e-9).rate_params()],
+                                        calibrate(KINKED_CURVE, 1e-9)],
                              ids=["constant", "kinked", "kinked-tiny-alpha"])
     @pytest.mark.parametrize("n_steps", [1, 7, 512])
     def test_array_equals_scalar(self, params, n_steps):

@@ -7,6 +7,7 @@ import pytest
 from robustrates import (
     Constant,
     ForwardCurve,
+    RateParams,
     TimeGrid,
     ValidationError,
     VolBand,
@@ -74,6 +75,15 @@ class TestIngest:
         with pytest.raises(ValidationError, match="non-numeric"):
             ingest_forward_curve(io.StringIO("T,f\n0,0.01\n5,abc\n"))
 
+    @pytest.mark.parametrize("knots", [
+        [1, 2],  # knots that are not [T, f] lists
+        [[0, None], [5, 0.02]],  # a null forward
+        [[0, True], [5, 0.02]],  # a boolean is not a number
+    ], ids=["bare-numbers", "null", "boolean"])
+    def test_json_knot_not_two_numbers_rejected(self, knots):
+        with pytest.raises(ValidationError, match="forward-curve"):
+            ingest_forward_curve({"knots": knots})
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValidationError, match="header"):
             ingest_forward_curve(io.StringIO("maturity,fwd\n0,0.01\n5,0.02\n"))
@@ -125,34 +135,34 @@ class TestCurve:
 class TestCalibrate:
     def test_flat_zero_curve(self):
         curve = ForwardCurve(np.array([0.0, 5.0]), np.array([0.0, 0.0]))
-        model = calibrate(curve, alpha=1.3)
-        assert model.r0 == 0.0
-        np.testing.assert_allclose(model.mu(np.linspace(0, 4.9, 7)), 0.0)
+        params = calibrate(curve, alpha=1.3)
+        assert params.r0 == 0.0
+        np.testing.assert_allclose(params.mu_at(np.linspace(0, 4.9, 7)), 0.0)
 
     def test_flat_curve_mu_is_alpha_c(self):
-        model = calibrate(FLAT, alpha=1.7)
-        np.testing.assert_allclose(model.mu(np.array([0.0, 2.5, 9.9])), 1.7 * 0.02)
+        params = calibrate(FLAT, alpha=1.7)
+        np.testing.assert_allclose(params.mu_at(np.array([0.0, 2.5, 9.9])), 1.7 * 0.02)
 
     def test_linear_curve_mu(self):
-        model = calibrate(LINEAR, alpha=0.8)
+        params = calibrate(LINEAR, alpha=0.8)
         t = np.array([0.0, 4.0, 9.0])
-        np.testing.assert_allclose(model.mu(t), 0.8 * (0.01 + 0.002 * t) + 0.002, rtol=1e-13)
+        np.testing.assert_allclose(params.mu_at(t), 0.8 * (0.01 + 0.002 * t) + 0.002, rtol=1e-13)
 
     def test_alpha_validated(self):
         with pytest.raises(ValidationError):
             calibrate(FLAT, alpha=0.0)
 
     def test_mu_beyond_curve_rejected(self):
-        model = calibrate(FLAT, alpha=1.0)
+        params = calibrate(FLAT, alpha=1.0)
         with pytest.raises(ValidationError):
-            model.mu(11.0)
+            params.mu_at(11.0)
 
     def test_r0_pinned_to_curve(self):
         assert calibrate(HUMPED, alpha=2.0).r0 == 0.010
 
     def test_rate_params_carry_the_curve(self):
-        params = calibrate(HUMPED, alpha=2.0).rate_params()
-        assert (params.r0, params.alpha) == (0.010, 2.0)
+        params = calibrate(HUMPED, 2.0)
+        assert params == RateParams(0.010, 2.0, HUMPED)
         assert params.mu is HUMPED
 
 
@@ -161,16 +171,16 @@ class TestFittedIntercept:
     ``-int_t^T f + f(t) B(t,T)``."""
 
     def test_zero_at_maturity(self):
-        params = calibrate(HUMPED, alpha=1.0).rate_params()
+        params = calibrate(HUMPED, alpha=1.0)
         assert a_robust(params, 3.0, 3.0) == 0.0
 
     def test_flat_curve_hand_value(self):
-        params = calibrate(FLAT, alpha=1.0).rate_params()
+        params = calibrate(FLAT, alpha=1.0)
         # -c + c B(0,1), oracle -0.0073575888234288464
         assert a_robust(params, 0.0, 1.0) == pytest.approx(-0.0073575888234288464, rel=1e-13)
 
     def test_matches_textbook_form(self):
-        params = calibrate(HUMPED, alpha=1.0).rate_params()
+        params = calibrate(HUMPED, alpha=1.0)
         for t in np.linspace(0.0, 4.5, 10):
             for T in np.linspace(5.0, 9.5, 10):
                 t, T = float(t), float(T)
@@ -178,7 +188,7 @@ class TestFittedIntercept:
                 assert abs(a_fit - a_robust(params, t, T)) <= 1e-15
 
     def test_range_validated(self):
-        params = calibrate(HUMPED, alpha=1.0).rate_params()
+        params = calibrate(HUMPED, alpha=1.0)
         with pytest.raises(ValidationError, match="outside curve range"):
             a_robust(params, 0.0, 10.5)
 
@@ -186,27 +196,31 @@ class TestFittedIntercept:
 class TestRoundTrip:
     @pytest.mark.parametrize("curve", [FLAT, LINEAR, HUMPED], ids=["flat", "linear", "humped"])
     def test_reproduces_discount_curve(self, curve):
-        model = calibrate(curve, alpha=1.0)
-        report = initial_curve_roundtrip(model, np.linspace(0.25, 10.0, 40))
+        params = calibrate(curve, alpha=1.0)
+        report = initial_curve_roundtrip(params, np.linspace(0.25, 10.0, 40))
         assert report.max_abs_error <= 1e-10
 
     def test_flat_hand_value(self):
-        model = calibrate(FLAT, alpha=1.0)
-        report = initial_curve_roundtrip(model, [1.0])
+        params = calibrate(FLAT, alpha=1.0)
+        report = initial_curve_roundtrip(params, [1.0])
         assert report.rows[0].p_model == pytest.approx(0.9801986733067553, abs=1e-12)
 
     def test_zero_curve_prices_at_par(self):
         curve = ForwardCurve(np.array([0.0, 5.0]), np.array([0.0, 0.0]))
-        model = calibrate(curve, alpha=1.0)
-        report = initial_curve_roundtrip(model, [1.0, 2.0, 5.0])
+        params = calibrate(curve, alpha=1.0)
+        report = initial_curve_roundtrip(params, [1.0, 2.0, 5.0])
         for row in report.rows:
             assert row.p_model == pytest.approx(1.0, abs=1e-14)
 
+    def test_constant_mu_rejected(self):
+        with pytest.raises(ValidationError, match="ForwardCurve"):
+            initial_curve_roundtrip(RateParams(0.02, 1.0, 0.02), [1.0])
+
     def test_forward_rates_recovered_between_knots(self):
-        model = calibrate(HUMPED, alpha=1.0)
+        params = calibrate(HUMPED, alpha=1.0)
         # maturity grid aligned with knots so each interval is linear
         mats = np.union1d(HUMPED.maturities[1:], np.linspace(0.25, 9.75, 39))
-        report = initial_curve_roundtrip(model, mats)
+        report = initial_curve_roundtrip(params, mats)
         assert report.max_forward_error <= 1e-9
 
 
@@ -214,8 +228,7 @@ class TestComposedDrift:
     def test_shifted_drift_is_mu_plus_lambda(self):
         """Structural check: the simulated shifted rate satisfies the
         recursion rebuilt in this test from mu, lam and the driver."""
-        model = calibrate(HUMPED, alpha=1.0)
-        params = model.rate_params()
+        params = calibrate(HUMPED, alpha=1.0)
         grid = TimeGrid(2.0, 64)
         band = VolBand(0.008, 0.015)
         bundle = simulate_bundle(Constant(0.012), band, grid, params, seed=3, n_paths=5, dynamics="shifted")
@@ -225,20 +238,20 @@ class TestComposedDrift:
         gl = dt * (0.5 - 0.5 / np.sqrt(3.0)), dt * (0.5 + 0.5 / np.sqrt(3.0))
         lam = lambda_path(bundle.qv, alpha=1.0, dt=dt)
         r = np.empty_like(bundle.r)
-        r[:, 0] = model.r0
+        r[:, 0] = params.r0
         db = np.diff(bundle.b, axis=1)
         for k in range(grid.n_steps):
             t_k = grid.times[k]
             m_k = 0.5 * dt * (
-                np.exp(-(dt - gl[0])) * model.mu(t_k + gl[0])
-                + np.exp(-(dt - gl[1])) * model.mu(t_k + gl[1])
+                np.exp(-(dt - gl[0])) * params.mu_at(t_k + gl[0])
+                + np.exp(-(dt - gl[1])) * params.mu_at(t_k + gl[1])
             )
             r[:, k + 1] = ea * r[:, k] + m_k + w * lam[:, k] + eh * db[:, k]
         np.testing.assert_allclose(r, bundle.r, atol=1e-15)
 
 
 def test_calibrated_price_negative_lambda_rejected():
-    params = calibrate(FLAT, alpha=1.0).rate_params()
+    params = calibrate(FLAT, alpha=1.0)
     with pytest.raises(ValidationError):
         price_robust(params, 0.0, 1.0, 0.02, -0.1)
 

@@ -270,12 +270,13 @@ class TestGridAndFailures:
         # at 1 the sawtooth mode is not damped (see TestDegenerateBand)
         assert 0.0 < gheat._CFL < 1.0
 
-    @pytest.mark.parametrize("band, nx, t", [
-        (BAND, 51, 1.0), (BAND, 401, 1.0), (BAND, 1600, 1.0),
-        (VolBand(0.001, 0.3), 97, 0.25), (BAND, 7, 0.3),
+    @pytest.mark.parametrize("band, nx, t, span", [
+        (BAND, 51, 1.0, None), (BAND, 401, 1.0, None), (BAND, 1600, 1.0, None),
+        (VolBand(0.001, 0.3), 97, 0.25, None), (BAND, 7, 0.3, None),
+        (VolBand(0.001, 0.3), 7, 3.0, 0.3),  # 30 levels meet it; the float count is 30 + 4e-15
     ])
-    def test_with_cfl_takes_the_fewest_levels(self, band, nx, t):
-        span = 8.0 * band.sigma_hi * math.sqrt(t)
+    def test_with_cfl_takes_the_fewest_levels(self, band, nx, t, span):
+        span = span or 8.0 * band.sigma_hi * math.sqrt(t)  # None: eight diffusion widths
         grid = Grid1D.with_cfl(band, -span, span, nx, t)
         assert grid.cfl_number(band) <= gheat._CFL + 1e-12  # nt is sized in floats
         assert grid.nt == 1 or replace(grid, nt=grid.nt - 1).cfl_number(band) > gheat._CFL

@@ -43,7 +43,7 @@ SHIFT_MEAN_SIGMA_001 = 1.9978820044686402e-05  # int_0^1 e^{-(1-s)} lam(s) ds
 # a calibrated curve with kinks at 1, 3 and 5: a time-varying drift mu = alpha f + f'
 # that jumps at each kink
 KINKED_CURVE = ingest_forward_curve(io.StringIO("T,f\n0,0.02\n1,0.025\n3,0.03\n5,0.028\n10,0.03\n"))
-KINKED_07 = calibrate(KINKED_CURVE, 0.7).rate_params()
+KINKED_07 = calibrate(KINKED_CURVE, 0.7)
 
 
 def _chunk_bundles(spec, band, cfg, params, dynamics):
@@ -369,7 +369,7 @@ class TestShortRate:
 
     def test_deterministic_reduction_kinked_mu_refines(self):
         # with r0 = f(0) and mu = alpha f + f', the noiseless rate is the curve itself
-        params = calibrate(KINKED_CURVE, 2.0).rate_params()
+        params = calibrate(KINKED_CURVE, 2.0)
         exact = float(KINKED_CURVE.value(2.0))
         errs = []
         for n in (8, 16):  # the kink at 1 is a grid time
