@@ -32,7 +32,7 @@ import numpy as np
 
 from .band import VolBand
 from .errors import ValidationError, _check_seed
-from .scenarios import PathView, ScenarioSpec
+from .scenarios import _PATH_BLOCK, PathView, RandomSwitching, ScenarioSpec
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
@@ -299,27 +299,45 @@ def _trapezoid(r_k, r_next, dt: float):
 
 
 def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithetic: bool) -> np.ndarray:
-    """The chunk's normals, time-major so step ``k`` reads the contiguous row ``z[k]``:
-    one ``(paths, n_steps)`` draw written once, transposed, as ``(n_steps, paths)``.
+    """The chunk's normals, time-major so step ``k`` reads the contiguous row ``z[k]``,
+    ``(n_steps, paths)``: the stream of one ``(paths, n_steps)`` draw, drawn
+    ``_PATH_BLOCK`` paths at a time and each block written transposed into place.
     An antithetic chunk draws and keeps only the first halves, ``(n_steps, n_paths / 2)``;
     the mates are their exact negations, so the stepper forms each row as ``[h_k, -h_k]``."""
     if antithetic and n_paths % 2:
         raise ValidationError("antithetic sampling needs an even number of paths")
-    return rng.standard_normal((n_paths // 2 if antithetic else n_paths, n_steps)).T.copy()
-
-
-def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key, wide) -> np.ndarray:
-    """The scenario's volatility table for one chunk, time-major, so step ``k``
-    reads the contiguous ``tab[k]``: ``(n_steps,)`` or ``(n_steps, n_paths)``.
-    An antithetic mate shares its partner's volatility path, so an antithetic
-    switching table stays half-width, ``(n_steps, n_paths / 2)``, and the stepper
-    fills both halves of a member's ``sigma`` row from it; ``wide`` (a recorded
-    history, which keeps the table as its ``sigma``) makes it full width."""
     n_draw = n_paths // 2 if antithetic else n_paths
-    tab = scenario.sigma_table(band, grid.step_times, grid.dt, n_draw, switch_key).T
-    if tab.ndim == 2 and antithetic and wide:
-        return np.hstack([tab, tab])
-    return np.ascontiguousarray(tab)
+    z = np.empty((n_steps, n_draw))
+    for i in range(0, n_draw, _PATH_BLOCK):
+        z[:, i : i + _PATH_BLOCK] = rng.standard_normal((min(_PATH_BLOCK, n_draw - i), n_steps)).T
+    return z
+
+
+def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key) -> np.ndarray:
+    """The scenario's volatility table for one chunk, time-major, so step ``k``
+    reads the contiguous ``tab[k]``: the ``(n_steps,)`` values of a deterministic
+    kind, or a switching member's ``(n_steps, n_paths)`` bytes, one index into
+    ``(sigma_lo, sigma_hi)`` per entry (``RandomSwitching.level_index``), which the
+    stepper turns into each step's ``sigma`` row.  An antithetic mate shares its
+    partner's volatility path, so an antithetic byte table is half-width,
+    ``(n_steps, n_paths / 2)``, and fills both halves of the member's row."""
+    n_draw = n_paths // 2 if antithetic else n_paths
+    if isinstance(scenario, RandomSwitching):
+        return scenario.level_index(grid.step_times, grid.dt, n_draw, switch_key)
+    return scenario.sigma_table(band, grid.step_times, grid.dt, n_draw, switch_key)
+
+
+def _fill_sigma(row, tab_k, levels) -> None:
+    """A member's ``sigma`` row from its table's row ``tab_k``: the values of a
+    deterministic table, or the levels a byte row indexes, copied to the mates'
+    half when the bytes are half-width."""
+    if tab_k.dtype != np.uint8:
+        row[...] = tab_k
+        return
+    w = tab_k.shape[-1]
+    np.take(levels, tab_k, out=row[..., :w], mode="clip")
+    if w < row.shape[-1]:
+        row[..., w:] = row[..., :w]
 
 
 #: ``(n_steps, n_paths)`` arrays a pass of ``_steps`` holds, whatever the family size
@@ -327,8 +345,9 @@ _TABLES_PER_PASS = 6
 #: bytes one member may make a chunk hold: its ``_passes`` arrays (a table counted
 #: as one) of ``steps + 1`` doubles per path, plus the chunk's normals; 1.5 GiB
 #: admits one recorded 100,000-path bundle with the rate over 256 steps.  The
-#: formula counts full-width normals and tables, so for an antithetic chunk (whose
-#: normals and unrecorded switching tables are half-width) it is an upper bound
+#: formula counts full-width normals and a switching table as doubles, so for a
+#: byte table, and for an antithetic chunk (whose normals and switching tables are
+#: half-width), it is an upper bound
 _MEMBER_BYTES_CAP = 3 * 2**29
 
 
@@ -337,12 +356,10 @@ def _passes(scenarios, band, grid, n_paths, antithetic, key, history, record):
     feedback member) as ``(rows, [(spec, table), ...])``, each holding at most
     ``_TABLES_PER_PASS`` arrays: a kept history (feedback, or any member under
     ``record``) counts ``history``, its table included, and any other switching
-    table 1."""
+    table 1, though its one byte per entry holds an eighth of an array of doubles."""
     lo, group, used = 0, [], 0
     for spec in scenarios:
-        tab = None if spec.is_adaptive else _sigma_table(
-            spec, band, grid, n_paths, antithetic, key, record
-        )
+        tab = None if spec.is_adaptive else _sigma_table(spec, band, grid, n_paths, antithetic, key)
         cost = history if record or tab is None else tab.ndim - 1
         if group and used + cost > _TABLES_PER_PASS:
             yield slice(lo, lo + len(group)), group
@@ -355,6 +372,19 @@ def _passes(scenarios, band, grid, n_paths, antithetic, key, history, record):
             lo, group, used = lo + len(group), [], 0
     if group:
         yield slice(lo, lo + len(group)), group
+
+
+def _history_sigma(tab, levels, n, n_paths) -> np.ndarray:
+    """A kept history's ``(n, n_paths)`` ``sigma``: empty for a feedback member (``tab``
+    None; the stepper writes it), a read-only broadcast of a deterministic table, or
+    the values a byte table indexes, widened over an antithetic chunk's mates."""
+    if tab is None:
+        return np.empty((n, n_paths))
+    if tab.dtype != np.uint8:
+        return np.broadcast_to(tab[:, None], (n, n_paths))
+    sigma = np.empty((n, n_paths))
+    _fill_sigma(sigma, tab, levels)
+    return sigma
 
 
 def _past_views(h: dict) -> dict:
@@ -397,11 +427,13 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
     ``record``, shifted dynamics or a feedback member.  Feedback members, and under
     ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
-    (a table's read-only view) and the grid values (``lam`` and ``integral`` under
-    ``record``); a rule reads its member's history through views formed once per pass
-    (``_past_views``).  An antithetic chunk keeps half-width normals and switching tables
-    (``_draw_normals``, ``_sigma_table``) and widens each step's row.  No name here keeps
-    a finished pass's tables or histories once the next pass starts building its own."""
+    (``_history_sigma``) and the grid values (``lam`` and ``integral`` under ``record``);
+    a rule reads its member's history through views formed once per pass
+    (``_past_views``).  A switching member's table is bytes, and each step's ``sigma``
+    row is taken from them (``_fill_sigma``).  An antithetic chunk keeps half-width
+    normals and switching tables (``_draw_normals``, ``_sigma_table``) and widens each
+    step's row.  No name here keeps a finished pass's tables or histories once the next
+    pass starts building its own."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
@@ -423,6 +455,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     z_k = np.empty(n_paths) if antithetic else None  # each step's [h_k, -h_k]
     if with_r:
         e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
+    levels = np.array([band.sigma_lo, band.sigma_hi])  # what a byte table indexes
     passes = _passes(scenarios, band, grid, n_paths, antithetic, switch_key, history, record)
     s = SimpleNamespace()
     for s.rows, group in passes:
@@ -432,8 +465,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         s.b = s.integral = np.zeros((len(group), n_paths))
         s.r = np.full_like(s.b, params.r0) if with_r else None
         s.hist = {
-            i: {"sigma": np.empty((n, n_paths)) if tab is None
-                else np.broadcast_to(tab.reshape(n, -1), (n, n_paths))}
+            i: {"sigma": _history_sigma(tab, levels, n, n_paths)}
             | {x: np.empty((n + 1, n_paths)) for x in names}
             for i, (spec, tab) in enumerate(group) if record or tab is None
         }
@@ -452,10 +484,8 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                     sigma[i] = s.hist[i]["sigma"][k] = _feedback_sigma(
                         spec, past[i], k, times[k], dt, band
                     )
-                elif tab.ndim == 2 and tab.shape[1] < n_paths:  # half-width: mates share the column
-                    sigma[i, :half] = sigma[i, half:] = tab[k]
                 else:
-                    sigma[i] = tab[k]
+                    _fill_sigma(sigma[i], tab[k], levels)
             if antithetic:
                 z_k[:half] = z[k]
                 np.negative(z[k], out=z_k[half:])

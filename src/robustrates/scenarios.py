@@ -26,6 +26,9 @@ import numpy as np
 from .band import VolBand
 from .errors import ValidationError, _check_seed, _to_float
 
+#: paths drawn per block where a chunk's per-path stream is written time-major
+_PATH_BLOCK = 64
+
 
 class ScenarioSpec:
     """Base class; concrete kinds implement validation and sampling."""
@@ -44,7 +47,8 @@ class ScenarioSpec:
         """Per-step volatility values.
 
         Returns an array of shape ``(n_steps,)`` for deterministic kinds or
-        ``(n_paths, n_steps)`` for randomly switching ones.  ``times`` are
+        ``(n_paths, n_steps)`` for randomly switching ones (whose engine table is
+        their byte :meth:`RandomSwitching.level_index`).  ``times`` are
         the left endpoints of the steps.  Adaptive kinds have none: the
         engine asks them for each step's values (``step_sigma``) instead.
         """
@@ -135,19 +139,33 @@ class RandomSwitching(ScenarioSpec):
         # no commas: ids appear as bare fields in CSV reports
         return f"switch[rate={self.intensity:.4g};seed={self.seed}]"
 
-    def sigma_table(self, band, times, dt, n_paths, noise_key):
+    def level_index(self, times, dt, n_paths, noise_key) -> np.ndarray:
+        """The volatility path of each of ``n_paths`` paths as one byte per step,
+        time-major, ``(n_steps, n_paths)``: 1 where it is ``sigma_hi``, 0 where
+        ``sigma_lo``, so an index into ``(sigma_lo, sigma_hi)``.  The stream is read
+        as one ``(n_paths, n_steps)`` draw would read it (each path's start, then
+        each path's steps in turn), but ``_PATH_BLOCK`` paths at a time, so no
+        full-size float array is made."""
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(noise_key,))
         )
         n_steps = times.size
         p_switch = -np.expm1(-self.intensity * dt)
         start_hi = rng.random(n_paths) < 0.5
-        flips = rng.random((n_paths, n_steps)) < p_switch
-        # state after k flips: parity of cumulative flip count (flip acts
-        # before the step so the start state can switch at t=0+)
-        parity = np.logical_xor.accumulate(flips, axis=1)
-        hi_state = start_hi[:, None] ^ parity
-        return np.where(hi_state, band.sigma_hi, band.sigma_lo)
+        hi = np.empty((n_steps, n_paths), dtype=bool)
+        for i in range(0, n_paths, _PATH_BLOCK):
+            flips = rng.random((min(_PATH_BLOCK, n_paths - i), n_steps)) < p_switch
+            # state after k flips: parity of the start and the flips so far (a flip
+            # acts before its step, so the start state can switch at t=0+)
+            flips[:, 0] ^= start_hi[i : i + _PATH_BLOCK]
+            np.logical_xor.accumulate(flips, axis=1, out=flips)
+            hi[:, i : i + _PATH_BLOCK] = flips.T
+        return hi.view(np.uint8)
+
+    def sigma_table(self, band, times, dt, n_paths, noise_key):
+        """The float view of :meth:`level_index`, ``(n_paths, n_steps)``."""
+        levels = np.array([band.sigma_lo, band.sigma_hi])
+        return levels.take(self.level_index(times, dt, n_paths, noise_key).T)
 
     def to_json(self):
         return {"kind": "switching", "intensity": self.intensity, "seed": self.seed}

@@ -889,16 +889,25 @@ def test_finished_pass_released_before_the_next_builds(monkeypatch, run):
     assert len(finished) >= 4
 
 
-@pytest.mark.parametrize("family, kept", [
-    ([AdaptedFeedback("driver_sign"), AdaptedFeedback("qv_chase")], 4),
-    ([RandomSwitching(2.0 * (j + 1), j) for j in range(6)], 3),
+#: ``(members, paths)`` arrays of doubles a pass's per-step state may hold: the
+#: stepper's state and temporaries and a reducer's running values (README)
+STEP_STATE_ARRAYS = 24
+
+
+@pytest.mark.parametrize("family, floor", [
+    ([AdaptedFeedback("driver_sign"), AdaptedFeedback("qv_chase")], 8 * 4),
+    ([RandomSwitching(2.0 * (j + 1), j) for j in range(6)], 6 // 2),
 ], ids=["two_feedback_passes", "six_switching_tables"])
-def test_martingale_check_peak_within_six_arrays_and_the_normals(family, kept):
+def test_martingale_check_peak_within_six_arrays_and_the_normals(family, floor):
     """A chunk's traced peak stays under six arrays of ``steps + 1`` doubles per
     path plus the chunk's normals, the bound README states.  Two feedback members
-    with the rate hold four history arrays each, so they step in two passes, and
-    the first is freed before the second builds; six antithetic switching tables
-    share one pass, each half-width.  Either way the pass holds ``kept`` arrays."""
+    with the rate hold four history arrays of doubles each, so they step in two
+    passes, and the first is freed before the second builds; six antithetic
+    switching tables share one pass, each half-width at one byte per entry, so
+    that pass is also held under the byte-table bound: the half-width normals,
+    six half-width byte tables and ``STEP_STATE_ARRAYS`` ``(members, paths)``
+    doubles of per-step state.  Either way the pass holds ``floor`` bytes per path
+    and step."""
     n_paths, n_steps = 2048, 64
     cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=5, antithetic=True)
     bound = 8 * n_paths * (6 * (n_steps + 1) + n_steps)
@@ -910,7 +919,11 @@ def test_martingale_check_peak_within_six_arrays_and_the_normals(family, kept):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert 8 * n_paths * kept * n_steps < peak <= bound, (peak, bound)
+    assert floor * n_paths * n_steps < peak <= bound, (peak, bound)
+    if all(isinstance(spec, RandomSwitching) for spec in family):
+        half = n_paths // 2
+        byte_bound = (8 + 6) * half * n_steps + 8 * STEP_STATE_ARRAYS * len(family) * n_paths
+        assert peak <= byte_bound, (peak, byte_bound)
 
 
 def test_non_finite_closed_form_rejected_before_drawing(monkeypatch):

@@ -30,7 +30,7 @@ from robustrates import (
 from robustrates.cli import main
 from robustrates.mc import CHUNK_PATHS, _chunks
 from robustrates.paths import _bundle, _r_step, _rate_factors, _simulate, _steps
-from robustrates.scenarios import PathView
+from robustrates.scenarios import _PATH_BLOCK, PathView
 
 BAND = VolBand(0.005, 0.02)
 
@@ -299,6 +299,60 @@ class TestLeanStep:
         for spec, bundle in zip(family, bundles):
             assert_bundle_bytes_equal(bundle, column_loop_bundle(
                 spec, BAND, grid, self.PARAMS, seed, n_paths, "shifted", antithetic))
+
+
+class TestChunkTables:
+    """The chunk's normals and a switching member's byte table are written time-major
+    from blocks of ``_PATH_BLOCK`` paths; both must read the generator exactly as one
+    full-size draw did."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("n_draw, n_steps", [
+        (1, 7), (33, 5), (_PATH_BLOCK - 1, 9), (_PATH_BLOCK, 9), (_PATH_BLOCK + 1, 9),
+        (2 * _PATH_BLOCK + 3, 4), (1024, 512),
+    ])
+    def test_normals_equal_one_transposed_draw(self, n_draw, n_steps, antithetic):
+        n_paths = 2 * n_draw if antithetic else n_draw
+        seq = np.random.SeedSequence(entropy=8, spawn_key=(3,))
+        z = robustrates.paths._draw_normals(np.random.default_rng(seq), n_paths, n_steps, antithetic)
+        one_draw = np.random.default_rng(seq).standard_normal((n_draw, n_steps)).T.copy()
+        assert (z.shape, z.flags.c_contiguous) == ((n_steps, n_draw), True)
+        assert z.tobytes() == one_draw.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        intensity=st.sampled_from([0.0, 3.0, 20.0]),  # none, moderate, past 1 / dt = 8
+        width=st.sampled_from([1, 7, _PATH_BLOCK - 1, _PATH_BLOCK + 1, None]),  # None: a chunk
+        noise_key=st.integers(0, 5),
+        antithetic=st.booleans(),
+        record=st.booleans(),
+    )
+    def test_stepper_sigma_rows_equal_the_dense_table(
+        self, intensity, width, noise_key, antithetic, record
+    ):
+        """Every ``sigma`` row the stepper fills from a switching member's bytes, ``width``
+        paths wide (mates sharing a row), and a recorded history's ``sigma``, is the
+        dense ``sigma_table``."""
+        spec, grid = RandomSwitching(intensity, seed=noise_key + 11), TimeGrid(1.0, 8)
+        n_paths = CHUNK_PATHS if width is None else width * (1 + antithetic)
+        dense = spec.sigma_table(BAND, grid.step_times, grid.dt, n_paths // (1 + antithetic),
+                                 noise_key)
+        expected = (np.hstack([dense.T, dense.T]) if antithetic else dense.T).copy()
+        rows, real = [], robustrates.paths._fill_sigma
+
+        def spy(row, tab_k, levels):
+            real(row, tab_k, levels)
+            if tab_k.ndim == 1:  # a step's row, not a history's whole table
+                rows.append(row.copy())
+
+        rng = np.random.default_rng(0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robustrates.paths, "_fill_sigma", spy)
+            for s in _steps([spec], BAND, grid, rng, n_paths, antithetic=antithetic,
+                            switch_key=noise_key, full=True, record=record):
+                if record and s.k == grid.n_steps:
+                    assert s.hist[0]["sigma"].tobytes() == expected.tobytes()
+        assert np.array(rows).tobytes() == expected.tobytes()
 
 
 class TestLambdaPath:

@@ -116,6 +116,33 @@ def test_switching_zero_intensity_never_switches():
     assert np.all(tab == tab[:, :1])
 
 
+def _path_major_switching_table(spec, band, times, dt, n_paths, noise_key):
+    """``RandomSwitching.sigma_table`` as one full-size path-major draw formed it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(noise_key,)))
+    p_switch = -np.expm1(-spec.intensity * dt)
+    start_hi = rng.random(n_paths) < 0.5
+    flips = rng.random((n_paths, times.size)) < p_switch
+    parity = np.logical_xor.accumulate(flips, axis=1)
+    return np.where(start_hi[:, None] ^ parity, band.sigma_hi, band.sigma_lo)
+
+
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("intensity, n_steps", [(0.0, 16), (4.0, 1), (4.0, 64), (300.0, 64)])
+def test_switching_table_is_the_path_major_draw(n_paths, intensity, n_steps):
+    """The table built block by block from bytes is the one-draw table, bit for bit,
+    and ``level_index`` is its time-major index into ``(sigma_lo, sigma_hi)``."""
+    spec, grid = RandomSwitching(intensity, seed=7), TimeGrid(1.0, n_steps)
+    for band, key in ((BAND, 0), (BAND, 4), (VolBand(0.01, 0.01), 2)):
+        tab = spec.sigma_table(band, grid.step_times, grid.dt, n_paths, key)
+        expected = _path_major_switching_table(spec, band, grid.step_times, grid.dt, n_paths, key)
+        assert (tab.shape, tab.dtype) == (expected.shape, expected.dtype)
+        assert tab.tobytes() == expected.tobytes()
+        idx = spec.level_index(grid.step_times, grid.dt, n_paths, key)
+        assert (idx.shape, idx.dtype, idx.flags.c_contiguous) == ((n_steps, n_paths), np.uint8, True)
+        assert idx.max(initial=0) <= 1
+        assert np.array([band.sigma_lo, band.sigma_hi])[idx.T].tobytes() == expected.tobytes()
+
+
 def test_feedback_unknown_rule_rejected():
     with pytest.raises(ValidationError):
         AdaptedFeedback("nonexistent_rule").validate(BAND)
