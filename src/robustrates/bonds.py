@@ -30,7 +30,7 @@ import numpy as np
 from .band import VolBand
 from .errors import NumericalError, ValidationError
 from .mc import McConfig, _sample, _stats, _sublinear
-from .paths import ForwardCurve, RateParams, _check_interval, b_factor
+from .paths import ForwardCurve, RateParams, b_factor
 from .scenarios import Constant, ScenarioSpec
 
 
@@ -108,10 +108,9 @@ def _b_integrals(alpha: float, t, maturity: float):
     """``int_t^T B(s,T) ds = (tau - B) / alpha`` and ``V(t,T) = int_t^T B(s,T)^2 ds =
     (int B - B^2 / 2) / alpha``, ``tau = T - t``, at a time or a 1-D array of times.
     Below ``alpha tau = 1``, where ``tau - B`` cancels, both come from their Taylor
-    series; both are exactly 0 at ``t = T``."""
-    _check_interval(t, maturity)
+    series; both are exactly 0 at ``t = T``.  ``B`` is :func:`b_factor`."""
+    b = b_factor(alpha, t, maturity)
     tau = maturity - np.asarray(t, dtype=float)
-    b = -np.expm1(-alpha * tau) / alpha
     small = alpha * tau < 1.0
     ts = np.where(small, tau, 0.0)  # the series' range; elsewhere it is not used
     int_b = np.where(small, ts * ts * np.polyval(_INT_B_SERIES, alpha * ts), (tau - b) / alpha)

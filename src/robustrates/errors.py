@@ -19,6 +19,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value) -> None:
+    """A ``ValidationError`` naming ``name`` unless ``value`` is an integer (``_is_int``)."""
+    if not _is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_seed(name: str, value) -> None:
     """A ``ValidationError`` naming ``name`` unless ``value`` is an integer (``_is_int``) >= 0."""
     if not (_is_int(value) and value >= 0):

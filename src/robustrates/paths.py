@@ -31,8 +31,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError, _check_seed
-from .scenarios import _PATH_BLOCK, PathView, RandomSwitching, ScenarioSpec
+from .errors import ValidationError, _check_int, _check_seed
+from .scenarios import _PATH_BLOCK, PathView, ScenarioSpec
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
@@ -47,6 +47,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise ValidationError("horizon must be finite and > 0")
+        _check_int("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
 
@@ -234,15 +235,16 @@ def _check_interval(t, maturity: float) -> None:
 
 def b_factor(alpha: float, t, maturity: float):
     """Affine loading ``(1 - exp(-alpha (T-t))) / alpha`` at a time or an array of
-    times; series expansion below ``alpha = 1e-8`` so the limit ``T - t`` is exact."""
+    times, as ``-expm1(-x) / alpha`` with ``x = alpha (T-t)``; below ``alpha = 1e-8``,
+    where ``x < 1e-5``, as its series in ``x``, so the limit ``T - t`` is exact."""
     _check_interval(t, maturity)
     if alpha <= 0:
         raise ValidationError("alpha must be > 0")
     delta = maturity - t
+    x = alpha * delta
     if alpha < 1e-8:
-        x = alpha * delta
-        return delta * (1.0 - x / 2.0 + x * x / 6.0)
-    return -np.expm1(-alpha * delta) / alpha
+        return np.where(x < 1e-5, delta * (1.0 - x / 2.0 + x * x / 6.0), -np.expm1(-x) / alpha)[()]
+    return -np.expm1(-x) / alpha
 
 
 def _mu_step_integrals(params: RateParams, grid: TimeGrid) -> np.ndarray:
@@ -313,20 +315,6 @@ def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithet
     return z
 
 
-def _sigma_table(scenario, band, grid, n_paths, antithetic, switch_key) -> np.ndarray:
-    """The scenario's volatility table for one chunk, time-major, so step ``k``
-    reads the contiguous ``tab[k]``: the ``(n_steps,)`` values of a deterministic
-    kind, or a switching member's ``(n_steps, n_paths)`` bytes, one index into
-    ``(sigma_lo, sigma_hi)`` per entry (``RandomSwitching.level_index``), which the
-    stepper turns into each step's ``sigma`` row.  An antithetic mate shares its
-    partner's volatility path, so an antithetic byte table is half-width,
-    ``(n_steps, n_paths / 2)``, and fills both halves of the member's row."""
-    n_draw = n_paths // 2 if antithetic else n_paths
-    if isinstance(scenario, RandomSwitching):
-        return scenario.level_index(grid.step_times, grid.dt, n_draw, switch_key)
-    return scenario.sigma_table(band, grid.step_times, grid.dt, n_draw, switch_key)
-
-
 def _fill_sigma(row, tab_k, levels) -> None:
     """A member's ``sigma`` row from its table's row ``tab_k``: the values of a
     deterministic table, or the levels a byte row indexes, copied to the mates'
@@ -351,15 +339,15 @@ _TABLES_PER_PASS = 6
 _MEMBER_BYTES_CAP = 3 * 2**29
 
 
-def _passes(scenarios, band, grid, n_paths, antithetic, key, history, record):
-    """Consecutive runs of ``scenarios`` with their chunk tables (None for a
-    feedback member) as ``(rows, [(spec, table), ...])``, each holding at most
-    ``_TABLES_PER_PASS`` arrays: a kept history (feedback, or any member under
-    ``record``) counts ``history``, its table included, and any other switching
-    table 1, though its one byte per entry holds an eighth of an array of doubles."""
+def _passes(scenarios, grid, n_draw, key, history, record):
+    """Consecutive runs of ``scenarios`` with their chunk tables (``sigma_table`` of
+    ``n_draw`` paths; None for a feedback member) as ``(rows, [(spec, table), ...])``,
+    each holding at most ``_TABLES_PER_PASS`` arrays: a kept history (feedback, or any
+    member under ``record``) counts ``history``, its table included, and any other
+    switching table 1, though its one byte per entry holds an eighth of an array of doubles."""
     lo, group, used = 0, [], 0
     for spec in scenarios:
-        tab = None if spec.is_adaptive else _sigma_table(spec, band, grid, n_paths, antithetic, key)
+        tab = None if spec.is_adaptive else spec.sigma_table(grid.step_times, grid.dt, n_draw, key)
         cost = history if record or tab is None else tab.ndim - 1
         if group and used + cost > _TABLES_PER_PASS:
             yield slice(lo, lo + len(group)), group
@@ -431,7 +419,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     a rule reads its member's history through views formed once per pass
     (``_past_views``).  A switching member's table is bytes, and each step's ``sigma``
     row is taken from them (``_fill_sigma``).  An antithetic chunk keeps half-width
-    normals and switching tables (``_draw_normals``, ``_sigma_table``) and widens each
+    normals and switching tables (``_draw_normals``, ``_passes``) and widens each
     step's row.  No name here keeps a finished pass's tables or histories once the next
     pass starts building its own."""
     if dynamics not in ("original", "shifted"):
@@ -456,7 +444,8 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     if with_r:
         e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
     levels = np.array([band.sigma_lo, band.sigma_hi])  # what a byte table indexes
-    passes = _passes(scenarios, band, grid, n_paths, antithetic, switch_key, history, record)
+    # an antithetic mate shares its partner's volatility path: a half-width table
+    passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record)
     s = SimpleNamespace()
     for s.rows, group in passes:
         width = 1 if all(tab is not None and tab.ndim == 1 for _, tab in group) else n_paths
@@ -550,6 +539,7 @@ def simulate_bundle(
     """Driver plus ``lam``, short rate ``r`` under ``dynamics`` and money market;
     with ``params=None``, sigma, the driver ``B`` and its quadratic variation only."""
     _check_seed("seed", seed)
+    _check_int("n_paths", n_paths)
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))

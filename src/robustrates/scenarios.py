@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError, _check_seed, _to_float
+from .errors import ValidationError, _check_int, _check_seed, _to_float
 
 #: paths drawn per block where a chunk's per-path stream is written time-major
 _PATH_BLOCK = 64
@@ -43,15 +43,13 @@ class ScenarioSpec:
     def scenario_id(self) -> str:
         raise NotImplementedError
 
-    def sigma_table(self, band: VolBand, times: np.ndarray, dt: float, n_paths: int, noise_key: int):
-        """Per-step volatility values.
-
-        Returns an array of shape ``(n_steps,)`` for deterministic kinds or
-        ``(n_paths, n_steps)`` for randomly switching ones (whose engine table is
-        their byte :meth:`RandomSwitching.level_index`).  ``times`` are
-        the left endpoints of the steps.  Adaptive kinds have none: the
-        engine asks them for each step's values (``step_sigma``) instead.
-        """
+    def sigma_table(self, times: np.ndarray, dt: float, n_paths: int, noise_key: int):
+        """The member's volatility table for one chunk, time-major, so step ``k``
+        reads ``tab[k]``: the ``(n_steps,)`` values of a deterministic kind, or a
+        switching member's ``(n_steps, n_paths)`` bytes, one index into
+        ``(sigma_lo, sigma_hi)`` per entry.  ``times`` are the left endpoints of
+        the steps.  Adaptive kinds have none: the engine asks them for each
+        step's values (``step_sigma``) instead."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -73,7 +71,7 @@ class Constant(ScenarioSpec):
     def scenario_id(self):
         return f"const[{self.value:.6g}]"
 
-    def sigma_table(self, band, times, dt, n_paths, noise_key):
+    def sigma_table(self, times, dt, n_paths, noise_key):
         return np.full(times.shape, self.value)
 
     def to_json(self):
@@ -97,8 +95,8 @@ class PiecewiseConstant(ScenarioSpec):
                 "piecewise scenario needs len(values) == len(times) + 1"
             )
         t = np.asarray(self.times)
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0):
-            raise ValidationError("breakpoint times must be strictly increasing and > 0")
+        if t.size and not (np.isfinite(t).all() and np.all(np.diff(t) > 0) and t[0] > 0):
+            raise ValidationError("breakpoint times must be finite, strictly increasing and > 0")
 
     def validate(self, band):
         if not band.contains(self.values):
@@ -109,7 +107,7 @@ class PiecewiseConstant(ScenarioSpec):
         levels = "/".join(f"{v:.4g}" for v in self.values)
         return f"piecewise[{levels}]"
 
-    def sigma_table(self, band, times, dt, n_paths, noise_key):
+    def sigma_table(self, times, dt, n_paths, noise_key):
         idx = np.searchsorted(np.asarray(self.times), times, side="right")
         return np.asarray(self.values)[idx]
 
@@ -139,7 +137,7 @@ class RandomSwitching(ScenarioSpec):
         # no commas: ids appear as bare fields in CSV reports
         return f"switch[rate={self.intensity:.4g};seed={self.seed}]"
 
-    def level_index(self, times, dt, n_paths, noise_key) -> np.ndarray:
+    def sigma_table(self, times, dt, n_paths, noise_key) -> np.ndarray:
         """The volatility path of each of ``n_paths`` paths as one byte per step,
         time-major, ``(n_steps, n_paths)``: 1 where it is ``sigma_hi``, 0 where
         ``sigma_lo``, so an index into ``(sigma_lo, sigma_hi)``.  The stream is read
@@ -162,11 +160,6 @@ class RandomSwitching(ScenarioSpec):
             hi[:, i : i + _PATH_BLOCK] = flips.T
         return hi.view(np.uint8)
 
-    def sigma_table(self, band, times, dt, n_paths, noise_key):
-        """The float view of :meth:`level_index`, ``(n_paths, n_steps)``."""
-        levels = np.array([band.sigma_lo, band.sigma_hi])
-        return levels.take(self.level_index(times, dt, n_paths, noise_key).T)
-
     def to_json(self):
         return {"kind": "switching", "intensity": self.intensity, "seed": self.seed}
 
@@ -178,6 +171,11 @@ class AdaptedFeedback(ScenarioSpec):
     rule: str
     params: dict = field(default_factory=dict)
     is_adaptive = True
+
+    def __post_init__(self):
+        if not isinstance(self.params, dict):
+            raise ValidationError(f"feedback params must be an object (dict), got {self.params!r}")
+        object.__setattr__(self, "params", dict(self.params))  # the caller's dict stays theirs
 
     def validate(self, band):
         if self.rule not in _FEEDBACK_RULES:
@@ -245,6 +243,7 @@ register_feedback_rule("qv_chase", _rule_qv_chase)
 def bang_bang(band: VolBand, horizon: float, n_segments: int, start_high: bool = True) -> PiecewiseConstant:
     """Piecewise-constant scenario alternating between the band edges on
     ``n_segments`` equal slices of ``[0, horizon]``."""
+    _check_int("n_segments", n_segments)
     if n_segments < 1:
         raise ValidationError("bang-bang needs at least one segment")
     times = tuple(horizon * k / n_segments for k in range(1, n_segments))
@@ -268,6 +267,8 @@ def default_scenario_family(
     random-switching scenarios with seeds derived from ``seed``, an integer >= 0.
     """
     _check_seed("seed", seed)
+    _check_int("n_constant", n_constant)
+    _check_seed("n_switching", n_switching)
     if n_constant < 2:
         raise ValidationError("n_constant must be >= 2 so both band edges are present")
     family: list[ScenarioSpec] = [
@@ -309,7 +310,7 @@ def family_from_json(doc: dict) -> tuple[VolBand, list[ScenarioSpec]]:
             elif kind == "switching":
                 spec = RandomSwitching(_to_float(entry["intensity"]), entry["seed"])
             elif kind == "feedback":
-                spec = AdaptedFeedback(entry["rule"], dict(entry.get("params", {})))
+                spec = AdaptedFeedback(entry["rule"], entry.get("params", {}))
             else:
                 raise ValidationError(f"unknown scenario kind '{kind}'")
         except (KeyError, TypeError, AttributeError, ValidationError) as exc:

@@ -137,6 +137,19 @@ class TestBFactor:
         expected = [b_factor(alpha, float(t), 2.0) for t in times]
         assert b_factor(alpha, times, 2.0).tolist() == expected
 
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-10, 5e-9, 1e-8, 1e-6, 1e-3, 0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("x", [1e-12, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 5.0, 20.0])
+    def test_matches_100_digit_values(self, alpha, x):
+        """Within 1e-15 relative of ``(1 - exp(-x)) / alpha`` to 100 digits, ``x = alpha
+        (T - t)``, at every speed: the small-``alpha`` series holds only where ``x`` is small."""
+        T = x / alpha
+        for t in (0.0, T / 3):
+            with localcontext() as ctx:
+                ctx.prec = 100
+                a = Decimal(alpha)
+                exact = float((1 - (-a * (Decimal(T) - Decimal(t))).exp()) / a)
+            assert b_factor(alpha, t, T) == pytest.approx(exact, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("bad", [-1e-3, 2.0 + 1e-9, np.nan])
     def test_array_with_a_time_outside_rejected(self, bad):
         with pytest.raises(ValidationError):
@@ -856,13 +869,14 @@ def test_finished_pass_released_before_the_next_builds(monkeypatch, run):
         alive = sum(ref() is not None for ref in finished)
         assert alive == 0, f"{alive} arrays of a finished pass alive {when}"
 
-    real_table, real_passes, real_steps = (
-        robustrates.paths._sigma_table, robustrates.paths._passes, robustrates.paths._steps
-    )
+    real_passes, real_steps = robustrates.paths._passes, robustrates.paths._steps
 
-    def table_spy(*args):
-        assert_released("at a table build")
-        return real_table(*args)
+    def table_spy(real_table):
+        def spy(spec, *args):
+            assert_released("at a table build")
+            return real_table(spec, *args)
+
+        return spy
 
     def passes_spy(*args):
         for rows, group in real_passes(*args):
@@ -879,7 +893,8 @@ def test_finished_pass_released_before_the_next_builds(monkeypatch, run):
                 stepping.extend(weakref.ref(a) for h in s.hist.values() for a in h.values())
             yield s
 
-    monkeypatch.setattr(robustrates.paths, "_sigma_table", table_spy)
+    for kind in (Constant, PiecewiseConstant, RandomSwitching):  # each kind with a table
+        monkeypatch.setattr(kind, "sigma_table", table_spy(kind.sigma_table))
     monkeypatch.setattr(robustrates.paths, "_passes", passes_spy)
     monkeypatch.setattr(robustrates.mc, "_steps", steps_spy)
     run(family, cfg)

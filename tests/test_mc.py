@@ -3,15 +3,20 @@ import re
 import numpy as np
 import pytest
 
+import robustrates.paths
 from robustrates import (
+    AdaptedFeedback,
     Constant,
     McConfig,
     NumericalError,
+    PiecewiseConstant,
+    RandomSwitching,
     RateParams,
     ValidationError,
     VolBand,
     default_scenario_family,
     estimate_sublinear,
+    martingale_check,
     price_classical_hw,
 )
 from robustrates.mc import CHUNK_PATHS
@@ -211,3 +216,40 @@ def test_duplicate_scenario_ids_disambiguated():
     est = estimate_sublinear(terminal_sq, BAND, fam, small)
     ids = [s.scenario_id for s in est.per_scenario]
     assert len(set(ids)) == 2
+
+
+def test_each_table_member_builds_its_table_once_per_chunk(monkeypatch):
+    """On every chunk the driver builds each table-driven member's table once, through
+    its own kind's ``sigma_table``, half-width under antithetic sampling, with the chunk
+    index as its noise key, and the stepper's pass holds exactly that table."""
+    family = [Constant(0.01), PiecewiseConstant((0.5,), (0.02, 0.005)), RandomSwitching(3.0, 1),
+              AdaptedFeedback("driver_sign"), RandomSwitching(5.0, 2)]
+    cfg = McConfig(n_paths=CHUNK_PATHS + 10, n_steps=4, horizon=1.0, base_seed=3, antithetic=True)
+    built, held = [], []
+
+    def spy(kind):
+        real = kind.sigma_table
+
+        def sigma_table(spec, *args):  # (times, dt, n_paths, noise_key)
+            tab = real(spec, *args)
+            built.append((spec, kind, args[-1], args[-2], tab))
+            return tab
+
+        return sigma_table
+
+    real_passes = robustrates.paths._passes
+
+    def passes_spy(*args):
+        for rows, group in real_passes(*args):
+            held.extend(tab for _, tab in group if tab is not None)
+            yield rows, group
+
+    for kind in (Constant, PiecewiseConstant, RandomSwitching):
+        monkeypatch.setattr(kind, "sigma_table", spy(kind))
+    monkeypatch.setattr(robustrates.paths, "_passes", passes_spy)
+    martingale_check(RateParams(r0=0.02, alpha=1.0), BAND, family, 1.0, [0.5], cfg)
+    tables = [spec for spec in family if not spec.is_adaptive]
+    expected = [(spec, type(spec), ci, m // 2) for ci, m in enumerate((CHUNK_PATHS, 10))
+                for spec in tables]
+    assert [call[:4] for call in built] == expected
+    assert len(held) == len(built) and all(h is call[4] for h, call in zip(held, built))

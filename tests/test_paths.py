@@ -128,8 +128,9 @@ class TestDriver:
         for ci, bundle in enumerate(_chunk_bundles(spec, BAND, cfg, None, "original")):
             half = bundle.n_paths // 2
             assert bundle.sigma[:half].tobytes() == bundle.sigma[half:].tobytes()
-            # the scenario's own table, one row per pair, is the bundle's sigma for both mates
-            tab = spec.sigma_table(BAND, cfg.grid.step_times, cfg.grid.dt, half, ci)
+            # the scenario's own table, one column per pair, is the bundle's sigma for both mates
+            idx = spec.sigma_table(cfg.grid.step_times, cfg.grid.dt, half, ci)
+            tab = np.array([BAND.sigma_lo, BAND.sigma_hi])[idx.T]
             assert np.vstack([tab, tab]).tobytes() == bundle.sigma.tobytes()
 
 
@@ -147,7 +148,9 @@ def column_loop_bundle(scenario, band, grid, params, seed, n_paths, dynamics, an
     if antithetic:
         z = np.vstack([z, -z])
     if not scenario.is_adaptive:
-        tab = scenario.sigma_table(band, grid.step_times, dt, n_draw, 0)
+        tab = scenario.sigma_table(grid.step_times, dt, n_draw, 0)
+        if tab.dtype == np.uint8:  # a switching member's bytes, time-major
+            tab = np.array([band.sigma_lo, band.sigma_hi])[tab.T]
         sigma_tab = (np.vstack([tab, tab]) if antithetic and tab.ndim == 2 else tab).T
     sigma = np.empty((n_paths, n))
     b = np.zeros((n_paths, n + 1))
@@ -332,12 +335,12 @@ class TestChunkTables:
     ):
         """Every ``sigma`` row the stepper fills from a switching member's bytes, ``width``
         paths wide (mates sharing a row), and a recorded history's ``sigma``, is the
-        dense ``sigma_table``."""
+        scenario's ``sigma_table`` taken through ``(sigma_lo, sigma_hi)``."""
         spec, grid = RandomSwitching(intensity, seed=noise_key + 11), TimeGrid(1.0, 8)
         n_paths = CHUNK_PATHS if width is None else width * (1 + antithetic)
-        dense = spec.sigma_table(BAND, grid.step_times, grid.dt, n_paths // (1 + antithetic),
-                                 noise_key)
-        expected = (np.hstack([dense.T, dense.T]) if antithetic else dense.T).copy()
+        idx = spec.sigma_table(grid.step_times, grid.dt, n_paths // (1 + antithetic), noise_key)
+        dense = np.array([BAND.sigma_lo, BAND.sigma_hi])[idx]  # time-major
+        expected = (np.hstack([dense, dense]) if antithetic else dense).copy()
         rows, real = [], robustrates.paths._fill_sigma
 
         def spy(row, tab_k, levels):

@@ -42,6 +42,12 @@ def test_family_always_contains_extremes():
     assert {BAND.sigma_lo, BAND.sigma_hi} <= consts
 
 
+def _path_major(band, tab):
+    """A chunk table as path-major volatilities: a switching member's time-major bytes
+    taken through ``(sigma_lo, sigma_hi)``, a deterministic table as it is."""
+    return np.array([band.sigma_lo, band.sigma_hi])[tab.T] if tab.dtype == np.uint8 else tab
+
+
 def test_family_rejects_single_constant():
     with pytest.raises(ValidationError):
         default_scenario_family(BAND, n_constant=1, n_switching=0, seed=0)
@@ -52,7 +58,7 @@ def test_family_degenerate_band_collapses_to_one_level():
     fam = default_scenario_family(band, n_constant=2, n_switching=2, seed=0)
     grid = TimeGrid(1.0, 16)
     for spec in fam:
-        tab = spec.sigma_table(band, grid.step_times, grid.dt, 8, 0)
+        tab = _path_major(band, spec.sigma_table(grid.step_times, grid.dt, 8, 0))
         np.testing.assert_array_equal(np.unique(tab), [0.01])
 
 
@@ -65,8 +71,8 @@ def test_family_reproducible():
     assert (n_const, n_switch) == (2, 3)
     grid = TimeGrid(1.0, 32)
     for a, b in zip(f1, f2):
-        ta = a.sigma_table(BAND, grid.step_times, grid.dt, 16, 3)
-        tb = b.sigma_table(BAND, grid.step_times, grid.dt, 16, 3)
+        ta = a.sigma_table(grid.step_times, grid.dt, 16, 3)
+        tb = b.sigma_table(grid.step_times, grid.dt, 16, 3)
         np.testing.assert_array_equal(ta, tb)
 
 
@@ -77,10 +83,20 @@ def test_piecewise_needs_increasing_times():
         PiecewiseConstant(times=(0.5,), values=(0.01,))
 
 
+@pytest.mark.parametrize("times, values", [
+    ((np.nan,), (0.01, 0.02)), ((0.5, np.nan), (0.01, 0.02, 0.01)),
+    ((np.inf,), (0.01, 0.02)), ((0.5, np.inf), (0.01, 0.02, 0.01)), ((-np.inf, 0.5), (0.01,) * 3),
+])
+def test_piecewise_rejects_non_finite_breakpoints(times, values):
+    """A NaN breakpoint once passed every check and the first value held at every step."""
+    with pytest.raises(ValidationError, match="^breakpoint times must be finite"):
+        PiecewiseConstant(times, values)
+
+
 def test_piecewise_segment_lookup():
     spec = PiecewiseConstant(times=(0.25, 0.75), values=(0.005, 0.02, 0.01))
     grid = TimeGrid(1.0, 8)
-    tab = spec.sigma_table(BAND, grid.step_times, grid.dt, 1, 0)
+    tab = spec.sigma_table(grid.step_times, grid.dt, 1, 0)
     np.testing.assert_allclose(tab, [0.005, 0.005, 0.02, 0.02, 0.02, 0.02, 0.01, 0.01])
 
 
@@ -100,24 +116,24 @@ def test_out_of_band_value_rejected():
 def test_switching_stays_inside_band_and_is_seed_deterministic():
     spec = RandomSwitching(intensity=4.0, seed=11)
     grid = TimeGrid(1.0, 64)
-    tab1 = spec.sigma_table(BAND, grid.step_times, grid.dt, 32, 5)
-    tab2 = spec.sigma_table(BAND, grid.step_times, grid.dt, 32, 5)
+    tab1 = _path_major(BAND, spec.sigma_table(grid.step_times, grid.dt, 32, 5))
+    tab2 = _path_major(BAND, spec.sigma_table(grid.step_times, grid.dt, 32, 5))
     np.testing.assert_array_equal(tab1, tab2)
     assert set(np.unique(tab1)) <= {BAND.sigma_lo, BAND.sigma_hi}
     # different noise key gives a different realization
-    tab3 = spec.sigma_table(BAND, grid.step_times, grid.dt, 32, 6)
+    tab3 = _path_major(BAND, spec.sigma_table(grid.step_times, grid.dt, 32, 6))
     assert not np.array_equal(tab1, tab3)
 
 
 def test_switching_zero_intensity_never_switches():
     spec = RandomSwitching(intensity=0.0, seed=3)
     grid = TimeGrid(1.0, 32)
-    tab = spec.sigma_table(BAND, grid.step_times, grid.dt, 16, 0)
+    tab = _path_major(BAND, spec.sigma_table(grid.step_times, grid.dt, 16, 0))
     assert np.all(tab == tab[:, :1])
 
 
 def _path_major_switching_table(spec, band, times, dt, n_paths, noise_key):
-    """``RandomSwitching.sigma_table`` as one full-size path-major draw formed it."""
+    """A switching member's path-major volatilities as one full-size draw forms them."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(noise_key,)))
     p_switch = -np.expm1(-spec.intensity * dt)
     start_hi = rng.random(n_paths) < 0.5
@@ -129,15 +145,15 @@ def _path_major_switching_table(spec, band, times, dt, n_paths, noise_key):
 @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("intensity, n_steps", [(0.0, 16), (4.0, 1), (4.0, 64), (300.0, 64)])
 def test_switching_table_is_the_path_major_draw(n_paths, intensity, n_steps):
-    """The table built block by block from bytes is the one-draw table, bit for bit,
-    and ``level_index`` is its time-major index into ``(sigma_lo, sigma_hi)``."""
+    """The byte table built block by block is a time-major index into ``(sigma_lo,
+    sigma_hi)`` that gives the one-draw volatilities, bit for bit."""
     spec, grid = RandomSwitching(intensity, seed=7), TimeGrid(1.0, n_steps)
     for band, key in ((BAND, 0), (BAND, 4), (VolBand(0.01, 0.01), 2)):
-        tab = spec.sigma_table(band, grid.step_times, grid.dt, n_paths, key)
+        idx = spec.sigma_table(grid.step_times, grid.dt, n_paths, key)
+        tab = _path_major(band, idx)
         expected = _path_major_switching_table(spec, band, grid.step_times, grid.dt, n_paths, key)
         assert (tab.shape, tab.dtype) == (expected.shape, expected.dtype)
         assert tab.tobytes() == expected.tobytes()
-        idx = spec.level_index(grid.step_times, grid.dt, n_paths, key)
         assert (idx.shape, idx.dtype, idx.flags.c_contiguous) == ((n_steps, n_paths), np.uint8, True)
         assert idx.max(initial=0) <= 1
         assert np.array([band.sigma_lo, band.sigma_hi])[idx.T].tobytes() == expected.tobytes()
@@ -341,6 +357,60 @@ def test_family_from_json_malformed_entry_names_index(entry):
     doc = {"band": {"lo": 0.005, "hi": 0.02}, "scenarios": [{"kind": "constant", "value": 0.01}, entry]}
     with pytest.raises(ValidationError, match="entry 1"):
         family_from_json(doc)
+
+
+@pytest.mark.parametrize("params", ["ab", [["threshold", 0.001]], 3, None, True])
+def test_feedback_params_must_be_an_object(params):
+    """In a document, ``"ab"`` once escaped as a bare ``ValueError`` and a list of pairs
+    became a dict; in the library, a rule failed on them with ``AttributeError``."""
+    doc = {"band": {"lo": 0.005, "hi": 0.02},
+           "scenarios": [{"kind": "feedback", "rule": "driver_sign", "params": params}]}
+    message = f"feedback params must be an object (dict), got {params!r}"
+    expected = f"malformed scenario entry 0: ValidationError: {message}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+        family_from_json(doc)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        AdaptedFeedback("driver_sign", params)
+
+
+def test_feedback_params_are_copied():
+    params = {"threshold": 0.001}
+    spec = AdaptedFeedback("driver_sign", params)
+    params["threshold"] = 1.0
+    assert spec.params == {"threshold": 0.001}
+
+
+#: every count an entry point takes, each built with the value under test
+_COUNTS = [
+    ("n_steps", lambda v: TimeGrid(1.0, v)),
+    ("n_steps", lambda v: McConfig(n_paths=2, n_steps=v, horizon=1.0, base_seed=0)),
+    ("n_paths", lambda v: McConfig(n_paths=v, n_steps=2, horizon=1.0, base_seed=0)),
+    ("n_paths", lambda v: simulate_bundle(Constant(0.01), BAND, TimeGrid(1.0, 2), None, 0, v).b.tolist()),
+    ("n_constant", lambda v: default_scenario_family(BAND, v, 2, seed=0)),
+    ("n_switching", lambda v: default_scenario_family(BAND, 2, v, seed=0)),
+    ("n_segments", lambda v: bang_bang(BAND, 1.0, v)),
+]
+_COUNT_IDS = ["TimeGrid", "McConfig.n_steps", "McConfig.n_paths", "simulate_bundle",
+              "n_constant", "n_switching", "bang_bang"]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+@pytest.mark.parametrize("name, build", _COUNTS, ids=_COUNT_IDS)
+def test_counts_must_be_integers(name, build, value):
+    """A fractional count once escaped as a bare ``TypeError``, and ``True`` ran as 1."""
+    message = rf"^{name} must be an integer( >= 0)?, got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=message):
+        build(value)
+
+
+@pytest.mark.parametrize("name, build", _COUNTS, ids=_COUNT_IDS)
+def test_counts_take_numpy_integers(name, build):
+    assert build(np.int64(2)) == build(2)
+
+
+def test_default_family_rejects_a_negative_switching_count():
+    with pytest.raises(ValidationError, match=r"^n_switching must be an integer >= 0, got -1$"):
+        default_scenario_family(BAND, 2, -1, seed=0)
 
 
 @pytest.mark.parametrize("entries", [5, {"kind": "constant", "value": 0.01}, "constant"])
