@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_real
 
 
 @dataclass(frozen=True)
@@ -32,18 +32,13 @@ class VolBand:
     sigma_hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_lo) and np.isfinite(self.sigma_hi)):
-            raise ValidationError("volatility band must be finite")
-        if not (0.0 < self.sigma_lo <= self.sigma_hi):
-            raise ValidationError(
-                f"volatility band requires 0 < sigma_lo <= sigma_hi, "
-                f"got [{self.sigma_lo}, {self.sigma_hi}]"
-            )
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.float64(self.sigma_hi) ** 2):
-                raise ValidationError(
-                    f"volatility band top {self.sigma_hi} has no finite square"
-                )
+        for name in ("sigma_lo", "sigma_hi"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), 0, lo_open=True))
+        lo, hi = self.sigma_lo, self.sigma_hi
+        if lo > hi:
+            raise ValidationError(f"volatility band requires 0 < sigma_lo <= sigma_hi, got [{lo}, {hi}]")
+        if not np.isfinite(hi * hi):
+            raise ValidationError(f"volatility band top {hi} has no finite square")
 
     @property
     def is_degenerate(self) -> bool:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_int, _check_real
 from .mc import McConfig, _sample, _stats, _sublinear
 from .paths import ForwardCurve, RateParams, b_factor
 from .scenarios import Constant, ScenarioSpec
@@ -135,8 +135,7 @@ def a_robust(params: RateParams, t, maturity: float):
 def a_classical(params: RateParams, sigma: float, t: float, maturity: float) -> float:
     """``int_t^T (sigma^2 B(s,T)^2 / 2 - mu(s) B(s,T)) ds``, built as
     ``a_robust + sigma^2 V(t,T) / 2``; ``sigma = 0`` gives :func:`a_robust`."""
-    if sigma < 0:
-        raise ValidationError("sigma must be >= 0")
+    _check_real("sigma", sigma, lo=0)
     _, v = _b_integrals(params.alpha, t, maturity)
     return a_robust(params, t, maturity) + 0.5 * sigma**2 * v
 
@@ -146,8 +145,7 @@ def price_robust(
 ) -> float:
     """Robust bond price; strictly decreasing in both ``r_t`` and
     ``lambda_t`` for ``t < T`` and exactly 1 at ``t = T``."""
-    if lambda_t < 0:
-        raise ValidationError("lambda_t must be >= 0")
+    _check_real("lambda_t", lambda_t, lo=0)
     a = a_robust(params, t, maturity)
     b = b_factor(params.alpha, t, maturity)
     return float(np.exp(_log_price(a, b, r_t, lambda_t)))
@@ -265,7 +263,7 @@ def martingale_check(
     check for this test.
     """
     cfg = replace(cfg, horizon=maturity)
-    grid, n = cfg.grid, cfg.n_steps
+    grid, n = cfg.grid, _check_int("n_steps", cfg.n_steps, lo=2)  # the drift fit needs two points
     cp = sorted(float(t) for t in checkpoints)
     cp_idx = [grid.index_of(t) for t in cp]  # rejects off-grid checkpoints
     if not cp or len(set(cp_idx)) < len(cp):

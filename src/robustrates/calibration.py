@@ -28,25 +28,26 @@ from typing import Iterable, Sequence, TextIO, Union
 import numpy as np
 
 from .bonds import price_robust
-from .errors import ValidationError, _to_float
+from .errors import ValidationError, _check_real
 from .paths import ForwardCurve, RateParams
 
 
-def _curve_from_rows(rows: Iterable) -> ForwardCurve:
-    """Knots from CSV rows or JSON ``[T, f]`` pairs, each field a finite number
-    by :func:`~robustrates.errors._to_float` (so no null and no boolean)."""
+def _curve_from_rows(rows: Iterable, parse=lambda field: field) -> ForwardCurve:
+    """Knots from ``[T, f]`` pairs, each field through ``parse`` (``float`` for the
+    text of a CSV row; a JSON pair holds numbers already) and then the number rule
+    (:func:`~robustrates.errors._check_real`: no null, boolean or string)."""
     mats, fwds = [], []
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != 2:
             raise ValidationError(f"forward-curve knot must be a [T, f] pair, got {row!r}")
         try:
-            mats.append(_to_float(row[0]))
-            fwds.append(_to_float(row[1]))
-        except ValidationError:
+            mats.append(_check_real("T", parse(row[0])))
+            fwds.append(_check_real("f", parse(row[1])))
+        except ValueError:  # "abc", or what the rule rejects
             raise ValidationError(
                 f"non-numeric or non-finite forward-curve entry in {row!r}"
             ) from None
-    return ForwardCurve(np.asarray(mats), np.asarray(fwds))
+    return ForwardCurve(mats, fwds)
 
 
 def ingest_forward_curve(source: Union[str, os.PathLike, TextIO, dict]) -> ForwardCurve:
@@ -76,7 +77,7 @@ def ingest_forward_curve(source: Union[str, os.PathLike, TextIO, dict]) -> Forwa
                 raise ValidationError(
                     f"forward-curve CSV must have header 'T,f', got {rows[0]!r}"
                 )
-            return _curve_from_rows(rows[1:])
+            return _curve_from_rows(rows[1:], float)
     knots = doc.get("knots")
     if not isinstance(knots, list) or not knots:
         raise ValidationError("forward-curve JSON needs a non-empty 'knots' list")

@@ -23,7 +23,7 @@ import numpy as np
 from .band import VolBand
 from .bonds import _require_finite, martingale_check, noarb_gap, price_classical_hw, price_robust
 from .calibration import calibrate, ingest_forward_curve, initial_curve_roundtrip
-from .errors import NumericalError, ValidationError, _to_float
+from .errors import NumericalError, ValidationError, _check_int, _check_real
 from .gheat import _terminal_grid, solve_gheat
 from .mc import McConfig
 from .paths import RateParams, TimeGrid, simulate_bundle
@@ -74,14 +74,22 @@ def _to_str(value) -> str:
 
 
 def _to_int(value) -> int:
-    """Integer from a flag or a JSON number; booleans and fractions
-    (``12.9``, ``"2.5"``) are errors, never truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        with suppress(ValueError):
-            return int(value)
+    """Integer from a flag or a JSON number: text and integral floats are parsed,
+    then the integer rule applies; booleans and fractions (``12.9``, ``"2.5"``) are
+    errors, never truncated."""
+    with suppress(ValueError):
+        if isinstance(value, str) or isinstance(value, float) and value.is_integer():
+            value = int(value)
+        return _check_int("integer", value)
     raise ValidationError(f"expected an integer, got {value!r}")
+
+
+def _to_float(value) -> float:
+    """Number from a flag or a JSON number: text is parsed, then the number rule
+    applies; booleans, null, ``inf`` and ``NaN`` are errors."""
+    with suppress(ValueError):
+        return _check_real("number", float(value) if isinstance(value, str) else value)
+    raise ValidationError(f"expected a finite number, got {value!r}")
 
 
 def _to_floats(value) -> list[float]:

@@ -1,6 +1,7 @@
 """Exception types, and the integer and number rules, shared across the package."""
 
 from contextlib import suppress
+from math import isfinite, nan
 
 import numpy as np
 
@@ -14,28 +15,28 @@ class NumericalError(RuntimeError):
     stability condition is violated at solve time."""
 
 
-def _is_int(value) -> bool:
-    """A Python or numpy integer, not a ``bool`` and not an integral float."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_int(name: str, value, lo=None):
+    """``value``, if it is a Python or numpy integer (never a ``bool``) of at least
+    ``lo``; else a ``ValidationError`` naming ``name``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and (lo is None or value >= lo)):
+        raise ValidationError(f"{name} must be an integer{_bound(lo)}, got {value!r}")
+    return value
 
 
-def _check_int(name: str, value) -> None:
-    """A ``ValidationError`` naming ``name`` unless ``value`` is an integer (``_is_int``)."""
-    if not _is_int(value):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+def _check_real(name: str, value, lo=None, lo_open=False) -> float:
+    """``value`` as a float, if it is a finite Python or numpy real (never a ``bool``,
+    a string, ``None`` or an array) of at least ``lo`` (above it if ``lo_open``);
+    else a ``ValidationError`` naming ``name``."""
+    x = nan
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # 10**400 has no float
+            x = float(value)
+    if not (isfinite(x) and (lo is None or x > lo or (x == lo and not lo_open))):
+        raise ValidationError(f"{name} must be a finite real number{_bound(lo, lo_open)}, "
+                              f"got {value!r}")
+    return x
 
 
-def _check_seed(name: str, value) -> None:
-    """A ``ValidationError`` naming ``name`` unless ``value`` is an integer (``_is_int``) >= 0."""
-    if not (_is_int(value) and value >= 0):
-        raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
-
-
-def _to_float(value) -> float:
-    """Finite number from a flag or a JSON number; booleans are errors."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        with suppress(ValueError, OverflowError):  # "x", 10**400
-            number = float(value)
-            if np.isfinite(number):
-                return number
-    raise ValidationError(f"expected a finite number, got {value!r}")
+def _bound(lo, lo_open=False) -> str:
+    return "" if lo is None else f" {'>' if lo_open else '>='} {lo}"

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .band import VolBand, _g_coefficients, _g_in_place
-from .errors import NumericalError, ValidationError, _is_int
+from .errors import NumericalError, ValidationError, _check_int, _check_real
 
 #: stability margin of every grid built here: ``sigma_hi^2 dt / dx^2 <= _CFL``
 _CFL = 0.9
@@ -63,21 +63,13 @@ class Grid1D:
     nt: int
 
     def __post_init__(self):
-        if not (isfinite(self.x_min) and isfinite(self.x_max) and isfinite(self.t_final)):
-            raise ValidationError("need finite x_min, x_max and t_final")
+        for name, lo in (("x_min", None), ("x_max", None), ("t_final", 0)):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), lo, lo_open=True))
         if not (self.x_min < self.x_max):
             raise ValidationError("need x_min < x_max")
-        if not (_is_int(self.nx) and self.nx >= 3):
-            raise ValidationError(f"need an integer nx >= 3, got {self.nx!r}")
-        if not (self.t_final > 0):
-            raise ValidationError("need t_final > 0")
-        if not (_is_int(self.nt) and self.nt >= 1):
-            raise ValidationError(f"need an integer nt >= 1, got {self.nt!r}")
-        try:
-            dx2 = float(self.dx) ** 2
-        except OverflowError:
-            dx2 = inf
-        if not (0.0 < dx2 < inf):
+        _check_int("nx", self.nx, lo=3)
+        _check_int("nt", self.nt, lo=1)
+        if not (0.0 < self.dx * self.dx < inf):
             raise ValidationError(f"node spacing {self.dx:g} has no finite, positive square")
 
     @property
@@ -175,8 +167,8 @@ def solve_gheat(
     if not np.all(np.isfinite(u)):
         raise ValidationError("phi must be finite at all nodes")
 
-    if store_every is not None and not (_is_int(store_every) and store_every >= 1):
-        raise ValidationError(f"store_every must be an integer >= 1, got {store_every!r}")
+    if store_every is not None:
+        _check_int("store_every", store_every, lo=1)
     nt, dt = grid.nt, grid.dt
     # d2 = u[2:] - 2.0*u[1:-1] + u[:-2], then u[1:-1] += g_r(d2) with g_r the
     # generator on its halved variances times r = dt / dx^2, with the same
@@ -225,12 +217,13 @@ def _terminal_grid(
     """Grid spanning ``+- pad_widths * sigma_hi * sqrt(t)`` with
     ``nodes_per_width`` nodes per diffusion width; the node count is kept
     even so the read-out at 0 interpolates between cell centers."""
-    if not (0 < t < inf):
-        raise ValidationError("t must be finite and > 0")
-    if not isfinite(pad_widths * nodes_per_width):
+    t = _check_real("t", t, 0, lo_open=True)
+    _check_int("nodes_per_width", nodes_per_width)
+    nodes = _check_real("pad_widths", pad_widths) * _check_real("nodes_per_width", nodes_per_width)
+    if not isfinite(nodes):
         raise ValidationError("need finite pad_widths and nodes_per_width")
     half = pad_widths * (band.sigma_hi * sqrt(t))
-    nx = 2 * int(round(pad_widths * nodes_per_width))
+    nx = 2 * int(round(nodes))
     return Grid1D.with_cfl(band, -half, half, nx, t)
 
 

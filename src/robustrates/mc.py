@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import NumericalError, ValidationError, _check_int, _check_seed
+from .errors import NumericalError, ValidationError, _check_int
 from .paths import PathBundle, RateParams, TimeGrid, _bundle, _steps
 from .scenarios import ScenarioSpec
 
@@ -40,11 +40,11 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        _check_int("n_paths", self.n_paths)
-        if self.n_paths < 1:
-            raise ValidationError("n_paths must be >= 1")
-        _check_seed("base_seed", self.base_seed)
+        _check_int("n_paths", self.n_paths, lo=1)
+        _check_int("base_seed", self.base_seed, lo=0)
         TimeGrid(self.horizon, self.n_steps)  # validates horizon and n_steps
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValidationError(f"antithetic must be a bool, got {self.antithetic!r}")
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling needs an even n_paths")
 

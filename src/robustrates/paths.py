@@ -21,9 +21,6 @@ Discretization choices (fixed, first order in the stochastic terms):
 
 from __future__ import annotations
 
-import math
-import numbers
-from contextlib import suppress
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Union
@@ -31,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError, _check_int, _check_seed
+from .errors import ValidationError, _check_int, _check_real
 from .scenarios import _PATH_BLOCK, PathView, ScenarioSpec
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -45,11 +42,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise ValidationError("horizon must be finite and > 0")
-        _check_int("n_steps", self.n_steps)
-        if self.n_steps < 1:
-            raise ValidationError("n_steps must be >= 1")
+        object.__setattr__(self, "horizon", _check_real("horizon", self.horizon, 0, lo_open=True))
+        _check_int("n_steps", self.n_steps, lo=1)
 
     @property
     def dt(self) -> float:
@@ -89,17 +83,17 @@ class ForwardCurve:
     forwards: np.ndarray
 
     def __post_init__(self):
-        mats = np.array(self.maturities, dtype=float)
-        fwds = np.array(self.forwards, dtype=float)
-        mats.flags.writeable = fwds.flags.writeable = False
-        object.__setattr__(self, "maturities", mats)
-        object.__setattr__(self, "forwards", fwds)
-        if mats.ndim != 1 or mats.shape != fwds.shape:
+        names = ("maturities", "forwards")
+        knots = [np.array(getattr(self, name), dtype=object) for name in names]
+        if knots[0].ndim != 1 or knots[0].shape != knots[1].shape:
             raise ValidationError("maturities and forwards must be 1-D and aligned")
+        for name, k in zip(names, knots):  # read-only copies, knot by knot by the number rule
+            k = np.array([_check_real(name, v) for v in k], dtype=float)
+            k.flags.writeable = False
+            object.__setattr__(self, name, k)
+        mats, fwds = self.maturities, self.forwards
         if mats.size < 2:
             raise ValidationError("forward curve needs at least 2 knots")
-        if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(fwds))):
-            raise ValidationError("forward curve contains non-finite values")
         if mats[0] != 0.0:
             raise ValidationError("forward curve must start with a T=0 knot")
         d = np.diff(mats)
@@ -189,18 +183,10 @@ class RateParams:
     mu: Union[float, ForwardCurve] = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError("alpha must be finite and > 0")
-        if not np.isfinite(self.r0):
-            raise ValidationError("r0 must be finite")
-        if isinstance(self.mu, ForwardCurve):
-            return
-        real = isinstance(self.mu, numbers.Real) and not isinstance(self.mu, bool)
-        with suppress(OverflowError):  # an integer past the float range
-            if real and math.isfinite(self.mu):
-                object.__setattr__(self, "mu", float(self.mu))
-                return
-        raise ValidationError(f"mu must be finite: a real number or a ForwardCurve, got {self.mu!r}")
+        object.__setattr__(self, "r0", _check_real("r0", self.r0))
+        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha, 0, lo_open=True))
+        if not isinstance(self.mu, ForwardCurve):
+            object.__setattr__(self, "mu", _check_real("mu", self.mu))
 
     def mu_at(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -238,8 +224,7 @@ def b_factor(alpha: float, t, maturity: float):
     times, as ``-expm1(-x) / alpha`` with ``x = alpha (T-t)``; below ``alpha = 1e-8``,
     where ``x < 1e-5``, as its series in ``x``, so the limit ``T - t`` is exact."""
     _check_interval(t, maturity)
-    if alpha <= 0:
-        raise ValidationError("alpha must be > 0")
+    alpha = _check_real("alpha", alpha, 0, lo_open=True)
     delta = maturity - t
     x = alpha * delta
     if alpha < 1e-8:
@@ -538,10 +523,10 @@ def simulate_bundle(
 ) -> PathBundle:
     """Driver plus ``lam``, short rate ``r`` under ``dynamics`` and money market;
     with ``params=None``, sigma, the driver ``B`` and its quadratic variation only."""
-    _check_seed("seed", seed)
-    _check_int("n_paths", n_paths)
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
+    _check_int("seed", seed, lo=0)
+    _check_int("n_paths", n_paths, lo=1)
+    if not isinstance(antithetic, (bool, np.bool_)):
+        raise ValidationError(f"antithetic must be a bool, got {antithetic!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     return _simulate(
         scenario, band, grid, rng, n_paths,

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError, _check_int, _check_seed, _to_float
+from .errors import ValidationError, _check_int, _check_real
 
 #: paths drawn per block where a chunk's per-path stream is written time-major
 _PATH_BLOCK = 64
@@ -60,6 +60,9 @@ class ScenarioSpec:
 class Constant(ScenarioSpec):
     value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", _check_real("value", self.value))
+
     def validate(self, band):
         if not band.contains(self.value):
             raise ValidationError(
@@ -88,15 +91,15 @@ class PiecewiseConstant(ScenarioSpec):
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        for name in ("times", "values"):
+            object.__setattr__(self, name, tuple(_check_real(name, v) for v in getattr(self, name)))
         if len(self.values) != len(self.times) + 1:
             raise ValidationError(
                 "piecewise scenario needs len(values) == len(times) + 1"
             )
         t = np.asarray(self.times)
-        if t.size and not (np.isfinite(t).all() and np.all(np.diff(t) > 0) and t[0] > 0):
-            raise ValidationError("breakpoint times must be finite, strictly increasing and > 0")
+        if t.size and not (np.all(np.diff(t) > 0) and t[0] > 0):
+            raise ValidationError("breakpoint times must be strictly increasing and > 0")
 
     def validate(self, band):
         if not band.contains(self.values):
@@ -125,9 +128,8 @@ class RandomSwitching(ScenarioSpec):
     seed: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.intensity) and self.intensity >= 0):
-            raise ValidationError("switch intensity must be finite and >= 0")
-        _check_seed("switching seed", self.seed)
+        object.__setattr__(self, "intensity", _check_real("intensity", self.intensity, lo=0))
+        _check_int("switching seed", self.seed, lo=0)
 
     def validate(self, band):
         pass  # levels are the band edges by construction
@@ -243,9 +245,7 @@ register_feedback_rule("qv_chase", _rule_qv_chase)
 def bang_bang(band: VolBand, horizon: float, n_segments: int, start_high: bool = True) -> PiecewiseConstant:
     """Piecewise-constant scenario alternating between the band edges on
     ``n_segments`` equal slices of ``[0, horizon]``."""
-    _check_int("n_segments", n_segments)
-    if n_segments < 1:
-        raise ValidationError("bang-bang needs at least one segment")
+    _check_int("n_segments", n_segments, lo=1)
     times = tuple(horizon * k / n_segments for k in range(1, n_segments))
     edges = (band.sigma_hi, band.sigma_lo) if start_high else (band.sigma_lo, band.sigma_hi)
     values = tuple(edges[k % 2] for k in range(n_segments))
@@ -266,11 +266,9 @@ def default_scenario_family(
     between, bang-bang scenarios of 2 and 4 segments, and ``n_switching``
     random-switching scenarios with seeds derived from ``seed``, an integer >= 0.
     """
-    _check_seed("seed", seed)
-    _check_int("n_constant", n_constant)
-    _check_seed("n_switching", n_switching)
-    if n_constant < 2:
-        raise ValidationError("n_constant must be >= 2 so both band edges are present")
+    _check_int("seed", seed, lo=0)
+    _check_int("n_constant", n_constant, lo=2)  # both band edges
+    _check_int("n_switching", n_switching, lo=0)
     family: list[ScenarioSpec] = [
         Constant(v) for v in np.linspace(band.sigma_lo, band.sigma_hi, n_constant)
     ]
@@ -292,7 +290,7 @@ def family_to_json(band: VolBand, scenarios: Sequence[ScenarioSpec]) -> dict:
 
 def family_from_json(doc: dict) -> tuple[VolBand, list[ScenarioSpec]]:
     try:
-        band = VolBand(_to_float(doc["band"]["lo"]), _to_float(doc["band"]["hi"]))
+        band = VolBand(doc["band"]["lo"], doc["band"]["hi"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed scenario document: {exc}") from exc
     entries = doc.get("scenarios", [])
@@ -303,12 +301,11 @@ def family_from_json(doc: dict) -> tuple[VolBand, list[ScenarioSpec]]:
         try:
             kind = entry.get("kind")
             if kind == "constant":
-                spec: ScenarioSpec = Constant(_to_float(entry["value"]))
+                spec: ScenarioSpec = Constant(entry["value"])
             elif kind == "piecewise":
-                times, values = (tuple(map(_to_float, entry[x])) for x in ("times", "values"))
-                spec = PiecewiseConstant(times, values)
+                spec = PiecewiseConstant(entry["times"], entry["values"])
             elif kind == "switching":
-                spec = RandomSwitching(_to_float(entry["intensity"]), entry["seed"])
+                spec = RandomSwitching(entry["intensity"], entry["seed"])
             elif kind == "feedback":
                 spec = AdaptedFeedback(entry["rule"], entry.get("params", {}))
             else:

@@ -979,6 +979,30 @@ def test_non_finite_checkpoint_names_its_member_and_path(monkeypatch, member, la
         martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg)
 
 
+def test_one_step_rejected_before_drawing(monkeypatch):
+    """The drift fit needs two points: on one step it once divided by zero."""
+    draws = []
+    monkeypatch.setattr(robustrates.paths, "_draw_normals", lambda *a: draws.append(a))
+    cfg = McConfig(n_paths=16, n_steps=1, horizon=1.0, base_seed=0)
+    with pytest.raises(ValidationError, match=r"^n_steps must be an integer >= 2, got 1$"):
+        martingale_check(PARAMS, BAND, [Constant(0.01)], 1.0, [1.0], cfg)
+    assert draws == []
+
+
+@pytest.mark.parametrize("name, call", [
+    ("alpha", lambda v: b_factor(v, 0.0, 1.0)),
+    ("sigma", lambda v: a_classical(PARAMS, v, 0.0, 1.0)),
+    ("sigma", lambda v: price_classical_hw(PARAMS, v, 0.0, 1.0, 0.02)),
+    ("lambda_t", lambda v: price_robust(PARAMS, 0.0, 1.0, 0.02, v)),
+], ids=["b_factor", "a_classical", "price_classical_hw", "price_robust"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, True, "0.01", None])
+def test_closed_form_guards_take_the_number_rule(name, call, value):
+    """``b_factor(nan, 0, 1)`` and ``a_classical(p, nan, 0, 1)`` once returned NaN,
+    and ``b_factor(True, 0, 1)`` ran with alpha 1."""
+    with pytest.raises(ValidationError, match=rf"^{name} must be a finite real number >=? 0, got "):
+        call(value)
+
+
 @pytest.mark.parametrize("dynamics", ["shifted", "original"])
 @pytest.mark.parametrize("checkpoints", [[], [1.0, 1.0], [0.5, 0.25, 0.5]])
 def test_empty_or_repeated_checkpoints_rejected_before_drawing(monkeypatch, checkpoints, dynamics):

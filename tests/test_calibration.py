@@ -79,7 +79,8 @@ class TestIngest:
         [1, 2],  # knots that are not [T, f] lists
         [[0, None], [5, 0.02]],  # a null forward
         [[0, True], [5, 0.02]],  # a boolean is not a number
-    ], ids=["bare-numbers", "null", "boolean"])
+        [[0, "0.01"], [5, 0.02]],  # nor, in JSON, is a string
+    ], ids=["bare-numbers", "null", "boolean", "string"])
     def test_json_knot_not_two_numbers_rejected(self, knots):
         with pytest.raises(ValidationError, match="forward-curve"):
             ingest_forward_curve({"knots": knots})

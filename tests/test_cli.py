@@ -227,7 +227,7 @@ class TestSimulate:
 
     def test_zero_paths_names_the_count(self, capsys):
         assert run_cli("simulate", "--paths", "0", "--steps", "4") == 1
-        assert capsys.readouterr() == ("", "error: n_paths must be >= 1\n")
+        assert capsys.readouterr() == ("", "error: n_paths must be an integer >= 1, got 0\n")
 
 
 class TestGheatCmd:
@@ -435,6 +435,29 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: malformed scenario entry 0: ValidationError: switching seed ")
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_step_verify_exits_1_naming_the_steps(self, tmp_path, capsys):
+        """The drift fit needs two points; one step once escaped as a bare
+        ``ZeroDivisionError`` from the fit."""
+        out = tmp_path / "report"
+        argv = ("verify", "--steps", "1", "--paths", "16", "--checkpoints", "1", "--out", str(out))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == ("", "error: n_steps must be an integer >= 2, got 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "switching", "intensity": "4", "seed": 1},
+         "intensity must be a finite real number >= 0, got '4'"),
+        ({"kind": "constant", "value": "0.01"}, "value must be a finite real number, got '0.01'"),
+    ])
+    def test_scenario_file_numeric_string_exits_1(self, tmp_path, capsys, entry, message):
+        """A JSON document takes JSON numbers: ``"0.01"`` is rejected as ``true`` is."""
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"band": {"lo": 0.005, "hi": 0.02}, "scenarios": [entry]}))
+        assert run_cli("verify", "--scenarios", str(fam), "--paths", "16", "--steps", "4") == 1
+        expected = f"error: malformed scenario entry 0: ValidationError: {message}\n"
+        assert capsys.readouterr() == ("", expected)
 
 
 # options that each command accepted at one time but never read

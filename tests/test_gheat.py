@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -396,6 +397,18 @@ class TestGridAndFailures:
         kwargs = {"t": 1.0, **kwargs}
         with pytest.raises(ValidationError):
             gexpectation_terminal(PAYOFFS["relu"], BAND, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t": True}, "t must be a finite real number > 0, got True"),
+        ({"t": "1"}, "t must be a finite real number > 0, got '1'"),
+        ({"nodes_per_width": 2.5}, "nodes_per_width must be an integer, got 2.5"),
+        ({"nodes_per_width": 10**400}, "nodes_per_width must be a finite real number, got 1"),
+        ({"pad_widths": True}, "pad_widths must be a finite real number, got True"),
+    ])
+    def test_terminal_grid_inputs_take_the_number_rules(self, kwargs, message):
+        """``nodes_per_width=2.5`` was once rounded to a grid, and ``t=True`` ran as 1."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            gexpectation_terminal(PAYOFFS["relu"], BAND, **{"t": 1.0, **kwargs})
 
     @pytest.mark.parametrize("store_every", [0, -1, 2.5, 2.0, True, False, "2"])
     def test_store_every_must_be_an_integer_at_least_1(self, store_every):

@@ -104,7 +104,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("params", [None, RateParams(r0=0.02, alpha=1.0)])
     def test_zero_paths_rejected(self, params):
-        with pytest.raises(ValidationError, match="n_paths must be >= 1"):
+        with pytest.raises(ValidationError, match="n_paths must be an integer >= 1"):
             simulate_bundle(Constant(0.01), BAND, TimeGrid(1.0, 4), params, seed=0, n_paths=0)
 
     def test_seed_determinism(self):
@@ -582,7 +582,7 @@ class TestGridValidation:
         with pytest.raises(ValidationError):
             RateParams(r0=np.inf, alpha=1.0)
         for mu in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValidationError, match="mu must be finite"):
+            with pytest.raises(ValidationError, match="mu must be a finite real number"):
                 RateParams(r0=0.02, alpha=1.0, mu=mu)
 
 
@@ -590,7 +590,7 @@ class TestGridValidation:
                                 np.array(0.03), "0.03", 10**400],
                          ids=["callable", "None", "array", "bool", "0-d array", "str", "huge int"])
 def test_mu_must_be_a_finite_real_or_a_curve(mu):
-    message = r"^mu must be finite: a real number or a ForwardCurve, got "
+    message = r"^mu must be a finite real number, got "
     with pytest.raises(ValidationError, match=message):
         RateParams(r0=0.02, alpha=1.0, mu=mu)
 

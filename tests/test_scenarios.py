@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from robustrates import (
     AdaptedFeedback,
     Constant,
+    ForwardCurve,
+    Grid1D,
     McConfig,
     PiecewiseConstant,
     RandomSwitching,
@@ -20,10 +22,12 @@ from robustrates import (
     estimate_sublinear,
     family_from_json,
     family_to_json,
+    gexpectation_terminal,
     martingale_check,
     noarb_gap,
     register_feedback_rule,
     simulate_bundle,
+    solve_gheat,
 )
 
 BAND = VolBand(0.005, 0.02)
@@ -89,7 +93,7 @@ def test_piecewise_needs_increasing_times():
 ])
 def test_piecewise_rejects_non_finite_breakpoints(times, values):
     """A NaN breakpoint once passed every check and the first value held at every step."""
-    with pytest.raises(ValidationError, match="^breakpoint times must be finite"):
+    with pytest.raises(ValidationError, match="^times must be a finite real number"):
         PiecewiseConstant(times, values)
 
 
@@ -394,11 +398,25 @@ _COUNT_IDS = ["TimeGrid", "McConfig.n_steps", "McConfig.n_paths", "simulate_bund
               "n_constant", "n_switching", "bang_bang"]
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
-@pytest.mark.parametrize("name, build", _COUNTS, ids=_COUNT_IDS)
+#: the PDE's counts, where 2 is not always a valid value
+_PDE_COUNTS = [
+    ("nx", lambda v: Grid1D(-1.0, 1.0, v, 1.0, 4)),
+    ("nt", lambda v: Grid1D(-1.0, 1.0, 5, 1.0, v)),
+    ("store_every", lambda v: solve_gheat(np.abs, BAND, Grid1D(-0.1, 0.1, 11, 1.0, 4), v)),
+    ("nodes_per_width", lambda v: gexpectation_terminal(np.abs, BAND, 1.0, nodes_per_width=v)),
+]
+
+
+@pytest.mark.parametrize("name, build, value", [
+    pytest.param(name, build, value, id=f"{count_id}-{value}")
+    for (name, build), count_id in zip(_COUNTS + _PDE_COUNTS, _COUNT_IDS + [
+        "Grid1D.nx", "Grid1D.nt", "store_every", "nodes_per_width"])
+    for value in (2.5, 2.0, True, "2", None)
+    if not (name == "store_every" and value is None)  # None is its default: keep no slices
+])
 def test_counts_must_be_integers(name, build, value):
     """A fractional count once escaped as a bare ``TypeError``, and ``True`` ran as 1."""
-    message = rf"^{name} must be an integer( >= 0)?, got {re.escape(repr(value))}$"
+    message = rf"^{name} must be an integer( >= \d+)?, got {re.escape(repr(value))}$"
     with pytest.raises(ValidationError, match=message):
         build(value)
 
@@ -406,6 +424,59 @@ def test_counts_must_be_integers(name, build, value):
 @pytest.mark.parametrize("name, build", _COUNTS, ids=_COUNT_IDS)
 def test_counts_take_numpy_integers(name, build):
     assert build(np.int64(2)) == build(2)
+
+
+@pytest.mark.parametrize("value", ["no", "yes", 1, 0, None])
+@pytest.mark.parametrize("build", [
+    lambda v: McConfig(n_paths=3, n_steps=2, horizon=1.0, base_seed=0, antithetic=v),
+    lambda v: simulate_bundle(Constant(0.01), BAND, TimeGrid(1.0, 2), None, 0, 3, antithetic=v),
+], ids=["McConfig", "simulate_bundle"])
+def test_antithetic_must_be_a_bool(build, value):
+    """``antithetic="no"`` once turned antithetic sampling on."""
+    with pytest.raises(ValidationError, match=rf"^antithetic must be a bool, got {re.escape(repr(value))}$"):
+        build(value)
+    build(np.False_)  # a numpy bool is a bool
+
+
+#: every real field of a public constructor, each built with the value under test
+_REALS = [
+    ("sigma_lo", lambda v: VolBand(v, 2.0)),
+    ("sigma_hi", lambda v: VolBand(0.5, v)),
+    ("horizon", lambda v: TimeGrid(v, 4)),
+    ("value", lambda v: Constant(v)),
+    ("times", lambda v: PiecewiseConstant((v,), (0.01, 0.02))),
+    ("values", lambda v: PiecewiseConstant((0.5,), (0.01, v))),
+    ("intensity", lambda v: RandomSwitching(v, 1)),
+    ("r0", lambda v: RateParams(r0=v, alpha=1.0)),
+    ("alpha", lambda v: RateParams(r0=0.02, alpha=v)),
+    ("mu", lambda v: RateParams(r0=0.02, alpha=1.0, mu=v)),
+    ("maturities", lambda v: ForwardCurve([0.0, v], [0.02, 0.03])),
+    ("forwards", lambda v: ForwardCurve([0.0, 1.0], [0.02, v])),
+    ("x_min", lambda v: Grid1D(v, 2.0, 5, 1.0, 4)),
+    ("x_max", lambda v: Grid1D(-2.0, v, 5, 1.0, 4)),
+    ("t_final", lambda v: Grid1D(-2.0, 2.0, 5, v, 4)),
+]
+_REAL_IDS = ["VolBand.sigma_lo", "VolBand.sigma_hi", "TimeGrid.horizon", "Constant.value",
+             "PiecewiseConstant.times", "PiecewiseConstant.values", "RandomSwitching.intensity",
+             "RateParams.r0", "RateParams.alpha", "RateParams.mu", "ForwardCurve.maturities",
+             "ForwardCurve.forwards", "Grid1D.x_min", "Grid1D.x_max", "Grid1D.t_final"]
+
+
+@pytest.mark.parametrize("value", [True, "4", None, np.nan, np.inf, -np.inf, 10**400, np.array([0.1])],
+                         ids=["True", "str", "None", "nan", "inf", "-inf", "huge_int", "array"])
+@pytest.mark.parametrize("name, build", _REALS, ids=_REAL_IDS)
+def test_reals_follow_the_number_rule(name, build, value):
+    """A number is a finite Python or numpy real, never a bool or a string.  ``True``
+    once ran as 1, ``"4"`` escaped as a bare ``TypeError`` or was converted, and
+    ``Constant`` checked nothing."""
+    with pytest.raises(ValidationError, match=rf"^{name} must be a finite real number"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1)], ids=["float32", "int64"])
+@pytest.mark.parametrize("name, build", _REALS, ids=_REAL_IDS)
+def test_reals_take_numpy_scalars_as_floats(name, build, value):
+    assert build(value) == build(float(value))
 
 
 def test_default_family_rejects_a_negative_switching_count():
@@ -452,12 +523,13 @@ def test_switching_seed_accepts_python_and_numpy_integers(seed):
      "switching seed must be an integer >= 0, got True"),
     ({"kind": "switching", "intensity": 1.0, "seed": -1},
      "switching seed must be an integer >= 0, got -1"),
-    ({"kind": "switching", "intensity": True, "seed": 1}, "expected a finite number, got True"),
-    ({"kind": "constant", "value": True}, "expected a finite number, got True"),
+    ({"kind": "switching", "intensity": True, "seed": 1},
+     "intensity must be a finite real number >= 0, got True"),
+    ({"kind": "constant", "value": True}, "value must be a finite real number, got True"),
     ({"kind": "piecewise", "times": [True], "values": [0.01, 0.02]},
-     "expected a finite number, got True"),
+     "times must be a finite real number, got True"),
     ({"kind": "piecewise", "times": [0.5], "values": [0.01, False]},
-     "expected a finite number, got False"),
+     "values must be a finite real number, got False"),
 ])
 def test_family_from_json_rejects_what_it_would_coerce(entry, message):
     """A boolean is not a number and a seed is a non-negative integer: neither is
@@ -469,5 +541,5 @@ def test_family_from_json_rejects_what_it_would_coerce(entry, message):
 
 
 def test_family_from_json_rejects_a_boolean_band_edge():
-    with pytest.raises(ValidationError, match=r"^expected a finite number, got True$"):
+    with pytest.raises(ValidationError, match=r"^sigma_hi must be a finite real number > 0, got True$"):
         family_from_json({"band": {"lo": 0.005, "hi": True}, "scenarios": []})
