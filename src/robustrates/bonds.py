@@ -94,8 +94,8 @@ class GapReport:
 
 
 def _log_price(a, b, r, lam):
-    """The affine form ``A - B r - B^2 lam / 2`` of every log bond price."""
-    return a - b * r - 0.5 * b * b * lam
+    """Every log bond price, ``(A - B^2 lam / 2) - B r``: ``lam``'s term at its own width."""
+    return (a - 0.5 * b * b * lam) - b * r
 
 
 #: Taylor coefficients, highest first, of ``int B / tau^2`` and ``V / tau^3`` in
@@ -146,6 +146,7 @@ def price_robust(
     """Robust bond price; strictly decreasing in both ``r_t`` and
     ``lambda_t`` for ``t < T`` and exactly 1 at ``t = T``."""
     _check_real("lambda_t", lambda_t, lo=0)
+    _check_real("r_t", r_t)
     a = a_robust(params, t, maturity)
     b = b_factor(params.alpha, t, maturity)
     return float(np.exp(_log_price(a, b, r_t, lambda_t)))
@@ -155,6 +156,7 @@ def price_classical_hw(
     params: RateParams, sigma: float, t: float, maturity: float, r_t: float
 ) -> float:
     """Constant-volatility bond price ``exp(A_sigma - B r_t)``."""
+    _check_real("r_t", r_t)
     a = a_classical(params, sigma, t, maturity)
     b = b_factor(params.alpha, t, maturity)
     return float(np.exp(_log_price(a, b, r_t, 0.0)))
@@ -254,8 +256,9 @@ def martingale_check(
 
     ``checkpoints`` are distinct grid times, at least one.  As a reducer of the chunk
     driver (``mc._sample``) all members step together on each chunk's one draw and
-    keep running sums only (checkpoint samples, per-step path sums, per-path log sums),
-    bit for bit as if each stepped alone; the samples take ``_stats``, like every mean.
+    keep running sums only (checkpoint samples, per-step path sums of ``p~``, where ``p0``
+    cancels, and per-path log sums by parts, ``sum_k wb_k B_k + wq_k qv_k``, reading no
+    earlier state), bit for bit as if each stepped alone; samples take ``_stats``.
     ``cfg.horizon`` is replaced by ``maturity`` (``replace(cfg, horizon=maturity)``).
 
     Passing ``dynamics="original"`` yields the adversarial fixture: under a
@@ -275,31 +278,30 @@ def martingale_check(
     with np.errstate(over="ignore"):  # an overflow is reported next
         p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))  # lam_0 = 0, D_0 = 1
     _require_finite(maturity, p0)
-    neg_b, half_b2 = -b_vec[:-1], 0.5 * b_vec[:-1] ** 2
+    wb, wq = np.diff(b_vec), 0.5 * np.diff(b_vec * b_vec)  # weights of grid times 1..n
     row_of = {k: j for j, k in enumerate(cp_idx)}  # the checkpoint row of grid index k
     path_sums = np.zeros((len(scenarios), n + 1))
     terminal_err = np.zeros(len(scenarios))
 
     def checkpoint_values(states, out):
         """One chunk's ``p~ - p0`` at the checkpoints into ``out``, one row each, adding
-        each step's path sums to ``path_sums`` and keeping the largest terminal error
-        in ``terminal_err``, from a running sum of the log increments per path."""
+        each step's path sums of ``p~`` to ``path_sums`` and keeping the largest terminal
+        error in ``terminal_err``, from per-path log sums (``qv``'s at its width)."""
         for s in states:
             k, rows = s.k, s.rows
             p = _log_price(a_vec[k], b_vec[k], s.r, s.lam)
             p -= s.integral
             np.exp(p, out=p)
-            p -= p0
             path_sums[rows, k] += p.sum(axis=1)
             if k in row_of:
-                out[rows, row_of[k]] = p
+                np.subtract(p, p0, out=out[rows, row_of[k]])
             if k == 0:
-                log_sde = np.zeros(p.shape)
+                log_b, log_qv = np.zeros(p.shape), np.zeros(s.qv.shape)
             else:
-                log_sde += neg_b[k - 1] * (s.b - b) - half_b2[k - 1] * (s.qv - qv)
-            b, qv = s.b, s.qv
+                log_b += wb[k - 1] * s.b
+                log_qv += wq[k - 1] * s.qv
             if k == n:
-                p_sde = p0 * np.exp(log_sde)
+                p_sde = p0 * np.exp(log_b + log_qv)
                 err = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
                 terminal_err[rows] = np.maximum(terminal_err[rows], err)
 

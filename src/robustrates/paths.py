@@ -21,6 +21,7 @@ Discretization choices (fixed, first order in the stochastic terms):
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Union
@@ -215,8 +216,14 @@ class PathBundle:
 
 
 def _check_interval(t, maturity: float) -> None:
-    if not (0.0 <= np.min(t) and np.max(t) <= maturity < np.inf):
-        raise ValidationError(f"need 0 <= t <= T < inf, got t={t}, T={maturity}")
+    with suppress(TypeError):  # a non-number has no order: the rules below name it
+        if not (0.0 <= np.min(t) and np.max(t) <= maturity < np.inf):
+            raise ValidationError(f"need 0 <= t <= T < inf, got t={t}, T={maturity}")
+    _check_real("maturity", maturity)
+    if not isinstance(t, np.ndarray):
+        _check_real("t", t)
+    elif t.dtype.kind not in "iuf":  # one check for a whole grid of times
+        raise ValidationError(f"t must be an array of real numbers, got dtype {t.dtype}")
 
 
 def b_factor(alpha: float, t, maturity: float):
@@ -348,9 +355,8 @@ def _passes(scenarios, grid, n_draw, key, history, record):
 
 
 def _history_sigma(tab, levels, n, n_paths) -> np.ndarray:
-    """A kept history's ``(n, n_paths)`` ``sigma``: empty for a feedback member (``tab``
-    None; the stepper writes it), a read-only broadcast of a deterministic table, or
-    the values a byte table indexes, widened over an antithetic chunk's mates."""
+    """A recorded ``(n, n_paths)`` ``sigma``: empty for a feedback member (the stepper
+    writes it), a read-only broadcast of a deterministic table, or a byte table's values."""
     if tab is None:
         return np.empty((n, n_paths))
     if tab.dtype != np.uint8:
@@ -400,13 +406,14 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
     ``record``, shifted dynamics or a feedback member.  Feedback members, and under
     ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
-    (``_history_sigma``) and the grid values (``lam`` and ``integral`` under ``record``);
-    a rule reads its member's history through views formed once per pass
-    (``_past_views``).  A switching member's table is bytes, and each step's ``sigma``
-    row is taken from them (``_fill_sigma``).  An antithetic chunk keeps half-width
-    normals and switching tables (``_draw_normals``, ``_passes``) and widens each
-    step's row.  No name here keeps a finished pass's tables or histories once the next
-    pass starts building its own."""
+    (``_history_sigma``) and the grid values (``lam`` and ``integral`` under ``record``),
+    each recorded array its own (for ``_bundle`` to free) and otherwise views of one buffer
+    per chunk, grown only for a pass that keeps more; rules read views formed once per
+    pass (``_past_views``), dropped at the last grid time.  A switching member's table is
+    bytes, and each step's ``sigma`` row is taken from them (``_fill_sigma``).  An
+    antithetic chunk keeps half-width normals and switching tables (``_draw_normals``,
+    ``_passes``) and widens each step's row.  No name here keeps a finished pass's tables
+    or recorded histories once the next pass starts building its own."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
@@ -431,18 +438,22 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     levels = np.array([band.sigma_lo, band.sigma_hi])  # what a byte table indexes
     # an antithetic mate shares its partner's volatility path: a half-width table
     passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record)
-    s = SimpleNamespace()
+    s, buf = SimpleNamespace(), None
     for s.rows, group in passes:
         width = 1 if all(tab is not None and tab.ndim == 1 for _, tab in group) else n_paths
         sigma = np.empty((len(group), width))
         s.qv = s.lam = np.zeros_like(sigma)  # the state arrays are replaced, never written
         s.b = s.integral = np.zeros((len(group), n_paths))
         s.r = np.full_like(s.b, params.r0) if with_r else None
-        s.hist = {
-            i: {"sigma": _history_sigma(tab, levels, n, n_paths)}
-            | {x: np.empty((n + 1, n_paths)) for x in names}
-            for i, (spec, tab) in enumerate(group) if record or tab is None
-        }
+        if record:  # each array its own, so a bundle frees it as it is made (``_bundle``)
+            s.hist = {i: {"sigma": _history_sigma(tab, levels, n, n_paths)} | {
+                x: np.empty((n + 1, n_paths)) for x in names} for i, (_, tab) in enumerate(group)}
+        else:  # feedback histories, read by rules only: views of one buffer, grown as needed
+            keep = [i for i, (_, tab) in enumerate(group) if tab is None]
+            if keep and (buf is None or len(buf) < history * len(keep)):
+                buf = np.empty((history * len(keep), n + 1, n_paths))
+            slots = iter(buf if keep else ())
+            s.hist = {i: {"sigma": next(slots)[:n]} | {x: next(slots) for x in names} for i in keep}
         past = {i: _past_views(s.hist[i]) for i, (_, tab) in enumerate(group) if tab is None}
         stepped = full or shifted or bool(s.hist)
         for k in range(n + 1):
@@ -450,6 +461,8 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
             for i, h in s.hist.items():
                 for x in names:
                     h[x][k] = getattr(s, x)[i]
+            if k == n:  # no rule reads on, so a history handed out now is its bundle's alone
+                past = None
             yield s
             if k == n:
                 break

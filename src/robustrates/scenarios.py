@@ -92,11 +92,11 @@ class PiecewiseConstant(ScenarioSpec):
 
     def __post_init__(self):
         for name in ("times", "values"):
+            if not np.iterable(getattr(self, name)):
+                raise ValidationError(f"{name} must be a sequence, got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(_check_real(name, v) for v in getattr(self, name)))
         if len(self.values) != len(self.times) + 1:
-            raise ValidationError(
-                "piecewise scenario needs len(values) == len(times) + 1"
-            )
+            raise ValidationError("piecewise scenario needs len(values) == len(times) + 1")
         t = np.asarray(self.times)
         if t.size and not (np.all(np.diff(t) > 0) and t[0] > 0):
             raise ValidationError("breakpoint times must be strictly increasing and > 0")
@@ -200,9 +200,9 @@ class AdaptedFeedback(ScenarioSpec):
 class PathView:
     """Read-only look at the simulation strictly before the current step.
 
-    ``sigma`` holds steps ``0..k-1``; ``b``, ``qv`` and (when co-simulated)
-    ``r`` hold grid points ``0..k``.  Arrays are non-writeable views that cannot
-    be made writeable.
+    ``sigma`` holds steps ``0..k-1``; ``b``, ``qv`` and (when co-simulated) ``r``
+    hold grid points ``0..k``.  Arrays are non-writeable views that cannot be made
+    writeable, valid for the current step only (the engine reuses their memory).
     """
 
     __slots__ = ("k", "t", "dt", "band", "sigma", "b", "qv", "r")
@@ -222,8 +222,8 @@ _FEEDBACK_RULES: dict[str, Callable[[PathView, dict], np.ndarray]] = {}
 
 
 def register_feedback_rule(name: str, fn: Callable[[PathView, dict], np.ndarray]) -> None:
-    """Register a feedback rule under ``name`` (overwrites silently).  The rule
-    returns step ``view.k``'s volatility: a scalar or one value per path."""
+    """Register feedback rule ``name`` (overwrites silently): it returns step ``view.k``'s
+    volatility, a scalar or one per path, and copies what it keeps (the engine reuses ``view``)."""
     _FEEDBACK_RULES[name] = fn
 
 

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from robustrates import (
     PiecewiseConstant,
     RandomSwitching,
     RateParams,
+    TimeGrid,
     ValidationError,
     VolBand,
     a_classical,
@@ -36,9 +38,12 @@ from robustrates import (
     price_classical_hw,
     price_robust,
     register_feedback_rule,
+    simulate_bundle,
 )
 import robustrates.bonds
+import robustrates.mc
 import robustrates.paths
+import robustrates.scenarios
 from robustrates.bonds import (
     CheckpointStat,
     _b_integrals,
@@ -154,6 +159,25 @@ class TestBFactor:
     def test_array_with_a_time_outside_rejected(self, bad):
         with pytest.raises(ValidationError):
             b_factor(1.0, np.array([0.0, bad, 1.0]), 2.0)
+
+    def test_string_maturity_rejected(self):
+        """Once a bare ``UFuncTypeError`` from ``maturity - t``."""
+        with pytest.raises(ValidationError, match="^maturity must be a finite real number"):
+            b_factor(1.0, 0.0, "1")
+
+    @pytest.mark.parametrize("t", [True, "0", None], ids=["bool", "str", "none"])
+    def test_scalar_time_follows_the_number_rule(self, t):
+        with pytest.raises(ValidationError, match="^t must be a finite real number"):
+            b_factor(1.0, t, 2.0)
+
+    @pytest.mark.parametrize("times", [np.array([False, True]), np.array(["0", "0.5"])],
+                             ids=["bool", "str"])
+    def test_time_array_of_a_non_real_dtype_rejected(self, times):
+        with pytest.raises(ValidationError, match="^t must be an array of real numbers"):
+            b_factor(1.0, times, 2.0)
+
+    def test_integer_time_array_accepted(self):
+        assert b_factor(1.0, np.arange(3), 2).tolist() == b_factor(1.0, np.arange(3.0), 2.0).tolist()
 
 
 class TestIntercepts:
@@ -311,6 +335,26 @@ class TestPrices:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
             price_robust(PARAMS, 0.0, 1.0, 0.02, -1e-9)
+
+    def test_non_finite_rate_rejected(self):
+        """Once a price of NaN."""
+        with pytest.raises(ValidationError, match="^r_t must be a finite real number, got nan"):
+            price_robust(PARAMS, 0.0, 1.0, np.nan, 0.0)
+
+    def test_bool_rate_rejected(self):
+        """Once a price at ``r_t = 1``."""
+        with pytest.raises(ValidationError, match="^r_t must be a finite real number, got True"):
+            price_classical_hw(PARAMS, 0.01, 0.0, 1.0, True)
+
+    def test_string_rate_rejected(self):
+        """Once a bare ``TypeError``."""
+        with pytest.raises(ValidationError, match="^r_t must be a finite real number, got '0.02'"):
+            price_robust(PARAMS, 0.0, 1.0, "0.02", 0.0)
+
+    def test_bool_maturity_rejected(self):
+        """Once ``A(0, 1)`` of ``-0.0``."""
+        with pytest.raises(ValidationError, match="^maturity must be a finite real number"):
+            a_robust(PARAMS, 0.0, True)
 
     def test_strictly_decreasing_in_state(self):
         p = lambda r, lam: price_robust(PARAMS, 0.25, 2.0, r, lam)
@@ -640,13 +684,13 @@ def _bundle_martingale_reports(params, band, scenarios, maturity, checkpoints, c
             steps = robustrates.paths._trapezoid(bundle.r[:, :-1], bundle.r[:, 1:], grid.dt)
             np.cumsum(steps, axis=1, out=integral[:, 1:])
             p_tilde = np.exp(_log_price(a_vec, b_vec, bundle.r, bundle.lam) - integral)
-            p_tilde -= p0
-            cp_vals.append(_pair_means(p_tilde[:, cp_idx], cfg.antithetic))
+            cp_vals.append(_pair_means(p_tilde[:, cp_idx] - p0, cfg.antithetic))
             path_sums += np.ascontiguousarray(p_tilde.T).sum(axis=1)  # each step's path sum
-            db = np.diff(bundle.b, axis=1)
-            dqv = np.diff(bundle.qv, axis=1)
-            dlog = -b_vec[:-1] * db - 0.5 * b_vec[:-1] ** 2 * dqv
-            p_sde = p0 * np.exp(np.cumsum(dlog, axis=1)[:, -1])  # the increments added in time order
+            # the log increments summed by parts, sum_k wb_k B_k + wq_k qv_k, in time order
+            wb, wq = np.diff(b_vec), 0.5 * np.diff(b_vec * b_vec)
+            log_b = np.cumsum(wb * bundle.b[:, 1:], axis=1)[:, -1]
+            log_qv = np.cumsum(wq * bundle.qv[:, 1:], axis=1)[:, -1]
+            p_sde = p0 * np.exp(log_b + log_qv)
             err = np.abs(p_sde * np.exp(integral[:, -1]) - 1.0)
             terminal_err = max(terminal_err, float(np.max(err)))
         means, ses = _mean_se(np.concatenate(cp_vals))
@@ -718,6 +762,30 @@ class TestMartingaleStreaming:
             for params in (None, PARAMS)
         ]
 
+    @pytest.mark.parametrize("dynamics", ["shifted", "original"])
+    def test_reducer_reads_no_earlier_state(self, monkeypatch, dynamics):
+        """The reducer reads each step's state only: with every state's arrays copied
+        and the copies overwritten by NaN once the reducer has moved on, the reports
+        are unchanged (the terminal identity is summed by parts)."""
+        cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=12,
+                       antithetic=True)
+        args = (KINKED_07, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg, dynamics)
+        want = martingale_check(*args)
+        steps, names, yielded = robustrates.mc._steps, ("b", "qv", "r", "lam", "integral"), []
+
+        def stale_once_read(*a, **kw):
+            for s in steps(*a, **kw):
+                state = SimpleNamespace(rows=s.rows, k=s.k, hist=s.hist,
+                                        **{x: getattr(s, x).copy() for x in names})
+                yielded.append(s.k)
+                yield state
+                for x in names:
+                    getattr(state, x).fill(np.nan)
+
+        monkeypatch.setattr(robustrates.mc, "_steps", stale_once_read)
+        assert martingale_check(*args) == want
+        assert len(yielded) > 2 * (cfg.n_steps + 1)  # every pass of both chunks
+
     def test_reversed_family_reverses_reports(self):
         family = self.FAMILY[:-1]  # no duplicate id, whose suffix follows the order
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=6, antithetic=True)
@@ -768,6 +836,47 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
             lo += len(specs)
             assert sum(map(arrays_of, specs)) <= 6, [s.scenario_id for s in specs]
         assert len(passes) >= 4
+
+
+def test_feedback_passes_share_one_history_buffer(monkeypatch):
+    """With the rate a feedback history is four arrays, so ``driver_sign`` and
+    ``qv_chase`` step in two passes, and the second reuses the first's buffer."""
+    views, passes = {}, []
+    for name in ("driver_sign", "qv_chase"):
+        def spy(view, params, rule=robustrates.scenarios._FEEDBACK_RULES[name], name=name):
+            views.setdefault(name, view.b)
+            return rule(view, params)
+
+        monkeypatch.setitem(robustrates.scenarios._FEEDBACK_RULES, name, spy)
+    real = robustrates.paths._passes
+    monkeypatch.setattr(robustrates.paths, "_passes", lambda *a: passes.extend(real(*a)) or passes)
+    cfg = McConfig(n_paths=64, n_steps=8, horizon=1.0, base_seed=3, antithetic=True)
+    family = [AdaptedFeedback("driver_sign"), AdaptedFeedback("qv_chase")]
+    martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg)
+    assert len(passes) == 2
+    assert np.shares_memory(views["driver_sign"], views["qv_chase"])
+
+
+def test_recorded_bundles_never_alias_the_history_buffer():
+    """At one path and with the rate each member records six arrays, so steps in a pass
+    of its own, and a one-path transpose is already C-ordered, so ``_bundle`` hands it
+    back without a copy: a bundle kept past its pass must still be the member's own
+    bundle, so no recorded history is memory a later pass writes."""
+    family = [Constant(0.01), AdaptedFeedback("driver_sign"), RandomSwitching(3.0, 1),
+              AdaptedFeedback("qv_chase"), bang_bang(BAND, 1.0, 2)]
+    cfg = McConfig(n_paths=1, n_steps=6, horizon=1.0, base_seed=8)
+    kept = []
+
+    def keep(bundle):
+        kept.append(bundle)
+        return bundle.b[:, -1]
+
+    scenario_functional_values(keep, BAND, family, cfg, PARAMS, "shifted")
+    assert [b.scenario_id for b in kept] == [s.scenario_id for s in family]
+    for bundle, spec in zip(kept, family):
+        (own,) = _chunk_bundles(spec, BAND, cfg, PARAMS, "shifted")
+        for name in ("sigma", "b", "qv", "lam", "r", "d"):
+            assert getattr(bundle, name).tobytes() == getattr(own, name).tobytes(), name
 
 
 @pytest.mark.parametrize("run", [
@@ -939,6 +1048,44 @@ def test_martingale_check_peak_within_six_arrays_and_the_normals(family, floor):
         half = n_paths // 2
         byte_bound = (8 + 6) * half * n_steps + 8 * STEP_STATE_ARRAYS * len(family) * n_paths
         assert peak <= byte_bound, (peak, byte_bound)
+
+
+def _traced_peak(run) -> int:
+    """Bytes ``run()`` holds at its traced peak, above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", [Constant(0.01), AdaptedFeedback("driver_sign"),
+                                  RandomSwitching(3.0, 1)], ids=["constant", "feedback", "switching"])
+def test_recorded_bundle_peak_within_its_member_footprint(spec):
+    """A recorded history is held once, also while its bundle is made: the traced peak
+    of ``simulate_bundle`` stays within the footprint ``_MEMBER_BYTES_CAP`` counts for
+    its one member (three arrays of ``steps + 1`` doubles per path, six with the rate,
+    plus the normals), and so does ``scenario_functional_values`` with the rate (one
+    member per pass), plus the one array ``_bundle`` copies while the chunk's normals
+    are alive; each plus ``STEP_STATE_ARRAYS`` rows of per-step state."""
+    n_paths, n_steps = 2048, 64
+    grid = TimeGrid(1.0, n_steps)
+    cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=4)
+    family = [Constant(0.02), spec, RandomSwitching(5.0, 2)]
+    runs = [  # (arrays, arrays in flight, run)
+        (3, 0, lambda: simulate_bundle(spec, BAND, grid, None, seed=0, n_paths=n_paths)),
+        (6, 0, lambda: simulate_bundle(spec, BAND, grid, PARAMS, seed=0, n_paths=n_paths)),
+        (6, 1, lambda: scenario_functional_values(lambda b: b.b[:, -1], BAND, family, cfg, PARAMS)),
+    ]
+    for arrays, in_flight, run in runs:
+        run()  # first-call imports are not the engine's
+        peak = _traced_peak(run)
+        footprint = 8 * n_paths * (arrays * (n_steps + 1) + n_steps)
+        bound = footprint + 8 * n_paths * (in_flight * (n_steps + 1) + STEP_STATE_ARRAYS)
+        assert 8 * n_paths * arrays * n_steps < peak <= bound, (arrays, peak, bound)
 
 
 def test_non_finite_closed_form_rejected_before_drawing(monkeypatch):

@@ -97,6 +97,15 @@ def test_piecewise_rejects_non_finite_breakpoints(times, values):
         PiecewiseConstant(times, values)
 
 
+@pytest.mark.parametrize("times, values, name", [
+    (0.5, (0.01, 0.02), "times"), ((0.5,), 0.01, "values"),
+])
+def test_piecewise_rejects_a_scalar_for_a_sequence(times, values, name):
+    """Once a bare ``TypeError: 'float' object is not iterable``."""
+    with pytest.raises(ValidationError, match=f"^{name} must be a sequence, got"):
+        PiecewiseConstant(times, values)
+
+
 def test_piecewise_segment_lookup():
     spec = PiecewiseConstant(times=(0.25, 0.75), values=(0.005, 0.02, 0.01))
     grid = TimeGrid(1.0, 8)
