@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_real
+from .errors import ValidationError, _check_real, _check_real_array
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,10 @@ def g_value(band: VolBand, a):
 
     Evaluates to ``sigma_hi^2 * a / 2`` for ``a >= 0`` and
     ``sigma_lo^2 * a / 2`` for ``a < 0``.  Monotone, positively homogeneous
-    and subadditive in ``a``; accepts scalars or arrays.
+    and subadditive in ``a``; accepts a real number or a numpy array of them
+    (``_check_real_array``).
     """
-    a = np.array(a, dtype=float)
+    a = np.array(_check_real_array("a", a), dtype=float)
     out = _g_in_place(a, np.empty_like(a), _g_coefficients(band))
     if out.ndim == 0:
         return float(out)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import NumericalError, ValidationError, _check_int, _check_real
+from .errors import NumericalError, ValidationError, _check_int, _check_real, _check_reals
 from .mc import McConfig, _sample, _stats, _sublinear
 from .paths import ForwardCurve, RateParams, b_factor
 from .scenarios import Constant, ScenarioSpec
@@ -267,7 +267,7 @@ def martingale_check(
     """
     cfg = replace(cfg, horizon=maturity)
     grid, n = cfg.grid, _check_int("n_steps", cfg.n_steps, lo=2)  # the drift fit needs two points
-    cp = sorted(float(t) for t in checkpoints)
+    cp = sorted(_check_reals("checkpoints", checkpoints))
     cp_idx = [grid.index_of(t) for t in cp]  # rejects off-grid checkpoints
     if not cp or len(set(cp_idx)) < len(cp):
         raise ValidationError(f"checkpoints must be distinct grid times, at least one; got {cp}")

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence, TextIO, Union
 import numpy as np
 
 from .bonds import price_robust
-from .errors import ValidationError, _check_real
+from .errors import ValidationError, _check_real, _check_reals
 from .paths import ForwardCurve, RateParams
 
 
@@ -120,7 +120,7 @@ def initial_curve_roundtrip(params: RateParams, maturities: Sequence[float]) -> 
     curve = params.mu
     if not isinstance(curve, ForwardCurve):
         raise ValidationError(f"the round trip needs a ForwardCurve mu, got mu = {curve!r}")
-    mats = sorted(float(T) for T in maturities)
+    mats = sorted(_check_reals("maturities", maturities))
     rows = []
     for T in mats:
         p_model = price_robust(params, 0.0, T, params.r0, 0.0)

@@ -38,5 +38,23 @@ def _check_real(name: str, value, lo=None, lo_open=False) -> float:
     return x
 
 
+def _check_reals(name: str, values) -> list:
+    """Each of ``values`` by the number rule, as a list of floats; a ``ValidationError``
+    naming ``name`` if ``values`` is not a sequence."""
+    if not np.iterable(values):
+        raise ValidationError(f"{name} must be a sequence, got {values!r}")
+    return [_check_real(name, v) for v in values]
+
+
+def _check_real_array(name: str, value):
+    """``value`` if it is a numpy array of integers or floats (its entries are left to
+    the caller's range test), else by the number rule, as a float."""
+    if not isinstance(value, np.ndarray):
+        return _check_real(name, value)
+    if value.dtype.kind not in "iuf":  # one dtype check, not one per entry
+        raise ValidationError(f"{name} must be an array of real numbers, got dtype {value.dtype}")
+    return value
+
+
 def _bound(lo, lo_open=False) -> str:
     return "" if lo is None else f" {'>' if lo_open else '>='} {lo}"

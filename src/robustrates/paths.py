@@ -17,6 +17,10 @@ Discretization choices (fixed, first order in the stochastic terms):
 * ``lam`` accumulates quadratic-variation increments with unit weight,
   ``lam[k+1] = exp(-2*alpha*dt) * lam[k] + dqv[k]``;
 * the money-market integral is a trapezoid rule (exact for constant rates).
+
+The ``(r, lam, int r)`` recursion is written once, in the ``with_r`` block of the
+kernel ``_steps``, which forms its coefficients once per call; ``lambda_path`` and
+``money_market`` write the ``lam`` and money-market recursions out on their own.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError, _check_int, _check_real
+from .errors import ValidationError, _check_int, _check_real, _check_real_array
 from .scenarios import _PATH_BLOCK, PathView, ScenarioSpec
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -60,7 +64,9 @@ class TimeGrid:
         return self.times[:-1]
 
     def index_of(self, t: float) -> int:
-        """Grid index of time ``t``; rejects off-grid and non-finite times."""
+        """Grid index of time ``t``, a real number; rejects off-grid and non-finite times."""
+        if not isinstance(t, (float, np.floating)) or np.isfinite(t):  # else off the grid, below
+            t = _check_real("t", t)
         k = t / self.dt
         k_round = np.rint(k)  # a NaN or infinite k fails the range test below
         if not (0 <= k_round <= self.n_steps) or abs(k - k_round) > 1e-9 * max(1, abs(k)):
@@ -123,31 +129,32 @@ class ForwardCurve:
     def t_last(self) -> float:
         return float(self.maturities[-1])
 
-    def _check_range(self, t: np.ndarray) -> None:
-        if np.any(t < -1e-12) or np.any(t > self.t_last + 1e-12):
-            raise ValidationError(
-                f"evaluation outside curve range [0, {self.t_last}]"
-            )
+    def _times(self, t) -> np.ndarray:
+        """``t``, a time or a numpy array of times (``_check_real_array``), as floats
+        within the curve's range."""
+        t = np.asarray(_check_real_array("t", t), dtype=float)
+        if not (np.all(t >= -1e-12) and np.all(t <= self.t_last + 1e-12)):  # NaN fails too
+            raise ValidationError(f"evaluation outside curve range [0, {self.t_last}]")
+        return t
 
     def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        self._check_range(t)
+        t = self._times(t)
         return np.interp(t, self.maturities, self.forwards)
 
     def derivative(self, t) -> np.ndarray:
         """Right-continuous piecewise-constant slope (left slope at the
         final maturity)."""
-        t = np.asarray(t, dtype=float)
-        self._check_range(t)
+        t = self._times(t)
         idx = np.searchsorted(self.maturities, t, side="right") - 1
         idx = np.clip(idx, 0, self._slopes.size - 1)
         return self._slopes[idx]
 
     def integral(self, a: float, b: float) -> float:
         """Exact ``int_a^b f`` for the piecewise-linear curve."""
+        a, b = _check_real("a", a), _check_real("b", b)
         if b < a:
             raise ValidationError("integral needs a <= b")
-        self._check_range(np.asarray([a, b]))
+        self._times(np.array([a, b]))
 
         def antideriv(t):
             k = int(np.clip(np.searchsorted(self.maturities, t, side="right") - 1,
@@ -165,7 +172,7 @@ class ForwardCurve:
         ``int_t^T f'(u) (T - u) du``: one term of one sign per knot segment, so no
         two terms of the size of ``f (T - t)`` cancel."""
         _check_interval(t, maturity)
-        self._check_range(maturity)
+        self._times(maturity)
         t = np.asarray(t, dtype=float)
         lo = np.clip(self.maturities[:-1], t[..., None], maturity)
         hi = np.clip(self.maturities[1:], t[..., None], maturity)
@@ -190,7 +197,7 @@ class RateParams:
             object.__setattr__(self, "mu", _check_real("mu", self.mu))
 
     def mu_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
+        s = np.asarray(_check_real_array("s", s), dtype=float)
         if isinstance(self.mu, ForwardCurve):
             return self.alpha * self.mu.value(s) + self.mu.derivative(s)
         return np.full(s.shape, self.mu)
@@ -220,10 +227,7 @@ def _check_interval(t, maturity: float) -> None:
         if not (0.0 <= np.min(t) and np.max(t) <= maturity < np.inf):
             raise ValidationError(f"need 0 <= t <= T < inf, got t={t}, T={maturity}")
     _check_real("maturity", maturity)
-    if not isinstance(t, np.ndarray):
-        _check_real("t", t)
-    elif t.dtype.kind not in "iuf":  # one check for a whole grid of times
-        raise ValidationError(f"t must be an array of real numbers, got dtype {t.dtype}")
+    _check_real_array("t", t)
 
 
 def b_factor(alpha: float, t, maturity: float):
@@ -251,45 +255,6 @@ def _mu_step_integrals(params: RateParams, grid: TimeGrid) -> np.ndarray:
     w1 = np.exp(-params.alpha * (dt - off1))
     w2 = np.exp(-params.alpha * (dt - off2))
     return 0.5 * dt * (w1 * params.mu_at(s1) + w2 * params.mu_at(s2))
-
-
-def _lam_decay(alpha: float, dt: float) -> float:
-    """One-step decay ``exp(-2 alpha dt)`` of ``lam``."""
-    return np.exp(-2.0 * alpha * dt)
-
-
-def _lam_step(lam_k, dqv_k, e2):
-    """``lam[k+1]`` from ``lam[k]`` and the step's quadratic variation."""
-    return e2 * lam_k + dqv_k
-
-
-def _rate_factors(params: RateParams, grid: TimeGrid) -> tuple:
-    """Coefficients of the ``r`` recursion on ``grid``: the propagator
-    ``exp(-alpha dt)``, the midpoint noise weight ``exp(-alpha dt / 2)``,
-    the drift weight ``B(0, dt)`` of ``lam`` and the per-step ``mu`` integrals."""
-    a, dt = params.alpha, grid.dt
-    m_det = _mu_step_integrals(params, grid)
-    return np.exp(-a * dt), np.exp(-a * dt / 2.0), b_factor(a, 0.0, dt), m_det
-
-
-def _r_step(k: int, r_k, db_k, lam_k, factors: tuple):
-    """``r[k+1] = ea r[k] + drift + eh dB`` in one new array, the drift ``m_det[k]`` plus
-    the shift ``w_lam lam_k`` taken at the left point (``lam_k`` is None under the
-    original dynamics)."""
-    ea, eh, w_lam, m_det = factors
-    r_next = ea * r_k
-    r_next += m_det[k] + (w_lam * lam_k if lam_k is not None else 0.0)
-    r_next += eh * db_k
-    return r_next
-
-
-def _trapezoid(r_k, r_next, dt: float):
-    """One step's trapezoid increment of ``int r``, ``(r_next + r_k) dt/2``, in a new
-    array.  Halving ``dt`` is exact, so in the normal range this is ``dt (r_next + r_k) / 2``
-    bit for bit, as ``scipy.integrate.cumulative_trapezoid`` forms it."""
-    step = r_next + r_k
-    step *= dt / 2.0
-    return step
 
 
 def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithetic: bool) -> np.ndarray:
@@ -404,7 +369,9 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     ``integral``, each ``(members, paths)``, and ``qv`` and ``lam``, ``(members, 1)``
     when every member of the pass has a deterministic (1-D) table and ``(members,
     paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
-    ``record``, shifted dynamics or a feedback member.  Feedback members, and under
+    ``record``, shifted dynamics or a feedback member.  With ``params``, the rate step
+    (``r``, ``lam`` and the trapezoid of ``int r``) is written out inline on coefficients
+    formed once per call.  Feedback members, and under
     ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
     (``_history_sigma``) and the grid values (``lam`` and ``integral`` under ``record``),
     each recorded array its own (for ``_bundle`` to free) and otherwise views of one buffer
@@ -433,8 +400,10 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     z = _draw_normals(rng, n_paths, n, antithetic)
     half = n_paths // 2
     z_k = np.empty(n_paths) if antithetic else None  # each step's [h_k, -h_k]
-    if with_r:
-        e2, factors = _lam_decay(params.alpha, dt), _rate_factors(params, grid)
+    if with_r:  # the rate step's coefficients: propagator, noise weight, shift weight, lam decay
+        a = params.alpha
+        ea, eh, w_lam = np.exp(-a * dt), np.exp(-a * dt / 2.0), b_factor(a, 0.0, dt)
+        e2, m_det = np.exp(-2.0 * a * dt), _mu_step_integrals(params, grid)
     levels = np.array([band.sigma_lo, band.sigma_hi])  # what a byte table indexes
     # an antithetic mate shares its partner's volatility path: a half-width table
     passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record)
@@ -482,11 +451,14 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
             if stepped:
                 dqv = sigma**2 * dt
                 s.b, s.qv = s.b + db, s.qv + dqv
-            if with_r:
-                r_next = _r_step(k, s.r, db, s.lam if shifted else None, factors)
+            if with_r:  # r[k+1] = ea r[k] + m_det[k] (+ w_lam lam[k], shifted) + eh dB[k]
+                r_next = ea * s.r
+                r_next += m_det[k] + (w_lam * s.lam if shifted else 0.0)
+                r_next += eh * db
                 if stepped:
-                    s.lam = _lam_step(s.lam, dqv, e2)
-                trap = _trapezoid(s.r, r_next, dt)
+                    s.lam = e2 * s.lam + dqv
+                trap = r_next + s.r  # the trapezoid of int r, (r[k+1] + r[k]) dt/2
+                trap *= dt / 2.0
                 trap += s.integral
                 s.integral, s.r = trap, r_next
         group = tab = h = past = None  # free this pass's arrays before the next builds its own
@@ -552,22 +524,27 @@ def lambda_path(qv: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     ``lam[k+1] = exp(-2 alpha dt) lam[k] + dqv[k]``, starting at zero.
 
     Approximates the kernel integral with decay rate ``2 alpha`` to first
-    order in ``dt``; rejects decreasing ``qv``.
+    order in ``dt``; rejects decreasing ``qv``, and ``alpha`` or ``dt`` not above 0.
     """
+    alpha, dt = _check_real("alpha", alpha, 0, lo_open=True), _check_real("dt", dt, 0, lo_open=True)
     qv = np.asarray(qv, dtype=float)
     dqv = np.diff(qv, axis=-1)
     if np.any(dqv < -1e-15):
         raise ValidationError("quadratic variation path must be nondecreasing")
-    e2 = _lam_decay(alpha, dt)
+    e2 = np.exp(-2.0 * alpha * dt)
     lam = np.zeros_like(qv)
     for k in range(dqv.shape[-1]):
-        lam[..., k + 1] = _lam_step(lam[..., k], dqv[..., k], e2)
+        lam[..., k + 1] = e2 * lam[..., k] + dqv[..., k]
     return lam
 
 
 def money_market(r: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Account value ``exp(trapezoidal integral of r)``; starts at 1."""
+    """Account value ``exp(trapezoidal integral of r)``; starts at 1.  ``r`` holds one
+    value per grid time on its last axis."""
     r = np.asarray(r, dtype=float)
+    if r.shape[-1:] != (grid.n_steps + 1,):
+        raise ValidationError(f"r needs {grid.n_steps + 1} values on its last axis, "
+                              f"got shape {r.shape}")
     integral = np.zeros(r.shape)
-    np.cumsum(_trapezoid(r[..., :-1], r[..., 1:], grid.dt), axis=-1, out=integral[..., 1:])
+    np.cumsum((r[..., 1:] + r[..., :-1]) * (grid.dt / 2.0), axis=-1, out=integral[..., 1:])
     return np.exp(integral, out=integral)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .band import VolBand
-from .errors import ValidationError, _check_int, _check_real
+from .errors import ValidationError, _check_int, _check_real, _check_reals
 
 #: paths drawn per block where a chunk's per-path stream is written time-major
 _PATH_BLOCK = 64
@@ -92,9 +92,7 @@ class PiecewiseConstant(ScenarioSpec):
 
     def __post_init__(self):
         for name in ("times", "values"):
-            if not np.iterable(getattr(self, name)):
-                raise ValidationError(f"{name} must be a sequence, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, tuple(_check_real(name, v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(_check_reals(name, getattr(self, name))))
         if len(self.values) != len(self.times) + 1:
             raise ValidationError("piecewise scenario needs len(values) == len(times) + 1")
         t = np.asarray(self.times)
@@ -223,7 +221,12 @@ _FEEDBACK_RULES: dict[str, Callable[[PathView, dict], np.ndarray]] = {}
 
 def register_feedback_rule(name: str, fn: Callable[[PathView, dict], np.ndarray]) -> None:
     """Register feedback rule ``name`` (overwrites silently): it returns step ``view.k``'s
-    volatility, a scalar or one per path, and copies what it keeps (the engine reuses ``view``)."""
+    volatility, a scalar or one per path, and copies what it keeps (the engine reuses ``view``).
+    ``name`` must be a ``str`` and ``fn`` callable."""
+    if not isinstance(name, str):
+        raise ValidationError(f"feedback rule name must be a str, got {name!r}")
+    if not callable(fn):
+        raise ValidationError(f"feedback rule {name!r} must be callable, got {fn!r}")
     _FEEDBACK_RULES[name] = fn
 
 

@@ -84,6 +84,23 @@ def test_generator_is_bitwise_the_selecting_form(band):
         assert np.float64(v).tobytes() == (np.where(x >= 0.0, 0.5 * band.sigma_hi**2, 0.5 * band.sigma_lo**2) * x).tobytes()
 
 
+@pytest.mark.parametrize("a", ["1", True, None, np.nan, np.inf, [1.0]])
+def test_generator_takes_the_number_rule(a):
+    """``g_value(band, "1")`` once returned ``g(1)``."""
+    with pytest.raises(ValidationError, match=r"^a must be a finite real number, got "):
+        g_value(VolBand(0.005, 0.02), a)
+
+
+def test_generator_arrays_need_a_real_dtype():
+    band = VolBand(0.005, 0.02)
+    for a in (np.array([True]), np.array(["1"])):
+        with pytest.raises(ValidationError, match=r"^a must be an array of real numbers, got "):
+            g_value(band, a)
+    expected = g_value(band, np.arange(-1.0, 2.0)).tobytes()
+    assert g_value(band, np.arange(-1, 2)).tobytes() == expected
+    assert g_value(band, np.int64(-2)) == g_value(band, -2.0)
+
+
 @pytest.mark.parametrize("lo,hi", [(0.0, 0.1), (-0.1, 0.1), (0.2, 0.1), (np.nan, 0.1)])
 def test_band_validation(lo, hi):
     with pytest.raises(ValidationError):

@@ -681,7 +681,7 @@ def _bundle_martingale_reports(params, band, scenarios, maturity, checkpoints, c
         for bundle in _chunk_bundles(spec, band, cfg, params, dynamics):
             # int r by the trapezoid rule, summed along the path from 0
             integral = np.zeros(bundle.r.shape)
-            steps = robustrates.paths._trapezoid(bundle.r[:, :-1], bundle.r[:, 1:], grid.dt)
+            steps = (bundle.r[:, 1:] + bundle.r[:, :-1]) * (grid.dt / 2.0)
             np.cumsum(steps, axis=1, out=integral[:, 1:])
             p_tilde = np.exp(_log_price(a_vec, b_vec, bundle.r, bundle.lam) - integral)
             cp_vals.append(_pair_means(p_tilde[:, cp_idx] - p0, cfg.antithetic))
@@ -1163,4 +1163,21 @@ def test_empty_or_repeated_checkpoints_rejected_before_drawing(monkeypatch, chec
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         martingale_check(PARAMS, BAND, [Constant(0.005), Constant(0.02)], 1.0, checkpoints, cfg,
                          dynamics)
+    assert draws == []
+
+
+@pytest.mark.parametrize("checkpoints, message", [
+    (["0.5"], r"^checkpoints must be a finite real number, got '0\.5'$"),
+    ([True], r"^checkpoints must be a finite real number, got True$"),
+    ([0.5, None], r"^checkpoints must be a finite real number, got None$"),
+    (0.5, r"^checkpoints must be a sequence, got 0\.5$"),
+], ids=["str", "bool", "None", "scalar"])
+def test_checkpoints_take_the_number_rule(monkeypatch, checkpoints, message):
+    """``["0.5"]`` and ``[True]`` once ran as 0.5 and 1.0, and a scalar escaped as a
+    bare ``TypeError``."""
+    draws = []
+    monkeypatch.setattr(robustrates.paths, "_draw_normals", lambda *a: draws.append(a))
+    cfg = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=0)
+    with pytest.raises(ValidationError, match=message):
+        martingale_check(PARAMS, BAND, [Constant(0.005)], 1.0, checkpoints, cfg)
     assert draws == []

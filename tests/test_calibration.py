@@ -101,6 +101,33 @@ class TestCurve:
         with pytest.raises(ValidationError):
             HUMPED.derivative(-0.1)
 
+    @pytest.mark.parametrize("name, evaluate", [
+        ("t", HUMPED.value),
+        ("t", HUMPED.derivative),
+        ("a", lambda t: HUMPED.integral(t, 2.0)),
+        ("b", lambda t: HUMPED.integral(0.0, t)),
+        ("s", RateParams(0.02, 1.0, HUMPED).mu_at),
+        ("s", RateParams(0.02, 1.0, 0.01).mu_at),
+    ], ids=["value", "derivative", "integral-a", "integral-b", "mu_at-curve", "mu_at-constant"])
+    @pytest.mark.parametrize("t", ["1", True, None, np.nan, [1.0]])
+    def test_times_take_the_number_rule(self, name, evaluate, t):
+        """``value("1")`` once returned the forward at 1, and ``integral(True, 2)`` ran from 1."""
+        with pytest.raises(ValidationError, match=rf"^{name} must be a finite real number, got "):
+            evaluate(t)
+
+    @pytest.mark.parametrize(
+        "evaluate", [HUMPED.value, HUMPED.derivative, RateParams(0.02, 1.0, HUMPED).mu_at]
+    )
+    def test_time_arrays_need_a_real_dtype(self, evaluate):
+        message = r"^[ts] must be an array of real numbers, got dtype "
+        for t in (np.array([True, False]), np.array(["1"]), np.array([0.5, 1], dtype=object)):
+            with pytest.raises(ValidationError, match=message):
+                evaluate(t)
+        with pytest.raises(ValidationError, match="outside curve range"):
+            evaluate(np.array([0.5, np.nan]))
+        assert evaluate(np.arange(3)).tolist() == evaluate(np.arange(3.0)).tolist()
+        assert evaluate(np.float32(0.5)) == evaluate(0.5)
+
     def test_right_continuous_derivative_at_knot(self):
         # slope jumps at T=2 from 0.004 to -0.001; the knot takes the right one
         assert HUMPED.derivative(2.0) == pytest.approx(-0.001)
@@ -216,6 +243,17 @@ class TestRoundTrip:
     def test_constant_mu_rejected(self):
         with pytest.raises(ValidationError, match="ForwardCurve"):
             initial_curve_roundtrip(RateParams(0.02, 1.0, 0.02), [1.0])
+
+    @pytest.mark.parametrize("maturities, message", [
+        (["1"], r"^maturities must be a finite real number, got '1'$"),
+        ([True], r"^maturities must be a finite real number, got True$"),
+        ([1.0, np.nan], r"^maturities must be a finite real number, got nan$"),
+        (1.0, r"^maturities must be a sequence, got 1\.0$"),
+    ], ids=["str", "bool", "nan", "scalar"])
+    def test_maturities_take_the_number_rule(self, maturities, message):
+        """``["1"]`` and ``[True]`` were once priced as maturity 1."""
+        with pytest.raises(ValidationError, match=message):
+            initial_curve_roundtrip(calibrate(FLAT, alpha=1.0), maturities)
 
     def test_forward_rates_recovered_between_knots(self):
         params = calibrate(HUMPED, alpha=1.0)

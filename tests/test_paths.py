@@ -29,7 +29,7 @@ from robustrates import (
 )
 from robustrates.cli import main
 from robustrates.mc import CHUNK_PATHS, _chunks
-from robustrates.paths import _bundle, _r_step, _rate_factors, _simulate, _steps
+from robustrates.paths import _bundle, _mu_step_integrals, _simulate, _steps
 from robustrates.scenarios import _PATH_BLOCK, PathView
 
 BAND = VolBand(0.005, 0.02)
@@ -54,11 +54,12 @@ def _chunk_bundles(spec, band, cfg, params, dynamics):
 
 
 def zero_noise_rate(params: RateParams, grid: TimeGrid) -> np.ndarray:
-    """The engine's ``r`` recursion on ``grid`` with the driver frozen at zero."""
-    factors = _rate_factors(params, grid)
+    """The engine's ``r`` recursion on ``grid`` with the driver frozen at zero,
+    ``r[k+1] = exp(-alpha dt) r[k] + m_det[k]``, its coefficients formed here."""
+    ea, m_det = np.exp(-params.alpha * grid.dt), _mu_step_integrals(params, grid)
     r = [params.r0]
     for k in range(grid.n_steps):
-        r.append(_r_step(k, r[-1], 0.0, None, factors))
+        r.append(ea * r[-1] + m_det[k])
     return np.array(r)
 
 
@@ -139,7 +140,8 @@ def column_loop_bundle(scenario, band, grid, params, seed, n_paths, dynamics, an
     stepper, kept as an independent reference for the five step recursions:
     ``sigma``, ``B``, ``qv``, ``lam``, ``r`` and the money market.  Its inputs come
     straight from the generator and the scenario: an antithetic mate negates its
-    partner's normals and shares its switching path."""
+    partner's normals and shares its switching path.  It forms the rate step's
+    coefficients itself, so none of them is shared with the kernel."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     n, dt = grid.n_steps, grid.dt
     sq = np.sqrt(dt)
@@ -160,8 +162,9 @@ def column_loop_bundle(scenario, band, grid, params, seed, n_paths, dynamics, an
         lam = np.zeros((n_paths, n + 1))
         r = np.empty((n_paths, n + 1))
         r[:, 0] = params.r0
-        e2 = np.exp(-2.0 * params.alpha * dt)
-        ea, eh, w_lam, m_det = _rate_factors(params, grid)
+        a = params.alpha
+        ea, eh, w_lam = np.exp(-a * dt), np.exp(-a * dt / 2.0), b_factor(a, 0.0, dt)
+        e2, m_det = np.exp(-2.0 * a * dt), _mu_step_integrals(params, grid)
     times = grid.times
     for k in range(n):
         if scenario.is_adaptive:
@@ -413,6 +416,21 @@ class TestLambdaPath:
         with pytest.raises(ValidationError):
             lambda_path(np.array([0.0, 1.0, 0.5]), alpha=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("name", ["alpha", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "1", True, None, 0.0, -1.0])
+    def test_alpha_and_dt_take_the_number_rule(self, name, value):
+        """``alpha=nan`` once returned a NaN ``lam``, ``"1"`` escaped as a bare
+        ``TypeError``, and ``dt=-1`` was accepted."""
+        args = {"alpha": 1.0, "dt": 0.1, name: value}
+        message = rf"^{name} must be a finite real number > 0, got "
+        with pytest.raises(ValidationError, match=message):
+            lambda_path(np.array([0.0, 0.1, 0.2]), **args)
+
+    def test_alpha_and_dt_take_numpy_and_integer_numbers(self):
+        qv = 0.04 * TimeGrid(1.0, 8).times
+        expected = lambda_path(qv, alpha=1.0, dt=0.125).tobytes()
+        assert lambda_path(qv, alpha=np.int64(1), dt=np.float64(0.125)).tobytes() == expected
+
 
 class TestShortRate:
     def test_deterministic_reduction_constant_mu(self):
@@ -454,13 +472,17 @@ class TestShortRate:
         assert abs(v - VAR_R1_SIGMA_001) <= tol
 
     def test_shifted_equals_original_with_zero_lambda(self):
+        # lam[0] = 0, so step 0 of the shifted dynamics adds exactly nothing, for a
+        # one-value lam (a deterministic table) or one per path; from step 1 on, lam > 0
         grid = TimeGrid(1.0, 32)
-        factors = _rate_factors(RateParams(r0=0.02, alpha=1.0, mu=0.01), grid)
-        rng = np.random.default_rng(2)
-        for k in range(grid.n_steps):
-            r_k, db_k = rng.normal(0.02, 0.01, 6), rng.normal(0.0, 0.002, 6)
-            shifted = _r_step(k, r_k, db_k, np.zeros(6), factors)
-            assert shifted.tobytes() == _r_step(k, r_k, db_k, None, factors).tobytes()
+        params = RateParams(r0=0.02, alpha=1.0, mu=0.01)
+        for spec in (Constant(0.01), RandomSwitching(4.0, seed=1), AdaptedFeedback("driver_sign")):
+            orig, shift = (
+                simulate_bundle(spec, BAND, grid, params, seed=2, n_paths=6, dynamics=dynamics).r
+                for dynamics in ("original", "shifted")
+            )
+            assert shift[:, 1].tobytes() == orig[:, 1].tobytes()
+            assert np.all(shift[:, 2] > orig[:, 2])
 
     def test_shift_is_deterministic_for_deterministic_sigma(self):
         grid = TimeGrid(1.0, 128)
@@ -523,6 +545,14 @@ class TestMoneyMarket:
         assert money_market(r, grid).tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 10), (3, 12), ()])
+    def test_rejects_r_off_the_grid(self, shape):
+        """``money_market(np.zeros(5), TimeGrid(1.0, 10))`` once integrated 4 steps at dt 0.1."""
+        message = rf"^r needs 11 values on its last axis, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValidationError, match=message):
+            money_market(np.zeros(shape), TimeGrid(1.0, 10))
+
+
 class TestBundleCsv:
     def test_header_and_determinism(self, tmp_path):
         outs = []
@@ -567,6 +597,18 @@ class TestGridValidation:
     def test_index_of_rejects_non_finite(self, t):
         with pytest.raises(ValidationError, match="not a grid point"):
             TimeGrid(1.0, 4).index_of(t)
+
+    @pytest.mark.parametrize("t", [True, "0.5", None, 10**400, np.array(0.5)])
+    def test_index_of_takes_the_number_rule(self, t):
+        """``index_of(True)`` once returned index 4, and ``"0.5"`` escaped as a bare
+        ``TypeError``."""
+        with pytest.raises(ValidationError, match=r"^t must be a finite real number, got "):
+            TimeGrid(1.0, 4).index_of(t)
+
+    def test_index_of_takes_numpy_scalars(self):
+        grid = TimeGrid(1.0, 4)
+        got = grid.index_of(np.float32(0.5)), grid.index_of(np.int64(1)), grid.index_of(1)
+        assert got == (2, 4, 4)
 
     @pytest.mark.parametrize(
         "t, maturity",

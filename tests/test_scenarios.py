@@ -177,6 +177,26 @@ def test_feedback_unknown_rule_rejected():
         AdaptedFeedback("nonexistent_rule").validate(BAND)
 
 
+def _hot(view, params):
+    return view.band.sigma_hi
+
+
+@pytest.mark.parametrize("name, fn, message", [
+    ("not_callable", None, r"^feedback rule 'not_callable' must be callable, got None$"),
+    ("a_name", "driver_sign", r"^feedback rule 'a_name' must be callable, got 'driver_sign'$"),
+    (None, _hot, r"^feedback rule name must be a str, got None$"),
+    (7, _hot, r"^feedback rule name must be a str, got 7$"),
+])
+def test_register_feedback_rule_checks_its_arguments(name, fn, message):
+    """``register_feedback_rule("bad", None)`` was once accepted, and the first simulation
+    with it died with a bare ``TypeError``."""
+    with pytest.raises(ValidationError, match=message):
+        register_feedback_rule(name, fn)
+    if isinstance(name, str):  # nothing was registered
+        with pytest.raises(ValidationError):
+            AdaptedFeedback(name).validate(BAND)
+
+
 #: every entry point that steps a feedback rule, run on a family holding ``spec``
 _CFG = McConfig(n_paths=4, n_steps=4, horizon=1.0, base_seed=0)
 _RUNNERS = {
