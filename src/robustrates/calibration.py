@@ -115,18 +115,21 @@ def initial_curve_roundtrip(params: RateParams, maturities: Sequence[float]) -> 
     cancels against the ``B r0`` term), so errors should sit at rounding
     level.  The forward comparison evaluates the curve at interval
     midpoints and is exact only when no knot falls inside an interval.
-    ``params`` are calibrated ones: their ``mu`` must be a curve.
+    ``params`` are calibrated ones: their ``mu`` must be a curve, and
+    ``maturities`` holds at least one maturity.
     """
     curve = params.mu
     if not isinstance(curve, ForwardCurve):
         raise ValidationError(f"the round trip needs a ForwardCurve mu, got mu = {curve!r}")
     mats = sorted(_check_reals("maturities", maturities))
+    if not mats:
+        raise ValidationError("maturities must hold at least one maturity, got none")
     rows = []
     for T in mats:
         p_model = price_robust(params, 0.0, T, params.r0, 0.0)
         p_curve = float(np.exp(-curve.integral(0.0, T)))
         rows.append(RoundTripRow(maturity=T, p_model=p_model, p_curve=p_curve))
-    max_err = max((r.abs_error for r in rows), default=0.0)
+    max_err = max(r.abs_error for r in rows)
 
     fwd_err = 0.0
     for lo, hi in zip(rows[:-1], rows[1:]):

@@ -27,11 +27,10 @@ positively homogeneous, so ``dt * g(d2 / dx^2)`` is the generator on its
 halved variances times ``dt / dx^2``, applied to ``d2``.  Both run in place
 in two buffers, on constants (``2`` and that scaled pair) formed once per
 call as 0-d arrays with the same bits as the Python floats.  Levels run in
-blocks up to the next event: a level to store, a NaN check, or the last
-level.  The sweep checks for NaN once every ``_NAN_CHECK_EVERY`` levels
-and at the last one.  A NaN that reaches an interior node never leaves,
-because ``NaN + x`` is NaN and the edge nodes are frozen finite values,
-so a check at the end of a block sees any NaN made inside it.
+one block up to each level to store, and the last level is always stored.
+The sweep checks for NaN once, after the last level.  A NaN that reaches an
+interior node never leaves, because ``NaN + x`` is NaN and the edge nodes
+are frozen finite values, so that one check sees any NaN made on the way.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .errors import NumericalError, ValidationError, _check_int, _check_real
 
 #: stability margin of every grid built here: ``sigma_hi^2 dt / dx^2 <= _CFL``
 _CFL = 0.9
-#: levels between NaN checks of the sweep (see :func:`solve_gheat`)
-_NAN_CHECK_EVERY = 256
 
 
 @dataclass(frozen=True)
@@ -121,8 +118,9 @@ class Solution1D:
         return self.u[-1]
 
     def value_at(self, x0: float) -> float:
-        """Final-time value at ``x0`` by linear interpolation."""
-        x = self.grid.x
+        """Final-time value at ``x0`` by linear interpolation; ``x0`` is a
+        number on the grid."""
+        x0, x = _check_real("x0", x0), self.grid.x
         if not (x[0] <= x0 <= x[-1]):
             raise ValidationError(f"x0={x0} outside the grid")
         return float(np.interp(x0, x, self.u[-1]))
@@ -144,15 +142,14 @@ def solve_gheat(
     level (plus the final one); the default keeps only the initial and
     final levels.
 
-    The levels between two events (a level to store, a NaN check, the last
-    level) run as bare ufunc calls on constants formed once per call: the
-    generator's halved variances times ``dt / dx^2`` act on the bare second
-    difference (see the module docstring).  A NaN persists once made, so it
-    is looked for only every ``_NAN_CHECK_EVERY`` levels and at the last
-    one.  A check that finds one restores the last clean level and replays
-    the block one level at a time; the replay gives the same bits, so the
-    :class:`NumericalError` names the first NaN level and node whatever the
-    interval.
+    The levels up to each stored one run as bare ufunc calls on constants
+    formed once per call: the generator's halved variances times
+    ``dt / dx^2`` act on the bare second difference (see the module
+    docstring).  A NaN persists once made, so it is looked for once, after
+    the last level.  If one is there, the sweep restores the initial slice
+    and replays one level at a time with a check after each; the replay
+    gives the same bits, so the :class:`NumericalError` names the first NaN
+    level and node, and a failed solve costs at most two solves.
     """
     cfl = grid.cfl_number(band)
     if cfl > 1.0 + 1e-12:
@@ -170,45 +167,42 @@ def solve_gheat(
     if store_every is not None:
         _check_int("store_every", store_every, lo=1)
     nt, dt = grid.nt, grid.dt
-    # d2 = u[2:] - 2.0*u[1:-1] + u[:-2], then u[1:-1] += g_r(d2) with g_r the
-    # generator on its halved variances times r = dt / dx^2, with the same
-    # operations in the same order, on 0-d copies of the constants
-    two, coefficients = np.array(2.0), _g_coefficients(band, dt / grid.dx**2)
-    multiply, subtract, add = np.multiply, np.subtract, np.add
-
-    stored = [u.copy()]
-    stored_times = [0.0]
-    left, mid, right = u[:-2], u[1:-1], u[2:]
-    d2, scratch = np.empty_like(mid), np.empty_like(mid)
-    clean, clean_n, every = u.copy(), 0, _NAN_CHECK_EVERY
-    n = 0
-    while n < nt:
-        # run up to the next event: a NaN check, a level to store, the last level
-        stop = min(nt, (n // every + 1) * every)
-        if store_every is not None:
-            stop = min(stop, (n // store_every + 1) * store_every)
-        for _ in range(n, stop):
-            multiply(mid, two, d2)
-            subtract(right, d2, d2)
-            add(d2, left, d2)
-            # generator evaluated pointwise: worst-case variance for the sign of d2
-            add(mid, _g_in_place(d2, scratch, coefficients), mid)
+    # every store_every-th level below nt, then nt
+    stops = [nt] if store_every is None else [*range(store_every, nt, store_every), nt]
+    mid = u[1:-1]
+    stencil = (u[:-2], mid, u[2:], np.empty_like(mid), np.empty_like(mid),
+               np.array(2.0), _g_coefficients(band, dt / grid.dx**2))
+    stored, n = [u.copy()], 0
+    for stop in stops:
+        _sweep(stop - n, *stencil)
         n = stop
-        if (store_every is not None and n % store_every == 0) or n == nt:
-            stored.append(u.copy())
-            stored_times.append(n * dt)
-        if n % every == 0 or n == nt:
-            if not np.isnan(u).any():
-                clean[...] = u
-                clean_n = n
-            elif every > 1:
-                # same bits again, so the replay stops at the first NaN level
-                u[...] = clean
-                n, every = clean_n, 1
-            else:
+        stored.append(u.copy())
+    if np.isnan(u).any():
+        # same bits again, so the replay stops at the first NaN level
+        u[...] = stored[0]
+        for n in range(1, nt + 1):
+            _sweep(1, *stencil)
+            if np.isnan(u).any():
                 i = int(np.argmax(np.isnan(u)))
                 raise NumericalError(f"NaN at time level {n} (t={n * dt:.6g}), node {i}")
-    return Solution1D(grid=grid, times=np.asarray(stored_times), u=np.vstack(stored))
+    return Solution1D(grid=grid, times=np.asarray([0, *stops]) * dt, u=np.vstack(stored))
+
+
+def _sweep(levels, left, mid, right, d2, scratch, two, coefficients):
+    """Run ``levels`` levels of the stencil on ``mid``, the view ``u[1:-1]``.
+
+    Each level is ``d2 = u[2:] - 2.0*u[1:-1] + u[:-2]``, then
+    ``u[1:-1] += g_r(d2)`` with ``g_r`` the generator on its halved variances
+    times ``r = dt / dx^2`` (``coefficients``), with the same operations in
+    the same order, in place in the buffers ``d2`` and ``scratch``, on the
+    0-d constants ``two`` and ``coefficients``."""
+    multiply, subtract, add, g = np.multiply, np.subtract, np.add, _g_in_place
+    for _ in range(levels):
+        multiply(mid, two, d2)
+        subtract(right, d2, d2)
+        add(d2, left, d2)
+        # generator evaluated pointwise: worst-case variance for the sign of d2
+        add(mid, g(d2, scratch, coefficients), mid)
 
 
 def _terminal_grid(
@@ -218,12 +212,18 @@ def _terminal_grid(
     ``nodes_per_width`` nodes per diffusion width; the node count is kept
     even so the read-out at 0 interpolates between cell centers."""
     t = _check_real("t", t, 0, lo_open=True)
+    # the bare rules before the bounds: 2.5 is reported as no integer, not as too small
     _check_int("nodes_per_width", nodes_per_width)
     nodes = _check_real("pad_widths", pad_widths) * _check_real("nodes_per_width", nodes_per_width)
+    _check_int("nodes_per_width", nodes_per_width, lo=1)
+    _check_real("pad_widths", pad_widths, 0, lo_open=True)
     if not isfinite(nodes):
         raise ValidationError("need finite pad_widths and nodes_per_width")
     half = pad_widths * (band.sigma_hi * sqrt(t))
     nx = 2 * int(round(nodes))
+    if nx < 3:
+        raise ValidationError(f"pad_widths * nodes_per_width must be at least 1.5 for a grid of "
+                              f"3 nodes or more, got {pad_widths!r} * {nodes_per_width!r}")
     return Grid1D.with_cfl(band, -half, half, nx, t)
 
 

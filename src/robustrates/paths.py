@@ -524,10 +524,13 @@ def lambda_path(qv: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     ``lam[k+1] = exp(-2 alpha dt) lam[k] + dqv[k]``, starting at zero.
 
     Approximates the kernel integral with decay rate ``2 alpha`` to first
-    order in ``dt``; rejects decreasing ``qv``, and ``alpha`` or ``dt`` not above 0.
+    order in ``dt``; rejects a non-finite or decreasing ``qv``, and ``alpha`` or
+    ``dt`` not above 0.
     """
     alpha, dt = _check_real("alpha", alpha, 0, lo_open=True), _check_real("dt", dt, 0, lo_open=True)
     qv = np.asarray(qv, dtype=float)
+    if not np.isfinite(qv).all():
+        raise ValidationError("qv must be finite")
     dqv = np.diff(qv, axis=-1)
     if np.any(dqv < -1e-15):
         raise ValidationError("quadratic variation path must be nondecreasing")
@@ -540,11 +543,13 @@ def lambda_path(qv: np.ndarray, alpha: float, dt: float) -> np.ndarray:
 
 def money_market(r: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Account value ``exp(trapezoidal integral of r)``; starts at 1.  ``r`` holds one
-    value per grid time on its last axis."""
+    finite value per grid time on its last axis."""
     r = np.asarray(r, dtype=float)
     if r.shape[-1:] != (grid.n_steps + 1,):
         raise ValidationError(f"r needs {grid.n_steps + 1} values on its last axis, "
                               f"got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValidationError("r must be finite")
     integral = np.zeros(r.shape)
     np.cumsum((r[..., 1:] + r[..., :-1]) * (grid.dt / 2.0), axis=-1, out=integral[..., 1:])
     return np.exp(integral, out=integral)

@@ -249,9 +249,12 @@ class TestRoundTrip:
         ([True], r"^maturities must be a finite real number, got True$"),
         ([1.0, np.nan], r"^maturities must be a finite real number, got nan$"),
         (1.0, r"^maturities must be a sequence, got 1\.0$"),
-    ], ids=["str", "bool", "nan", "scalar"])
+        ([], r"^maturities must hold at least one maturity, got none$"),
+        (np.array([]), r"^maturities must hold at least one maturity, got none$"),
+    ], ids=["str", "bool", "nan", "scalar", "empty", "empty-array"])
     def test_maturities_take_the_number_rule(self, maturities, message):
-        """``["1"]`` and ``[True]`` were once priced as maturity 1."""
+        """``["1"]`` and ``[True]`` were once priced as maturity 1, and ``[]`` was a
+        report of no rows with zero errors, a perfect round trip of nothing."""
         with pytest.raises(ValidationError, match=message):
             initial_curve_roundtrip(calibrate(FLAT, alpha=1.0), maturities)
 

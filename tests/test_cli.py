@@ -341,6 +341,15 @@ class TestErrors:
         assert run_cli("gheat", "--pad-widths", "0") == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("option, message", [
+        ("--nodes-per-width", "nodes_per_width must be an integer >= 1, got 0"),
+        ("--pad-widths", "pad_widths must be a finite real number > 0, got 0.0"),
+    ], ids=["nodes-per-width", "pad-widths"])
+    def test_empty_pde_grid_names_the_option(self, capsys, option, message):
+        """Both once read ``nx must be an integer >= 3, got 0`` or ``need x_min < x_max``."""
+        assert run_cli("gheat", option, "0") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.filterwarnings("error")  # one error line, no numpy warning before it
     @pytest.mark.parametrize("argv, message", [
         (("price", "--maturities", "1"), "volatility band top 1e+200 has no finite square"),

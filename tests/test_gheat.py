@@ -27,11 +27,13 @@ def small_grid(band=BAND, nx=101, t_final=1.0, span=0.2):
     return Grid1D.with_cfl(band, -span, span, nx, t_final)
 
 
-def reference_solve(phi, band, grid, store_every=None):
+def reference_solve(phi, band, grid, store_every=None, plant=None):
     """The sweep as first written: fresh temporaries, the generator in its
     selecting form, and a NaN check after every level.  ``dt * g(d2 / dx^2)``
     is taken as ``g`` on the halved variances times ``r = dt / dx^2``,
-    applied to the bare second difference ``d2``."""
+    applied to the bare second difference ``d2``.  ``plant(d2)``, if given,
+    runs on each level's ``d2`` first, as :func:`plant_in_sweep` runs it in
+    the sweep."""
     x = grid.x
     u = np.asarray(phi(x) if callable(phi) else phi, dtype=float).copy()
     dt = grid.dt
@@ -39,6 +41,8 @@ def reference_solve(phi, band, grid, store_every=None):
     stored, stored_times = [u.copy()], [0.0]
     for n in range(1, grid.nt + 1):
         d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
+        if plant is not None:
+            plant(d2)
         u[1:-1] += np.where(d2 >= 0.0, 0.5 * band.sigma_hi**2 * r, 0.5 * band.sigma_lo**2 * r) * d2
         if np.isnan(u).any():
             i = int(np.argmax(np.isnan(u)))
@@ -55,11 +59,36 @@ def huge_square(x):
     return 1e308 * (x / x[-1]) ** 2
 
 
-def nan_message(phi, band, grid, solve=solve_gheat):
+def nan_message(phi, band, grid, solve=solve_gheat, **kwargs):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError) as info:
-            solve(phi, band, grid)
+            solve(phi, band, grid, **kwargs)
     return str(info.value)
+
+
+def planted_below(threshold):
+    """A NaN at ``d2[17]`` (node 18) once the largest second difference is
+    below ``threshold``: a condition of the state alone, so a replay of the
+    sweep meets it again."""
+
+    def plant(d2):
+        if d2.max() < threshold:
+            d2[17] = np.nan
+
+    return plant
+
+
+def plant_in_sweep(monkeypatch, plant):
+    """Run ``plant(d2)`` on the bare second difference at every level of the
+    sweep, just before the generator, as ``reference_solve(..., plant=plant)``
+    does."""
+    real = gheat._g_in_place
+
+    def planted(a, scratch, coefficients):
+        plant(a)
+        return real(a, scratch, coefficients)
+
+    monkeypatch.setattr(gheat, "_g_in_place", planted)
 
 
 PAYOFFS = {
@@ -77,37 +106,39 @@ class TestBitwiseAgainstReference:
         band=st.sampled_from([BAND, VolBand(0.02, 0.02), VolBand(0.001, 0.3)]),
         nx=st.integers(3, 400),
         t_final=st.sampled_from([0.25, 1.0]),
-        levels=st.sampled_from(["cfl", "blocks", "blocks+1"]),
-        blocks=st.integers(1, 4),
-        store=st.sampled_from([None, 1, "k"]),
+        levels=st.sampled_from(["cfl", "more"]),
+        more=st.integers(1, 1100),
+        store=st.sampled_from([None, 1, "nt-1", "nt", "nt+1", "k"]),
         seed=st.integers(0, 2**16),
     )
-    def test_sweep_bitwise_equal_to_reference(self, payoff, band, nx, t_final, levels, blocks, store, seed):
-        # block ends fall every _NAN_CHECK_EVERY levels; nt at a multiple of
-        # the block and one past it puts the last check on and off a block end
+    def test_sweep_bitwise_equal_to_reference(self, payoff, band, nx, t_final, levels, more, store, seed):
+        # the sweep stops at each stored level and at nt: a store on every
+        # level, on, just before and just after nt, or every k-th, on the
+        # fewest stable levels (small nt) and on up to 1100 levels (large nt)
         rng = np.random.default_rng(seed)
         span = 0.3 * band.sigma_hi / 0.02
         nt = Grid1D.with_cfl(band, -span, span, nx, t_final).nt
-        block = gheat._NAN_CHECK_EVERY
-        if levels != "cfl":
-            nt = block * max(blocks, math.ceil(nt / block)) + (levels == "blocks+1")
+        if levels == "more":
+            nt = max(nt, more)
         grid = Grid1D(-span, span, nx, t_final, nt)
         phi = rng.normal(size=nx) if payoff == "array" else PAYOFFS[payoff]
-        store_every = int(rng.integers(2, nt + 2)) if store == "k" else store
+        store_every = {"nt-1": max(1, nt - 1), "nt": nt, "nt+1": nt + 1,
+                       "k": int(rng.integers(2, nt + 2))}.get(store, store)
         sol = solve_gheat(phi, band, grid, store_every=store_every)
         ref = reference_solve(phi, band, grid, store_every=store_every)
         assert sol.u.tobytes() == ref.u.tobytes()
         assert sol.times.tobytes() == ref.times.tobytes()
 
     @pytest.mark.parametrize("nt", ["below one block", "several blocks"])
-    @pytest.mark.parametrize("store", ["block-1", "block", "block+1", "nt", "nt+1"])
+    @pytest.mark.parametrize("store", ["1", "block-1", "block", "block+1", "nt-1", "nt", "nt+1"])
     def test_bitwise_where_stores_and_checks_interleave(self, nt, store):
-        # the blocked sweep stops at every stored level and every block end;
-        # these schedules put the two on, just before and just after each other
-        block = gheat._NAN_CHECK_EVERY
+        # the sweep runs in blocks up to each stored level and checks for NaN
+        # once, at nt; these schedules store every level, every block of 64
+        # levels or one level off it, and on, just before and just after nt
+        block = 64
         nt = block // 2 + 3 if nt == "below one block" else 3 * block + 5
-        store_every = {"block-1": block - 1, "block": block, "block+1": block + 1,
-                       "nt": nt, "nt+1": nt + 1}[store]
+        store_every = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+                       "nt-1": nt - 1, "nt": nt, "nt+1": nt + 1}[store]
         grid = Grid1D(-0.3, 0.3, 41, 1.0, nt)
         phi = PAYOFFS["smooth"]
         sol = solve_gheat(phi, BAND, grid, store_every=store_every)
@@ -124,9 +155,9 @@ class TestBitwiseAgainstReference:
             return real(a, scratch, coefficients)
 
         monkeypatch.setattr(gheat, "_g_in_place", spy)
-        grid = small_grid(nx=401)  # 445 levels: more than one block
+        grid = small_grid(nx=401)  # 445 levels: five blocks up to a stored level
         solve_gheat(PAYOFFS["relu"], BAND, grid, store_every=100)
-        assert len(seen) == grid.nt > gheat._NAN_CHECK_EVERY
+        assert len(seen) == grid.nt > 100
         assert all(c is seen[0] for c in seen)
         # the halved variances pre-scaled by r = dt / dx^2
         r = grid.dt / grid.dx**2
@@ -299,46 +330,44 @@ class TestGridAndFailures:
             with pytest.raises(NumericalError, match=r"time level \d+.*node \d+"):
                 solve_gheat(huge_square, BAND, grid)
 
-    @pytest.mark.parametrize("case", ["huge_square", "two_spikes"])
+    @pytest.mark.parametrize("case", ["huge_square", "two_spikes", "last_level"])
     def test_nan_diagnosis_independent_of_check_interval(self, monkeypatch, case):
-        # a NaN first shows at level 2 here; the intervals put the check that
-        # finds it on every level, on level 2, after it, and at the block end
+        # the reference checks every level, the sweep once after the last; a
+        # NaN first made at level 2 (huge_square, two_spikes) or at the last
+        # level nt reads the same under every store schedule
+        plant = None
         if case == "huge_square":
             grid, phi = small_grid(nx=51), huge_square
-        else:
-            grid = small_grid(nx=401)  # 445 levels: more than one block
+        elif case == "two_spikes":
+            grid = small_grid(nx=401)  # 445 levels
             phi = np.zeros(grid.nx)
             phi[100], phi[300] = 1e308, -1e308
-        expected = nan_message(phi, BAND, grid, solve=reference_solve)
-        for every in (1, 2, 3, gheat._NAN_CHECK_EVERY):
-            monkeypatch.setattr(gheat, "_NAN_CHECK_EVERY", every)
-            assert nan_message(phi, BAND, grid) == expected
+        else:
+            # planted once d2 is no larger than it is on the last level
+            grid, phi = small_grid(nx=101), PAYOFFS["relu"]
+            u = reference_solve(phi, BAND, grid, store_every=1).u[-2]
+            plant = planted_below(np.nextafter((u[2:] - 2.0 * u[1:-1] + u[:-2]).max(), np.inf))
+            plant_in_sweep(monkeypatch, plant)
+        expected = nan_message(phi, BAND, grid, solve=reference_solve, plant=plant)
+        assert int(expected.split()[4]) == (grid.nt if case == "last_level" else 2)
+        nt = grid.nt
+        for store_every in (None, 1, 2, 3, nt - 1, nt, nt + 1):
+            assert nan_message(phi, BAND, grid, store_every=store_every) == expected
 
     def test_replay_finds_a_nan_past_the_first_block(self, monkeypatch):
-        # a NaN planted once the kink has decayed below a threshold, a
-        # condition of the state alone, so the replay meets it again
-        real = gheat._g_in_place
-
+        # a NaN planted once the kink has decayed below a threshold, past the
+        # first stored level, so the replay runs from the initial slice through
+        # stored levels and meets it again
         grid = small_grid(nx=401)
-        threshold = 25.0 * grid.dx**2  # 25 in units of d2 / dx^2
-
-        def planted(a, scratch, coefficients):
-            if a.max() < threshold:
-                a[17] = np.nan
-            return real(a, scratch, coefficients)
-
-        monkeypatch.setattr(gheat, "_g_in_place", planted)
-        relu = lambda x: np.maximum(x, 0.0)
-        default = gheat._NAN_CHECK_EVERY
-        messages = set()
-        for every in (1, 2, 3, 100, default):
-            monkeypatch.setattr(gheat, "_NAN_CHECK_EVERY", every)
-            messages.add(nan_message(relu, BAND, grid))
-        (message,) = messages
-        # past the first block end, so each interval replays from its own clean level
-        level = int(message.split()[4])
-        assert default < level < grid.nt
-        assert message.endswith("node 18")
+        plant = planted_below(25.0 * grid.dx**2)  # 25 in units of d2 / dx^2
+        plant_in_sweep(monkeypatch, plant)
+        relu = PAYOFFS["relu"]
+        expected = nan_message(relu, BAND, grid, solve=reference_solve, plant=plant)
+        messages = {nan_message(relu, BAND, grid, store_every=k) for k in (None, 1, 2, 3, 100)}
+        assert messages == {expected}
+        level = int(expected.split()[4])
+        assert 100 < level < grid.nt
+        assert expected.endswith("node 18")
 
     def test_non_finite_phi_rejected(self):
         grid = small_grid(nx=51)
@@ -404,11 +433,39 @@ class TestGridAndFailures:
         ({"nodes_per_width": 2.5}, "nodes_per_width must be an integer, got 2.5"),
         ({"nodes_per_width": 10**400}, "nodes_per_width must be a finite real number, got 1"),
         ({"pad_widths": True}, "pad_widths must be a finite real number, got True"),
+        ({"nodes_per_width": 0}, "nodes_per_width must be an integer >= 1, got 0"),
+        ({"nodes_per_width": -5}, "nodes_per_width must be an integer >= 1, got -5"),
+        ({"pad_widths": 0}, "pad_widths must be a finite real number > 0, got 0"),
+        ({"pad_widths": -8.0}, "pad_widths must be a finite real number > 0, got -8.0"),
+        ({"nodes_per_width": 1, "pad_widths": 0.1},
+         "pad_widths * nodes_per_width must be at least 1.5 for a grid of 3 nodes or more, got 0.1 * 1"),
+        ({"nodes_per_width": 3, "pad_widths": 0.49},
+         "pad_widths * nodes_per_width must be at least 1.5 for a grid of 3 nodes or more, got 0.49 * 3"),
     ])
     def test_terminal_grid_inputs_take_the_number_rules(self, kwargs, message):
-        """``nodes_per_width=2.5`` was once rounded to a grid, and ``t=True`` ran as 1."""
+        """``nodes_per_width=2.5`` was once rounded to a grid, and ``t=True`` ran as 1;
+        a grid of no nodes per width or no padding was reported as ``nx must be an
+        integer >= 3, got 0`` or ``need x_min < x_max``, names the caller never used."""
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
             gexpectation_terminal(PAYOFFS["relu"], BAND, **{"t": 1.0, **kwargs})
+
+    def test_terminal_grid_takes_the_fewest_nodes_it_allows(self):
+        # 1.5 nodes round to 2, so the grid has 4 nodes
+        assert gheat._terminal_grid(BAND, 1.0, 1, 1.5).nx == 4
+        assert math.isfinite(gexpectation_terminal(PAYOFFS["relu"], BAND, 1.0, 1, 1.5))
+
+    @pytest.mark.parametrize("x0", ["a", None, True, math.nan, np.array([0.0])])
+    def test_value_at_takes_the_number_rule(self, x0):
+        """``"a"`` once escaped as a ``UFuncTypeError``, ``None`` as a bare
+        ``TypeError``, and ``True`` read as 1.0."""
+        sol = solve_gheat(PAYOFFS["relu"], BAND, small_grid(nx=51))
+        with pytest.raises(ValidationError, match="^x0 must be a finite real number"):
+            sol.value_at(x0)
+
+    def test_value_at_takes_numpy_and_integer_numbers(self):
+        sol = solve_gheat(PAYOFFS["relu"], BAND, small_grid(nx=51))
+        want = sol.value_at(0.0)
+        assert sol.value_at(0) == sol.value_at(np.float64(0.0)) == sol.value_at(np.int32(0)) == want
 
     @pytest.mark.parametrize("store_every", [0, -1, 2.5, 2.0, True, False, "2"])
     def test_store_every_must_be_an_integer_at_least_1(self, store_every):

@@ -416,6 +416,16 @@ class TestLambdaPath:
         with pytest.raises(ValidationError):
             lambda_path(np.array([0.0, 1.0, 0.5]), alpha=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_rejects_non_finite_qv(self, bad, at):
+        """``[0, nan, 0.1]`` once returned ``[0, nan, nan]`` and ``[0, inf, inf]``
+        returned ``[0, inf, nan]`` after a ``RuntimeWarning``."""
+        qv = np.array([[0.0, 0.05, 0.1], [0.0, 0.05, 0.1]])
+        qv[1, at] = bad
+        with pytest.raises(ValidationError, match="^qv must be finite$"):
+            lambda_path(qv, alpha=1.0, dt=0.5)
+
     @pytest.mark.parametrize("name", ["alpha", "dt"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, "1", True, None, 0.0, -1.0])
     def test_alpha_and_dt_take_the_number_rule(self, name, value):
@@ -551,6 +561,16 @@ class TestMoneyMarket:
         message = rf"^r needs 11 values on its last axis, got shape {re.escape(str(shape))}$"
         with pytest.raises(ValidationError, match=message):
             money_market(np.zeros(shape), TimeGrid(1.0, 10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape, at", [((3,), (1,)), ((2, 3), (1, 2))])
+    def test_rejects_non_finite_r(self, bad, shape, at):
+        """``money_market(np.array([0.0, nan, 0.1]), TimeGrid(1.0, 2))`` once
+        returned ``[1, nan, nan]``."""
+        r = np.full(shape, 0.02)
+        r[at] = bad
+        with pytest.raises(ValidationError, match="^r must be finite$"):
+            money_market(r, TimeGrid(1.0, 2))
 
 
 class TestBundleCsv:
