@@ -287,25 +287,27 @@ def _fill_sigma(row, tab_k, levels) -> None:
 
 #: ``(n_steps, n_paths)`` arrays a pass of ``_steps`` holds, whatever the family size
 _TABLES_PER_PASS = 6
-#: bytes one member may make a chunk hold: its ``_passes`` arrays (a table counted
-#: as one) of ``steps + 1`` doubles per path, plus the chunk's normals; 1.5 GiB
-#: admits one recorded 100,000-path bundle with the rate over 256 steps.  The
-#: formula counts full-width normals and a switching table as doubles, so for a
-#: byte table, and for an antithetic chunk (whose normals and switching tables are
-#: half-width), it is an upper bound
+#: bytes one member may make a chunk hold: its ``_passes`` arrays (a table or a
+#: feedback member counted as one, a recorded history as ``history``) of ``steps + 1``
+#: doubles per path, plus the chunk's normals; 1.5 GiB admits one recorded
+#: 100,000-path bundle with the rate over 256 steps.  The formula counts full-width
+#: normals and a switching table as doubles, so for a byte table, and for an
+#: antithetic chunk (whose normals and switching tables are half-width), it is an
+#: upper bound
 _MEMBER_BYTES_CAP = 3 * 2**29
 
 
 def _passes(scenarios, grid, n_draw, key, history, record):
     """Consecutive runs of ``scenarios`` with their chunk tables (``sigma_table`` of
     ``n_draw`` paths; None for a feedback member) as ``(rows, [(spec, table), ...])``,
-    each holding at most ``_TABLES_PER_PASS`` arrays: a kept history (feedback, or any
-    member under ``record``) counts ``history``, its table included, and any other
-    switching table 1, though its one byte per entry holds an eighth of an array of doubles."""
+    each holding at most ``_TABLES_PER_PASS`` arrays: under ``record`` a member's history
+    counts ``history``, its table included; otherwise a feedback member (which keeps only
+    its current state) counts 1, and so does a switching table, though its one byte per
+    entry holds an eighth of an array of doubles."""
     lo, group, used = 0, [], 0
     for spec in scenarios:
         tab = None if spec.is_adaptive else spec.sigma_table(grid.step_times, grid.dt, n_draw, key)
-        cost = history if record or tab is None else tab.ndim - 1
+        cost = history if record else 1 if tab is None else tab.ndim - 1
         if group and used + cost > _TABLES_PER_PASS:
             yield slice(lo, lo + len(group)), group
             lo, group, used = lo + len(group), [], 0
@@ -331,21 +333,15 @@ def _history_sigma(tab, levels, n, n_paths) -> np.ndarray:
     return sigma
 
 
-def _past_views(h: dict) -> dict:
-    """Path-major views of a feedback history's ``sigma``, ``b``, ``qv`` and ``r``, read
-    through a read-only buffer: the stepper keeps writing the history, but neither these
-    views nor any view of them can be made writeable."""
-    return {x: np.asarray(memoryview(h[x]).toreadonly()).T
-            for x in ("sigma", "b", "qv", "r") if x in h}
-
-
-def _feedback_sigma(spec, past, k, t, dt, band):
-    """Step ``k``'s volatility from a feedback rule: a scalar or one value per path.
-    ``past`` holds the member's history as read-only views formed once per pass
-    (``_past_views``); the rule sees their prefixes, exactly the path up to ``t``."""
-    b, r = past["b"][:, : k + 1], past.get("r")
-    view = PathView(k, t, dt, band, past["sigma"][:, :k], b, past["qv"][:, : k + 1],
-                    None if r is None else r[:, : k + 1])
+def _feedback_sigma(spec, s, i, t, dt, band):
+    """Step ``s.k``'s volatility from a feedback rule: a scalar or one value per path.
+    The rule sees member ``i``'s current state, its rows of ``b``, ``qv`` and (with the
+    rate) ``lam`` and ``r``, each read through a read-only buffer, so neither a row nor
+    any view of it can be made writeable."""
+    k = s.k
+    b, qv, lam, r = (None if x is None else np.asarray(memoryview(x[i]).toreadonly())
+                     for x in (s.b, s.qv, None if s.r is None else s.lam, s.r))
+    view = PathView(k, t, dt, band, b, qv, lam, r)
     sig_k = np.asarray(spec.step_sigma(view), dtype=float)
     n_paths = b.shape[0]
     if sig_k.shape not in ((), (n_paths,)):
@@ -371,12 +367,11 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
     ``record``, shifted dynamics or a feedback member.  With ``params``, the rate step
     (``r``, ``lam`` and the trapezoid of ``int r``) is written out inline on coefficients
-    formed once per call.  Feedback members, and under
-    ``record`` all, keep a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
-    (``_history_sigma``) and the grid values (``lam`` and ``integral`` under ``record``),
-    each recorded array its own (for ``_bundle`` to free) and otherwise views of one buffer
-    per chunk, grown only for a pass that keeps more; rules read views formed once per
-    pass (``_past_views``), dropped at the last grid time.  A switching member's table is
+    formed once per call.  A feedback rule reads its member's current rows of the state
+    (``_feedback_sigma``).  Under ``record`` every member keeps a time-major history
+    ``hist[i]`` (row ``k`` per step) of ``sigma`` (``_history_sigma``) and the grid values,
+    each array its own, for ``_bundle`` to free; otherwise ``hist`` is empty, and no
+    member keeps anything but the current state.  A switching member's table is
     bytes, and each step's ``sigma`` row is taken from them (``_fill_sigma``).  An
     antithetic chunk keeps half-width normals and switching tables (``_draw_normals``,
     ``_passes``) and widens each step's row.  No name here keeps a finished pass's tables
@@ -387,10 +382,9 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         spec.validate(band)  # before anything is drawn
     n, dt, sq, times = grid.n_steps, grid.dt, np.sqrt(grid.dt), grid.times
     with_r, shifted = params is not None, dynamics == "shifted"
-    names = ("b", "qv") + ((("r", "lam", "integral") if record else ("r",)) if with_r else ())
-    history = 1 + len(names)  # sigma and the grid values
-    kept = (history if record or spec.is_adaptive else 1 for spec in scenarios)
-    arrays = max(kept, default=0)  # the largest member's; a table counts 1, 2-D or not
+    names = ("b", "qv") + (("r", "lam", "integral") if with_r else ())  # recorded grid values
+    history = 1 + len(names)  # a recorded member's sigma and grid values
+    arrays = history if record else 1  # a table, 2-D or not, or a feedback member counts 1
     footprint = 8 * n_paths * (arrays * (n + 1) + n)
     if footprint > _MEMBER_BYTES_CAP:
         raise ValidationError(
@@ -407,39 +401,31 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     levels = np.array([band.sigma_lo, band.sigma_hi])  # what a byte table indexes
     # an antithetic mate shares its partner's volatility path: a half-width table
     passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record)
-    s, buf = SimpleNamespace(), None
+    s = SimpleNamespace()
     for s.rows, group in passes:
         width = 1 if all(tab is not None and tab.ndim == 1 for _, tab in group) else n_paths
         sigma = np.empty((len(group), width))
         s.qv = s.lam = np.zeros_like(sigma)  # the state arrays are replaced, never written
         s.b = s.integral = np.zeros((len(group), n_paths))
         s.r = np.full_like(s.b, params.r0) if with_r else None
-        if record:  # each array its own, so a bundle frees it as it is made (``_bundle``)
-            s.hist = {i: {"sigma": _history_sigma(tab, levels, n, n_paths)} | {
-                x: np.empty((n + 1, n_paths)) for x in names} for i, (_, tab) in enumerate(group)}
-        else:  # feedback histories, read by rules only: views of one buffer, grown as needed
-            keep = [i for i, (_, tab) in enumerate(group) if tab is None]
-            if keep and (buf is None or len(buf) < history * len(keep)):
-                buf = np.empty((history * len(keep), n + 1, n_paths))
-            slots = iter(buf if keep else ())
-            s.hist = {i: {"sigma": next(slots)[:n]} | {x: next(slots) for x in names} for i in keep}
-        past = {i: _past_views(s.hist[i]) for i, (_, tab) in enumerate(group) if tab is None}
-        stepped = full or shifted or bool(s.hist)
+        # each recorded array its own, so a bundle frees it as it is made (``_bundle``)
+        s.hist = {i: {"sigma": _history_sigma(tab, levels, n, n_paths)} | {
+            x: np.empty((n + 1, n_paths)) for x in names} for i, (_, tab) in enumerate(group)
+        } if record else {}
+        stepped = full or shifted or record or any(tab is None for _, tab in group)
         for k in range(n + 1):
             s.k = k
             for i, h in s.hist.items():
                 for x in names:
                     h[x][k] = getattr(s, x)[i]
-            if k == n:  # no rule reads on, so a history handed out now is its bundle's alone
-                past = None
             yield s
             if k == n:
                 break
             for i, (spec, tab) in enumerate(group):
                 if tab is None:
-                    sigma[i] = s.hist[i]["sigma"][k] = _feedback_sigma(
-                        spec, past[i], k, times[k], dt, band
-                    )
+                    sigma[i] = _feedback_sigma(spec, s, i, times[k], dt, band)
+                    if record:
+                        s.hist[i]["sigma"][k] = sigma[i]
                 else:
                     _fill_sigma(sigma[i], tab[k], levels)
             if antithetic:
@@ -461,7 +447,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 trap *= dt / 2.0
                 trap += s.integral
                 s.integral, s.r = trap, r_next
-        group = tab = h = past = None  # free this pass's arrays before the next builds its own
+        group = tab = h = None  # free this pass's arrays before the next builds its own
         s.hist = None
 
 

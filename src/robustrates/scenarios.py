@@ -9,8 +9,8 @@ kinds are supported:
   (covers bang-bang scenarios hopping between the band edges).
 * ``RandomSwitching`` -- a two-state jump process between the band edges
   with a given switch intensity, driven by its own seeded noise.
-* ``AdaptedFeedback`` -- a named rule that reads the simulated path strictly
-  before the current step and picks the next volatility from it.
+* ``AdaptedFeedback`` -- a named rule that reads the simulated state at the
+  current grid time (``PathView``) and picks the next step's volatility from it.
 
 Scenario families serialize to/from a plain JSON document so experiment
 manifests can be stored next to their outputs.
@@ -166,7 +166,8 @@ class RandomSwitching(ScenarioSpec):
 
 @dataclass(frozen=True)
 class AdaptedFeedback(ScenarioSpec):
-    """Volatility chosen by a registered rule reading only past path data."""
+    """Volatility chosen by a registered rule reading only the current state
+    (``PathView``), which is all a Markov control needs."""
 
     rule: str
     params: dict = field(default_factory=dict)
@@ -196,23 +197,25 @@ class AdaptedFeedback(ScenarioSpec):
 
 
 class PathView:
-    """Read-only look at the simulation strictly before the current step.
+    """Read-only look at the simulation's state at grid time ``t`` (index ``k``),
+    before step ``k`` is taken (``k`` runs over ``0..n_steps-1``).
 
-    ``sigma`` holds steps ``0..k-1``; ``b``, ``qv`` and (when co-simulated) ``r``
-    hold grid points ``0..k``.  Arrays are non-writeable views that cannot be made
-    writeable, valid for the current step only (the engine reuses their memory).
+    ``b``, ``qv``, ``lam`` and ``r`` are rows at that time, one value per path;
+    ``lam`` and ``r`` are None unless the short rate is co-simulated.  Rows are
+    non-writeable, and neither they nor any view of them can be made writeable;
+    they are valid for the current step only.
     """
 
-    __slots__ = ("k", "t", "dt", "band", "sigma", "b", "qv", "r")
+    __slots__ = ("k", "t", "dt", "band", "b", "qv", "lam", "r")
 
-    def __init__(self, k, t, dt, band, sigma, b, qv, r):
+    def __init__(self, k, t, dt, band, b, qv, lam, r):
         self.k = k
         self.t = t
         self.dt = dt
         self.band = band
-        self.sigma = sigma
         self.b = b
         self.qv = qv
+        self.lam = lam
         self.r = r
 
 
@@ -220,8 +223,9 @@ _FEEDBACK_RULES: dict[str, Callable[[PathView, dict], np.ndarray]] = {}
 
 
 def register_feedback_rule(name: str, fn: Callable[[PathView, dict], np.ndarray]) -> None:
-    """Register feedback rule ``name`` (overwrites silently): it returns step ``view.k``'s
-    volatility, a scalar or one per path, and copies what it keeps (the engine reuses ``view``).
+    """Register feedback rule ``name`` (overwrites silently): ``fn(view, params)`` returns
+    step ``view.k``'s volatility, a scalar or one per path, from the ``PathView``'s rows
+    of the current state, and copies what it keeps past its call.
     ``name`` must be a ``str`` and ``fn`` callable."""
     if not isinstance(name, str):
         raise ValidationError(f"feedback rule name must be a str, got {name!r}")
@@ -232,13 +236,13 @@ def register_feedback_rule(name: str, fn: Callable[[PathView, dict], np.ndarray]
 
 def _rule_driver_sign(view: PathView, params: dict) -> np.ndarray:
     threshold = params.get("threshold", 0.0)
-    return np.where(view.b[:, view.k] >= threshold, view.band.sigma_hi, view.band.sigma_lo)
+    return np.where(view.b >= threshold, view.band.sigma_hi, view.band.sigma_lo)
 
 
 def _rule_qv_chase(view: PathView, params: dict) -> np.ndarray:
     # run hot while realized variance trails the mid-band line, cool above it
     mid_var = view.band.midpoint**2 * view.t
-    return np.where(view.qv[:, view.k] <= mid_var, view.band.sigma_hi, view.band.sigma_lo)
+    return np.where(view.qv <= mid_var, view.band.sigma_hi, view.band.sigma_lo)
 
 
 register_feedback_rule("driver_sign", _rule_driver_sign)

@@ -43,7 +43,6 @@ from robustrates import (
 import robustrates.bonds
 import robustrates.mc
 import robustrates.paths
-import robustrates.scenarios
 from robustrates.bonds import (
     CheckpointStat,
     _b_integrals,
@@ -501,7 +500,7 @@ class TestNoArbGapStreaming:
 
 
 def _reads_rate(view, params):
-    return np.where(view.r[:, view.k] >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
+    return np.where(view.r >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
 
 
 register_feedback_rule("reads_rate", _reads_rate)
@@ -766,10 +765,12 @@ class TestMartingaleStreaming:
     def test_reducer_reads_no_earlier_state(self, monkeypatch, dynamics):
         """The reducer reads each step's state only: with every state's arrays copied
         and the copies overwritten by NaN once the reducer has moved on, the reports
-        are unchanged (the terminal identity is summed by parts)."""
+        are unchanged (the terminal identity is summed by parts).  Two arrays per pass
+        split the family's three, so each chunk steps in two passes."""
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=12,
                        antithetic=True)
         args = (KINKED_07, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg, dynamics)
+        monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 2)
         want = martingale_check(*args)
         steps, names, yielded = robustrates.mc._steps, ("b", "qv", "r", "lam", "integral"), []
 
@@ -796,7 +797,7 @@ class TestMartingaleStreaming:
 
 def test_no_pass_holds_more_than_six_arrays(monkeypatch):
     """A pass holds at most six ``(steps, paths)`` arrays: a switching table
-    counts 1 and a feedback history 4; ``noarb_gap`` and ``martingale_check``
+    counts 1 and a feedback member 1; ``noarb_gap`` and ``martingale_check``
     keep no other per-step array.  In ``estimate_sublinear`` every
     member's history is recorded: ``sigma`` (a switching table is that
     ``sigma``), ``B`` and its quadratic variation, plus ``r``, ``lam`` and the
@@ -807,7 +808,7 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
         RandomSwitching(3.0, 2), RandomSwitching(4.0, 3), RandomSwitching(5.0, 4),
         AdaptedFeedback("driver_sign", {"threshold": 0.001}), RandomSwitching(6.0, 5),
         AdaptedFeedback("qv_chase"), Constant(0.02),
-    ]
+    ] * 2  # 22 unrecorded arrays, so every run steps in at least four passes
     passes = []
     real = robustrates.paths._passes
 
@@ -817,7 +818,7 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
             yield rows, group
 
     def unrecorded(buffers):
-        return lambda s: buffers + 4 * s.is_adaptive + isinstance(s, RandomSwitching)
+        return lambda s: buffers + s.is_adaptive + isinstance(s, RandomSwitching)
 
     monkeypatch.setattr(robustrates.paths, "_passes", spy)
     cfg = McConfig(n_paths=64, n_steps=4, horizon=1.0, base_seed=1, antithetic=True)
@@ -838,23 +839,16 @@ def test_no_pass_holds_more_than_six_arrays(monkeypatch):
         assert len(passes) >= 4
 
 
-def test_feedback_passes_share_one_history_buffer(monkeypatch):
-    """With the rate a feedback history is four arrays, so ``driver_sign`` and
-    ``qv_chase`` step in two passes, and the second reuses the first's buffer."""
-    views, passes = {}, []
-    for name in ("driver_sign", "qv_chase"):
-        def spy(view, params, rule=robustrates.scenarios._FEEDBACK_RULES[name], name=name):
-            views.setdefault(name, view.b)
-            return rule(view, params)
-
-        monkeypatch.setitem(robustrates.scenarios._FEEDBACK_RULES, name, spy)
+def test_feedback_members_step_in_one_pass(monkeypatch):
+    """A feedback member keeps only its current state and counts one array, so with
+    the rate ``driver_sign`` and ``qv_chase`` step together in one pass."""
+    passes = []
     real = robustrates.paths._passes
     monkeypatch.setattr(robustrates.paths, "_passes", lambda *a: passes.extend(real(*a)) or passes)
     cfg = McConfig(n_paths=64, n_steps=8, horizon=1.0, base_seed=3, antithetic=True)
     family = [AdaptedFeedback("driver_sign"), AdaptedFeedback("qv_chase")]
     martingale_check(PARAMS, BAND, family, 1.0, [0.5], cfg)
-    assert len(passes) == 2
-    assert np.shares_memory(views["driver_sign"], views["qv_chase"])
+    assert [(rows, [spec for spec, _ in g]) for rows, g in passes] == [(slice(0, 2), family)]
 
 
 def test_recorded_bundles_never_alias_the_history_buffer():
@@ -915,13 +909,13 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run):
 
 @pytest.mark.parametrize("family, arrays", [
     ([Constant(0.01), RandomSwitching(2.0, 1)], (1, 1, 3, 6)),
-    ([Constant(0.01), AdaptedFeedback("driver_sign")], (4, 4, 3, 6)),
+    ([Constant(0.01), AdaptedFeedback("driver_sign")], (1, 1, 3, 6)),
 ])
 def test_member_footprint_over_the_cap_rejected_before_drawing(monkeypatch, family, arrays):
     """One member may make a chunk hold at most ``_MEMBER_BYTES_CAP`` bytes:
-    its arrays of ``steps + 1`` doubles per path (its history, or 1 for a
-    table), plus the chunk's normals.  Per consumer, ``arrays`` is that count
-    for the family's largest member: ``noarb_gap``'s, then
+    its arrays of ``steps + 1`` doubles per path (its recorded history, or 1 for
+    a table or a feedback member), plus the chunk's normals.  Per consumer,
+    ``arrays`` is that count for the family's largest member: ``noarb_gap``'s, then
     ``martingale_check``'s (the same, as it keeps no per-step array), then
     ``estimate_sublinear``'s recorded histories without and with the rate."""
     cfg = McConfig(n_paths=16, n_steps=4, horizon=1.0, base_seed=1)
@@ -966,9 +960,9 @@ def test_finished_pass_released_before_the_next_builds(monkeypatch, run):
     """Once a pass is stepped, nothing keeps its switching tables or histories
     alive: when a later pass builds a table, and when it has its tables and is
     about to build its histories, every array of the earlier passes is freed.
-    One member per pass: a feedback history, two switching tables, a history."""
-    family = [AdaptedFeedback("driver_sign"), RandomSwitching(3.0, 1),
-              RandomSwitching(4.0, 2), AdaptedFeedback("qv_chase")]
+    One member per pass: a feedback member, four switching tables, a feedback member."""
+    family = [AdaptedFeedback("driver_sign"), RandomSwitching(3.0, 1), RandomSwitching(4.0, 2),
+              RandomSwitching(5.0, 3), RandomSwitching(6.0, 4), AdaptedFeedback("qv_chase")]
     cfg = McConfig(n_paths=64, n_steps=8, horizon=1.0, base_seed=2, antithetic=True)
     monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 1)
     finished, stepping, checks = [], [], []
@@ -1018,23 +1012,36 @@ def test_finished_pass_released_before_the_next_builds(monkeypatch, run):
 STEP_STATE_ARRAYS = 24
 
 
-@pytest.mark.parametrize("family, floor", [
-    ([AdaptedFeedback("driver_sign"), AdaptedFeedback("qv_chase")], 8 * 4),
-    ([RandomSwitching(2.0 * (j + 1), j) for j in range(6)], 6 // 2),
+@pytest.mark.parametrize("family, per_pass, floor", [
+    ([AdaptedFeedback("driver_sign"), AdaptedFeedback("qv_chase")], 1, 8 // 2),
+    ([RandomSwitching(2.0 * (j + 1), j) for j in range(6)], 6, 6 // 2),
 ], ids=["two_feedback_passes", "six_switching_tables"])
-def test_martingale_check_peak_within_six_arrays_and_the_normals(family, floor):
+def test_martingale_check_peak_within_six_arrays_and_the_normals(monkeypatch, family, per_pass,
+                                                                  floor):
     """A chunk's traced peak stays under six arrays of ``steps + 1`` doubles per
-    path plus the chunk's normals, the bound README states.  Two feedback members
-    with the rate hold four history arrays of doubles each, so they step in two
-    passes, and the first is freed before the second builds; six antithetic
-    switching tables share one pass, each half-width at one byte per entry, so
-    that pass is also held under the byte-table bound: the half-width normals,
-    six half-width byte tables and ``STEP_STATE_ARRAYS`` ``(members, paths)``
-    doubles of per-step state.  Either way the pass holds ``floor`` bytes per path
-    and step."""
+    path plus the chunk's normals, the bound README states, and under the state
+    bound: the half-width normals, the half-width byte tables and
+    ``STEP_STATE_ARRAYS`` ``(members, paths)`` doubles of per-step state.  Two
+    feedback members, one array each, step in two passes of ``per_pass`` = 1 and
+    hold the half-width normals, ``floor`` = 4 bytes per path and step.  Six
+    antithetic switching tables share one pass, each half-width at one byte per
+    entry: ``floor`` = 3."""
     n_paths, n_steps = 2048, 64
     cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=5, antithetic=True)
     bound = 8 * n_paths * (6 * (n_steps + 1) + n_steps)
+    tables = sum(isinstance(spec, RandomSwitching) for spec in family)
+    state_bound = ((8 + tables) * (n_paths // 2) * n_steps
+                   + 8 * STEP_STATE_ARRAYS * len(family) * n_paths)
+    monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", per_pass)
+    passes, real = [], robustrates.paths._steps
+
+    def spy(*args, **kwargs):  # holds no array: the state is the stepper's one namespace
+        for s in real(*args, **kwargs):
+            if s.k == 0:
+                passes.append(s.rows)
+            yield s
+
+    monkeypatch.setattr(robustrates.mc, "_steps", spy)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1043,11 +1050,8 @@ def test_martingale_check_peak_within_six_arrays_and_the_normals(family, floor):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert floor * n_paths * n_steps < peak <= bound, (peak, bound)
-    if all(isinstance(spec, RandomSwitching) for spec in family):
-        half = n_paths // 2
-        byte_bound = (8 + 6) * half * n_steps + 8 * STEP_STATE_ARRAYS * len(family) * n_paths
-        assert peak <= byte_bound, (peak, byte_bound)
+    assert len(passes) == len(family) // per_pass
+    assert floor * n_paths * n_steps < peak <= min(bound, state_bound), (peak, bound, state_bound)
 
 
 def _traced_peak(run) -> int:

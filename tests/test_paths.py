@@ -21,6 +21,7 @@ from robustrates import (
     b_factor,
     bang_bang,
     calibrate,
+    estimate_sublinear,
     ingest_forward_curve,
     lambda_path,
     money_market,
@@ -169,8 +170,8 @@ def column_loop_bundle(scenario, band, grid, params, seed, n_paths, dynamics, an
     for k in range(n):
         if scenario.is_adaptive:
             view = PathView(
-                k, times[k], dt, band, sigma[:, :k], b[:, : k + 1], qv[:, : k + 1],
-                None if r is None else r[:, : k + 1],
+                k, times[k], dt, band, b[:, k], qv[:, k],
+                None if lam is None else lam[:, k], None if r is None else r[:, k],
             )
             sig_k = np.asarray(scenario.step_sigma(view), dtype=float)
         else:
@@ -192,10 +193,16 @@ def column_loop_bundle(scenario, band, grid, params, seed, n_paths, dynamics, an
 
 
 def _rate_threshold(view, params):
-    return np.where(view.r[:, view.k] >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
+    return np.where(view.r >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
+
+
+def _lam_threshold(view, params):
+    # cool once the weighted variance passes 5e-5, so lam chatters about that level
+    return np.where(view.lam >= 5e-5, view.band.sigma_lo, view.band.sigma_hi)
 
 
 register_feedback_rule("rate_threshold", _rate_threshold)
+register_feedback_rule("lam_threshold", _lam_threshold)
 
 
 class TestStepperAgainstColumnLoop:
@@ -240,14 +247,15 @@ class TestStepperAgainstColumnLoop:
 
 
 def test_feedback_history_views_and_bundle_layout():
-    """A feedback rule reads read-only ``(paths, k)`` and ``(paths, k + 1)``
-    prefixes of its history, and the bundle comes back C-ordered, so a
-    functional's own reductions keep their order."""
+    """A feedback rule reads read-only rows of its member's current state, one value
+    per path, equal to the bundle's column ``k``, and the bundle comes back C-ordered,
+    so a functional's own reductions keep their order."""
     seen = []
 
     def spy(view, params):
-        seen.append((view.k, view.sigma, view.b, view.qv, view.r, view.b.copy()))
-        return np.where(view.b[:, view.k] >= 0.0, view.band.sigma_hi, view.band.sigma_lo)
+        rows = (view.b, view.qv, view.lam, view.r)
+        seen.append((view.k, rows, [a.copy() for a in rows]))
+        return np.where(view.b >= 0.0, view.band.sigma_hi, view.band.sigma_lo)
 
     register_feedback_rule("layout_spy", spy)
     params = RateParams(r0=0.02, alpha=0.7, mu=0.03)
@@ -255,13 +263,38 @@ def test_feedback_history_views_and_bundle_layout():
         AdaptedFeedback("layout_spy"), BAND, TimeGrid(1.0, 6), params, seed=3, n_paths=4
     )
     assert [k for k, *_ in seen] == list(range(6))
-    for k, sigma, b, qv, r, b_then in seen:
-        assert sigma.shape == (4, k)
-        assert b.shape == qv.shape == r.shape == (4, k + 1)
-        assert not any(a.flags.writeable for a in (sigma, b, qv, r))
-        assert b_then.tobytes() == bundle.b[:, : k + 1].tobytes()
+    for k, rows, copies in seen:
+        assert all(a.shape == (4,) and not a.flags.writeable for a in rows)
+        for name, then in zip(("b", "qv", "lam", "r"), copies):
+            assert then.tobytes() == getattr(bundle, name)[:, k].tobytes(), (k, name)
     for name in ("sigma", "b", "qv", "lam", "r", "d"):
         assert getattr(bundle, name).flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("dynamics", ["original", "shifted"])
+def test_feedback_rule_on_lam_equals_the_column_loop(dynamics, antithetic):
+    """A rule that thresholds on ``view.lam`` switches wherever ``lam`` crosses its
+    level, so a ``lam`` one grid time off would move a switch: the bundle equals the
+    column loop's, byte for byte.  Without the rate, ``lam`` and ``r`` are None."""
+    grid, params = TimeGrid(1.3, 64), RateParams(r0=0.02, alpha=0.7, mu=0.03)
+    spec = AdaptedFeedback("lam_threshold")
+    bundle = simulate_bundle(spec, BAND, grid, params, seed=5, n_paths=6, dynamics=dynamics,
+                             antithetic=antithetic)
+    assert_bundle_bytes_equal(bundle, column_loop_bundle(
+        spec, BAND, grid, params, 5, 6, dynamics, antithetic))
+    assert len(np.unique(bundle.sigma)) == 2  # lam crossed its level
+    unrated = []
+
+    def reads_no_rate(view, p):
+        unrated.append((view.lam, view.r))
+        return view.band.sigma_lo
+
+    register_feedback_rule("unrated", reads_no_rate)
+    simulate_bundle(AdaptedFeedback("unrated"), BAND, grid, None, seed=5, n_paths=6)
+    estimate_sublinear(lambda b: b.b[:, -1], BAND, [AdaptedFeedback("unrated")],
+                       McConfig(n_paths=4, n_steps=4, horizon=1.0, base_seed=0))
+    assert len(unrated) == 64 + 4 and set(unrated) == {(None, None)}
 
 
 FIELDS = ("sigma", "b", "qv", "lam", "r", "d")

@@ -216,7 +216,7 @@ _RUNNERS = {
 @pytest.mark.parametrize("runner", sorted(_RUNNERS))
 def test_feedback_rule_cannot_write_history(runner):
     def dishonest(view, params):
-        view.b[:, 0] = 99.0  # must blow up: the past is read-only
+        view.b[0] = 99.0  # must blow up: the state is read-only
         return np.full(view.b.shape[0], view.band.sigma_lo)
 
     register_feedback_rule("dishonest", dishonest)
@@ -225,14 +225,15 @@ def test_feedback_rule_cannot_write_history(runner):
 
 
 @pytest.mark.parametrize("runner", sorted(_RUNNERS))
-@pytest.mark.parametrize("name", ["sigma", "b", "qv", "r"])
+@pytest.mark.parametrize("name", ["b", "qv", "lam", "r"])
 def test_feedback_rule_cannot_unlock_its_history(runner, name):
-    """Not even ``setflags(write=True)`` opens the past: no view the rule gets, nor a
-    view of it, can be made writeable while the stepper writes the history."""
+    """Not even ``setflags(write=True)`` opens the state: every row the rule gets is
+    read-only, and neither it nor a view of it can be made writeable."""
     def unlocking(view, params):
-        past = getattr(view, name)
-        if view.k == 2 and past is not None:
-            for a in (past, past[:, :1], past.T):
+        row = getattr(view, name)
+        if view.k == 2 and row is not None:
+            for a in (row, row[:1], row[None], row[::-1], row.reshape(2, 2)):
+                assert not a.flags.writeable
                 with pytest.raises(ValueError, match="WRITEABLE"):
                     a.setflags(write=True)
             unlocked.append(view.k)
@@ -241,7 +242,8 @@ def test_feedback_rule_cannot_unlock_its_history(runner, name):
     unlocked = []
     register_feedback_rule("unlocking", unlocking)
     _RUNNERS[runner](AdaptedFeedback("unlocking"))
-    assert unlocked == ([] if name == "r" and runner == "simulate_bundle" else [2])
+    # simulate_bundle runs without the rate, so it has no lam or r row
+    assert unlocked == ([] if name in ("lam", "r") and runner == "simulate_bundle" else [2])
 
 
 @pytest.mark.parametrize("runner", sorted(_RUNNERS))
@@ -314,19 +316,20 @@ def test_feedback_rule_may_return_a_scalar():
 
 
 def test_feedback_rule_sees_only_past():
-    """The view at step k must expose exactly k sigma entries and k+1 driver
-    points; progressive measurability is enforced structurally."""
+    """The view at step k holds one row per state variable, one value per path at
+    t_k, and k runs over 0..n-1: the rule picks step k's volatility before the step
+    is taken, so progressive measurability is enforced structurally."""
     seen = []
 
     def probe(view, params):
-        assert view.sigma.shape[1] == view.b.shape[1] - 1 == view.qv.shape[1] - 1
+        assert view.b.shape == view.qv.shape == view.lam.shape == view.r.shape == (3,)
+        assert view.t == TimeGrid(1.0, 6).times[view.k]
         seen.append(view.k)
-        # only entries before the current step may be populated
-        assert np.all(np.isfinite(view.b[:, : view.k + 1]))
+        assert all(np.all(np.isfinite(a)) for a in (view.b, view.qv, view.lam, view.r))
         return np.full(view.b.shape[0], view.band.sigma_hi)
 
     register_feedback_rule("probe", probe)
-    simulate_bundle(AdaptedFeedback("probe"), BAND, TimeGrid(1.0, 6), None, seed=0, n_paths=3)
+    simulate_bundle(AdaptedFeedback("probe"), BAND, TimeGrid(1.0, 6), PARAMS, seed=0, n_paths=3)
     assert seen == list(range(6))
 
 
@@ -336,15 +339,16 @@ def test_feedback_rule_sees_only_past():
     n_steps=st.integers(1, 12),
     dynamics=st.sampled_from(["original", "shifted"]),
 )
-def test_feedback_views_are_prefixes_of_the_final_bundle(seed, n_steps, dynamics):
-    """What a rule saw at step k is what the finished bundle holds up to t_k:
-    no later data reaches the view, and nothing it saw is rewritten."""
+def test_feedback_rows_are_columns_of_the_final_bundle(seed, n_steps, dynamics):
+    """What a rule saw at step k is what the finished bundle holds at t_k, in
+    ``b``, ``qv``, ``lam`` and ``r``: no later data reaches the view, and nothing
+    it saw is rewritten."""
     views = []
 
     def recorder(view, params):
-        views.append((view.k, view.sigma.copy(), view.b.copy(), view.qv.copy(), view.r.copy()))
+        views.append((view.k, view.b.copy(), view.qv.copy(), view.lam.copy(), view.r.copy()))
         # reads the rate, so the path depends on what the view exposes
-        return np.where(view.r[:, view.k] >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
+        return np.where(view.r >= 0.02, view.band.sigma_hi, view.band.sigma_lo)
 
     register_feedback_rule("recorder", recorder)
     params = RateParams(r0=0.02, alpha=1.0, mu=0.02)
@@ -353,11 +357,10 @@ def test_feedback_views_are_prefixes_of_the_final_bundle(seed, n_steps, dynamics
         seed=seed, n_paths=4, dynamics=dynamics,
     )
     assert [v[0] for v in views] == list(range(n_steps))
-    for k, sigma, b, qv, r in views:
-        assert sigma.shape[1] == k and b.shape[1] == qv.shape[1] == r.shape[1] == k + 1
-        np.testing.assert_array_equal(sigma, bundle.sigma[:, :k])
-        for seen, full in ((b, bundle.b), (qv, bundle.qv), (r, bundle.r)):
-            np.testing.assert_array_equal(seen, full[:, : k + 1])
+    for k, *rows in views:
+        for name, seen in zip(("b", "qv", "lam", "r"), rows):
+            column = getattr(bundle, name)[:, k]
+            assert (seen.shape, seen.tobytes()) == (column.shape, column.tobytes()), (k, name)
 
 
 def test_json_round_trip():
