@@ -94,8 +94,11 @@ class GapReport:
 
 
 def _log_price(a, b, r, lam):
-    """Every log bond price, ``(A - B^2 lam / 2) - B r``: ``lam``'s term at its own width."""
-    return (a - 0.5 * b * b * lam) - b * r
+    """Every log bond price, ``(A - B^2 lam / 2) - B r``: ``lam``'s term at its own width,
+    added in place to ``-B r``, so one array at ``r``'s width is made, the result."""
+    out = np.multiply(r, -b)
+    out += a - 0.5 * b * b * lam
+    return out
 
 
 #: Taylor coefficients, highest first, of ``int B / tau^2`` and ``V / tau^3`` in
@@ -286,7 +289,8 @@ def martingale_check(
     def checkpoint_values(states, out):
         """One chunk's ``p~ - p0`` at the checkpoints into ``out``, one row each, adding
         each step's path sums of ``p~`` to ``path_sums`` and keeping the largest terminal
-        error in ``terminal_err``, from per-path log sums (``qv``'s at its width)."""
+        error in ``terminal_err``, from per-path log sums (``qv``'s at its width); once
+        read, each step's one ``p~`` array takes its log-sum terms and terminal error."""
         for s in states:
             k, rows = s.k, s.rows
             p = _log_price(a_vec[k], b_vec[k], s.r, s.lam)
@@ -298,12 +302,16 @@ def martingale_check(
             if k == 0:
                 log_b, log_qv = np.zeros(p.shape), np.zeros(s.qv.shape)
             else:
-                log_b += wb[k - 1] * s.b
-                log_qv += wq[k - 1] * s.qv
-            if k == n:
-                p_sde = p0 * np.exp(log_b + log_qv)
-                err = np.max(np.abs(p_sde * np.exp(s.integral) - 1.0), axis=1)
+                log_b += np.multiply(s.b, wb[k - 1], out=p)
+                log_qv += np.multiply(s.qv, wq[k - 1], out=p[:, : s.qv.shape[1]])
+            if k == n:  # |p0 exp(log sums) exp(int r) - 1|
+                np.exp(np.add(log_b, log_qv, out=p), out=p)
+                p *= p0
+                p *= np.exp(s.integral, out=log_b)
+                p -= 1.0
+                err = np.max(np.abs(p, out=p), axis=1)
                 terminal_err[rows] = np.maximum(terminal_err[rows], err)
+            del p  # before the stepper takes the next step: one p~ alive at a time
 
     ids, samples = _sample(scenarios, band, cfg, params, dynamics, checkpoint_values, len(cp),
                            full=True)

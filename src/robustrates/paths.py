@@ -273,12 +273,8 @@ def _draw_normals(rng: np.random.Generator, n_paths: int, n_steps: int, antithet
 
 
 def _fill_sigma(row, tab_k, levels) -> None:
-    """A member's ``sigma`` row from its table's row ``tab_k``: the values of a
-    deterministic table, or the levels a byte row indexes, copied to the mates'
-    half when the bytes are half-width."""
-    if tab_k.dtype != np.uint8:
-        row[...] = tab_k
-        return
+    """A switching member's ``sigma`` row from its byte table's row ``tab_k``: the
+    levels the bytes index, copied to the mates' half when the bytes are half-width."""
     w = tab_k.shape[-1]
     np.take(levels, tab_k, out=row[..., :w], mode="clip")
     if w < row.shape[-1]:
@@ -333,23 +329,23 @@ def _history_sigma(tab, levels, n, n_paths) -> np.ndarray:
     return sigma
 
 
-def _feedback_sigma(spec, s, i, t, dt, band):
-    """Step ``s.k``'s volatility from a feedback rule: a scalar or one value per path.
-    The rule sees member ``i``'s current state, its rows of ``b``, ``qv`` and (with the
-    rate) ``lam`` and ``r``, each read through a read-only buffer, so neither a row nor
-    any view of it can be made writeable."""
-    k = s.k
-    b, qv, lam, r = (None if x is None else np.asarray(memoryview(x[i]).toreadonly())
-                     for x in (s.b, s.qv, None if s.r is None else s.lam, s.r))
-    view = PathView(k, t, dt, band, b, qv, lam, r)
+def _readonly_rows(i, *state):
+    """Member ``i``'s rows of ``state`` (None stays None) through read-only buffers, so
+    neither a row nor any view of it can be made writeable."""
+    return tuple(None if x is None else np.asarray(memoryview(x[i]).toreadonly()) for x in state)
+
+
+def _feedback_sigma(spec, view):
+    """Step ``view.k``'s volatility from a feedback rule, which sees its member's rows of
+    the current state (``PathView``): a scalar or one value per path, in the band."""
     sig_k = np.asarray(spec.step_sigma(view), dtype=float)
-    n_paths = b.shape[0]
+    k, n_paths = view.k, view.b.shape[0]
     if sig_k.shape not in ((), (n_paths,)):
         raise ValidationError(
             f"feedback rule returned shape {sig_k.shape} at step {k} "
             f"(scenario {spec.scenario_id}); need a scalar or one value per path, ({n_paths},)"
         )
-    if not band.contains(sig_k, tol=1e-12):
+    if not view.band.contains(sig_k, tol=1e-12):
         raise ValidationError(
             f"feedback rule left the band at step {k} (scenario {spec.scenario_id})"
         )
@@ -364,18 +360,21 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     time ``k``: ``rows`` (the pass's members), ``k``, ``b``, ``r`` and the money-market
     ``integral``, each ``(members, paths)``, and ``qv`` and ``lam``, ``(members, 1)``
     when every member of the pass has a deterministic (1-D) table and ``(members,
-    paths)`` otherwise.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``,
-    ``record``, shifted dynamics or a feedback member.  With ``params``, the rate step
-    (``r``, ``lam`` and the trapezoid of ``int r``) is written out inline on coefficients
-    formed once per call.  A feedback rule reads its member's current rows of the state
-    (``_feedback_sigma``).  Under ``record`` every member keeps a time-major history
-    ``hist[i]`` (row ``k`` per step) of ``sigma`` (``_history_sigma``) and the grid values,
-    each array its own, for ``_bundle`` to free; otherwise ``hist`` is empty, and no
-    member keeps anything but the current state.  A switching member's table is
-    bytes, and each step's ``sigma`` row is taken from them (``_fill_sigma``).  An
-    antithetic chunk keeps half-width normals and switching tables (``_draw_normals``,
-    ``_passes``) and widens each step's row.  No name here keeps a finished pass's tables
-    or recorded histories once the next pass starts building its own."""
+    paths)`` otherwise.  A pass allocates its state and scratch once, and each step
+    updates them in place, so they are valid for the current step only: ``b``, ``qv``,
+    ``lam`` and ``integral`` are the same arrays all pass, and ``r`` alternates between
+    two.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``, ``record``, shifted
+    dynamics or a feedback member.  With ``params``, the rate step (``r``, ``lam`` and
+    the trapezoid of ``int r``) is written out inline on coefficients formed once per
+    call.  A feedback rule reads its member's current rows of the state, formed once per
+    pass (``_readonly_rows``, ``_feedback_sigma``).  Under ``record`` every member keeps
+    a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
+    (``_history_sigma``) and the grid values, each array its own, for ``_bundle`` to
+    free; otherwise ``hist`` is empty, and no member keeps anything but the current
+    state.  Deterministic members take ``sigma`` from one table stacked per pass, and a
+    switching member from its bytes (``_fill_sigma``).  An antithetic chunk keeps
+    half-width normals and switching tables (``_draw_normals``, ``_passes``) and widens
+    each step's row.  No name here keeps a finished pass's arrays once the next builds."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
@@ -403,16 +402,21 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record)
     s = SimpleNamespace()
     for s.rows, group in passes:
-        width = 1 if all(tab is not None and tab.ndim == 1 for _, tab in group) else n_paths
-        sigma = np.empty((len(group), width))
-        s.qv = s.lam = np.zeros_like(sigma)  # the state arrays are replaced, never written
-        s.b = s.integral = np.zeros((len(group), n_paths))
-        s.r = np.full_like(s.b, params.r0) if with_r else None
+        m = len(group)
+        det = [i for i, (_, tab) in enumerate(group) if tab is not None and tab.ndim == 1]
+        det_tab = np.stack([group[i][1] for i in det], axis=1) if det else None  # (n, len(det))
+        width = 1 if len(det) == m else n_paths
+        sigma, s.qv, s.lam = (np.zeros((m, width)) for _ in range(3))
+        s.b, s.integral, db = (np.zeros((m, n_paths)) for _ in range(3))
+        s.r, r_next = (np.full_like(s.b, params.r0), np.empty_like(s.b)) if with_r else (None,) * 2
+        rates = (s.r, r_next) if with_r else (None,)  # s.r is rates[k % 2]
+        views = {i: [_readonly_rows(i, s.b, s.qv, s.lam if with_r else None, r) for r in rates]
+                 for i, (_, tab) in enumerate(group) if tab is None}
         # each recorded array its own, so a bundle frees it as it is made (``_bundle``)
         s.hist = {i: {"sigma": _history_sigma(tab, levels, n, n_paths)} | {
             x: np.empty((n + 1, n_paths)) for x in names} for i, (_, tab) in enumerate(group)
         } if record else {}
-        stepped = full or shifted or record or any(tab is None for _, tab in group)
+        stepped = full or shifted or record or bool(views)
         for k in range(n + 1):
             s.k = k
             for i, h in s.hist.items():
@@ -421,34 +425,47 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
             yield s
             if k == n:
                 break
+            if det:
+                sigma[det] = det_tab[k, :, None]
             for i, (spec, tab) in enumerate(group):
                 if tab is None:
-                    sigma[i] = _feedback_sigma(spec, s, i, times[k], dt, band)
+                    view = PathView(k, times[k], dt, band, *views[i][k % len(rates)])
+                    sigma[i] = _feedback_sigma(spec, view)
                     if record:
                         s.hist[i]["sigma"][k] = sigma[i]
-                else:
+                elif tab.ndim == 2:
                     _fill_sigma(sigma[i], tab[k], levels)
             if antithetic:
                 z_k[:half] = z[k]
                 np.negative(z[k], out=z_k[half:])
             else:
                 z_k = z[k]
-            db = sigma * sq * z_k
-            if stepped:
-                dqv = sigma**2 * dt
-                s.b, s.qv = s.b + db, s.qv + dqv
             if with_r:  # r[k+1] = ea r[k] + m_det[k] (+ w_lam lam[k], shifted) + eh dB[k]
-                r_next = ea * s.r
-                r_next += m_det[k] + (w_lam * s.lam if shifted else 0.0)
-                r_next += eh * db
+                np.multiply(s.r, ea, out=r_next)
+                if shifted:  # the shift term in dB's buffer, before dB is formed
+                    shift = np.multiply(s.lam, w_lam, out=db[:, :width])
+                    shift += m_det[k]
+                r_next += shift if shifted else m_det[k]
+            np.multiply(sigma, sq, out=db)
+            db *= z_k
+            if stepped:  # dqv in sigma's buffer, which the step no longer reads
+                s.b += db
+                dqv = np.square(sigma, out=sigma)
+                dqv *= dt
+                s.qv += dqv
+            if with_r:
+                db *= eh
+                r_next += db
                 if stepped:
-                    s.lam = e2 * s.lam + dqv
-                trap = r_next + s.r  # the trapezoid of int r, (r[k+1] + r[k]) dt/2
-                trap *= dt / 2.0
-                trap += s.integral
-                s.integral, s.r = trap, r_next
-        group = tab = h = None  # free this pass's arrays before the next builds its own
-        s.hist = None
+                    s.lam *= e2
+                    s.lam += dqv
+                s.r += r_next  # the trapezoid of int r, (r[k+1] + r[k]) dt/2
+                s.r *= dt / 2.0
+                s.integral += s.r
+                s.r, r_next = r_next, s.r
+        # free this pass's arrays before the next builds its own
+        group = tab = h = det_tab = views = rates = sigma = db = shift = r_next = None
+        s.b = s.qv = s.lam = s.r = s.integral = s.hist = None
 
 
 def _bundle(scenario: ScenarioSpec, h: dict, grid: TimeGrid):

@@ -202,8 +202,8 @@ class PathView:
 
     ``b``, ``qv``, ``lam`` and ``r`` are rows at that time, one value per path;
     ``lam`` and ``r`` are None unless the short rate is co-simulated.  Rows are
-    non-writeable, and neither they nor any view of them can be made writeable;
-    they are valid for the current step only.
+    read-only views of the stepper's state, which it updates in place, so they are
+    valid for the current step only; neither they nor any view can be made writeable.
     """
 
     __slots__ = ("k", "t", "dt", "band", "b", "qv", "lam", "r")

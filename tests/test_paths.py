@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,39 @@ class TestLeanStep:
         for spec, bundle in zip(family, bundles):
             assert_bundle_bytes_equal(bundle, column_loop_bundle(
                 spec, BAND, grid, self.PARAMS, seed, n_paths, "shifted", antithetic))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("dynamics", ["original", "shifted"])
+@pytest.mark.parametrize("params", [None, KINKED_07], ids=["no_rate", "rate"])
+def test_mixed_pass_steps_its_state_in_place(params, dynamics, antithetic):
+    """A mixed pass (deterministic, switching and feedback members) allocates its
+    state once: ``b``, ``qv``, ``lam`` and ``integral`` are the same arrays at every grid
+    time, ``r`` is one of two, and no step after the first raises the traced peak by
+    one ``(members, paths)`` array of doubles."""
+    family = [Constant(0.0125), PiecewiseConstant((0.5,), (0.005, 0.02)),
+              RandomSwitching(6.0, 2), AdaptedFeedback("driver_sign")]
+    n_paths, grid = 4096, TimeGrid(1.0, 16)
+    array_bytes = 8 * len(family) * n_paths
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=7))
+    names, first, rates, rises = ("b", "qv", "lam", "integral"), None, {}, []
+    tracemalloc.start()
+    try:
+        for s in _steps(family, BAND, grid, rng, n_paths, params, dynamics, antithetic):
+            peak = tracemalloc.get_traced_memory()[1]
+            if s.k == 0:
+                first = [getattr(s, x) for x in names]
+            elif s.k >= 2:
+                rises.append(peak - held)
+            assert s.rows == slice(0, len(family)) and s.qv.shape == (len(family), n_paths)
+            assert all(getattr(s, x) is a for x, a in zip(names, first)), s.k
+            rates[id(s.r)] = s.r  # held, so no id is reused
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rates) == (1 if params is None else 2)
+    assert len(rises) == grid.n_steps - 1 and max(rises) < array_bytes, (max(rises), array_bytes)
 
 
 class TestChunkTables:
