@@ -189,18 +189,20 @@ def noarb_gap(
     """Spread of discounted-bond expectations across scenarios under the
     original dynamics, against the closed-form spread between the classical
     prices at the band edges.  The two extreme constant scenarios are always
-    included regardless of the supplied family.  ``cfg.horizon`` is replaced
-    by ``maturity`` (``replace(cfg, horizon=maturity)``)."""
+    included regardless of the supplied family.  Each sample is ``1 / D_T`` from the
+    stepper's terminal form, ``int r`` at ``T`` as one weighted sum of the normals
+    (``paths._steps``).  ``cfg.horizon`` is replaced by ``maturity``
+    (``replace(cfg, horizon=maturity)``)."""
     cfg = replace(cfg, horizon=maturity)
     with np.errstate(over="ignore"):  # an overflow is reported next
         cf_up = price_classical_hw(params, band.sigma_hi, 0.0, maturity, params.r0)
         cf_lo = price_classical_hw(params, band.sigma_lo, 0.0, maturity, params.r0)
     _require_finite(maturity, cf_up, cf_lo)
 
-    def discounts(states, out):  # 1 / D_T
+    def discounts(states, out):  # 1 / D_T, D_T made in the integral's buffer at its last step
         for s in states:
             if s.k == cfg.n_steps:
-                out[s.rows, 0] = 1.0 / np.exp(s.integral)
+                np.divide(1.0, np.exp(s.integral, out=s.integral), out=out[s.rows, 0])
 
     ids, values = _sample(_ensure_extremes(band, family), band, cfg, params, "original", discounts)
     est = _sublinear(ids, values)

@@ -16,7 +16,9 @@ Discretization choices (fixed, first order in the stochastic terms):
   ``exp(-alpha*dt/2)``;
 * ``lam`` accumulates quadratic-variation increments with unit weight,
   ``lam[k+1] = exp(-2*alpha*dt) * lam[k] + dqv[k]``;
-* the money-market integral is a trapezoid rule (exact for constant rates).
+* the money-market integral is a trapezoid rule (exact for constant rates);
+  where only its value at ``t_n`` is read (``noarb_gap``), the same trapezoid is
+  written out as ``D + sum_k w_k sigma_k z_k``, linear in the step noises.
 
 The ``(r, lam, int r)`` recursion is written once, in the ``with_r`` block of the
 kernel ``_steps``, which forms its coefficients once per call; ``lambda_path`` and
@@ -276,7 +278,7 @@ def _fill_sigma(row, tab_k, levels) -> None:
     """A switching member's ``sigma`` row from its byte table's row ``tab_k``: the
     levels the bytes index, copied to the mates' half when the bytes are half-width."""
     w = tab_k.shape[-1]
-    np.take(levels, tab_k, out=row[..., :w], mode="clip")
+    levels.take(tab_k, out=row[..., :w], mode="clip")
     if w < row.shape[-1]:
         row[..., w:] = row[..., :w]
 
@@ -363,10 +365,16 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     paths)`` otherwise.  A pass allocates its state and scratch once, and each step
     updates them in place, so they are valid for the current step only: ``b``, ``qv``,
     ``lam`` and ``integral`` are the same arrays all pass, and ``r`` alternates between
-    two.  ``b``, ``qv`` and ``lam`` are stepped only under ``full``, ``record``, shifted
-    dynamics or a feedback member.  With ``params``, the rate step (``r``, ``lam`` and
-    the trapezoid of ``int r``) is written out inline on coefficients formed once per
-    call.  A feedback rule reads its member's current rows of the state, formed once per
+    two.  With ``params``, the rate step (``r``, ``lam`` and the trapezoid of ``int r``)
+    is written out inline on coefficients formed once per call.  A call with ``params``
+    under original dynamics and neither ``full`` nor ``record`` (``noarb_gap``'s) is
+    terminal: ``integral`` holds the running ``N = sum_k sigma_k (w_k z_k)`` and, at
+    ``k = n`` only, ``int r`` at ``t_n``, ``D + N`` (the trapezoid written out; ``w_k``
+    and the noise-free ``D`` formed once per call by scalar recursions).  Its pass of
+    tables steps only ``sigma``, one scratch and ``N``, half-width under antithetic
+    sampling (a mate's ``N`` is the negation), and yields ``b``, ``qv``, ``lam`` and ``r``
+    as None; a pass with a feedback member steps them too, but no trapezoid.  A
+    feedback rule reads its member's current rows of the state, formed once per
     pass (``_readonly_rows``, ``_feedback_sigma``).  Under ``record`` every member keeps
     a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
     (``_history_sigma``) and the grid values, each array its own, for ``_bundle`` to
@@ -392,33 +400,48 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         )
     z = _draw_normals(rng, n_paths, n, antithetic)
     half = n_paths // 2
-    z_k = np.empty(n_paths) if antithetic else None  # each step's [h_k, -h_k]
+    z_pm = np.empty(n_paths) if antithetic else None  # a stepped pass's [h_k, -h_k]
     if with_r:  # the rate step's coefficients: propagator, noise weight, shift weight, lam decay
         a = params.alpha
         ea, eh, w_lam = np.exp(-a * dt), np.exp(-a * dt / 2.0), b_factor(a, 0.0, dt)
         e2, m_det = np.exp(-2.0 * a * dt), _mu_step_integrals(params, grid)
+    terminal = with_r and not (full or record or shifted)  # noarb_gap reads int r at t_n only
+    if terminal:  # int r at t_n = D + N, N = sum_k sigma_k (w_k z_k): the trapezoid written out
+        e, wts, wz = float(ea), np.empty(n), np.empty(n_paths)  # weights and a row of w_k z_k
+        c, ehs, r_k, d_int = dt / 2.0, float(eh * sq), float(params.r0), 0.0
+        for k in reversed(range(n)):  # w_k = c_k eh sq, c_{k-1} = dt + ea c_k, c_{n-1} = dt / 2
+            wts[k], c = c * ehs, dt + e * c
+        for m_k in m_det.tolist():  # D, the trapezoid of the noise-free rate path
+            r_prev, r_k = r_k, e * r_k + m_k
+            d_int += (r_prev + r_k) * (dt / 2.0)
     levels = np.array([band.sigma_lo, band.sigma_hi])  # what a byte table indexes
     # an antithetic mate shares its partner's volatility path: a half-width table
     passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record)
-    s = SimpleNamespace()
+    s = SimpleNamespace(b=None, qv=None, lam=None, r=None)  # a lean pass steps none of them
     for s.rows, group in passes:
         m = len(group)
         det = [i for i, (_, tab) in enumerate(group) if tab is not None and tab.ndim == 1]
         det_tab = np.stack([group[i][1] for i in det], axis=1) if det else None  # (n, len(det))
-        width = 1 if len(det) == m else n_paths
-        sigma, s.qv, s.lam = (np.zeros((m, width)) for _ in range(3))
-        s.b, s.integral, db = (np.zeros((m, n_paths)) for _ in range(3))
-        s.r, r_next = (np.full_like(s.b, params.r0), np.empty_like(s.b)) if with_r else (None,) * 2
-        rates = (s.r, r_next) if with_r else (None,)  # s.r is rates[k % 2]
+        stepped = not terminal or any(tab is None for _, tab in group)  # a rule reads the state
+        cols = n_paths if stepped or not antithetic else half  # a lean pass's mates hold -N
+        width = 1 if len(det) == m else cols
+        sigma, s.integral, db = np.zeros((m, width)), np.zeros((m, cols)), np.zeros((m, cols))
+        if stepped:
+            s.qv, s.lam, s.b = np.zeros((m, width)), np.zeros((m, width)), np.zeros((m, n_paths))
+            s.r, r_next = (np.full_like(s.b, params.r0), np.empty_like(s.b)) if with_r else (None,) * 2
+            rates = (s.r, r_next) if with_r else (None,)  # s.r is rates[k % 2]
         views = {i: [_readonly_rows(i, s.b, s.qv, s.lam if with_r else None, r) for r in rates]
                  for i, (_, tab) in enumerate(group) if tab is None}
         # each recorded array its own, so a bundle frees it as it is made (``_bundle``)
         s.hist = {i: {"sigma": _history_sigma(tab, levels, n, n_paths)} | {
             x: np.empty((n + 1, n_paths)) for x in names} for i, (_, tab) in enumerate(group)
         } if record else {}
-        stepped = full or shifted or record or bool(views)
         for k in range(n + 1):
             s.k = k
+            if terminal and k == n:  # int r at t_n, D + N, with a lean pass's -N widened once
+                if cols < n_paths:
+                    s.integral = np.hstack([s.integral, np.negative(s.integral, out=db)])
+                s.integral += d_int
             for i, h in s.hist.items():
                 for x in names:
                     h[x][k] = getattr(s, x)[i]
@@ -435,11 +458,14 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                         s.hist[i]["sigma"][k] = sigma[i]
                 elif tab.ndim == 2:
                     _fill_sigma(sigma[i], tab[k], levels)
-            if antithetic:
+            z_k = z_pm if antithetic and stepped else z[k]
+            if z_k is z_pm:
                 z_k[:half] = z[k]
                 np.negative(z[k], out=z_k[half:])
-            else:
-                z_k = z[k]
+            if terminal:  # N += sigma (w_k z_k), before sigma's buffer takes dqv
+                s.integral += np.multiply(sigma, np.multiply(z_k, wts[k], out=wz[:cols]), out=db)
+                if not stepped:
+                    continue
             if with_r:  # r[k+1] = ea r[k] + m_det[k] (+ w_lam lam[k], shifted) + eh dB[k]
                 np.multiply(s.r, ea, out=r_next)
                 if shifted:  # the shift term in dB's buffer, before dB is formed
@@ -448,20 +474,19 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 r_next += shift if shifted else m_det[k]
             np.multiply(sigma, sq, out=db)
             db *= z_k
-            if stepped:  # dqv in sigma's buffer, which the step no longer reads
-                s.b += db
-                dqv = np.square(sigma, out=sigma)
-                dqv *= dt
-                s.qv += dqv
+            s.b += db
+            dqv = np.square(sigma, out=sigma)  # in sigma's buffer, which the step no longer reads
+            dqv *= dt
+            s.qv += dqv
             if with_r:
                 db *= eh
                 r_next += db
-                if stepped:
-                    s.lam *= e2
-                    s.lam += dqv
-                s.r += r_next  # the trapezoid of int r, (r[k+1] + r[k]) dt/2
-                s.r *= dt / 2.0
-                s.integral += s.r
+                s.lam *= e2
+                s.lam += dqv
+                if not terminal:
+                    s.r += r_next  # the trapezoid of int r, (r[k+1] + r[k]) dt/2
+                    s.r *= dt / 2.0
+                    s.integral += s.r
                 s.r, r_next = r_next, s.r
         # free this pass's arrays before the next builds its own
         group = tab = h = det_tab = views = rates = sigma = db = shift = r_next = None

@@ -59,7 +59,7 @@ from robustrates.mc import (
     _sublinear,
     scenario_functional_values,
 )
-from robustrates.paths import _simulate
+from robustrates.paths import _mu_step_integrals, _simulate
 
 BAND = VolBand(0.005, 0.02)
 PARAMS = RateParams(r0=0.02, alpha=1.0, mu=0.0)
@@ -419,20 +419,71 @@ _MEMBERS = st.one_of(
 )
 
 
+def _unrolled_discounts(spec, band, cfg, params):
+    """One member's ``1 / D_T`` samples, chunk by chunk and averaged over antithetic
+    pairs, with ``int r`` at ``T`` the rate recursion's trapezoid written out as
+    ``D + sum_k sigma_k (w_k z_k)`` in a column loop.  The weights ``w_k = c_k
+    e^{-alpha dt/2} sqrt(dt)``, from ``c_{n-1} = dt/2`` and ``c_{k-1} = dt + e^{-alpha dt}
+    c_k``, and ``D``, the trapezoid of the noise-free rate path, are formed here; the
+    normals are redrawn from each chunk's seed, and ``sigma`` is the member's own
+    bundle's."""
+    n, dt = cfg.grid.n_steps, cfg.grid.dt
+    ea = float(np.exp(-params.alpha * dt))
+    ehs = float(np.exp(-params.alpha * dt / 2.0) * np.sqrt(dt))
+    w, c = np.empty(n), dt / 2.0
+    for k in range(n - 1, -1, -1):
+        w[k] = c * ehs
+        c = dt + ea * c
+    r, d_int = float(params.r0), 0.0
+    for m_k in _mu_step_integrals(params, cfg.grid):
+        r_next = ea * r + m_k
+        d_int += (r + r_next) * (dt / 2.0)
+        r = r_next
+    values = []
+    bundles = _chunk_bundles(spec, band, cfg, params, "original")
+    for (_, rng, m), bundle in zip(_chunks(cfg), bundles):
+        z = rng.standard_normal((m // 2 if cfg.antithetic else m, n))
+        z = np.vstack([z, -z]) if cfg.antithetic else z
+        acc = np.zeros(m)
+        for k in range(n):
+            acc += bundle.sigma[:, k] * (z[:, k] * w[k])
+        values.append(_pair_means(1.0 / np.exp(acc + d_int), cfg.antithetic))
+    return np.concatenate(values)
+
+
 class TestNoArbGapStreaming:
-    """``noarb_gap`` steps all its members together on one shared draw; its
-    statistics must be those of the one-scenario-at-a-time bundles."""
+    """``noarb_gap`` steps all its members together on one shared draw and reads
+    ``int r`` at ``T`` as one weighted sum of the normals: every sample must equal
+    the unrolled sum's column loop bit for bit (so the statistics do too), and lie
+    within 8 ulp of the one-scenario-at-a-time bundles' ``1 / D_T``, the trapezoid of
+    their recorded rate paths."""
 
     @staticmethod
-    def reference(params, maturity, family, cfg):
-        cfg = replace(cfg, horizon=maturity)
-        ids, values = _reference_values(
-            _discount, BAND, _ensure_extremes(BAND, family), cfg, params
-        )
+    def check(params, maturity, family, cfg):
+        """``noarb_gap``'s samples against both references; returns the ``(paths, steps,
+        antithetic)`` of each draw ``noarb_gap`` made."""
+        samples, sample = [], robustrates.bonds._sample
+        draws, draw = [], robustrates.paths._draw_normals
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robustrates.bonds, "_sample",
+                       lambda *a, **kw: samples.append(sample(*a, **kw)) or samples[-1])
+            mp.setattr(robustrates.paths, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a))
+            rep = noarb_gap(params, BAND, maturity, family, cfg)
+        cfg, family = replace(cfg, horizon=maturity), _ensure_extremes(BAND, family)
+        ids = _dedupe_ids(family)
+        values = [_unrolled_discounts(spec, BAND, cfg, params) for spec in family]
+        _, bundle_values = _reference_values(_discount, BAND, family, cfg, params)
+        ((got_ids, got),) = samples
+        assert got_ids == ids
+        for sid, g, v, b in zip(ids, got, values, bundle_values):
+            assert g.tobytes() == v.tobytes(), sid
+            assert np.all(np.abs(g - b) <= 8 * np.spacing(b)), (sid, np.max(np.abs(g - b)))
         est = _sublinear(ids, values)
         up, lo = ids.index(est.argmax_scenario), ids.index(est.argmin_scenario)
         gap_se = 0.0 if up == lo else float(_mean_se(values[up] - values[lo])[1])
-        return est.per_scenario, gap_se
+        assert rep.per_scenario == est.per_scenario
+        assert rep.gap_se == gap_se
+        return draws
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -452,10 +503,8 @@ class TestNoArbGapStreaming:
         n_paths = {"two": 2, "below": CHUNK_PATHS - delta, "above": CHUNK_PATHS + delta}[size]
         params = KINKED_07 if kinked_mu else RateParams(r0=0.02, alpha=0.7, mu=0.03)
         cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=seed, antithetic=antithetic)
-        rep = noarb_gap(params, BAND, 1.5, family, cfg)
-        per_scenario, gap_se = self.reference(params, 1.5, family, cfg)
-        assert rep.per_scenario == per_scenario
-        assert rep.gap_se == gap_se
+        draws = self.check(params, 1.5, family, cfg)
+        assert draws == [(m, n_steps, antithetic) for _, _, m in _chunks(cfg)]
 
     def test_permuted_family_permutes_per_scenario(self):
         family = [
@@ -469,24 +518,15 @@ class TestNoArbGapStreaming:
         assert perm.per_scenario == tuple(rep.per_scenario[i] for i in order)
         assert replace(perm, per_scenario=()) == replace(rep, per_scenario=())
 
-    def test_more_switching_members_than_one_pass_holds(self, monkeypatch):
+    def test_more_switching_members_than_one_pass_holds(self):
         # the 17 members, the feedback one among them, step in passes over
         # one draw per chunk
         n_pass = robustrates.paths._TABLES_PER_PASS
         family = [RandomSwitching(1.0 + j, j) for j in range(2 * n_pass + 1)]
         family[3:3] = [Constant(0.01), AdaptedFeedback("qv_chase")]
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=5, antithetic=True)
-        draws = []
-        draw = robustrates.paths._draw_normals
-        monkeypatch.setattr(
-            robustrates.paths, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a)
-        )
-        rep = noarb_gap(PARAMS, BAND, 1.0, family, cfg)
+        draws = self.check(PARAMS, 1.0, family, cfg)
         assert draws == [(CHUNK_PATHS, 8, True), (2, 8, True)]
-        monkeypatch.undo()
-        per_scenario, gap_se = self.reference(PARAMS, 1.0, family, cfg)
-        assert rep.per_scenario == per_scenario
-        assert rep.gap_se == gap_se
 
     def test_non_finite_discount_names_scenario_and_path(self):
         # the closed forms stay finite (B(0, 1) * 1120 is about 708), but the
@@ -873,18 +913,22 @@ def test_recorded_bundles_never_alias_the_history_buffer():
             assert getattr(bundle, name).tobytes() == getattr(own, name).tobytes(), name
 
 
-@pytest.mark.parametrize("run", [
-    lambda family, cfg: noarb_gap(PARAMS, BAND, 1.0, family, cfg).per_scenario,
-    lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg),
-    lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg, "original"),
-    lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg).per_scenario,
-    lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg, PARAMS).per_scenario,
+@pytest.mark.parametrize("run, terminal", [
+    (lambda family, cfg: noarb_gap(PARAMS, BAND, 1.0, family, cfg).per_scenario, True),
+    (lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg), False),
+    (lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg, "original"),
+     False),
+    (lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg).per_scenario, False),
+    (lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg, PARAMS).per_scenario,
+     False),
 ], ids=["noarb_gap", "martingale_shifted", "martingale_original", "estimate", "estimate_rate"])
-def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run):
+def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, terminal):
     """A pass whose members all have deterministic tables steps ``sigma``,
     ``qv`` and ``lam`` as one value per member; a switching member anywhere
-    in the pass makes them one value per path.  Either way each
-    deterministic member's results are the same, bit for bit."""
+    in the pass makes them one value per path.  ``noarb_gap``'s pass of tables
+    (``terminal``) steps no ``qv`` or ``lam`` at all, only its accumulator of ``int r``
+    at ``T``, half-width under antithetic sampling and widened at the last grid time.
+    Either way each deterministic member's results are the same, bit for bit."""
     deterministic = [Constant(0.01), PiecewiseConstant((0.3,), (0.02, 0.005))]
     switching = RandomSwitching(3.0, 1)
     mixed = [deterministic[0], switching, deterministic[1]]  # neither first nor last
@@ -895,16 +939,53 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run):
 
     def spy(*args, **kwargs):
         for s in real(*args, **kwargs):
-            shapes.append(s.qv.shape)
+            shapes.append((s.qv is None, (s.k == 8, s.integral.shape) if terminal else s.qv.shape))
             yield s
+
+    def expected(m, width):
+        if terminal:
+            return {(True, (False, (m, 32))), (True, (True, (m, 64)))}
+        return {(False, (m, width))}
 
     monkeypatch.setattr(robustrates.mc, "_steps", spy)
     alone = list(run(deterministic, cfg))
-    assert set(shapes) == {(len(alone), 1)}
+    assert set(shapes) == expected(len(alone), 1)
     shapes.clear()
     together = list(run(mixed, cfg))
-    assert set(shapes) == {(len(together), 64)}
+    assert set(shapes) == expected(len(together), 64)
     assert [x for x in together if x.scenario_id != switching.scenario_id] == alone
+
+
+def test_noarb_gap_table_pass_steps_only_its_accumulator(monkeypatch):
+    """A ``noarb_gap`` pass of tables steps one half-width accumulator of ``int r`` at
+    ``T`` (a mate's is its partner's negation) and nothing else per path: it yields no
+    ``b``, ``qv``, ``lam`` or ``r``, and its traced peak stays within the half-width
+    normals, the half-width byte tables, 4 ``(members, paths)`` arrays of doubles
+    (``sigma``, the scratch and the accumulator at half width, the widened integral and
+    the reducer's output rows) and 2 rows of paths (the step's ``w_k z_k`` and the
+    buffer of a stepped pass's widened normals).  A pass that stepped the rate and its
+    trapezoid held about 11 such arrays."""
+    family = [Constant(0.01), RandomSwitching(2.0, 0), bang_bang(BAND, 1.0, 2),
+              RandomSwitching(5.0, 1)]
+    n_paths, n_steps = 2048, 64
+    cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=6, antithetic=True)
+    m = len(_ensure_extremes(BAND, family))
+    seen, real = [], robustrates.paths._steps
+
+    def spy(*args, **kwargs):
+        for s in real(*args, **kwargs):
+            seen.append((s.rows, s.k, [x is None for x in (s.b, s.qv, s.lam, s.r)],
+                         s.integral.shape))
+            yield s
+
+    monkeypatch.setattr(robustrates.mc, "_steps", spy)
+    run = lambda: noarb_gap(PARAMS, BAND, 1.0, family, cfg)
+    run()
+    assert seen == [(slice(0, m), k, [True] * 4, (m, n_paths // (1 + (k < n_steps))))
+                    for k in range(n_steps + 1)]
+    floor = (8 + 2) * (n_paths // 2) * n_steps  # the normals and two byte tables
+    peak = _traced_peak(run)
+    assert floor < peak <= floor + 8 * (4 * m + 2) * n_paths, (peak, floor)
 
 
 @pytest.mark.parametrize("family, arrays", [
