@@ -101,6 +101,13 @@ def _log_price(a, b, r, lam):
     return out
 
 
+def _log_prices(m, b, r, integral, p, x, mates):
+    """Log discounted prices ``M - x``, ``x = B r + int r``, into ``p``; ``mates``' ``M + x`` into ``x``."""
+    np.subtract(m, np.add(np.multiply(r, b, out=x), integral, out=x), out=p)
+    if mates:
+        x += m
+
+
 #: Taylor coefficients, highest first, of ``int B / tau^2`` and ``V / tau^3`` in
 #: ``x = alpha tau``; 24 terms reach 1e-17 relative for ``x < 1``
 _INT_B_SERIES = [(-1) ** m / factorial(m + 2) for m in range(23, -1, -1)]
@@ -263,7 +270,8 @@ def martingale_check(
     driver (``mc._sample``) all members step together on each chunk's one draw and
     keep running sums only (checkpoint samples, per-step path sums of ``p~``, where ``p0``
     cancels, and per-path log sums by parts, ``sum_k wb_k B_k + wq_k qv_k``, reading no
-    earlier state), bit for bit as if each stepped alone; samples take ``_stats``.
+    earlier state), bit for bit as if each stepped alone; samples take ``_stats``.  Log prices
+    are ``M_k - (B r + int r)``, a deterministic member's ``M_k`` one table per pass.
     ``cfg.horizon`` is replaced by ``maturity`` (``replace(cfg, horizon=maturity)``).
 
     Passing ``dynamics="original"`` yields the adversarial fixture: under a
@@ -283,7 +291,7 @@ def martingale_check(
     with np.errstate(over="ignore"):  # an overflow is reported next
         p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))  # lam_0 = 0, D_0 = 1
     _require_finite(maturity, p0)
-    wb, wq = np.diff(b_vec), 0.5 * np.diff(b_vec * b_vec)  # weights of grid times 1..n
+    c_vec, wb, wq = 0.5 * b_vec * b_vec, np.diff(b_vec), 0.5 * np.diff(b_vec * b_vec)  # wb, wq: 1..n
     row_of = {k: j for j, k in enumerate(cp_idx)}  # the checkpoint row of grid index k
     path_sums = np.zeros((len(scenarios), n + 1))
     terminal_err = np.zeros(len(scenarios))
@@ -291,29 +299,47 @@ def martingale_check(
     def checkpoint_values(states, out):
         """One chunk's ``p~ - p0`` at the checkpoints into ``out``, one row each, adding
         each step's path sums of ``p~`` to ``path_sums`` and keeping the largest terminal
-        error in ``terminal_err``, from per-path log sums (``qv``'s at its width); once
-        read, each step's one ``p~`` array takes its log-sum terms and terminal error."""
+        error in ``terminal_err``, from per-path log sums, ``log p~`` in the pass's two buffers
+        (``_log_prices``); halves are summed apart, so a member's bits do not depend on its pass."""
         for s in states:
             k, rows = s.k, s.rows
-            p = _log_price(a_vec[k], b_vec[k], s.r, s.lam)
-            p -= s.integral
-            np.exp(p, out=p)
-            path_sums[rows, k] += p.sum(axis=1)
-            if k in row_of:
-                np.subtract(p, p0, out=out[rows, row_of[k]])
-            if k == 0:
-                log_b, log_qv = np.zeros(p.shape), np.zeros(s.qv.shape)
-            else:
-                log_b += np.multiply(s.b, wb[k - 1], out=p)
-                log_qv += np.multiply(s.qv, wq[k - 1], out=p[:, : s.qv.shape[1]])
-            if k == n:  # |p0 exp(log sums) exp(int r) - 1|
-                np.exp(np.add(log_b, log_qv, out=p), out=p)
-                p *= p0
-                p *= np.exp(s.integral, out=log_b)
-                p -= 1.0
-                err = np.max(np.abs(p, out=p), axis=1)
-                terminal_err[rows] = np.maximum(terminal_err[rows], err)
-            del p  # before the stepper takes the next step: one p~ alive at a time
+            if k == 0:  # the pass's buffers, and its split rows' M_k, int r at t_n and qv log sum
+                mates, (m, w) = s.half, s.b.shape
+                buf, log_b, i_n = np.empty((2, m, w)), np.zeros((m, w)), np.zeros((m, 1))
+                p, x = buf
+                live = buf[: 1 + mates]  # what exp reads; as halves, (first halves, mates)
+                halves = live if mates else p.reshape(m, -1, w // (1 + cfg.antithetic)).swapaxes(0, 1)
+                sums = np.empty((n + 1, len(halves), m))  # each step's path sums, by halves
+                log_qv = np.zeros((m, w)) if s.qv is not None else np.cumsum(  # one per member
+                    wq[:, None] * s.qv_bar[1:], axis=0)[-1][:, None]
+                if s.det:  # M = A - B^2 lam / 2 - B r - int r of the noise-free r, int r, lam
+                    m_tab = a_vec[:, None] - c_vec[:, None] * s.lam_bar - b_vec[:, None] * s.r_bar
+                    m_tab, i_n[s.det, 0] = m_tab - s.integral_bar, s.integral_bar[n]
+                det_rows = [(p[i], j) for j, i in enumerate(s.det)]  # a mixed pass's M there
+            if s.lam is None:  # split rows only: one M per member
+                m_k = m_tab[k, :, None]
+            else:  # A - B^2 lam / 2 per path, a split row's M from the table
+                m_k = np.subtract(a_vec[k], np.multiply(s.lam, c_vec[k], out=p), out=p)
+                for row, j in det_rows:
+                    row.fill(m_tab[k, j])
+            _log_prices(m_k, b_vec[k], s.r, s.integral, p, x, mates)
+            np.exp(live, out=live)
+            np.add.reduce(halves, axis=2, out=sums[k])
+            if k in row_of:  # a half-width pass's mates into the second half
+                for p_half, cols in zip(live, (slice(w), slice(w, None))):
+                    np.subtract(p_half, p0, out=out[rows, row_of[k], cols])
+            if k > 0:
+                log_b += np.multiply(s.b, wb[k - 1], out=x)
+                if s.qv is not None:
+                    log_qv += np.multiply(s.qv, wq[k - 1], out=p)
+            if k == n:  # first halves + mates; |p0 exp(log sums) exp(int r) - 1|, a mate's
+                path_sums[rows] += np.add.reduce(sums, axis=1).T  # from -log_b and -int r
+                for op in (np.add, np.subtract)[: 1 + mates]:
+                    err = np.multiply(np.exp(op(log_qv, log_b, out=p), out=p), p0, out=p)
+                    err *= np.exp(op(i_n, s.integral, out=x), out=x)
+                    err -= 1.0
+                    err = np.max(np.abs(err, out=err), axis=1)
+                    terminal_err[rows] = np.maximum(terminal_err[rows], err)
 
     ids, samples = _sample(scenarios, band, cfg, params, dynamics, checkpoint_values, len(cp),
                            full=True)

@@ -18,17 +18,20 @@ Discretization choices (fixed, first order in the stochastic terms):
   ``lam[k+1] = exp(-2*alpha*dt) * lam[k] + dqv[k]``;
 * the money-market integral is a trapezoid rule (exact for constant rates);
   where only its value at ``t_n`` is read (``noarb_gap``), the same trapezoid is
-  written out as ``D + sum_k w_k sigma_k z_k``, linear in the step noises.
+  written out as ``D + sum_k w_k sigma_k z_k``, linear in the step noises;
+* a deterministic volatility splits the state exactly into a noise-free part and a
+  part linear in the normals; ``martingale_check``'s rate rows hold the latter only.
 
-The ``(r, lam, int r)`` recursion is written once, in the ``with_r`` block of the
-kernel ``_steps``, which forms its coefficients once per call; ``lambda_path`` and
-``money_market`` write the ``lam`` and money-market recursions out on their own.
+The ``(r, lam, int r)`` recursion is written in the kernel ``_steps`` on coefficients
+formed once per call, and a split member's noise-free part once per pass on floats;
+``lambda_path`` and ``money_market`` write ``lam`` and the money market out on their own.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import Optional, Union
 
@@ -226,7 +229,7 @@ class PathBundle:
 
 def _check_interval(t, maturity: float) -> None:
     with suppress(TypeError):  # a non-number has no order: the rules below name it
-        if not (0.0 <= np.min(t) and np.max(t) <= maturity < np.inf):
+        if not (np.all(np.less_equal(0.0, t) & np.less_equal(t, maturity)) and 0.0 <= maturity < np.inf):
             raise ValidationError(f"need 0 <= t <= T < inf, got t={t}, T={maturity}")
     _check_real("maturity", maturity)
     _check_real_array("t", t)
@@ -362,27 +365,29 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     time ``k``: ``rows`` (the pass's members), ``k``, ``b``, ``r`` and the money-market
     ``integral``, each ``(members, paths)``, and ``qv`` and ``lam``, ``(members, 1)``
     when every member of the pass has a deterministic (1-D) table and ``(members,
-    paths)`` otherwise.  A pass allocates its state and scratch once, and each step
-    updates them in place, so they are valid for the current step only: ``b``, ``qv``,
-    ``lam`` and ``integral`` are the same arrays all pass, and ``r`` alternates between
-    two.  With ``params``, the rate step (``r``, ``lam`` and the trapezoid of ``int r``)
-    is written out inline on coefficients formed once per call.  A call with ``params``
-    under original dynamics and neither ``full`` nor ``record`` (``noarb_gap``'s) is
-    terminal: ``integral`` holds the running ``N = sum_k sigma_k (w_k z_k)`` and, at
-    ``k = n`` only, ``int r`` at ``t_n``, ``D + N`` (the trapezoid written out; ``w_k``
-    and the noise-free ``D`` formed once per call by scalar recursions).  Its pass of
-    tables steps only ``sigma``, one scratch and ``N``, half-width under antithetic
-    sampling (a mate's ``N`` is the negation), and yields ``b``, ``qv``, ``lam`` and ``r``
-    as None; a pass with a feedback member steps them too, but no trapezoid.  A
-    feedback rule reads its member's current rows of the state, formed once per
-    pass (``_readonly_rows``, ``_feedback_sigma``).  Under ``record`` every member keeps
-    a time-major history ``hist[i]`` (row ``k`` per step) of ``sigma``
-    (``_history_sigma``) and the grid values, each array its own, for ``_bundle`` to
-    free; otherwise ``hist`` is empty, and no member keeps anything but the current
-    state.  Deterministic members take ``sigma`` from one table stacked per pass, and a
-    switching member from its bytes (``_fill_sigma``).  An antithetic chunk keeps
-    half-width normals and switching tables (``_draw_normals``, ``_passes``) and widens
-    each step's row.  No name here keeps a finished pass's arrays once the next builds."""
+    paths)`` otherwise.  A pass allocates its state and scratch once and updates them in
+    place, so they are valid for the current step only: ``r`` alternates between two
+    arrays, the rest are the same all pass.  With ``params`` the rate step (``r``, ``lam``
+    and the trapezoid of ``int r``) is written out on coefficients formed once per call.
+    Under ``full`` (``martingale_check``'s split form) rows ``det`` (deterministic members)
+    of ``r`` and ``int r`` hold only their noise parts, taking no drift, and ``r_bar``,
+    ``integral_bar``, ``lam_bar`` and ``qv_bar``, ``(n + 1, len(det))``, the noise-free parts
+    (else None); a pass of such rows steps ``b`` and those only, ``half``-width under
+    antithetic sampling (mates hold negations), with ``qv`` and ``lam`` None.  A call with
+    ``params`` under original dynamics and neither ``full`` nor ``record`` (``noarb_gap``'s)
+    is terminal: ``integral`` holds the running ``N = sum_k sigma_k (w_k z_k)`` and, at ``k =
+    n`` only, ``int r`` at ``t_n``, ``D + N`` (``w_k`` and the noise-free ``D`` formed once per
+    call).  Its pass of tables steps only ``sigma``, one scratch and ``N``, half-width
+    (widened at ``k = n``), and yields ``b``, ``qv``, ``lam`` and ``r`` as None; a pass with a
+    feedback member steps them too, but no trapezoid.  A feedback rule reads its member's
+    current rows of the state, formed once per pass (``_readonly_rows``,
+    ``_feedback_sigma``).  Under ``record`` every member keeps a time-major history
+    ``hist[i]`` (row ``k`` per step) of ``sigma`` (``_history_sigma``) and the grid values,
+    each array its own, for ``_bundle`` to free; otherwise ``hist`` is empty.
+    Deterministic members take ``sigma`` from one table stacked per pass, a switching
+    member from its bytes (``_fill_sigma``).  An antithetic chunk keeps half-width normals
+    and switching tables (``_draw_normals``, ``_passes``) and widens each step's row for a
+    full-width pass.  No name here keeps a finished pass's arrays once the next builds."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
@@ -406,30 +411,43 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         ea, eh, w_lam = np.exp(-a * dt), np.exp(-a * dt / 2.0), b_factor(a, 0.0, dt)
         e2, m_det = np.exp(-2.0 * a * dt), _mu_step_integrals(params, grid)
     terminal = with_r and not (full or record or shifted)  # noarb_gap reads int r at t_n only
+    def recur(c, u, y0):  # y[k+1] = y[k] c + u[k] from y[0] = y0 down u's columns, on floats
+        cols = (accumulate(col.tolist(), lambda y, v: y * c + v, initial=y0) for col in u.T)
+        return np.stack([np.fromiter(y, float, len(u) + 1) for y in cols], axis=1)  # a column at a time
     if terminal:  # int r at t_n = D + N, N = sum_k sigma_k (w_k z_k): the trapezoid written out
-        e, wts, wz = float(ea), np.empty(n), np.empty(n_paths)  # weights and a row of w_k z_k
-        c, ehs, r_k, d_int = dt / 2.0, float(eh * sq), float(params.r0), 0.0
-        for k in reversed(range(n)):  # w_k = c_k eh sq, c_{k-1} = dt + ea c_k, c_{n-1} = dt / 2
-            wts[k], c = c * ehs, dt + e * c
-        for m_k in m_det.tolist():  # D, the trapezoid of the noise-free rate path
-            r_prev, r_k = r_k, e * r_k + m_k
-            d_int += (r_prev + r_k) * (dt / 2.0)
+        wz = np.empty(n_paths)  # a row of w_k z_k; w_k = c_k eh sq, c_{k-1} = ea c_k + dt from dt / 2
+        wts = recur(ea, np.full((n - 1, 1), dt), dt / 2.0)[::-1, 0] * float(eh * sq)
+        r_bar = recur(ea, m_det[:, None], params.r0)[:, 0]  # D, the trapezoid of the noise-free r
+        d_int = np.cumsum((r_bar[:-1] + r_bar[1:]) * (dt / 2.0))[-1]
     levels = np.array([band.sigma_lo, band.sigma_hi])  # what a byte table indexes
     # an antithetic mate shares its partner's volatility path: a half-width table
     passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record)
-    s = SimpleNamespace(b=None, qv=None, lam=None, r=None)  # a lean pass steps none of them
+    s = SimpleNamespace(**dict.fromkeys("b qv lam r r_bar integral_bar lam_bar qv_bar".split()))  # or None
     for s.rows, group in passes:
         m = len(group)
         det = [i for i, (_, tab) in enumerate(group) if tab is not None and tab.ndim == 1]
         det_tab = np.stack([group[i][1] for i in det], axis=1) if det else None  # (n, len(det))
         stepped = not terminal or any(tab is None for _, tab in group)  # a rule reads the state
-        cols = n_paths if stepped or not antithetic else half  # a lean pass's mates hold -N
-        width = 1 if len(det) == m else cols
+        s.det = det if with_r and full else []  # martingale_check's split rows: noise parts only
+        lean = 0 < len(s.det) == m  # steps b and the noise parts: no sigma, qv, lam or drift
+        cols = half if antithetic and (lean or not stepped) else n_paths  # mates hold negations
+        s.half, width = cols < n_paths, 1 if len(det) == m else cols
         sigma, s.integral, db = np.zeros((m, width)), np.zeros((m, cols)), np.zeros((m, cols))
         if stepped:
-            s.qv, s.lam, s.b = np.zeros((m, width)), np.zeros((m, width)), np.zeros((m, n_paths))
+            (s.qv, s.lam), s.b = (None, None) if lean else np.zeros((2, m, width)), np.zeros((m, cols))
             s.r, r_next = (np.full_like(s.b, params.r0), np.empty_like(s.b)) if with_r else (None,) * 2
             rates = (s.r, r_next) if with_r else (None,)  # s.r is rates[k % 2]
+            bounds, shift = [-1] + s.det + [m], db[:, :width]  # the drift's rows: runs between split rows
+            runs = [slice(lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo + 1]
+            drift = [[(rates[1 - j][run], shift[run]) for run in runs] for j in (0, 1)] if with_r else None
+        if s.det:  # the split rows' noise-free r, int r, lam and qv, (n + 1, len(det)) each
+            dqv, s.qv_bar, s.integral_bar = np.square(det_tab) * dt, *np.zeros((2, n + 1, len(det)))
+            s.lam_bar = recur(e2, dqv, 0.0)
+            s.r_bar = recur(ea, s.lam_bar[:-1] * w_lam + m_det[:, None] if shifted
+                            else np.broadcast_to(m_det[:, None], dqv.shape), params.r0)
+            np.cumsum(dqv, axis=0, out=s.qv_bar[1:])
+            np.cumsum((s.r_bar[:-1] + s.r_bar[1:]) * (dt / 2.0), axis=0, out=s.integral_bar[1:])
+            s.r[det], sq_tab = 0.0, det_tab * sq
         views = {i: [_readonly_rows(i, s.b, s.qv, s.lam if with_r else None, r) for r in rates]
                  for i, (_, tab) in enumerate(group) if tab is None}
         # each recorded array its own, so a bundle frees it as it is made (``_bundle``)
@@ -448,7 +466,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
             yield s
             if k == n:
                 break
-            if det:
+            if det and not lean:
                 sigma[det] = det_tab[k, :, None]
             for i, (spec, tab) in enumerate(group):
                 if tab is None:
@@ -458,7 +476,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                         s.hist[i]["sigma"][k] = sigma[i]
                 elif tab.ndim == 2:
                     _fill_sigma(sigma[i], tab[k], levels)
-            z_k = z_pm if antithetic and stepped else z[k]
+            z_k = z_pm if antithetic and cols == n_paths else z[k]
             if z_k is z_pm:
                 z_k[:half] = z[k]
                 np.negative(z[k], out=z_k[half:])
@@ -468,29 +486,35 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                     continue
             if with_r:  # r[k+1] = ea r[k] + m_det[k] (+ w_lam lam[k], shifted) + eh dB[k]
                 np.multiply(s.r, ea, out=r_next)
-                if shifted:  # the shift term in dB's buffer, before dB is formed
-                    shift = np.multiply(s.lam, w_lam, out=db[:, :width])
+                if shifted and not lean:  # the shift term in dB's buffer, before dB is formed
+                    np.multiply(s.lam, w_lam, out=shift)
                     shift += m_det[k]
-                r_next += shift if shifted else m_det[k]
-            np.multiply(sigma, sq, out=db)
-            db *= z_k
-            s.b += db
-            dqv = np.square(sigma, out=sigma)  # in sigma's buffer, which the step no longer reads
-            dqv *= dt
-            s.qv += dqv
+                for r_run, shift_run in drift[k % 2]:  # a split row takes none: ea rho[k]
+                    r_run += shift_run if shifted else m_det[k]
+            if lean:  # dB = (sigma sq) z from the pass's table
+                s.b += np.multiply(sq_tab[k, :, None], z_k, out=db)
+            else:
+                np.multiply(sigma, sq, out=db)
+                db *= z_k
+                s.b += db
+                dqv = np.square(sigma, out=sigma)  # in sigma's buffer, which the step no longer reads
+                dqv *= dt
+                s.qv += dqv
             if with_r:
                 db *= eh
                 r_next += db
-                s.lam *= e2
-                s.lam += dqv
+                if not lean:
+                    s.lam *= e2
+                    s.lam += dqv
                 if not terminal:
                     s.r += r_next  # the trapezoid of int r, (r[k+1] + r[k]) dt/2
                     s.r *= dt / 2.0
                     s.integral += s.r
                 s.r, r_next = r_next, s.r
         # free this pass's arrays before the next builds its own
-        group = tab = h = det_tab = views = rates = sigma = db = shift = r_next = None
+        group = tab = h = det_tab = sq_tab = views = rates = drift = sigma = db = shift = r_next = None
         s.b = s.qv = s.lam = s.r = s.integral = s.hist = None
+        s.r_bar = s.integral_bar = s.lam_bar = s.qv_bar = None
 
 
 def _bundle(scenario: ScenarioSpec, h: dict, grid: TimeGrid):

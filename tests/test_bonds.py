@@ -179,6 +179,28 @@ class TestBFactor:
         assert b_factor(1.0, np.arange(3), 2).tolist() == b_factor(1.0, np.arange(3.0), 2.0).tolist()
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, maturity: b_factor(1.0, t, maturity),
+    lambda t, maturity: b_factor(1e-9, t, maturity),
+    lambda t, maturity: a_robust(PARAMS, t, maturity),
+    lambda t, maturity: a_robust(KINKED, t, maturity),
+    lambda t, maturity: _b_integrals(1.0, t, maturity),
+    lambda t, maturity: KINKED_CURVE.excess_integral(t, maturity),
+], ids=["b_factor", "b_factor_series", "a_robust", "a_robust_curve", "b_integrals",
+        "excess_integral"])
+def test_empty_time_array_gives_empty_results(call):
+    """An empty array of times gives empty results, as ``RateParams.mu_at`` and
+    ``ForwardCurve.value`` do; the interval check once raised numpy's bare
+    ``ValueError: zero-size array to reduction operation minimum`` on it.  A negative
+    maturity is still rejected, with the error any other ``t`` gets."""
+    got = call(np.array([]), 1.0)
+    for x in got if isinstance(got, tuple) else (got,):
+        assert (x.shape, x.dtype) == ((0,), np.float64)
+    for t in (np.array([]), np.array([0.0])):
+        with pytest.raises(ValidationError, match="need 0 <= t <= T < inf"):
+            call(t, -1.0)
+
+
 class TestIntercepts:
     def test_a_robust_zero_mu(self):
         assert a_robust(PARAMS, 0.0, 1.0) == 0.0
@@ -742,10 +764,105 @@ def _bundle_martingale_reports(params, band, scenarios, maturity, checkpoints, c
     return reports
 
 
+def _split_martingale_reports(params, band, scenarios, maturity, checkpoints, cfg, dynamics):
+    """``martingale_check``'s split arithmetic as a column loop, one scenario at a time:
+    ``log p~ = M - x``, ``x = B r + int r``.  A deterministic member's ``r`` and ``int r``
+    are its noise parts ``rho`` and ``iota`` (``rho' = ea rho + eh (sigma sq) z``, the
+    trapezoid of ``rho``) on normals redrawn from each chunk's seed, and its ``M_k`` is
+    ``A - B^2 lam / 2 - B r - int r`` of the noise-free recursions, formed here on floats.
+    Any other member's ``M`` is ``A - B^2 lam / 2`` and ``x`` its bundle's rate and
+    trapezoid.  Each antithetic chunk's first halves and mates are summed apart."""
+    cfg = replace(cfg, horizon=maturity)
+    grid, n, dt = cfg.grid, cfg.n_steps, cfg.grid.dt
+    cp = sorted(float(t) for t in checkpoints)
+    cp_idx = [grid.index_of(t) for t in cp]
+    b_vec = b_factor(params.alpha, grid.times, maturity)
+    a_vec = a_robust(params, grid.times, maturity)
+    c_vec, wb, wq = 0.5 * b_vec * b_vec, np.diff(b_vec), 0.5 * np.diff(b_vec * b_vec)
+    p0 = float(np.exp(_log_price(a_vec[0], b_vec[0], params.r0, 0.0)))
+    a = params.alpha
+    ea, eh, e2 = np.exp(-a * dt), np.exp(-a * dt / 2.0), np.exp(-2.0 * a * dt)
+    w_lam, sq, m_det = b_factor(a, 0.0, dt), np.sqrt(dt), _mu_step_integrals(params, grid)
+    reports = []
+    for spec, sid in zip(scenarios, _dedupe_ids(scenarios)):
+        tab = None if spec.is_adaptive else spec.sigma_table(grid.step_times, dt, 1, 0)
+        det = tab is not None and tab.ndim == 1
+        if det:  # the noise-free lam, r, int r and qv, and M, on floats
+            lam, r, i, q = [0.0], [float(params.r0)], [0.0], [0.0]
+            for k in range(n):
+                dq = float(tab[k]) * float(tab[k]) * dt
+                lam.append(lam[k] * e2 + dq)
+                r.append(r[k] * ea + ((lam[k] * w_lam + m_det[k]) if dynamics == "shifted" else m_det[k]))
+                i.append(i[k] + (r[k] + r[k + 1]) * (dt / 2.0))
+                q.append(q[k] + dq)
+            m_tab = [a_vec[k] - c_vec[k] * lam[k] - b_vec[k] * r[k] - i[k] for k in range(n + 1)]
+            log_q = 0.0
+            for k in range(1, n + 1):
+                log_q += q[k] * wq[k - 1]
+        cp_vals, path_sums, terminal_err = [], np.zeros(n + 1), 0.0
+        for (_, rng, m), bundle in zip(_chunks(cfg), _chunk_bundles(spec, band, cfg, params, dynamics)):
+            if det:
+                z = rng.standard_normal((m // 2 if cfg.antithetic else m, n))
+                z = np.vstack([z, -z]) if cfg.antithetic else z
+                rho, iota = np.zeros((m, n + 1)), np.zeros((m, n + 1))
+                for k in range(n):
+                    rho[:, k + 1] = rho[:, k] * ea + (tab[k] * sq) * z[:, k] * eh
+                    iota[:, k + 1] = iota[:, k] + (rho[:, k] + rho[:, k + 1]) * (dt / 2.0)
+                log_p = np.array(m_tab) - (rho * b_vec + iota)
+                i_n, log_qv = i[n], log_q
+            else:
+                iota = np.zeros(bundle.r.shape)
+                steps = (bundle.r[:, 1:] + bundle.r[:, :-1]) * (dt / 2.0)
+                np.cumsum(steps, axis=1, out=iota[:, 1:])
+                log_p = (a_vec - c_vec * bundle.lam) - (bundle.r * b_vec + iota)
+                i_n, log_qv = 0.0, np.cumsum(wq * bundle.qv[:, 1:], axis=1)[:, -1]
+            p_tilde = np.exp(log_p)
+            cp_vals.append(_pair_means(p_tilde[:, cp_idx] - p0, cfg.antithetic))
+            halves = np.split(p_tilde, 2) if cfg.antithetic else [p_tilde]
+            path_sums += sum(np.ascontiguousarray(h.T).sum(axis=1) for h in halves)
+            log_b = np.cumsum(wb * bundle.b[:, 1:], axis=1)[:, -1]
+            err = np.abs(np.exp(log_b + log_qv) * p0 * np.exp(iota[:, -1] + i_n) - 1.0)
+            terminal_err = max(terminal_err, float(np.max(err)))
+        means, ses = _mean_se(np.concatenate(cp_vals))
+        rows = tuple(
+            CheckpointStat(t=t, mean=p0 + float(mean), se=float(se), reference=p0)
+            for t, mean, se in zip(cp, means, ses)
+        )
+        fit = _ols_with_se(grid.step_times, np.diff(path_sums) / cfg.n_paths)
+        reports.append(MartingaleReport(sid, maturity, rows, *fit, terminal_err, grid.dt))
+    return reports
+
+
+#: how far the split arithmetic may move a report from the one-scenario-at-a-time
+#: bundles' (``_bundle_martingale_reports``), as ``test_golden``'s reorder tolerance:
+#: checkpoint means in ulp of ``p0``, checkpoint ses relative, the drift fit in its ses,
+#: the terminal error in ulp of 1
+SPLIT_MEAN_ULPS, SPLIT_SE_REL, SPLIT_DRIFT_SES, SPLIT_TERMINAL_ULPS = 4, 1e-3, 1e-4, 4
+
+
 class TestMartingaleStreaming:
     """All members step together on each chunk's one draw and keep per-step
-    reducers only; every report field must equal the one computed from that
-    scenario's own full bundles."""
+    reducers only; every report field must equal the split arithmetic's column loop
+    (``_split_martingale_reports``) bit for bit, and lie within the ``SPLIT_*``
+    tolerances of the report computed from that scenario's own full bundles."""
+
+    @staticmethod
+    def check(*args):
+        reports = martingale_check(*args)
+        assert reports == _split_martingale_reports(*args)
+        for got, want in zip(reports, _bundle_martingale_reports(*args), strict=True):
+            sid = got.scenario_id
+            for g, w in zip(got.checkpoints, want.checkpoints, strict=True):
+                assert abs(g.mean - w.mean) <= SPLIT_MEAN_ULPS * np.spacing(w.reference), (
+                    sid, g.t, g.mean, w.mean)
+                assert g.se == pytest.approx(w.se, rel=SPLIT_SE_REL, abs=0.0), (sid, g.t)
+            for value, se in (("drift_slope", "drift_slope_se"), ("drift_intercept", "drift_intercept_se")):
+                assert abs(getattr(got, value) - getattr(want, value)) <= SPLIT_DRIFT_SES * getattr(
+                    want, se), (sid, value)
+                assert getattr(got, se) == pytest.approx(getattr(want, se), rel=SPLIT_DRIFT_SES), (sid, se)
+            err, want_err = got.terminal_max_abs_error, want.terminal_max_abs_error
+            assert abs(err - want_err) <= SPLIT_TERMINAL_ULPS * np.spacing(1.0), (sid, err, want_err)
+        return reports
 
     # eight table-driven members (more than one pass holds), a feedback
     # member and a duplicate id
@@ -764,14 +881,12 @@ class TestMartingaleStreaming:
                        antithetic=antithetic)
         assert sum(not s.is_adaptive for s in self.FAMILY) > robustrates.paths._TABLES_PER_PASS
         args = (params, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg, dynamics)
-        reports = martingale_check(*args)
+        reports = self.check(*args)
         assert reports[-1].scenario_id == "const[0.02]#1"
-        assert reports == _bundle_martingale_reports(*args)
 
     def test_bitwise_equal_over_70_steps(self):
         cfg = McConfig(n_paths=64, n_steps=70, horizon=1.0, base_seed=5, antithetic=True)
-        args = (PARAMS, BAND, self.FAMILY[:5], 1.5, [0.75, 1.5], cfg, "shifted")
-        assert martingale_check(*args) == _bundle_martingale_reports(*args)
+        self.check(PARAMS, BAND, self.FAMILY[:5], 1.5, [0.75, 1.5], cfg, "shifted")
 
     def test_one_draw_per_chunk_for_every_member(self, monkeypatch):
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=2, antithetic=True)
@@ -803,29 +918,34 @@ class TestMartingaleStreaming:
 
     @pytest.mark.parametrize("dynamics", ["shifted", "original"])
     def test_reducer_reads_no_earlier_state(self, monkeypatch, dynamics):
-        """The reducer reads each step's state only: with every state's arrays copied
-        and the copies overwritten by NaN once the reducer has moved on, the reports
-        are unchanged (the terminal identity is summed by parts).  Two arrays per pass
-        split the family's three, so each chunk steps in two passes."""
+        """The reducer reads each step's state only: with every array the stepper yields
+        copied (the split rows' noise-free tables included) and the copies overwritten
+        by NaN once the reducer has moved on, the reports are unchanged (the terminal
+        identity is summed by parts).  One array per pass splits the family into three
+        mixed passes and a pass of deterministic members only."""
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=12,
                        antithetic=True)
         args = (KINKED_07, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg, dynamics)
-        monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 2)
+        monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 1)
         want = martingale_check(*args)
-        steps, names, yielded = robustrates.mc._steps, ("b", "qv", "r", "lam", "integral"), []
+        bars = ("r_bar", "integral_bar", "lam_bar", "qv_bar")
+        steps, names, yielded = robustrates.mc._steps, ("b", "qv", "r", "lam", "integral") + bars, []
 
         def stale_once_read(*a, **kw):
             for s in steps(*a, **kw):
-                state = SimpleNamespace(rows=s.rows, k=s.k, hist=s.hist,
-                                        **{x: getattr(s, x).copy() for x in names})
-                yielded.append(s.k)
+                arrays = {x: getattr(s, x) for x in names if getattr(s, x) is not None}
+                state = SimpleNamespace(rows=s.rows, k=s.k, hist=s.hist, det=s.det, half=s.half,
+                                        **dict.fromkeys(names) | {x: a.copy() for x, a in arrays.items()})
+                yielded.append((s.k, set(arrays)))
                 yield state
-                for x in names:
+                for x in arrays:
                     getattr(state, x).fill(np.nan)
 
         monkeypatch.setattr(robustrates.mc, "_steps", stale_once_read)
         assert martingale_check(*args) == want
-        assert len(yielded) > 2 * (cfg.n_steps + 1)  # every pass of both chunks
+        assert len(yielded) == 2 * 4 * (cfg.n_steps + 1)  # every pass of both chunks
+        assert {"b", "r", "integral", *bars} in [x for _, x in yielded]  # the pass of tables
+        assert set(names) in [x for _, x in yielded]
 
     def test_reversed_family_reverses_reports(self):
         family = self.FAMILY[:-1]  # no duplicate id, whose suffix follows the order
@@ -913,22 +1033,25 @@ def test_recorded_bundles_never_alias_the_history_buffer():
             assert getattr(bundle, name).tobytes() == getattr(own, name).tobytes(), name
 
 
-@pytest.mark.parametrize("run, terminal", [
-    (lambda family, cfg: noarb_gap(PARAMS, BAND, 1.0, family, cfg).per_scenario, True),
-    (lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg), False),
+@pytest.mark.parametrize("run, form", [
+    (lambda family, cfg: noarb_gap(PARAMS, BAND, 1.0, family, cfg).per_scenario, "terminal"),
+    (lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg), "split"),
     (lambda family, cfg: martingale_check(PARAMS, BAND, family, 1.0, [0.5, 1.0], cfg, "original"),
-     False),
-    (lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg).per_scenario, False),
+     "split"),
+    (lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg).per_scenario, ""),
     (lambda family, cfg: estimate_sublinear(_every_field, BAND, family, cfg, PARAMS).per_scenario,
-     False),
+     ""),
 ], ids=["noarb_gap", "martingale_shifted", "martingale_original", "estimate", "estimate_rate"])
-def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, terminal):
+def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, form):
     """A pass whose members all have deterministic tables steps ``sigma``,
     ``qv`` and ``lam`` as one value per member; a switching member anywhere
     in the pass makes them one value per path.  ``noarb_gap``'s pass of tables
     (``terminal``) steps no ``qv`` or ``lam`` at all, only its accumulator of ``int r``
     at ``T``, half-width under antithetic sampling and widened at the last grid time.
-    Either way each deterministic member's results are the same, bit for bit."""
+    ``martingale_check``'s (``split``) steps no ``qv`` or ``lam`` either, only ``b`` and
+    the noise parts of ``r`` and ``int r``, half-width.  Either way each deterministic
+    member's results are the same, bit for bit."""
+    terminal = form == "terminal"
     deterministic = [Constant(0.01), PiecewiseConstant((0.3,), (0.02, 0.005))]
     switching = RandomSwitching(3.0, 1)
     mixed = [deterministic[0], switching, deterministic[1]]  # neither first nor last
@@ -939,12 +1062,15 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, termina
 
     def spy(*args, **kwargs):
         for s in real(*args, **kwargs):
-            shapes.append((s.qv is None, (s.k == 8, s.integral.shape) if terminal else s.qv.shape))
+            shapes.append((s.qv is None, (s.k == 8, s.integral.shape) if terminal
+                           else s.b.shape if form else s.qv.shape))
             yield s
 
     def expected(m, width):
         if terminal:
             return {(True, (False, (m, 32))), (True, (True, (m, 64)))}
+        if form:  # a pass of tables steps half-width b; a mixed pass, b, qv and lam per path
+            return {(width == 1, (m, 32 if width == 1 else 64))}
         return {(False, (m, width))}
 
     monkeypatch.setattr(robustrates.mc, "_steps", spy)
@@ -954,6 +1080,42 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, termina
     together = list(run(mixed, cfg))
     assert set(shapes) == expected(len(together), 64)
     assert [x for x in together if x.scenario_id != switching.scenario_id] == alone
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("dynamics", ["shifted", "original"])
+def test_deterministic_member_bits_do_not_depend_on_its_pass(monkeypatch, dynamics, antithetic):
+    """A deterministic member's ``MartingaleReport`` is the same, bit for bit, when it
+    steps alone, in a pass of deterministic members only and in a mixed pass beside a
+    switching and a feedback member.  A pass of tables steps ``b`` and the noise parts
+    of ``r`` and ``int r`` only, half-width under antithetic sampling, and no ``qv``;
+    ``CHUNK_PATHS + 2`` paths make the last chunk's half one path wide."""
+    member = PiecewiseConstant((0.3,), (0.02, 0.005))
+    cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=9,
+                   antithetic=antithetic)
+    families = {
+        "alone": [member],
+        "tables": [Constant(0.01), member, bang_bang(BAND, 1.0, 2)],
+        "mixed": [RandomSwitching(3.0, 1), member, AdaptedFeedback("driver_sign")],
+    }
+    shapes, real = [], robustrates.paths._steps
+
+    def spy(*args, **kwargs):
+        for s in real(*args, **kwargs):
+            shapes.append((s.rows, s.qv is None, {s.b.shape, s.r.shape, s.integral.shape}))
+            yield s
+
+    monkeypatch.setattr(robustrates.mc, "_steps", spy)
+    reports = []
+    for name, family in families.items():
+        shapes.clear()
+        reports.append(martingale_check(KINKED_07, BAND, family, 1.5, [0.0, 0.75, 1.5], cfg,
+                                        dynamics)[family.index(member)])
+        m, mixed = len(family), name == "mixed"
+        widths = [w // (2 if antithetic and not mixed else 1) for w in (CHUNK_PATHS, 2)]
+        assert shapes == [(slice(0, m), not mixed, {(m, w)})
+                          for w in widths for _ in range(cfg.n_steps + 1)]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_noarb_gap_table_pass_steps_only_its_accumulator(monkeypatch):
@@ -1190,21 +1352,21 @@ def test_non_finite_closed_form_rejected_before_drawing(monkeypatch):
 @pytest.mark.parametrize("member, last_chunk", [(1, True), (2, False)])
 def test_non_finite_checkpoint_names_its_member_and_path(monkeypatch, member, last_chunk):
     """The driver holds ``rows`` samples per member, one per checkpoint, so a
-    bad row ``j`` belongs to member ``j // rows``.  A NaN planted at the later
-    checkpoint (t = T, where ``B(T, T) = 0``) of one member names that member,
-    and the path counted across chunks."""
+    bad row ``j`` belongs to member ``j // rows``.  A NaN planted in one member's log
+    price (``_log_prices``; the family's one pass steps its first halves) at the later
+    checkpoint (t = T, where ``B(T, T) = 0``) names that member, and the path counted
+    across chunks."""
     family = [Constant(0.005), Constant(0.01), Constant(0.02)]
     cfg = McConfig(n_paths=CHUNK_PATHS + 8, n_steps=4, horizon=1.0, base_seed=0, antithetic=True)
     chunk_paths = 8 if last_chunk else CHUNK_PATHS
-    real = robustrates.bonds._log_price
+    real = robustrates.bonds._log_prices
 
-    def planted(a, b, r, lam):
-        out = real(a, b, r, lam)
-        if np.shape(r) == (len(family), chunk_paths) and b == 0.0:
-            out[member, 3] = np.nan
-        return out
+    def planted(m, b, r, integral, p, x, mates):
+        real(m, b, r, integral, p, x, mates)
+        if np.shape(r) == (len(family), chunk_paths // 2) and b == 0.0:
+            p[member, 3] = np.nan
 
-    monkeypatch.setattr(robustrates.bonds, "_log_price", planted)
+    monkeypatch.setattr(robustrates.bonds, "_log_prices", planted)
     path = CHUNK_PATHS * last_chunk + 3
     message = f"non-finite functional value in scenario '{family[member].scenario_id}' at path {path}"
     with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
