@@ -271,7 +271,8 @@ def martingale_check(
     keep running sums only (checkpoint samples, per-step path sums of ``p~``, where ``p0``
     cancels, and per-path log sums by parts, ``sum_k wb_k B_k + wq_k qv_k``, reading no
     earlier state), bit for bit as if each stepped alone; samples take ``_stats``.  Log prices
-    are ``M_k - (B r + int r)``, a deterministic member's ``M_k`` one table per pass.
+    are ``M_k - (B r + int r)``; deterministic members step in split passes of their own
+    (``paths._steps``), so their ``M_k`` is one table per pass.
     ``cfg.horizon`` is replaced by ``maturity`` (``replace(cfg, horizon=maturity)``).
 
     Passing ``dynamics="original"`` yields the adversarial fixture: under a
@@ -300,37 +301,34 @@ def martingale_check(
         """One chunk's ``p~ - p0`` at the checkpoints into ``out``, one row each, adding
         each step's path sums of ``p~`` to ``path_sums`` and keeping the largest terminal
         error in ``terminal_err``, from per-path log sums, ``log p~`` in the pass's two buffers
-        (``_log_prices``); halves are summed apart, so a member's bits do not depend on its pass."""
+        (``_log_prices``); a split pass (``lam`` None) holds deterministic members only."""
         for s in states:
             k, rows = s.k, s.rows
-            if k == 0:  # the pass's buffers, and its split rows' M_k, int r at t_n and qv log sum
-                mates, (m, w) = s.half, s.b.shape
-                buf, log_b, i_n = np.empty((2, m, w)), np.zeros((m, w)), np.zeros((m, 1))
+            if k == 0:  # the pass's buffers, and a split pass's M_k, int r at t_n and qv log sum
+                mates, (m, w), split = s.half, s.b.shape, s.lam is None
+                buf, log_b = np.empty((2, m, w)), np.zeros((m, w))
                 p, x = buf
-                live = buf[: 1 + mates]  # what exp reads; as halves, (first halves, mates)
-                halves = live if mates else p.reshape(m, -1, w // (1 + cfg.antithetic)).swapaxes(0, 1)
-                sums = np.empty((n + 1, len(halves), m))  # each step's path sums, by halves
-                log_qv = np.zeros((m, w)) if s.qv is not None else np.cumsum(  # one per member
+                live = buf[: 1 + mates]  # what exp reads: (first halves, mates) at half width
+                sums = np.empty((n + 1, len(live), m))  # each step's path sums, by buffer
+                i_n = s.integral_bar[n, :, None].copy() if split else 0.0  # int r at t_n
+                log_qv = np.zeros((m, w)) if not split else np.cumsum(  # one per member
                     wq[:, None] * s.qv_bar[1:], axis=0)[-1][:, None]
-                if s.det:  # M = A - B^2 lam / 2 - B r - int r of the noise-free r, int r, lam
+                if split:  # M = A - B^2 lam / 2 - B r - int r of the noise-free r, int r, lam
                     m_tab = a_vec[:, None] - c_vec[:, None] * s.lam_bar - b_vec[:, None] * s.r_bar
-                    m_tab, i_n[s.det, 0] = m_tab - s.integral_bar, s.integral_bar[n]
-                det_rows = [(p[i], j) for j, i in enumerate(s.det)]  # a mixed pass's M there
-            if s.lam is None:  # split rows only: one M per member
+                    m_tab -= s.integral_bar
+            if split:  # one M per member
                 m_k = m_tab[k, :, None]
-            else:  # A - B^2 lam / 2 per path, a split row's M from the table
+            else:  # A - B^2 lam / 2 per path
                 m_k = np.subtract(a_vec[k], np.multiply(s.lam, c_vec[k], out=p), out=p)
-                for row, j in det_rows:
-                    row.fill(m_tab[k, j])
             _log_prices(m_k, b_vec[k], s.r, s.integral, p, x, mates)
             np.exp(live, out=live)
-            np.add.reduce(halves, axis=2, out=sums[k])
+            np.add.reduce(live, axis=2, out=sums[k])
             if k in row_of:  # a half-width pass's mates into the second half
                 for p_half, cols in zip(live, (slice(w), slice(w, None))):
                     np.subtract(p_half, p0, out=out[rows, row_of[k], cols])
             if k > 0:
                 log_b += np.multiply(s.b, wb[k - 1], out=x)
-                if s.qv is not None:
+                if not split:
                     log_qv += np.multiply(s.qv, wq[k - 1], out=p)
             if k == n:  # first halves + mates; |p0 exp(log sums) exp(int r) - 1|, a mate's
                 path_sums[rows] += np.add.reduce(sums, axis=1).T  # from -log_b and -int r

@@ -298,22 +298,24 @@ _TABLES_PER_PASS = 6
 _MEMBER_BYTES_CAP = 3 * 2**29
 
 
-def _passes(scenarios, grid, n_draw, key, history, record):
+def _passes(scenarios, grid, n_draw, key, history, record, split):
     """Consecutive runs of ``scenarios`` with their chunk tables (``sigma_table`` of
     ``n_draw`` paths; None for a feedback member) as ``(rows, [(spec, table), ...])``,
     each holding at most ``_TABLES_PER_PASS`` arrays: under ``record`` a member's history
     counts ``history``, its table included; otherwise a feedback member (which keeps only
     its current state) counts 1, and so does a switching table, though its one byte per
-    entry holds an eighth of an array of doubles."""
+    entry holds an eighth of an array of doubles.  Under ``split`` a pass holds one kind
+    of member, deterministic (1-D) tables or none, so a pass closes where the kind changes."""
     lo, group, used = 0, [], 0
     for spec in scenarios:
         tab = None if spec.is_adaptive else spec.sigma_table(grid.step_times, grid.dt, n_draw, key)
         cost = history if record else 1 if tab is None else tab.ndim - 1
-        if group and used + cost > _TABLES_PER_PASS:
+        det = tab is not None and tab.ndim == 1
+        if group and (used + cost > _TABLES_PER_PASS or split and det != group_det):
             yield slice(lo, lo + len(group)), group
             lo, group, used = lo + len(group), [], 0
         group.append((spec, tab))
-        used += cost
+        used, group_det = used + cost, det
         del tab  # only the group holds it, so a stepped pass's tables can be freed
         if used >= _TABLES_PER_PASS:  # full: step it before building another table
             yield slice(lo, lo + len(group)), group
@@ -369,25 +371,26 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     place, so they are valid for the current step only: ``r`` alternates between two
     arrays, the rest are the same all pass.  With ``params`` the rate step (``r``, ``lam``
     and the trapezoid of ``int r``) is written out on coefficients formed once per call.
-    Under ``full`` (``martingale_check``'s split form) rows ``det`` (deterministic members)
-    of ``r`` and ``int r`` hold only their noise parts, taking no drift, and ``r_bar``,
-    ``integral_bar``, ``lam_bar`` and ``qv_bar``, ``(n + 1, len(det))``, the noise-free parts
-    (else None); a pass of such rows steps ``b`` and those only, ``half``-width under
-    antithetic sampling (mates hold negations), with ``qv`` and ``lam`` None.  A call with
-    ``params`` under original dynamics and neither ``full`` nor ``record`` (``noarb_gap``'s)
-    is terminal: ``integral`` holds the running ``N = sum_k sigma_k (w_k z_k)`` and, at ``k =
-    n`` only, ``int r`` at ``t_n``, ``D + N`` (``w_k`` and the noise-free ``D`` formed once per
-    call).  Its pass of tables steps only ``sigma``, one scratch and ``N``, half-width
-    (widened at ``k = n``), and yields ``b``, ``qv``, ``lam`` and ``r`` as None; a pass with a
-    feedback member steps them too, but no trapezoid.  A feedback rule reads its member's
-    current rows of the state, formed once per pass (``_readonly_rows``,
-    ``_feedback_sigma``).  Under ``record`` every member keeps a time-major history
-    ``hist[i]`` (row ``k`` per step) of ``sigma`` (``_history_sigma``) and the grid values,
-    each array its own, for ``_bundle`` to free; otherwise ``hist`` is empty.
-    Deterministic members take ``sigma`` from one table stacked per pass, a switching
-    member from its bytes (``_fill_sigma``).  An antithetic chunk keeps half-width normals
-    and switching tables (``_draw_normals``, ``_passes``) and widens each step's row for a
-    full-width pass.  No name here keeps a finished pass's arrays once the next builds."""
+    A pass is one of four kinds.  *Split* (``full`` with ``params``, ``martingale_check``'s;
+    ``_passes`` gives it deterministic members only): its ``r`` and ``int r`` hold only the
+    noise parts, taking no drift, and ``r_bar``, ``integral_bar``, ``lam_bar`` and
+    ``qv_bar``, ``(n + 1, members)``, the noise-free parts (else None); it steps ``b`` and
+    those only, ``half``-width under antithetic sampling (mates hold negations), with ``qv``
+    and ``lam`` None.  *Terminal* (``params`` under original dynamics, neither ``full`` nor
+    ``record``; ``noarb_gap``'s): ``integral`` holds the running ``N = sum_k sigma_k (w_k
+    z_k)`` and, at ``k = n`` only, ``int r`` at ``t_n``, ``D + N`` (``w_k`` and the noise-free
+    ``D`` formed once per call); a pass of tables steps only ``sigma``, one scratch and
+    ``N``, half-width (widened at ``k = n``), and yields ``b``, ``qv``, ``lam`` and ``r`` as
+    None.  *Stepped*: any other pass steps the whole state (a terminal one, no trapezoid).
+    *Recorded* (``record``, never split): a stepped pass in which every member keeps a
+    time-major history ``hist[i]`` (row ``k`` per step) of ``sigma`` (``_history_sigma``)
+    and the grid values, each array its own, for ``_bundle`` to free; else ``hist`` is
+    empty.  A feedback rule reads its member's current rows of the state, formed once per
+    pass (``_readonly_rows``, ``_feedback_sigma``).  Deterministic members take ``sigma``
+    from one table stacked per pass, a switching member from its bytes (``_fill_sigma``).
+    An antithetic chunk keeps half-width normals and switching tables (``_draw_normals``,
+    ``_passes``) and widens each step's row for a full-width pass.  No name here keeps a
+    finished pass's arrays once the next builds."""
     if dynamics not in ("original", "shifted"):
         raise ValidationError(f"unknown dynamics '{dynamics}'")
     for spec in scenarios:
@@ -411,6 +414,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         ea, eh, w_lam = np.exp(-a * dt), np.exp(-a * dt / 2.0), b_factor(a, 0.0, dt)
         e2, m_det = np.exp(-2.0 * a * dt), _mu_step_integrals(params, grid)
     terminal = with_r and not (full or record or shifted)  # noarb_gap reads int r at t_n only
+    split = with_r and full and not record  # martingale_check's: one kind of member per pass
     def recur(c, u, y0):  # y[k+1] = y[k] c + u[k] from y[0] = y0 down u's columns, on floats
         cols = (accumulate(col.tolist(), lambda y, v: y * c + v, initial=y0) for col in u.T)
         return np.stack([np.fromiter(y, float, len(u) + 1) for y in cols], axis=1)  # a column at a time
@@ -421,33 +425,30 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         d_int = np.cumsum((r_bar[:-1] + r_bar[1:]) * (dt / 2.0))[-1]
     levels = np.array([band.sigma_lo, band.sigma_hi])  # what a byte table indexes
     # an antithetic mate shares its partner's volatility path: a half-width table
-    passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record)
+    passes = _passes(scenarios, grid, half if antithetic else n_paths, switch_key, history, record, split)
     s = SimpleNamespace(**dict.fromkeys("b qv lam r r_bar integral_bar lam_bar qv_bar".split()))  # or None
     for s.rows, group in passes:
         m = len(group)
         det = [i for i, (_, tab) in enumerate(group) if tab is not None and tab.ndim == 1]
         det_tab = np.stack([group[i][1] for i in det], axis=1) if det else None  # (n, len(det))
         stepped = not terminal or any(tab is None for _, tab in group)  # a rule reads the state
-        s.det = det if with_r and full else []  # martingale_check's split rows: noise parts only
-        lean = 0 < len(s.det) == m  # steps b and the noise parts: no sigma, qv, lam or drift
+        lean = split and len(det) == m  # steps b and the noise parts: no sigma, qv, lam or drift
         cols = half if antithetic and (lean or not stepped) else n_paths  # mates hold negations
         s.half, width = cols < n_paths, 1 if len(det) == m else cols
         sigma, s.integral, db = np.zeros((m, width)), np.zeros((m, cols)), np.zeros((m, cols))
         if stepped:
             (s.qv, s.lam), s.b = (None, None) if lean else np.zeros((2, m, width)), np.zeros((m, cols))
-            s.r, r_next = (np.full_like(s.b, params.r0), np.empty_like(s.b)) if with_r else (None,) * 2
-            rates = (s.r, r_next) if with_r else (None,)  # s.r is rates[k % 2]
-            bounds, shift = [-1] + s.det + [m], db[:, :width]  # the drift's rows: runs between split rows
-            runs = [slice(lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo + 1]
-            drift = [[(rates[1 - j][run], shift[run]) for run in runs] for j in (0, 1)] if with_r else None
-        if s.det:  # the split rows' noise-free r, int r, lam and qv, (n + 1, len(det)) each
-            dqv, s.qv_bar, s.integral_bar = np.square(det_tab) * dt, *np.zeros((2, n + 1, len(det)))
+            r0 = 0.0 if lean else params.r0 if with_r else None  # a noise part starts at 0
+            s.r, r_next = (np.full_like(s.b, r0), np.empty_like(s.b)) if with_r else (None,) * 2
+            rates, shift = (s.r, r_next) if with_r else (None,), db[:, :width]  # s.r is rates[k % 2]
+        if lean:  # the noise-free r, int r, lam and qv, (n + 1, m) each
+            dqv, s.qv_bar, s.integral_bar = np.square(det_tab) * dt, *np.zeros((2, n + 1, m))
             s.lam_bar = recur(e2, dqv, 0.0)
             s.r_bar = recur(ea, s.lam_bar[:-1] * w_lam + m_det[:, None] if shifted
                             else np.broadcast_to(m_det[:, None], dqv.shape), params.r0)
             np.cumsum(dqv, axis=0, out=s.qv_bar[1:])
             np.cumsum((s.r_bar[:-1] + s.r_bar[1:]) * (dt / 2.0), axis=0, out=s.integral_bar[1:])
-            s.r[det], sq_tab = 0.0, det_tab * sq
+            sq_tab = det_tab * sq
         views = {i: [_readonly_rows(i, s.b, s.qv, s.lam if with_r else None, r) for r in rates]
                  for i, (_, tab) in enumerate(group) if tab is None}
         # each recorded array its own, so a bundle frees it as it is made (``_bundle``)
@@ -486,11 +487,11 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                     continue
             if with_r:  # r[k+1] = ea r[k] + m_det[k] (+ w_lam lam[k], shifted) + eh dB[k]
                 np.multiply(s.r, ea, out=r_next)
-                if shifted and not lean:  # the shift term in dB's buffer, before dB is formed
-                    np.multiply(s.lam, w_lam, out=shift)
-                    shift += m_det[k]
-                for r_run, shift_run in drift[k % 2]:  # a split row takes none: ea rho[k]
-                    r_run += shift_run if shifted else m_det[k]
+                if not lean:  # a noise part takes no drift: ea rho[k]
+                    if shifted:  # the shift term in dB's buffer, before dB is formed
+                        np.multiply(s.lam, w_lam, out=shift)
+                        shift += m_det[k]
+                    r_next += shift if shifted else m_det[k]
             if lean:  # dB = (sigma sq) z from the pass's table
                 s.b += np.multiply(sq_tab[k, :, None], z_k, out=db)
             else:
@@ -512,7 +513,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                     s.integral += s.r
                 s.r, r_next = r_next, s.r
         # free this pass's arrays before the next builds its own
-        group = tab = h = det_tab = sq_tab = views = rates = drift = sigma = db = shift = r_next = None
+        group = tab = h = det_tab = sq_tab = views = rates = sigma = db = shift = r_next = None
         s.b = s.qv = s.lam = s.r = s.integral = s.hist = None
         s.r_bar = s.integral_bar = s.lam_bar = s.qv_bar = None
 

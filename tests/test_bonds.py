@@ -771,7 +771,8 @@ def _split_martingale_reports(params, band, scenarios, maturity, checkpoints, cf
     trapezoid of ``rho``) on normals redrawn from each chunk's seed, and its ``M_k`` is
     ``A - B^2 lam / 2 - B r - int r`` of the noise-free recursions, formed here on floats.
     Any other member's ``M`` is ``A - B^2 lam / 2`` and ``x`` its bundle's rate and
-    trapezoid.  Each antithetic chunk's first halves and mates are summed apart."""
+    trapezoid.  A deterministic member's antithetic first halves and mates are summed
+    apart, as its half-width pass holds them; any other member's chunk as one row."""
     cfg = replace(cfg, horizon=maturity)
     grid, n, dt = cfg.grid, cfg.n_steps, cfg.grid.dt
     cp = sorted(float(t) for t in checkpoints)
@@ -818,7 +819,7 @@ def _split_martingale_reports(params, band, scenarios, maturity, checkpoints, cf
                 i_n, log_qv = 0.0, np.cumsum(wq * bundle.qv[:, 1:], axis=1)[:, -1]
             p_tilde = np.exp(log_p)
             cp_vals.append(_pair_means(p_tilde[:, cp_idx] - p0, cfg.antithetic))
-            halves = np.split(p_tilde, 2) if cfg.antithetic else [p_tilde]
+            halves = np.split(p_tilde, 2) if cfg.antithetic and det else [p_tilde]
             path_sums += sum(np.ascontiguousarray(h.T).sum(axis=1) for h in halves)
             log_b = np.cumsum(wb * bundle.b[:, 1:], axis=1)[:, -1]
             err = np.abs(np.exp(log_b + log_qv) * p0 * np.exp(iota[:, -1] + i_n) - 1.0)
@@ -919,10 +920,11 @@ class TestMartingaleStreaming:
     @pytest.mark.parametrize("dynamics", ["shifted", "original"])
     def test_reducer_reads_no_earlier_state(self, monkeypatch, dynamics):
         """The reducer reads each step's state only: with every array the stepper yields
-        copied (the split rows' noise-free tables included) and the copies overwritten
+        copied (the split passes' noise-free tables included) and the copies overwritten
         by NaN once the reducer has moved on, the reports are unchanged (the terminal
-        identity is summed by parts).  One array per pass splits the family into three
-        mixed passes and a pass of deterministic members only."""
+        identity is summed by parts).  One array per pass, and a pass closed where the
+        members' kind changes, split the family into seven passes: four of deterministic
+        members only and three of one switching or feedback member each."""
         cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=12,
                        antithetic=True)
         args = (KINKED_07, BAND, self.FAMILY, 1.5, self.CHECKPOINTS, cfg, dynamics)
@@ -934,7 +936,7 @@ class TestMartingaleStreaming:
         def stale_once_read(*a, **kw):
             for s in steps(*a, **kw):
                 arrays = {x: getattr(s, x) for x in names if getattr(s, x) is not None}
-                state = SimpleNamespace(rows=s.rows, k=s.k, hist=s.hist, det=s.det, half=s.half,
+                state = SimpleNamespace(rows=s.rows, k=s.k, hist=s.hist, half=s.half,
                                         **dict.fromkeys(names) | {x: a.copy() for x, a in arrays.items()})
                 yielded.append((s.k, set(arrays)))
                 yield state
@@ -943,9 +945,9 @@ class TestMartingaleStreaming:
 
         monkeypatch.setattr(robustrates.mc, "_steps", stale_once_read)
         assert martingale_check(*args) == want
-        assert len(yielded) == 2 * 4 * (cfg.n_steps + 1)  # every pass of both chunks
-        assert {"b", "r", "integral", *bars} in [x for _, x in yielded]  # the pass of tables
-        assert set(names) in [x for _, x in yielded]
+        assert len(yielded) == 2 * 7 * (cfg.n_steps + 1)  # every pass of both chunks
+        assert {"b", "r", "integral", *bars} in [x for _, x in yielded]  # a pass of tables
+        assert set(names) - set(bars) in [x for _, x in yielded]  # a switching or feedback pass
 
     def test_reversed_family_reverses_reports(self):
         family = self.FAMILY[:-1]  # no duplicate id, whose suffix follows the order
@@ -1049,7 +1051,8 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, form):
     (``terminal``) steps no ``qv`` or ``lam`` at all, only its accumulator of ``int r``
     at ``T``, half-width under antithetic sampling and widened at the last grid time.
     ``martingale_check``'s (``split``) steps no ``qv`` or ``lam`` either, only ``b`` and
-    the noise parts of ``r`` and ``int r``, half-width.  Either way each deterministic
+    the noise parts of ``r`` and ``int r``, half-width, and its passes hold one kind of
+    member, so the mixed family steps as three passes.  Either way each deterministic
     member's results are the same, bit for bit."""
     terminal = form == "terminal"
     deterministic = [Constant(0.01), PiecewiseConstant((0.3,), (0.02, 0.005))]
@@ -1069,8 +1072,8 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, form):
     def expected(m, width):
         if terminal:
             return {(True, (False, (m, 32))), (True, (True, (m, 64)))}
-        if form:  # a pass of tables steps half-width b; a mixed pass, b, qv and lam per path
-            return {(width == 1, (m, 32 if width == 1 else 64))}
+        if form:  # a pass of tables steps half-width b; the switching member, its own pass
+            return {(True, (m, 32))} if width == 1 else {(True, (1, 32)), (False, (1, 64))}
         return {(False, (m, width))}
 
     monkeypatch.setattr(robustrates.mc, "_steps", spy)
@@ -1086,17 +1089,19 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, form):
 @pytest.mark.parametrize("dynamics", ["shifted", "original"])
 def test_deterministic_member_bits_do_not_depend_on_its_pass(monkeypatch, dynamics, antithetic):
     """A deterministic member's ``MartingaleReport`` is the same, bit for bit, when it
-    steps alone, in a pass of deterministic members only and in a mixed pass beside a
-    switching and a feedback member.  A pass of tables steps ``b`` and the noise parts
-    of ``r`` and ``int r`` only, half-width under antithetic sampling, and no ``qv``;
-    ``CHUNK_PATHS + 2`` paths make the last chunk's half one path wide."""
+    steps alone, in a pass of deterministic members only and between a switching and a
+    feedback member, where each of the three steps in a pass of its own.  A pass of tables
+    steps ``b`` and the noise parts of ``r`` and ``int r`` only, half-width under
+    antithetic sampling, and no ``qv``; ``CHUNK_PATHS + 2`` paths make the last chunk's
+    half one path wide."""
     member = PiecewiseConstant((0.3,), (0.02, 0.005))
     cfg = McConfig(n_paths=CHUNK_PATHS + 2, n_steps=8, horizon=1.0, base_seed=9,
                    antithetic=antithetic)
-    families = {
-        "alone": [member],
-        "tables": [Constant(0.01), member, bang_bang(BAND, 1.0, 2)],
-        "mixed": [RandomSwitching(3.0, 1), member, AdaptedFeedback("driver_sign")],
+    families = {  # each family and its passes, as (rows, whether the pass is of tables)
+        "alone": ([member], [(slice(0, 1), True)]),
+        "tables": ([Constant(0.01), member, bang_bang(BAND, 1.0, 2)], [(slice(0, 3), True)]),
+        "mixed": ([RandomSwitching(3.0, 1), member, AdaptedFeedback("driver_sign")],
+                  [(slice(0, 1), False), (slice(1, 2), True), (slice(2, 3), False)]),
     }
     shapes, real = [], robustrates.paths._steps
 
@@ -1107,15 +1112,41 @@ def test_deterministic_member_bits_do_not_depend_on_its_pass(monkeypatch, dynami
 
     monkeypatch.setattr(robustrates.mc, "_steps", spy)
     reports = []
-    for name, family in families.items():
+    for family, passes in families.values():
         shapes.clear()
         reports.append(martingale_check(KINKED_07, BAND, family, 1.5, [0.0, 0.75, 1.5], cfg,
                                         dynamics)[family.index(member)])
-        m, mixed = len(family), name == "mixed"
-        widths = [w // (2 if antithetic and not mixed else 1) for w in (CHUNK_PATHS, 2)]
-        assert shapes == [(slice(0, m), not mixed, {(m, w)})
-                          for w in widths for _ in range(cfg.n_steps + 1)]
+        assert shapes == [(rows, tables, {(len(family[rows]), w // (1 + (antithetic and tables)))})
+                          for w in (CHUNK_PATHS, 2) for rows, tables in passes
+                          for _ in range(cfg.n_steps + 1)]
     assert reports[0] == reports[1] == reports[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.lists(st.one_of(_MEMBERS, st.integers(2, 4).map(lambda n: bang_bang(BAND, 1.0, n))),
+                    min_size=2, max_size=5),
+    per_pass=st.sampled_from([1, 2, 6]),
+    dynamics=st.sampled_from(["shifted", "original"]),
+    antithetic=st.booleans(),
+    n_paths=st.sampled_from([64, 66, 130]),
+)
+def test_member_results_do_not_depend_on_its_family(family, per_pass, dynamics, antithetic,
+                                                    n_paths):
+    """Whatever its family (kinds interleaved, duplicates) and however many arrays a pass
+    holds, each member's ``MartingaleReport`` and ``noarb_gap`` per-scenario stat equal
+    the ones it gets when it runs alone, bit for bit; only a duplicate's id differs."""
+    cfg = McConfig(n_paths=n_paths, n_steps=6, horizon=1.0, base_seed=7, antithetic=antithetic)
+
+    def results(members):
+        reports = martingale_check(KINKED_07, BAND, members, 1.0, [0.5, 1.0], cfg, dynamics)
+        stats = noarb_gap(KINKED_07, BAND, 1.0, members, cfg).per_scenario[: len(members)]
+        return [(replace(r, scenario_id=""), replace(stat, scenario_id=""))
+                for r, stat in zip(reports, stats, strict=True)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(robustrates.paths, "_TABLES_PER_PASS", per_pass)
+        assert results(family) == [results([spec])[0] for spec in family]
 
 
 def test_noarb_gap_table_pass_steps_only_its_accumulator(monkeypatch):

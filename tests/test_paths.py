@@ -341,6 +341,33 @@ class TestLeanStep:
                 spec, BAND, grid, self.PARAMS, seed, n_paths, "shifted", antithetic))
 
 
+RECORDED_FAMILY = [Constant(0.0125), RandomSwitching(6.0, 2), AdaptedFeedback("driver_sign")]
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("dynamics", ["original", "shifted"])
+@pytest.mark.parametrize("family", [[spec] for spec in RECORDED_FAMILY] + [RECORDED_FAMILY],
+                         ids=["constant", "switching", "feedback", "one_pass"])
+def test_recorded_pass_is_never_split(monkeypatch, family, dynamics, antithetic):
+    """``full`` (``martingale_check``'s split form) does not apply to a recorded pass: each
+    bundle recorded under both flags, alone or in one pass with the other kinds, holds the
+    member's whole state, byte for byte ``_simulate``'s, a deterministic member's ``qv``
+    and ``lam`` and its ``r`` from ``r0``."""
+    grid, n_paths, seed, key = TimeGrid(1.0, 8), 6, 3, 1
+    monkeypatch.setattr(robustrates.paths, "_TABLES_PER_PASS", 30)  # the family in one pass
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    for s in _steps(family, BAND, grid, rng, n_paths, KINKED_07, dynamics, antithetic, key,
+                    full=True, record=True):
+        assert s.rows == slice(0, len(family))
+        hist = s.hist
+    for i, spec in enumerate(family):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        want = _simulate(spec, BAND, grid, rng, n_paths, params=KINKED_07, dynamics=dynamics,
+                         antithetic=antithetic, switch_key=key)
+        assert_bundle_bytes_equal(_bundle(spec, hist[i], grid),
+                                  [getattr(want, name) for name in FIELDS])
+
+
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("dynamics", ["original", "shifted"])
 @pytest.mark.parametrize("params", [None, KINKED_07], ids=["no_rate", "rate"])
