@@ -198,7 +198,8 @@ def noarb_gap(
     prices at the band edges.  The two extreme constant scenarios are always
     included regardless of the supplied family.  Each sample is ``1 / D_T`` from the
     stepper's terminal form, ``int r`` at ``T`` as one weighted sum of the normals
-    (``paths._steps``).  ``cfg.horizon`` is replaced by ``maturity``
+    (``paths._steps``), which a pass of tables forms once per member, yielding only at
+    ``T``.  ``cfg.horizon`` is replaced by ``maturity``
     (``replace(cfg, horizon=maturity)``)."""
     cfg = replace(cfg, horizon=maturity)
     with np.errstate(over="ignore"):  # an overflow is reported next

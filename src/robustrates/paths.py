@@ -18,7 +18,8 @@ Discretization choices (fixed, first order in the stochastic terms):
   ``lam[k+1] = exp(-2*alpha*dt) * lam[k] + dqv[k]``;
 * the money-market integral is a trapezoid rule (exact for constant rates);
   where only its value at ``t_n`` is read (``noarb_gap``), the same trapezoid is
-  written out as ``D + sum_k w_k sigma_k z_k``, linear in the step noises;
+  written out as ``D + sum_k w_k sigma_k z_k``, linear in the step noises, which a
+  pass of tables forms once per member, as one product over the steps;
 * a deterministic volatility splits the state exactly into a noise-free part and a
   part linear in the normals; ``martingale_check``'s rate rows hold the latter only.
 
@@ -379,9 +380,10 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
     and ``lam`` None.  *Terminal* (``params`` under original dynamics, neither ``full`` nor
     ``record``; ``noarb_gap``'s): ``integral`` holds the running ``N = sum_k sigma_k (w_k
     z_k)`` and, at ``k = n`` only, ``int r`` at ``t_n``, ``D + N`` (``w_k`` and the noise-free
-    ``D`` formed once per call); a pass of tables steps only ``sigma``, one scratch and
-    ``N``, half-width (widened at ``k = n``), and yields ``b``, ``qv``, ``lam`` and ``r`` as
-    None.  *Stepped*: any other pass steps the whole state (a terminal one, no trapezoid).
+    ``D`` formed once per call); a pass of tables steps nothing: it forms each member's ``N``
+    once, an ``einsum`` over 64-path blocks of ``w_k z_k`` adding in ``k`` order as a step
+    does, and yields only at ``k = n``, with ``b``, ``qv``, ``lam`` and ``r`` None.
+    *Stepped*: any other pass steps the whole state (a terminal one, no trapezoid).
     *Recorded* (``record``, never split): a stepped pass in which every member keeps a
     time-major history ``hist[i]`` (row ``k`` per step) of ``sigma`` (``_history_sigma``)
     and the grid values, each array its own, for ``_bundle`` to free; else ``hist`` is
@@ -408,7 +410,6 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         )
     z = _draw_normals(rng, n_paths, n, antithetic)
     half = n_paths // 2
-    z_pm = np.empty(n_paths) if antithetic else None  # a stepped pass's [h_k, -h_k]
     if with_r:  # the rate step's coefficients: propagator, noise weight, shift weight, lam decay
         a = params.alpha
         ea, eh, w_lam = np.exp(-a * dt), np.exp(-a * dt / 2.0), b_factor(a, 0.0, dt)
@@ -419,7 +420,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         cols = (accumulate(col.tolist(), lambda y, v: y * c + v, initial=y0) for col in u.T)
         return np.stack([np.fromiter(y, float, len(u) + 1) for y in cols], axis=1)  # a column at a time
     if terminal:  # int r at t_n = D + N, N = sum_k sigma_k (w_k z_k): the trapezoid written out
-        wz = np.empty(n_paths)  # a row of w_k z_k; w_k = c_k eh sq, c_{k-1} = ea c_k + dt from dt / 2
+        # w_k = c_k eh sq, c_{k-1} = ea c_k + dt from dt / 2
         wts = recur(ea, np.full((n - 1, 1), dt), dt / 2.0)[::-1, 0] * float(eh * sq)
         r_bar = recur(ea, m_det[:, None], params.r0)[:, 0]  # D, the trapezoid of the noise-free r
         d_int = np.cumsum((r_bar[:-1] + r_bar[1:]) * (dt / 2.0))[-1]
@@ -433,14 +434,30 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         det_tab = np.stack([group[i][1] for i in det], axis=1) if det else None  # (n, len(det))
         stepped = not terminal or any(tab is None for _, tab in group)  # a rule reads the state
         lean = split and len(det) == m  # steps b and the noise parts: no sigma, qv, lam or drift
-        cols = half if antithetic and (lean or not stepped) else n_paths  # mates hold negations
+        cols = half if antithetic and lean else n_paths  # mates hold negations
         s.half, width = cols < n_paths, 1 if len(det) == m else cols
-        sigma, s.integral, db = np.zeros((m, width)), np.zeros((m, cols)), np.zeros((m, cols))
         if stepped:
+            sigma, s.integral, db = np.zeros((m, width)), np.zeros((m, cols)), np.zeros((m, cols))
             (s.qv, s.lam), s.b = (None, None) if lean else np.zeros((2, m, width)), np.zeros((m, cols))
             r0 = 0.0 if lean else params.r0 if with_r else None  # a noise part starts at 0
             s.r, r_next = (np.full_like(s.b, r0), np.empty_like(s.b)) if with_r else (None,) * 2
             rates, shift = (s.r, r_next) if with_r else (None,), db[:, :width]  # s.r is rates[k % 2]
+            z_pm = np.empty(n_paths) if antithetic else None  # a full-width step's [h_k, -h_k]
+            wz = np.empty(n_paths) if terminal else None  # a terminal step's w_k z_k
+        else:  # a pass of tables: each member's N at once, over blocks of paths of w_k z_k
+            s.integral, (wz_blk, sig_blk) = np.empty((m, n_paths)), np.zeros((2, n, _PATH_BLOCK))
+            for p in range(0, z.shape[1], _PATH_BLOCK):  # the drawn paths: half under antithetic
+                w = min(_PATH_BLOCK, z.shape[1] - p)  # einsum adds in k order, as a step does, on
+                blk = slice(p, p + w)  # whole blocks only: over one path it sums in another order
+                np.einsum("kp,k->kp", z[:, blk], wts, out=wz_blk[:, :w], optimize=False)
+                if det:
+                    s.integral[det, blk] = np.einsum("km,kp->mp", det_tab, wz_blk, optimize=False)[:, :w]
+                for i, (_, tab) in enumerate(group):
+                    if tab.ndim == 2:
+                        levels.take(tab[:, blk], out=sig_blk[:, :w], mode="clip")
+                        s.integral[i, blk] = np.einsum("kp,kp->p", sig_blk, wz_blk, optimize=False)[:w]
+            for row in s.integral if antithetic else ():  # a mate's N is its partner's negation,
+                np.negative(row[:half], out=row[half:])  # by rows, as a strided 2-D pass buffers
         if lean:  # the noise-free r, int r, lam and qv, (n + 1, m) each
             dqv, s.qv_bar, s.integral_bar = np.square(det_tab) * dt, *np.zeros((2, n + 1, m))
             s.lam_bar = recur(e2, dqv, 0.0)
@@ -455,11 +472,9 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
         s.hist = {i: {"sigma": _history_sigma(tab, levels, n, n_paths)} | {
             x: np.empty((n + 1, n_paths)) for x in names} for i, (_, tab) in enumerate(group)
         } if record else {}
-        for k in range(n + 1):
+        for k in range(0 if stepped else n, n + 1):  # a pass of tables yields at t_n only
             s.k = k
-            if terminal and k == n:  # int r at t_n, D + N, with a lean pass's -N widened once
-                if cols < n_paths:
-                    s.integral = np.hstack([s.integral, np.negative(s.integral, out=db)])
+            if terminal and k == n:  # int r at t_n, D + N
                 s.integral += d_int
             for i, h in s.hist.items():
                 for x in names:
@@ -482,9 +497,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 z_k[:half] = z[k]
                 np.negative(z[k], out=z_k[half:])
             if terminal:  # N += sigma (w_k z_k), before sigma's buffer takes dqv
-                s.integral += np.multiply(sigma, np.multiply(z_k, wts[k], out=wz[:cols]), out=db)
-                if not stepped:
-                    continue
+                s.integral += np.multiply(sigma, np.multiply(z_k, wts[k], out=wz), out=db)
             if with_r:  # r[k+1] = ea r[k] + m_det[k] (+ w_lam lam[k], shifted) + eh dB[k]
                 np.multiply(s.r, ea, out=r_next)
                 if not lean:  # a noise part takes no drift: ea rho[k]
@@ -514,7 +527,7 @@ def _steps(scenarios, band, grid, rng, n_paths, params=None, dynamics="original"
                 s.r, r_next = r_next, s.r
         # free this pass's arrays before the next builds its own
         group = tab = h = det_tab = sq_tab = views = rates = sigma = db = shift = r_next = None
-        s.b = s.qv = s.lam = s.r = s.integral = s.hist = None
+        z_pm = wz = wz_blk = sig_blk = s.b = s.qv = s.lam = s.r = s.integral = s.hist = None
         s.r_bar = s.integral_bar = s.lam_bar = s.qv_bar = None
 
 

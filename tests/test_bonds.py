@@ -31,6 +31,7 @@ from robustrates import (
     b_factor,
     bang_bang,
     calibrate,
+    default_scenario_family,
     estimate_sublinear,
     ingest_forward_curve,
     martingale_check,
@@ -60,6 +61,7 @@ from robustrates.mc import (
     scenario_functional_values,
 )
 from robustrates.paths import _mu_step_integrals, _simulate
+from robustrates.scenarios import _PATH_BLOCK
 
 BAND = VolBand(0.005, 0.02)
 PARAMS = RateParams(r0=0.02, alpha=1.0, mu=0.0)
@@ -441,14 +443,13 @@ _MEMBERS = st.one_of(
 )
 
 
-def _unrolled_discounts(spec, band, cfg, params):
-    """One member's ``1 / D_T`` samples, chunk by chunk and averaged over antithetic
-    pairs, with ``int r`` at ``T`` the rate recursion's trapezoid written out as
-    ``D + sum_k sigma_k (w_k z_k)`` in a column loop.  The weights ``w_k = c_k
-    e^{-alpha dt/2} sqrt(dt)``, from ``c_{n-1} = dt/2`` and ``c_{k-1} = dt + e^{-alpha dt}
-    c_k``, and ``D``, the trapezoid of the noise-free rate path, are formed here; the
-    normals are redrawn from each chunk's seed, and ``sigma`` is the member's own
-    bundle's."""
+def _unrolled_integrals(spec, band, cfg, params):
+    """One member's ``int r`` at ``T``, one array of paths per chunk: the rate
+    recursion's trapezoid written out as ``D + sum_k sigma_k (w_k z_k)`` in a column
+    loop.  The weights ``w_k = c_k e^{-alpha dt/2} sqrt(dt)``, from ``c_{n-1} = dt/2`` and
+    ``c_{k-1} = dt + e^{-alpha dt} c_k``, and ``D``, the trapezoid of the noise-free rate
+    path, are formed here; the normals are redrawn from each chunk's seed, and ``sigma``
+    is the member's own bundle's."""
     n, dt = cfg.grid.n_steps, cfg.grid.dt
     ea = float(np.exp(-params.alpha * dt))
     ehs = float(np.exp(-params.alpha * dt / 2.0) * np.sqrt(dt))
@@ -461,7 +462,7 @@ def _unrolled_discounts(spec, band, cfg, params):
         r_next = ea * r + m_k
         d_int += (r + r_next) * (dt / 2.0)
         r = r_next
-    values = []
+    integrals = []
     bundles = _chunk_bundles(spec, band, cfg, params, "original")
     for (_, rng, m), bundle in zip(_chunks(cfg), bundles):
         z = rng.standard_normal((m // 2 if cfg.antithetic else m, n))
@@ -469,35 +470,49 @@ def _unrolled_discounts(spec, band, cfg, params):
         acc = np.zeros(m)
         for k in range(n):
             acc += bundle.sigma[:, k] * (z[:, k] * w[k])
-        values.append(_pair_means(1.0 / np.exp(acc + d_int), cfg.antithetic))
-    return np.concatenate(values)
+        integrals.append(acc + d_int)
+    return integrals
 
 
 class TestNoArbGapStreaming:
     """``noarb_gap`` steps all its members together on one shared draw and reads
-    ``int r`` at ``T`` as one weighted sum of the normals: every sample must equal
-    the unrolled sum's column loop bit for bit (so the statistics do too), and lie
+    ``int r`` at ``T`` as one weighted sum of the normals: that sum, and so every
+    sample, must equal the unrolled sum's column loop bit for bit (so the statistics
+    do too; a last-bit slip in the sum can round away in a sample), and every sample lie
     within 8 ulp of the one-scenario-at-a-time bundles' ``1 / D_T``, the trapezoid of
     their recorded rate paths."""
 
     @staticmethod
     def check(params, maturity, family, cfg):
-        """``noarb_gap``'s samples against both references; returns the ``(paths, steps,
-        antithetic)`` of each draw ``noarb_gap`` made."""
+        """``noarb_gap``'s ``int r`` at ``T`` and samples against both references; returns
+        the ``(paths, steps, antithetic)`` of each draw ``noarb_gap`` made."""
         samples, sample = [], robustrates.bonds._sample
         draws, draw = [], robustrates.paths._draw_normals
+        integrals, steps = [], robustrates.mc._steps
+
+        def spy(*a, **kw):  # each pass's int r at T, before the reducer takes exp in place
+            for s in steps(*a, **kw):
+                if s.k == a[2].n_steps:
+                    integrals.extend(zip(range(s.rows.start, s.rows.stop), s.integral.copy()))
+                yield s
+
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robustrates.mc, "_steps", spy)
             mp.setattr(robustrates.bonds, "_sample",
                        lambda *a, **kw: samples.append(sample(*a, **kw)) or samples[-1])
             mp.setattr(robustrates.paths, "_draw_normals", lambda *a: draws.append(a[1:]) or draw(*a))
             rep = noarb_gap(params, BAND, maturity, family, cfg)
         cfg, family = replace(cfg, horizon=maturity), _ensure_extremes(BAND, family)
         ids = _dedupe_ids(family)
-        values = [_unrolled_discounts(spec, BAND, cfg, params) for spec in family]
+        unrolled = [_unrolled_integrals(spec, BAND, cfg, params) for spec in family]
+        values = [np.concatenate([_pair_means(1.0 / np.exp(x), cfg.antithetic) for x in chunks])
+                  for chunks in unrolled]
         _, bundle_values = _reference_values(_discount, BAND, family, cfg, params)
         ((got_ids, got),) = samples
         assert got_ids == ids
-        for sid, g, v, b in zip(ids, got, values, bundle_values):
+        for j, (sid, g, v, b) in enumerate(zip(ids, got, values, bundle_values)):
+            sums = [x for i, x in integrals if i == j]  # the member's, chunk by chunk
+            assert np.concatenate(sums).tobytes() == np.concatenate(unrolled[j]).tobytes(), sid
             assert g.tobytes() == v.tobytes(), sid
             assert np.all(np.abs(g - b) <= 8 * np.spacing(b)), (sid, np.max(np.abs(g - b)))
         est = _sublinear(ids, values)
@@ -527,6 +542,19 @@ class TestNoArbGapStreaming:
         cfg = McConfig(n_paths=n_paths, n_steps=n_steps, horizon=1.0, base_seed=seed, antithetic=antithetic)
         draws = self.check(params, 1.5, family, cfg)
         assert draws == [(m, n_steps, antithetic) for _, _, m in _chunks(cfg)]
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_long_grid_with_a_partial_path_block(self, antithetic):
+        """256 steps over ``3 * _PATH_BLOCK + 1`` drawn paths, so a pass of tables sums
+        three whole blocks and one of a single path: the default family (12 constants, 2
+        bang-bang and 6 switching members, one pass) and a seventh switching member (a
+        pass of its own) match the column loop bit for bit."""
+        family = default_scenario_family(BAND, n_constant=12, n_switching=6, seed=0)
+        width = 3 * _PATH_BLOCK + 1
+        cfg = McConfig(n_paths=2 * width if antithetic else width, n_steps=256, horizon=1.0,
+                       base_seed=12, antithetic=antithetic)
+        draws = self.check(PARAMS, 1.0, family + [RandomSwitching(9.0, 6)], cfg)
+        assert draws == [(cfg.n_paths, 256, antithetic)]
 
     def test_permuted_family_permutes_per_scenario(self):
         family = [
@@ -1048,8 +1076,8 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, form):
     """A pass whose members all have deterministic tables steps ``sigma``,
     ``qv`` and ``lam`` as one value per member; a switching member anywhere
     in the pass makes them one value per path.  ``noarb_gap``'s pass of tables
-    (``terminal``) steps no ``qv`` or ``lam`` at all, only its accumulator of ``int r``
-    at ``T``, half-width under antithetic sampling and widened at the last grid time.
+    (``terminal``) steps nothing: it forms each member's ``int r`` at ``T`` at once and
+    yields once, at the last grid time, with no ``qv`` or ``lam`` and the integral full-width.
     ``martingale_check``'s (``split``) steps no ``qv`` or ``lam`` either, only ``b`` and
     the noise parts of ``r`` and ``int r``, half-width, and its passes hold one kind of
     member, so the mixed family steps as three passes.  Either way each deterministic
@@ -1071,7 +1099,7 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, form):
 
     def expected(m, width):
         if terminal:
-            return {(True, (False, (m, 32))), (True, (True, (m, 64)))}
+            return {(True, (True, (m, 64)))}
         if form:  # a pass of tables steps half-width b; the switching member, its own pass
             return {(True, (m, 32))} if width == 1 else {(True, (1, 32)), (False, (1, 64))}
         return {(False, (m, width))}
@@ -1079,9 +1107,11 @@ def test_deterministic_pass_keeps_one_value_per_member(monkeypatch, run, form):
     monkeypatch.setattr(robustrates.mc, "_steps", spy)
     alone = list(run(deterministic, cfg))
     assert set(shapes) == expected(len(alone), 1)
+    assert not terminal or len(shapes) == 1  # one pass, one yield
     shapes.clear()
     together = list(run(mixed, cfg))
     assert set(shapes) == expected(len(together), 64)
+    assert not terminal or len(shapes) == 1
     assert [x for x in together if x.scenario_id != switching.scenario_id] == alone
 
 
@@ -1150,14 +1180,15 @@ def test_member_results_do_not_depend_on_its_family(family, per_pass, dynamics, 
 
 
 def test_noarb_gap_table_pass_steps_only_its_accumulator(monkeypatch):
-    """A ``noarb_gap`` pass of tables steps one half-width accumulator of ``int r`` at
-    ``T`` (a mate's is its partner's negation) and nothing else per path: it yields no
-    ``b``, ``qv``, ``lam`` or ``r``, and its traced peak stays within the half-width
-    normals, the half-width byte tables, 4 ``(members, paths)`` arrays of doubles
-    (``sigma``, the scratch and the accumulator at half width, the widened integral and
-    the reducer's output rows) and 2 rows of paths (the step's ``w_k z_k`` and the
-    buffer of a stepped pass's widened normals).  A pass that stepped the rate and its
-    trapezoid held about 11 such arrays."""
+    """A ``noarb_gap`` pass of tables steps nothing: it forms each member's ``int r`` at
+    ``T`` at once (a mate's is its partner's negation) and yields once, at ``k = n``, with
+    no ``b``, ``qv``, ``lam`` or ``r``.  Its traced peak stays within the half-width
+    normals, the half-width byte tables, 2 ``(members, paths)`` arrays of doubles (the
+    full-width integral and the reducer's output rows), 3 ``(steps, _PATH_BLOCK)`` blocks
+    of doubles (``w_k z_k``, a switching member's ``sigma`` and ``take``'s index copy of
+    its bytes) and 32 KiB of small objects (1-D tables, weights, generator state).  The
+    step loop it replaced held 3.5 such arrays and 2 rows of paths (allowed ``4 m + 2``
+    arrays); a pass that stepped the rate and its trapezoid held about 11."""
     family = [Constant(0.01), RandomSwitching(2.0, 0), bang_bang(BAND, 1.0, 2),
               RandomSwitching(5.0, 1)]
     n_paths, n_steps = 2048, 64
@@ -1174,11 +1205,11 @@ def test_noarb_gap_table_pass_steps_only_its_accumulator(monkeypatch):
     monkeypatch.setattr(robustrates.mc, "_steps", spy)
     run = lambda: noarb_gap(PARAMS, BAND, 1.0, family, cfg)
     run()
-    assert seen == [(slice(0, m), k, [True] * 4, (m, n_paths // (1 + (k < n_steps))))
-                    for k in range(n_steps + 1)]
+    assert seen == [(slice(0, m), n_steps, [True] * 4, (m, n_paths))]
     floor = (8 + 2) * (n_paths // 2) * n_steps  # the normals and two byte tables
     peak = _traced_peak(run)
-    assert floor < peak <= floor + 8 * (4 * m + 2) * n_paths, (peak, floor)
+    assert floor < peak <= floor + 8 * (2 * m * n_paths + 3 * _PATH_BLOCK * n_steps) + 2**15, (
+        peak, floor)
 
 
 @pytest.mark.parametrize("family, arrays", [
